@@ -68,27 +68,36 @@ def _with_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def _parse_sweep(text: str) -> tuple[str, list[float]]:
+def _expand_range(text: str) -> list[float]:
+    """Expand ``start:stop:step`` into start, start + step, ... up to stop."""
     try:
-        axis, rng = text.split("=", 1)
-        start, stop, step = (float(v) for v in rng.split(":"))
+        start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"sweep must look like axis=start:stop:step, got {text!r}"
+            f"range must look like start:stop:step, got {text!r}"
         ) from None
-    axis = axis.strip()
-    if axis not in _SWEEP_AXES:
-        raise argparse.ArgumentTypeError(f"sweep axis must be one of {_SWEEP_AXES}")
     if step <= 0:
-        raise argparse.ArgumentTypeError("sweep step must be > 0")
+        raise argparse.ArgumentTypeError("range step must be > 0")
     values = []
     v = start
     while v <= stop + 1e-9 * max(1.0, abs(stop)):
         values.append(v)
         v = start + len(values) * step
     if not values:
-        raise argparse.ArgumentTypeError("sweep range is empty")
-    return axis, values
+        raise argparse.ArgumentTypeError("range is empty")
+    return values
+
+
+def _parse_sweep(text: str) -> tuple[str, list[float]]:
+    axis, sep, rng = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(
+            f"sweep must look like axis=start:stop:step, got {text!r}"
+        )
+    axis = axis.strip()
+    if axis not in _SWEEP_AXES:
+        raise argparse.ArgumentTypeError(f"sweep axis must be one of {_SWEEP_AXES}")
+    return axis, _expand_range(rng)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -198,11 +207,10 @@ def cmd_optimize(args) -> int:
         import numpy as np
 
         lo = max(1, int(np.ceil(cfg.traffic.lam)))
-        grid = sorted(
-            {int(round(v)) for v in np.linspace(lo, out.n_practical, args.brute_points)}
-        )
-        result = brute_force_slots(cfg, grid)
-        p_at_choice = result.curve[-1][1]
+        grid = {int(round(v)) for v in np.linspace(lo, out.n_practical, args.brute_points)}
+        grid.add(out.n_practical)
+        result = brute_force_slots(cfg, sorted(grid))
+        p_at_choice = dict(result.curve)[out.n_practical]
         lines.append(f"brute_force.best_n = {result.best_n}")
         lines.append(f"brute_force.best_p = {_fmt(result.best_p)}")
         lines.append(f"brute_force.p_at_n_practical = {_fmt(p_at_choice)}")
@@ -216,18 +224,12 @@ def cmd_optimize(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _read_config(args.config)
-    start, stop, step = args.lambdas
-    values = []
-    v = start
-    while v <= stop + 1e-9 * max(1.0, abs(stop)):
-        values.append(v)
-        v = start + len(values) * step
     workers = _workers()
     header = (
         "lambda,proposed_p_hat,proposed_ci,tpds_p_hat,tpds_ci,nas_p_hat,nas_ci"
     )
     lines = [header]
-    for lam in values:
+    for lam in args.lambdas:
         cfg_l = _with_axis(cfg, "lambda", lam)
         cells = [_fmt(lam)]
         for scheme in (Scheme.PROPOSED, Scheme.TPDS, Scheme.NAS):
@@ -307,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="proposed vs benchmark schemes")
     add_common(p)
-    p.add_argument("--lambdas", type=_parse_range, default=(2.0, 10.0, 1.0),
+    p.add_argument("--lambdas", type=_expand_range, default="2:10:1",
                    help="start:stop:step traffic rates")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
@@ -323,20 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     return parser
-
-
-def _parse_range(text: str) -> tuple[float, float, float]:
-    try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"range must look like start:stop:step, got {text!r}"
-        ) from None
-    if step <= 0:
-        raise argparse.ArgumentTypeError("range step must be > 0")
-    if stop < start:
-        raise argparse.ArgumentTypeError("range is empty")
-    return start, stop, step
 
 
 def main(argv: list[str] | None = None) -> int:

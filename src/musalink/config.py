@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from scipy import stats
+from scipy.special import pdtr, pdtrc, pdtrik
 
 __all__ = [
     "Scenario",
@@ -261,8 +261,7 @@ class SystemConfig:
         """
         if self.traffic.scenario is Scenario.NON_EMERGENCY:
             return 1
-        q = self.power.rho_max_proxy_quantile
-        return max(1, int(stats.poisson.ppf(q, self.traffic.lam)))
+        return max(1, _poisson_quantile(self.power.rho_max_proxy_quantile, self.traffic.lam))
 
     def mean_packet_power(self) -> float:
         """Fixed per-packet power used by the analytical model (watts).
@@ -279,13 +278,24 @@ class SystemConfig:
         return self.traffic.n_active * self.traffic.lam + self.delta_slack
 
 
+def _poisson_quantile(q: float, lam: float) -> int:
+    """Smallest k with P(Poisson(lam) <= k) >= q, for 0 < q < 1.
+
+    Inverts the Poisson CDF through its continuous (incomplete-gamma)
+    inverse and corrects the rounding by one CDF evaluation.
+    """
+    k = math.ceil(pdtrik(q, lam))
+    below = max(k - 1, 0)
+    return below if pdtr(below, lam) >= q else k
+
+
 def default_tail_truncation(lam: float, tol: float = 1e-12) -> int:
     """Smallest m such that P(Poisson(lam) > ceil(lam) + m) < tol."""
     if lam <= 0:
         return 0
     base = math.ceil(lam)
     m = 0
-    while stats.poisson.sf(base + m, lam) >= tol:
+    while pdtrc(base + m, lam) >= tol:
         m += 1
     return m
 

@@ -1,7 +1,9 @@
 """Adaptive composite Simpson quadrature with error tracking.
 
-Used for every integral in the coverage analysis (interference Laplace
-transforms and the ordered-distance averages).  Tolerance is allocated
+The test oracle for the coverage analysis: the analytic module evaluates
+its interference Laplace transforms in closed form and its
+ordered-distance averages by fixed Gauss-Jacobi rules, and the tests check
+both against this quadrature at tight tolerances.  Tolerance is allocated
 proportionally to subinterval length; the returned error estimate is the
 accumulated Richardson estimate and is conservative for smooth integrands.
 """

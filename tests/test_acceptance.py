@@ -11,6 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from musalink.analytic import (
     collision_free_prob,
@@ -54,6 +55,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 #  1. Analytic vs simulation agreement at severe traffic
 # ----------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_1_analytic_simulation_agreement():
     gaps = {}
     budget_ok = True
@@ -275,6 +277,7 @@ def test_criterion_5_sampling_law_oracles():
 #  6. Scheme comparison
 # ----------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_scheme_comparison():
     # benchmarks run at their single-packet design point: one slot per
     # device of the non-emergency load (n_slots = n_active)

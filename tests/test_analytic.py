@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from musalink import analytic
 from musalink.analytic import (
     IntensitySet,
+    _campbell_exponent,
     collision_free_prob,
     conditional_coverage,
     frame_coverage_prob,
@@ -18,7 +20,7 @@ from musalink.analytic import (
     slot_occupancy_prob,
     slot_statistics,
 )
-from musalink.quadrature import adaptive_simpson
+from musalink.quadrature import QuadratureError, adaptive_simpson
 
 from conftest import reference_config
 
@@ -417,3 +419,151 @@ def test_intensity_set_partition(default_cfg):
     i = stats.intensities
     assert i.omega_s + i.omega_c == pytest.approx(i.omega_o, rel=1e-12)
     assert i.omega_s >= 0 and i.omega_c >= 0
+
+
+# ----------------------------------------------------------------------------
+#  Closed forms against the adaptive-Simpson oracle
+# ----------------------------------------------------------------------------
+
+def campbell_simpson(q, h2, alpha, lo, hi):
+    """Oracle: int (x/(1+x)) r dr over [lo, hi] by adaptive Simpson, so that
+    2*pi*omega times it is the Campbell exponent."""
+
+    def integrand(r):
+        x = q * (r * r + h2) ** (-alpha / 2)
+        return x / (1.0 + x) * r
+
+    return adaptive_simpson(integrand, lo, hi, tol=1e-12).value
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.2, 3.0, 4.0])
+def test_campbell_exponent_matches_quadrature(default_cfg, alpha):
+    R = default_cfg.geometry.cell_radius
+    h2 = default_cfg.geometry.uav_altitude**2
+    omega = 1.0 / (2.0 * math.pi)  # exponent == the bare integral
+    # collided disk [0, R], singleton annuli [r_hat, R] down to the empty one
+    annuli = [(0.0, R)] + [(r_hat, R) for r_hat in (10.0, 25.0, 45.0, R)]
+    for q in np.logspace(2, 7, 11):
+        for lo, hi in annuli:
+            value = float(_campbell_exponent(q, omega, lo * lo + h2, hi * hi + h2, alpha))
+            oracle = campbell_simpson(q, h2, alpha, lo, hi)
+            if lo == hi:
+                assert value == oracle == 0.0
+            else:
+                assert value == pytest.approx(oracle, rel=1e-9), (q, lo)
+
+
+def test_campbell_exponent_broadcasts_over_distances(default_cfg):
+    h2 = default_cfg.geometry.uav_altitude**2
+    u_edge = default_cfg.geometry.cell_radius**2 + h2
+    u = np.linspace(h2, u_edge, 7)
+    q = 2.0 * u**1.1
+    batch = _campbell_exponent(q, 1e-3, u, u_edge, 2.2)
+    singles = [_campbell_exponent(qi, 1e-3, ui, u_edge, 2.2) for qi, ui in zip(q, u)]
+    assert batch.shape == u.shape
+    assert batch == pytest.approx(singles, rel=1e-15, abs=0.0)
+    assert batch[-1] == 0.0
+
+
+def test_laplace_transforms_match_quadrature(default_cfg):
+    stats = slot_statistics(default_cfg)
+    i = stats.intensities
+    R = default_cfg.geometry.cell_radius
+    h2 = default_cfg.geometry.uav_altitude**2
+    alpha = default_cfg.channel.pathloss_exp
+    for r_hat in (0.0, 25.0, 49.0, R):
+        s = reference_s(default_cfg, r_hat)
+        q = s * default_cfg.mean_packet_power() * default_cfg.channel.pathloss_coeff
+        sing = math.exp(-2 * math.pi * i.omega_s * campbell_simpson(q, h2, alpha, r_hat, R))
+        coll = math.exp(-2 * math.pi * i.omega_c * campbell_simpson(q, h2, alpha, 0.0, R))
+        assert laplace_singleton(s, r_hat, default_cfg, i) == pytest.approx(sing, rel=1e-12)
+        assert laplace_collided(s, default_cfg, i) == pytest.approx(coll, rel=1e-12)
+
+
+def conditional_coverage_simpson(k, cfg, n_singleton, intensities):
+    """Oracle for one rank: the k-th order-statistic average of the scalar
+    coverage kernel by adaptive Simpson.  The substitution t = 1 - v^m with
+    m * (beta + 1) >= 5 turns (1-t)^beta dt into a smooth power of v, so
+    the integrand is bounded and smooth for every beta > -1."""
+    R = cfg.geometry.cell_radius
+    h2 = cfg.geometry.uav_altitude**2
+    sigma2 = cfg.channel.noise_power
+
+    def kernel(r_hat):
+        s = reference_s(cfg, r_hat)
+        return (
+            math.exp(-s * sigma2)
+            * laplace_singleton(s, r_hat, cfg, intensities)
+            * laplace_collided(s, cfg, intensities)
+        )
+
+    beta = n_singleton - k
+    m = math.ceil(5.0 / (beta + 1.0))
+
+    def integrand(v):
+        t = 1.0 - v**m
+        return kernel(R * math.sqrt(t)) * t ** (k - 1) * m * v ** (m * (beta + 1.0) - 1.0)
+
+    log_coeff = (
+        math.lgamma(n_singleton + 1.0) - math.lgamma(k) - math.lgamma(n_singleton - k + 1.0)
+    )
+    coeff = math.exp(log_coeff)
+    return coeff * adaptive_simpson(integrand, 0.0, 1.0, tol=1e-13 / coeff).value
+
+
+@pytest.mark.parametrize(
+    "n_singleton,k",
+    [
+        (3.4, 4),   # beta = -0.6: integrable divergence of the density at t = 1
+        (3.4, 3),   # beta = 0.4
+        (3.0, 3),   # beta = 0: integer, top rank
+        (3.0, 1),   # beta = 2: integer
+        (3.4, 1),   # beta = 2.4
+        (9.7, 2),   # beta = 7.7
+    ],
+)
+def test_conditional_coverage_matches_quadrature(n_singleton, k):
+    cfg = reference_config(n_active=10, lam=2.0, n_slots=20)
+    cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=0.2))
+    intensities = slot_statistics(cfg).intensities
+    value = conditional_coverage(k, cfg, n_singleton, intensities)
+    oracle = conditional_coverage_simpson(k, cfg, n_singleton, intensities)
+    assert 0.01 < oracle < 0.99  # a kernel that is neither flat 0 nor flat 1
+    assert value == pytest.approx(oracle, abs=1e-10)
+
+
+def low_altitude_config(uav_altitude, theta):
+    """A hover height far below the cell radius: the coverage kernel varies
+    fast near the centre and the outer rule is no longer exact to rounding."""
+    cfg = reference_config(n_active=10, lam=4.0)
+    return replace(
+        cfg,
+        geometry=replace(cfg.geometry, uav_altitude=uav_altitude),
+        reliability=replace(cfg.reliability, sinr_threshold=theta),
+    )
+
+
+def test_quadrature_error_estimate_bounds_refined_rule(monkeypatch):
+    # the lambda sweeps of the analytic benchmark, then low-altitude points
+    sweep = [
+        reference_config(n_active=n_active, lam=float(lam))
+        for n_active in (5, 10, 20) for lam in range(2, 11)
+    ]
+    hard = [low_altitude_config(h, theta) for h in (5.0, 1.0) for theta in (1.0, 0.01)]
+    reports = [frame_coverage_prob(cfg) for cfg in sweep + hard]
+    monkeypatch.setattr(analytic, "_OUTER_NODES", 2 * analytic._OUTER_NODES)
+    for cfg, report in zip(sweep + hard, reports):
+        refined = frame_coverage_prob(cfg)
+        gap = sum(
+            abs(a - b) for a, b in zip(report.conditional_terms, refined.conditional_terms)
+        )
+        # the rules agree to ~1e-13 once both have converged to rounding
+        assert gap <= report.quadrature_error_estimate + 1e-12
+    assert max(r.quadrature_error_estimate for r in reports[: len(sweep)]) < 1e-11
+    assert min(r.quadrature_error_estimate for r in reports[len(sweep):]) > 1e-9
+
+
+def test_non_finite_kernel_raises_quadrature_error(default_cfg):
+    cfg = replace(default_cfg, channel=replace(default_cfg.channel, noise_power=math.nan))
+    with pytest.raises(QuadratureError):
+        frame_coverage_prob(cfg)

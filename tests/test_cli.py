@@ -1,12 +1,15 @@
 """Command-line interface: schemas, determinism, error codes."""
 
+import argparse
 import math
 
 import pytest
 
 from musalink.analytic import frame_coverage_prob
-from musalink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, main
+from musalink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, _expand_range, main
 from musalink.config import default_config, serialize_config
+
+from conftest import reference_config
 
 
 @pytest.fixture
@@ -92,6 +95,35 @@ def test_optimize_report_contents(tmp_path, cfg_file):
     n_eps = float(fields["n_epsilon_bound"])
     assert n_practical == math.floor(min(n_lambda, n_eps))
     assert float(fields["residual"]) <= 1e-10
+
+
+def test_optimize_single_brute_point_reports_n_practical(tmp_path):
+    # one grid point is ceil(lambda) = 3; the report must still give the
+    # coverage at the chosen slot count, not at the grid's last entry
+    cfg_path = tmp_path / "one.cfg"
+    cfg_path.write_text("traffic.n_active = 15\ntraffic.lambda = 3\n")
+    out = tmp_path / "opt.txt"
+    assert main(["optimize", "--config", str(cfg_path), "--brute-points", "1",
+                 "--out", str(out)]) == 0
+    fields = dict(
+        line.split(" = ", 1) for line in out.read_text().strip().splitlines()
+    )
+    n_practical = int(fields["n_practical"])
+    curve = dict(item.split(":") for item in fields["brute_force.curve"].split(";"))
+    assert sorted(int(n) for n in curve) == [3, n_practical]
+    p_at = float(fields["brute_force.p_at_n_practical"])
+    assert p_at == float(curve[str(n_practical)])
+    expected = frame_coverage_prob(reference_config(n_active=15, lam=3.0, n_slots=n_practical))
+    assert p_at == expected.p_succ
+
+
+def test_range_expansion():
+    assert _expand_range("2:10:2") == [2.0, 4.0, 6.0, 8.0, 10.0]
+    assert _expand_range("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
+    assert _expand_range("4:4:1") == [4.0]
+    for bad in ("5:2:1", "1:2:0", "1:2", "a:b:c"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _expand_range(bad)
 
 
 def test_optimize_infeasible_config_exit_code(tmp_path):

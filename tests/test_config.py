@@ -2,8 +2,13 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -173,3 +178,48 @@ def test_mean_packet_power_modes():
     assert cfg.mean_packet_power() == pytest.approx(cfg.power.p_max / cfg.rho_max_proxy())
     fixed = replace(cfg, power=replace(cfg.power, mode=PowerMode.FIXED))
     assert fixed.mean_packet_power() == fixed.power.p_max
+
+
+def test_poisson_helpers_equal_scipy_stats():
+    from scipy import stats as sps
+
+    lams = np.concatenate([np.linspace(0.5, 12.0, 47), [0.0, 1e-3, 25.0, 100.0]])
+    quantiles = (0.01, 0.5, 0.9, 0.99, 0.999)
+    cfg = default_config()
+    for lam in lams:
+        for q in quantiles:
+            varied = replace(
+                cfg,
+                traffic=replace(cfg.traffic, lam=float(lam)),
+                power=replace(cfg.power, rho_max_proxy_quantile=q),
+            )
+            expected = max(1, int(sps.poisson.ppf(q, lam)))
+            assert varied.rho_max_proxy() == expected, (lam, q)
+        if lam > 0:
+            m = default_tail_truncation(lam)
+            base = math.ceil(lam)
+            assert sps.poisson.sf(base + m, lam) < 1e-12
+            assert m == 0 or sps.poisson.sf(base + m - 1, lam) >= 1e-12
+        else:
+            assert default_tail_truncation(lam) == 0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import musalink
+
+    code = (
+        "import sys\n"
+        "import musalink as ml\n"
+        "ml.frame_coverage_prob(ml.default_config())\n"
+        "ml.adaptive_slots(ml.default_config())\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src_dir = str(Path(musalink.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
