@@ -2,9 +2,23 @@
 
 Samples device deployments, bursty traffic, slot and spreading-code
 choices and per-subcarrier Rayleigh fading, then runs the successive
-interference cancellation receiver slot by slot.  Every frame draws its
-random stream from (seed, frame index), so estimates are reproducible
-bit for bit regardless of how frames are distributed over workers.
+interference cancellation receiver on every occupied slot.
+
+Frame i draws from its own stream, seeded by (seed, i), in a fixed
+order: packet counts, radii, one ``random((n_devices, n_slots))`` block
+whose row-wise argsort gives each device's slots, one ``integers`` call
+for every code, and one ``standard_normal((2, n_packets, J))`` for all
+fading.  Estimates are therefore reproducible bit for bit regardless of
+how frames are distributed over workers or blocks.
+
+The receiver is batched: ``estimate_coverage`` decodes a block of
+frames at once.  Collisions are found with one ``unique`` over
+(slot, code) keys; each occupied slot becomes a row of packet indices,
+singletons nearest first and collided packets last, and the SIC
+iterations run in lockstep over all rows, slots whose undecoded sets
+have equal size sharing one stacked MMSE solve.  ``make_slot``,
+``mmse_weights`` and ``sic_decode`` are the scalar one-slot receiver,
+kept as the oracle the batched decisions are tested against.
 
 Two SINR bookkeeping rules are available for the cancellation receiver:
 
@@ -72,6 +86,14 @@ class FailureCause(Enum):
     BLOCKED_BY_STRONGER = "blocked_by_stronger"
 
 
+_SINR_RULES = ("conservative", "post_mmse")
+
+
+def _check_sinr_rule(sinr_rule: str) -> None:
+    if sinr_rule not in _SINR_RULES:
+        raise ValueError(f"unknown sinr_rule {sinr_rule!r}")
+
+
 # ============================================================================
 #  Spreading code pool
 # ============================================================================
@@ -134,33 +156,36 @@ def generate_traffic(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
 
 def assign_slots_codes(
     counts: np.ndarray, n_slots: int, pool_size: int, rng: np.random.Generator
-) -> tuple[list[tuple[int, int, int]], int]:
+) -> tuple[np.ndarray, int]:
     """Assign each packet a distinct slot and an independent code index.
 
     A device transmits min(count, n_slots) packets in distinct uniformly
-    chosen slots; the excess packets are dropped.  Returns the flat
-    (device, slot, code index) list and the number of dropped packets.
+    chosen slots; the excess packets are dropped.  The slots of device i
+    are the first min(count_i, n_slots) entries of the argsort of row i
+    of one ``rng.random((n_devices, n_slots))`` draw; one
+    ``rng.integers`` call then draws every code.  Returns the (N, 3) int
+    array of (device, slot, code index) rows, device-major, and the
+    number of dropped packets.
     """
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    assignments: list[tuple[int, int, int]] = []
-    dropped = 0
-    for device, count in enumerate(counts):
-        count = int(count)
-        if count <= 0:
-            continue
-        tx = min(count, n_slots)
-        dropped += count - tx
-        slots = rng.choice(n_slots, size=tx, replace=False)
-        codes = rng.integers(0, pool_size, size=tx)
-        assignments.extend(
-            (device, int(slot), int(code)) for slot, code in zip(slots, codes)
-        )
-    return assignments, dropped
+    counts = np.maximum(np.asarray(counts, dtype=np.int64), 0)
+    tx = np.minimum(counts, n_slots)
+    keys = rng.random((len(counts), n_slots))
+    slots = np.argsort(keys, axis=1)[np.arange(n_slots) < tx[:, None]]
+    devices = np.repeat(np.arange(len(counts)), tx)
+    codes = rng.integers(0, pool_size, size=len(slots))
+    return np.column_stack((devices, slots, codes)), int(counts.sum() - tx.sum())
+
+
+def _path_gain(cfg: SystemConfig, radii: np.ndarray) -> np.ndarray:
+    """Large-scale linear power gain at horizontal distances ``radii``."""
+    h2 = cfg.geometry.uav_altitude**2
+    return cfg.channel.pathloss_coeff * (radii**2 + h2) ** (-0.5 * cfg.channel.pathloss_exp)
 
 
 # ============================================================================
-#  Slot realization and the cancellation receiver
+#  Scalar one-slot receiver (the oracle of the batched receiver below)
 # ============================================================================
 
 @dataclass(frozen=True)
@@ -205,12 +230,10 @@ def make_slot(
     k = len(device_ids)
     j = cfg.frame.n_subcarriers
     fading = (rng.standard_normal((k, j)) + 1j * rng.standard_normal((k, j))) / math.sqrt(2.0)
-    h2 = cfg.geometry.uav_altitude**2
-    path_gain = cfg.channel.pathloss_coeff * (radii**2 + h2) ** (-0.5 * cfg.channel.pathloss_exp)
     return SlotRealization(
         device_ids=np.asarray(device_ids),
         radii=np.asarray(radii, dtype=float),
-        path_gain=path_gain,
+        path_gain=_path_gain(cfg, radii),
         fading=fading,
         code_indices=np.asarray(code_indices),
         code_vectors=pool[np.asarray(code_indices)],
@@ -243,8 +266,7 @@ def sic_decode(
     tested against the threshold with weights recomputed over the whole
     undecoded set; a failure blocks it and every weaker singleton.
     """
-    if sinr_rule not in ("conservative", "post_mmse"):
-        raise ValueError(f"unknown sinr_rule {sinr_rule!r}")
+    _check_sinr_rule(sinr_rule)
     k_total = len(slot.device_ids)
     decoded = np.zeros(k_total, dtype=bool)
     cause: list[FailureCause | None] = [None] * k_total
@@ -307,6 +329,146 @@ def sic_decode(
 
 
 # ============================================================================
+#  Batched lockstep receiver
+# ============================================================================
+
+# Frames decoded together by estimate_coverage.  Decisions are per slot,
+# so the estimate does not depend on it; it bounds the block's memory.
+_BLOCK_FRAMES = 256
+
+
+@dataclass(frozen=True)
+class _FrameDraws:
+    """One frame's random draws and the per-packet powers they imply."""
+    counts: np.ndarray    # (n_active,) packets generated per device
+    radii: np.ndarray     # (n_active,) m
+    powers: np.ndarray    # (n_active,) W per packet
+    packets: np.ndarray   # (N, 3) int rows (device, slot, code index)
+    dropped: int
+    fading: np.ndarray    # (N, J) complex CN(0, 1) per packet and subcarrier
+
+
+def _draw_frame(
+    cfg: SystemConfig,
+    scheme: Scheme,
+    rng: np.random.Generator,
+    n_slots: int,
+    rho_proxy: int | None = None,
+) -> _FrameDraws:
+    """Draw a frame: counts, radii, slot keys, codes, then all fading at once."""
+    counts = generate_traffic(cfg, rng)
+    radii = sample_deployment(cfg.traffic.n_active, cfg.geometry.cell_radius, rng)
+    packets, dropped = assign_slots_codes(counts, n_slots, cfg.frame.code_pool_size, rng)
+    z = rng.standard_normal((2, len(packets), cfg.frame.n_subcarriers))
+    return _FrameDraws(
+        counts=counts,
+        radii=radii,
+        powers=_per_device_power(cfg, scheme, counts, rho_proxy),
+        packets=packets,
+        dropped=dropped,
+        fading=(z[0] + 1j * z[1]) / math.sqrt(2.0),
+    )
+
+
+def _energy(x: np.ndarray) -> np.ndarray:
+    return np.sum(x.real**2 + x.imag**2, axis=-1)
+
+
+def _stacked_sinr(
+    h: np.ndarray, p: np.ndarray, noise_power: float, sinr_rule: str
+) -> np.ndarray:
+    """SINR of user 0 in each of B undecoded sets of equal size m.
+
+    ``h`` is (B, m, J), row i of set b being user i's effective channel;
+    ``p`` is (B, m).  The arithmetic is ``sic_decode``'s, one stacked
+    MMSE solve for the whole batch.
+    """
+    if h.shape[1] == 1:
+        # lone device: matched filter against noise only
+        return p[:, 0] * _energy(h[:, 0]) / noise_power
+    m = h.shape[1]
+    hc = h.conj()
+    sqrt_p = np.sqrt(p)
+    a = sqrt_p[:, :, None] * (hc @ h.transpose(0, 2, 1)) * sqrt_p[:, None, :]
+    a[:, np.arange(m), np.arange(m)] += noise_power
+    w = np.linalg.solve(a, sqrt_p[:, :, None] * hc)  # (B, m, J) weight rows
+    if sinr_rule == "conservative":
+        gain = p * np.abs(np.sum(w * h, axis=2)) ** 2  # diag of W.G: own outputs
+    else:
+        gain = p * np.abs(np.einsum("bj,bkj->bk", w[:, 0], h)) ** 2  # row 0 of W.G
+    signal = gain[:, 0]
+    return signal / (gain.sum(axis=1) - signal + noise_power * _energy(w[:, 0]))
+
+
+def _decode_block(
+    cfg: SystemConfig,
+    frames: list[_FrameDraws],
+    n_slots: int,
+    pool: np.ndarray,
+    sinr_rule: str,
+) -> np.ndarray:
+    """Run the cancellation receiver on every slot of a block of frames.
+
+    Returns the (len(frames), 4) per-frame counts of packets decoded,
+    collided, below threshold and blocked by a stronger user.  Each
+    occupied slot is a row [singletons nearest first, then collided];
+    at iteration t a slot tests its column t against the undecoded set
+    row[t:K], slots with sets of equal size sharing one stacked solve.
+    A pass moves the slot on to t + 1; a failure blocks the slot's
+    remaining singletons.
+    """
+    out = np.zeros((len(frames), 4), dtype=np.int64)
+    n_pkt = [len(f.packets) for f in frames]
+    if sum(n_pkt) == 0:
+        return out
+    frame_of = np.repeat(np.arange(len(frames)), n_pkt)
+    packets = np.concatenate([f.packets for f in frames])
+    code = packets[:, 2]
+    radius = np.concatenate([f.radii[f.packets[:, 0]] for f in frames])
+    power = np.concatenate([f.powers[f.packets[:, 0]] for f in frames])
+    channel = np.concatenate([f.fading for f in frames])
+    channel *= pool[code]
+    channel *= np.sqrt(_path_gain(cfg, radius))[:, None]
+
+    slot = frame_of * n_slots + packets[:, 1]
+    _, inverse, multiplicity = np.unique(
+        slot * len(pool) + code, return_inverse=True, return_counts=True
+    )
+    collided = multiplicity[inverse] > 1
+
+    order = np.lexsort((radius, collided, slot))
+    first = np.flatnonzero(np.r_[True, np.diff(slot[order]) != 0])
+    k = np.diff(np.r_[first, len(order)])
+    row = np.repeat(np.arange(len(first)), k)
+    members = np.zeros((len(first), k.max()), dtype=np.int64)
+    members[row, np.arange(len(order)) - first[row]] = order
+    singles = np.add.reduceat((~collided[order]).astype(np.int64), first)
+
+    theta = cfg.reliability.sinr_threshold
+    sigma2 = cfg.channel.noise_power
+    passed = np.zeros(len(first), dtype=np.int64)
+    alive = np.ones(len(first), dtype=bool)
+    # A slot at iteration t tests a set of size m = K - t, and m falls by
+    # one per pass, so sweeping m downwards visits every slot's
+    # iterations in order with one stacked solve per set size.
+    for m in range(int(k.max()), 0, -1):
+        t = k - m
+        rows = np.flatnonzero(alive & (t >= 0) & (t < singles))
+        if rows.size == 0:
+            continue
+        cols = members[rows[:, None], t[rows, None] + np.arange(m)]
+        ok = _stacked_sinr(channel[cols], power[cols], sigma2, sinr_rule) >= theta
+        passed[rows[ok]] += 1
+        alive[rows[~ok]] = False
+    failed = ~alive
+
+    blocked = np.where(failed, singles - passed - 1, 0)
+    per_row = np.column_stack((passed, k - singles, failed, blocked))
+    np.add.at(out, frame_of[order[first]], per_row)
+    return out
+
+
+# ============================================================================
 #  Frame-level schemes and coverage estimation
 # ============================================================================
 
@@ -325,7 +487,7 @@ class FrameStats:
 @dataclass(frozen=True)
 class CoverageEstimate:
     p_hat: float
-    ci_halfwidth: float   # 95% normal approximation over packets
+    ci_halfwidth: float   # 95% normal approximation, frames as the iid unit
     n_frames: int
     packets_generated: int
     packets_decoded: int
@@ -338,8 +500,14 @@ def _scheme_n_slots(cfg: SystemConfig, scheme: Scheme) -> int:
     return cfg.frame.n_slots
 
 
-def _per_device_power(cfg: SystemConfig, scheme: Scheme, counts: np.ndarray) -> np.ndarray:
-    """Per-packet transmit power of each device under a scheme."""
+def _per_device_power(
+    cfg: SystemConfig, scheme: Scheme, counts: np.ndarray, rho_proxy: int | None = None
+) -> np.ndarray:
+    """Per-packet transmit power of each device under a scheme.
+
+    ``rho_proxy`` is ``cfg.rho_max_proxy()`` precomputed by callers that
+    run many frames; it is computed here when needed and not given.
+    """
     p_max = cfg.power.p_max
     if scheme is Scheme.NAS:
         return np.full(len(counts), p_max)
@@ -349,7 +517,7 @@ def _per_device_power(cfg: SystemConfig, scheme: Scheme, counts: np.ndarray) -> 
     if cfg.power.exact_rho_max:
         rho_max = max(1, int(counts.max(initial=0)))
     else:
-        rho_max = cfg.rho_max_proxy()
+        rho_max = cfg.rho_max_proxy() if rho_proxy is None else rho_proxy
     return np.full(len(counts), p_max / rho_max)
 
 
@@ -366,47 +534,22 @@ def run_frame(
     ``pool`` and ``n_slots`` may be precomputed by callers running many
     frames; both are deterministic functions of the configuration.
     """
+    _check_sinr_rule(sinr_rule)
     if pool is None:
         pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     if n_slots is None:
         n_slots = _scheme_n_slots(cfg, scheme)
-
-    counts = generate_traffic(cfg, rng)
-    radii = sample_deployment(cfg.traffic.n_active, cfg.geometry.cell_radius, rng)
-    powers = _per_device_power(cfg, scheme, counts)
-    assignments, dropped = assign_slots_codes(
-        counts, n_slots, cfg.frame.code_pool_size, rng
+    draws = _draw_frame(cfg, scheme, rng, n_slots)
+    decoded, collisions, below, blocked = (
+        int(c) for c in _decode_block(cfg, [draws], n_slots, pool, sinr_rule)[0]
     )
-
-    by_slot: dict[int, list[tuple[int, int]]] = {}
-    for device, slot_idx, code in assignments:
-        by_slot.setdefault(slot_idx, []).append((device, code))
-
-    theta = cfg.reliability.sinr_threshold
-    sigma2 = cfg.channel.noise_power
-    decoded = collisions = below = blocked = 0
-    for slot_index in sorted(by_slot):
-        members = by_slot[slot_index]
-        ids = np.array([m[0] for m in members])
-        codes = np.array([m[1] for m in members])
-        slot = make_slot(cfg, pool, ids, radii[ids], codes, powers[ids], rng)
-        outcome = sic_decode(slot, theta, sigma2, sinr_rule=sinr_rule)
-        decoded += int(outcome.decoded.sum())
-        for c in outcome.failure_cause:
-            if c is FailureCause.COLLISION:
-                collisions += 1
-            elif c is FailureCause.BELOW_THRESHOLD:
-                below += 1
-            elif c is FailureCause.BLOCKED_BY_STRONGER:
-                blocked += 1
-
-    generated = int(counts.sum())
+    generated = int(draws.counts.sum())
     return FrameStats(
         n_slots=n_slots,
         packets_generated=generated,
-        packets_transmitted=generated - dropped,
+        packets_transmitted=generated - draws.dropped,
         packets_decoded=decoded,
-        packets_dropped=dropped,
+        packets_dropped=draws.dropped,
         collision_failures=collisions,
         threshold_failures=below,
         blocked_failures=blocked,
@@ -419,19 +562,38 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     )
 
 
-def _coverage_worker(args) -> tuple[int, int, int]:
-    cfg, scheme, seed, start, stop, n_slots, sinr_rule = args
+def _coverage_worker(args) -> tuple[int, ...]:
+    """Frame sums over frames [start, stop), decoded block by block.
+
+    Returns (Σg, Σd, dropped, Σg², Σd², Σgd) with g and d the packets
+    generated and decoded per frame, all exact integers.
+    """
+    cfg, scheme, seed, start, stop, n_slots, sinr_rule, rho_proxy = args
     pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
-    generated = decoded = dropped = 0
-    for i in range(start, stop):
-        stats = run_frame(
-            cfg, scheme, _frame_rng(seed, i), pool=pool, n_slots=n_slots,
-            sinr_rule=sinr_rule,
-        )
-        generated += stats.packets_generated
-        decoded += stats.packets_decoded
-        dropped += stats.packets_dropped
-    return generated, decoded, dropped
+    sums = [0] * 6
+    for lo in range(start, stop, _BLOCK_FRAMES):
+        frames = [
+            _draw_frame(cfg, scheme, _frame_rng(seed, i), n_slots, rho_proxy)
+            for i in range(lo, min(lo + _BLOCK_FRAMES, stop))
+        ]
+        d = _decode_block(cfg, frames, n_slots, pool, sinr_rule)[:, 0]
+        g = np.array([f.counts.sum() for f in frames], dtype=np.int64)
+        dropped = sum(f.dropped for f in frames)
+        for i, v in enumerate((g.sum(), d.sum(), dropped, g @ g, d @ d, g @ d)):
+            sums[i] += int(v)
+    return tuple(sums)
+
+
+def _clustered_ci(n: int, g: int, d: int, gg: int, dd: int, gd: int) -> float:
+    """95% halfwidth of the ratio estimator d/g over n iid frames.
+
+    Var = n/(n-1) * Σ(d_i - p g_i)² / G² with p = D/G; the residual sum
+    scaled by G², G²Σd² - 2GDΣgd + D²Σg², is exact in integers.
+    """
+    if n < 2:
+        return math.nan
+    residual = g * g * dd - 2 * g * d * gd + d * d * gg
+    return 1.96 * math.sqrt(n / (n - 1) * residual) / (g * g)
 
 
 def estimate_coverage(
@@ -446,35 +608,34 @@ def estimate_coverage(
 
     Frame i draws its stream from (seed, i), so the result is identical
     for any worker count or chunking.  The confidence halfwidth is the
-    95% normal approximation treating packets as independent outcomes.
+    95% normal approximation of the ratio estimator with frames as the
+    iid unit (packets of one frame share its deployment and traffic);
+    it is NaN for a single frame.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
+    _check_sinr_rule(sinr_rule)
     n_slots = _scheme_n_slots(cfg, scheme)
+    rho_proxy = None if cfg.power.exact_rho_max else cfg.rho_max_proxy()
 
+    chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
+    tasks = [
+        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule, rho_proxy)
+        for start in range(0, n_frames, chunk)
+    ]
     if n_workers <= 1:
-        generated, decoded, dropped = _coverage_worker(
-            (cfg, scheme, seed, 0, n_frames, n_slots, sinr_rule)
-        )
+        parts = [_coverage_worker(task) for task in tasks]
     else:
-        chunk = max(1, math.ceil(n_frames / (4 * n_workers)))
-        tasks = [
-            (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule)
-            for start in range(0, n_frames, chunk)
-        ]
-        generated = decoded = dropped = 0
         with ProcessPoolExecutor(max_workers=n_workers) as pool_exec:
-            for g, d, dr in pool_exec.map(_coverage_worker, tasks):
-                generated += g
-                decoded += d
-                dropped += dr
+            parts = list(pool_exec.map(_coverage_worker, tasks))
+    generated, decoded, dropped, gg, dd, gd = (sum(col) for col in zip(*parts))
 
     if generated == 0:
         p_hat = math.nan
         ci = 0.0
     else:
         p_hat = decoded / generated
-        ci = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / generated)
+        ci = _clustered_ci(n_frames, generated, decoded, gg, dd, gd)
     return CoverageEstimate(
         p_hat=p_hat,
         ci_halfwidth=ci,

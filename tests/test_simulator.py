@@ -8,13 +8,20 @@ import pytest
 from scipy import stats as sps
 
 from musalink.analytic import collision_free_prob, slot_occupancy_prob
-from musalink.config import Scenario, default_config
+from musalink import simulator
+from musalink.config import Scenario, SystemConfig, default_config
 from musalink.optimizer import adaptive_slots
 from musalink.simulator import (
     FailureCause,
+    FrameStats,
     Scheme,
     SlotRealization,
+    _decode_block,
+    _draw_frame,
+    _frame_rng,
+    _path_gain,
     _per_device_power,
+    _scheme_n_slots,
     assign_slots_codes,
     code_pool,
     estimate_coverage,
@@ -426,3 +433,160 @@ def test_estimate_coverage_near_one_in_benign_regime():
     )
     est = estimate_coverage(cfg, Scheme.BASELINE, 200, seed=8)
     assert est.p_hat >= 1.0 - max(3 * est.ci_halfwidth, 2e-3)
+
+
+def test_unknown_sinr_rule_rejected_without_traffic():
+    cfg = reference_config(n_active=5, lam=0.0)
+    cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0))
+    with pytest.raises(ValueError):
+        run_frame(cfg, Scheme.BASELINE, np.random.default_rng(0), sinr_rule="bogus")
+    with pytest.raises(ValueError):
+        estimate_coverage(cfg, Scheme.BASELINE, 3, seed=1, sinr_rule="bogus")
+
+
+def test_assign_slots_codes_draw_layout():
+    counts = np.array([3, 0, 12, 1])
+    assignments, dropped = assign_slots_codes(counts, 5, 64, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    order = np.argsort(rng.random((4, 5)), axis=1)
+    slots = np.concatenate([order[0, :3], order[2, :5], order[3, :1]])
+    codes = rng.integers(0, 64, size=9)
+    assert dropped == 7
+    assert assignments.shape == (9, 3)
+    assert assignments[:, 0].tolist() == [0, 0, 0, 2, 2, 2, 2, 2, 3]
+    assert assignments[:, 1].tolist() == slots.tolist()
+    assert assignments[:, 2].tolist() == codes.tolist()
+
+
+def test_power_proxy_evaluated_once_per_estimate(monkeypatch):
+    calls = []
+    original = SystemConfig.rho_max_proxy
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(SystemConfig, "rho_max_proxy", counted)
+    cfg = reference_config(n_active=10, lam=4.0)
+    estimate_coverage(cfg, Scheme.BASELINE, 30, seed=2)
+    assert len(calls) == 1
+    counts = np.array([4, 1, 0, 2])
+    assert _per_device_power(cfg, Scheme.PROPOSED, counts, rho_proxy=5) == pytest.approx(
+        [cfg.power.p_max / 5] * 4
+    )
+
+
+# ----------------------------------------------------------------------------
+#  Batched receiver against the scalar oracle
+# ----------------------------------------------------------------------------
+
+def oracle_frame(cfg, draws, pool, sinr_rule):
+    """``sic_decode`` applied slot by slot to one frame's draws."""
+    tally = dict(decoded=0, collision=0, below=0, blocked=0, lone=0)
+    for slot_index in np.unique(draws.packets[:, 1]):
+        sel = draws.packets[:, 1] == slot_index
+        ids, codes = draws.packets[sel, 0], draws.packets[sel, 2]
+        slot = SlotRealization(
+            device_ids=ids,
+            radii=draws.radii[ids],
+            path_gain=_path_gain(cfg, draws.radii[ids]),
+            fading=draws.fading[sel],
+            code_indices=codes,
+            code_vectors=pool[codes],
+            powers=draws.powers[ids],
+        )
+        outcome = sic_decode(
+            slot, cfg.reliability.sinr_threshold, cfg.channel.noise_power, sinr_rule
+        )
+        tally["decoded"] += int(outcome.decoded.sum())
+        tally["collision"] += outcome.failure_cause.count(FailureCause.COLLISION)
+        tally["below"] += outcome.failure_cause.count(FailureCause.BELOW_THRESHOLD)
+        tally["blocked"] += outcome.failure_cause.count(FailureCause.BLOCKED_BY_STRONGER)
+        tally["lone"] += len(ids) == 1
+    return tally
+
+
+def parity_cases():
+    dense = reference_config(n_active=20, lam=8.0)
+    dense = replace(dense, reliability=replace(dense.reliability, sinr_threshold=0.1))
+    shared = reference_config(n_active=10, lam=4.0)
+    shared = replace(shared, frame=replace(shared.frame, code_pool_size=4))
+    lone = reference_config(n_active=3, lam=2.0)
+    return [
+        (dense, Scheme.BASELINE),
+        (shared, Scheme.TPDS),
+        (lone, Scheme.PROPOSED),
+    ]
+
+
+@pytest.mark.parametrize("sinr_rule", ["conservative", "post_mmse"])
+def test_batched_receiver_matches_scalar_oracle(sinr_rule):
+    seen = dict(decoded=0, collision=0, below=0, blocked=0, lone=0)
+    for cfg, scheme in parity_cases():
+        pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
+        n_slots = _scheme_n_slots(cfg, scheme)
+        for i in range(12):
+            stats = run_frame(cfg, scheme, _frame_rng(40, i), sinr_rule=sinr_rule)
+            draws = _draw_frame(cfg, scheme, _frame_rng(40, i), n_slots)
+            want = oracle_frame(cfg, draws, pool, sinr_rule)
+            generated = int(draws.counts.sum())
+            assert stats == FrameStats(
+                n_slots=n_slots,
+                packets_generated=generated,
+                packets_transmitted=generated - draws.dropped,
+                packets_decoded=want["decoded"],
+                packets_dropped=draws.dropped,
+                collision_failures=want["collision"],
+                threshold_failures=want["below"],
+                blocked_failures=want["blocked"],
+            )
+            for key in seen:
+                seen[key] += want[key]
+    # every receiver path was exercised: lone devices, shared codes, blocks
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_decode_block_independent_of_block_composition():
+    cfg, scheme = parity_cases()[0]
+    pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
+    n_slots = _scheme_n_slots(cfg, scheme)
+    frames = [_draw_frame(cfg, scheme, _frame_rng(3, i), n_slots) for i in range(20)]
+    together = _decode_block(cfg, frames, n_slots, pool, "conservative")
+    alone = np.vstack([_decode_block(cfg, [f], n_slots, pool, "conservative") for f in frames])
+    assert together.shape == (20, 4)
+    assert np.array_equal(together, alone)
+
+
+def test_estimate_coverage_invariant_to_block_size(monkeypatch):
+    cfg = reference_config(n_active=10, lam=4.0)
+    reference = estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12)
+    for block in (1, 7):
+        monkeypatch.setattr(simulator, "_BLOCK_FRAMES", block)
+        assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
+        assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
+
+
+# ----------------------------------------------------------------------------
+#  Frame-clustered confidence interval
+# ----------------------------------------------------------------------------
+
+def test_clustered_ci_matches_per_frame_computation():
+    cfg = reference_config(n_active=10, lam=2.0)
+    n = 300
+    est = estimate_coverage(cfg, Scheme.BASELINE, n, seed=21)
+    frames = [run_frame(cfg, Scheme.BASELINE, _frame_rng(21, i)) for i in range(n)]
+    g = np.array([f.packets_generated for f in frames], dtype=float)
+    d = np.array([f.packets_decoded for f in frames], dtype=float)
+    p = d.sum() / g.sum()
+    var = n / (n - 1) * np.sum((d - p * g) ** 2) / g.sum() ** 2
+    assert est.p_hat == p
+    assert est.ci_halfwidth == pytest.approx(1.96 * math.sqrt(var), rel=1e-12)
+    # packets of a frame are correlated: the packet-binomial interval is too narrow
+    binomial = 1.96 * math.sqrt(p * (1 - p) / g.sum())
+    assert est.ci_halfwidth > 1.2 * binomial
+
+
+def test_clustered_ci_undefined_for_one_frame():
+    est = estimate_coverage(reference_config(n_active=10, lam=4.0), Scheme.BASELINE, 1, seed=4)
+    assert est.packets_generated > 0
+    assert math.isnan(est.ci_halfwidth)
