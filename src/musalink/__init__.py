@@ -25,7 +25,6 @@ from .config import (
     ConfigError,
     FrameParams,
     GeometryParams,
-    PowerMode,
     PowerPolicy,
     ReliabilityParams,
     Scenario,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import hyp2f1, roots_jacobi
 
-from .config import Scenario, SystemConfig
+from .config import Scenario, SystemConfig, default_tail_truncation
 from .quadrature import QuadratureError
 
 __all__ = [
@@ -110,7 +110,6 @@ def slot_occupancy_prob(lam: float, n_slots: int, tail_truncation: int | None = 
     if lam == 0:
         return 0.0
     if tail_truncation is None:
-        from .config import default_tail_truncation
         tail_truncation = default_tail_truncation(lam)
     log_lam = math.log(lam)
     total = 0.0

@@ -88,6 +88,18 @@ def _expand_range(text: str) -> list[float]:
     return values
 
 
+def _comma_list(convert):
+    """Argument type: comma-separated values, each passed through ``convert``."""
+    def parse(text: str) -> list:
+        try:
+            return [convert(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}"
+            ) from None
+    return parse
+
+
 def _parse_sweep(text: str) -> tuple[str, list[float]]:
     axis, sep, rng = text.partition("=")
     if not sep:
@@ -110,9 +122,14 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _workers() -> int:
     env = os.environ.get("MUSALINK_WORKERS")
-    if env:
+    if not env:
+        return 1
+    try:
         return max(1, int(env))
-    return 1
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"MUSALINK_WORKERS must be an integer, got {env!r}"
+        ) from None
 
 
 # ----------------------------------------------------------------------------
@@ -242,15 +259,13 @@ def cmd_compare(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _read_config(args.config)
-    na_values = [int(v) for v in args.n_active.split(",")]
-    lam_values = [float(v) for v in args.lambdas.split(",")]
     workers = _workers()
     lines = [
         f"# config_sha256 = {_config_hash(cfg)}",
         "n_active,lambda,p_succ_analytic,p_hat_simulated,ci_halfwidth,gap",
     ]
-    for na in na_values:
-        for lam in lam_values:
+    for na in args.n_active:
+        for lam in args.lambdas:
             cfg_point = _with_axis(_with_axis(cfg, "n_active", na), "lambda", lam)
             report = frame_coverage_prob(cfg_point)
             est = estimate_coverage(
@@ -317,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="analytic vs simulated coverage grid")
     add_common(p)
-    p.add_argument("--n-active", default="10,20", dest="n_active",
+    p.add_argument("--n-active", type=_comma_list(int), default="10,20", dest="n_active",
                    help="comma-separated device counts")
-    p.add_argument("--lambdas", default="2,10", help="comma-separated traffic rates")
+    p.add_argument("--lambdas", type=_comma_list(float), default="2,10",
+                   help="comma-separated traffic rates")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_validate)
@@ -341,6 +357,8 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))  # exits with EXIT_USAGE
 
 
 if __name__ == "__main__":

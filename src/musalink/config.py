@@ -26,7 +26,6 @@ from scipy.special import pdtr, pdtrc, pdtrik
 
 __all__ = [
     "Scenario",
-    "PowerMode",
     "GeometryParams",
     "ChannelParams",
     "TrafficParams",
@@ -79,13 +78,6 @@ def watts_to_dbm(value_w: float) -> float:
 class Scenario(Enum):
     NON_EMERGENCY = "non_emergency"
     EMERGENCY = "emergency"
-
-
-class PowerMode(Enum):
-    # Per-packet transmit power rule for the active devices.
-    EQUAL_SPLIT_BY_MAX = "equal_split_by_max"   # p_max / rho_max (adaptive scheme)
-    PER_DEVICE_SPLIT = "per_device_split"       # p_max / L_i (power-diversity benchmark)
-    FIXED = "fixed"                             # p_max per packet (non-adaptive benchmark)
 
 
 # ----------------------------------------------------------------------------
@@ -169,10 +161,6 @@ class FrameParams:
     n_subcarriers: int = 4         # spreading-code length J
     code_pool_size: int = 64       # number of distinct spreading codes
 
-    @property
-    def slot_duration(self) -> float:
-        return self.frame_duration / self.n_slots
-
     def invariant_violations(self) -> list[str]:
         out = []
         if self.frame_duration <= 0:
@@ -195,17 +183,16 @@ class FrameParams:
 
 @dataclass(frozen=True)
 class PowerPolicy:
-    """Per-packet transmit power rule.
+    """Per-device power budget and the equal-split proxy.
 
-    ``rho_max_proxy_quantile`` sets the deterministic Poisson quantile used
-    as a stand-in for the per-frame maximum packet count when splitting the
-    power budget; ``exact_rho_max=True`` makes the simulator use the actual
-    per-frame maximum instead.
+    Which rule splits the budget over a device's packets is fixed by the
+    transmission scheme (``simulator.Scheme``).  ``rho_max_proxy_quantile``
+    sets the deterministic Poisson quantile that stands in for the
+    per-frame maximum packet count in the equal split of
+    :meth:`SystemConfig.mean_packet_power`.
     """
     p_max: float = 0.01            # W (10 dBm), per-device power budget
-    mode: PowerMode = PowerMode.EQUAL_SPLIT_BY_MAX
     rho_max_proxy_quantile: float = 0.99
-    exact_rho_max: bool = False
 
     def invariant_violations(self) -> list[str]:
         out = []
@@ -216,15 +203,11 @@ class PowerPolicy:
         return out
 
 
-LOG2_E = math.log2(math.e)
-
-
 @dataclass(frozen=True)
 class ReliabilityParams:
     """Decoding threshold and short-packet reliability targets."""
     sinr_threshold: float = 1.0    # linear SINR threshold (0 dB)
     epsilon_max: float = 1e-5      # max short-packet error probability (C3)
-    dispersion: float = LOG2_E ** 2  # channel dispersion approximation
 
     def invariant_violations(self) -> list[str]:
         out = []
@@ -232,8 +215,6 @@ class ReliabilityParams:
             out.append("reliability: sinr_threshold must be > 0")
         if not 0 < self.epsilon_max < 0.5:
             out.append("reliability: epsilon_max must lie in (0, 0.5)")
-        if not self.dispersion > 0:
-            out.append("reliability: dispersion must be > 0")
         return out
 
 
@@ -264,13 +245,11 @@ class SystemConfig:
         return max(1, _poisson_quantile(self.power.rho_max_proxy_quantile, self.traffic.lam))
 
     def mean_packet_power(self) -> float:
-        """Fixed per-packet power used by the analytical model (watts).
+        """Equal-split per-packet power: the budget over the rho_max proxy (W).
 
-        Equal-split modes divide the budget by the rho_max proxy; the
-        fixed-power mode transmits the full budget per packet.
+        The one definition read by the analytics, the SNR proxy and the
+        simulator's PROPOSED and BASELINE schemes.
         """
-        if self.power.mode is PowerMode.FIXED:
-            return self.power.p_max
         return self.power.p_max / self.rho_max_proxy()
 
     def traffic_slot_bound(self) -> float:
@@ -357,8 +336,8 @@ class ConfigError(ValueError):
 
 
 # key -> (section attr, field attr, value kind)
-# kinds: float, int, bool, watts (dBm suffix accepted), ratio (dB suffix
-# accepted), scenario, power_mode
+# kinds: float, int, watts (dBm suffix accepted), ratio (dB suffix
+# accepted), scenario
 _KEY_TABLE: dict[str, tuple[str | None, str, str]] = {
     "geometry.cell_radius": ("geometry", "cell_radius", "float"),
     "geometry.uav_altitude": ("geometry", "uav_altitude", "float"),
@@ -379,12 +358,9 @@ _KEY_TABLE: dict[str, tuple[str | None, str, str]] = {
     "frame.n_subcarriers": ("frame", "n_subcarriers", "int"),
     "frame.code_pool_size": ("frame", "code_pool_size", "int"),
     "power.p_max": ("power", "p_max", "watts"),
-    "power.mode": ("power", "mode", "power_mode"),
     "power.rho_max_proxy_quantile": ("power", "rho_max_proxy_quantile", "float"),
-    "power.exact_rho_max": ("power", "exact_rho_max", "bool"),
     "reliability.sinr_threshold": ("reliability", "sinr_threshold", "ratio"),
     "reliability.epsilon_max": ("reliability", "epsilon_max", "float"),
-    "reliability.dispersion": ("reliability", "dispersion", "float"),
     "delta_slack": (None, "delta_slack", "float"),
 }
 
@@ -396,13 +372,6 @@ def _parse_value(kind: str, raw: str, key: str, lineno: int):
             return float(raw)
         if kind == "int":
             return int(raw)
-        if kind == "bool":
-            low = raw.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "watts":
             if raw.lower().endswith("dbm"):
                 return dbm_to_watts(float(raw[:-3]))
@@ -413,8 +382,6 @@ def _parse_value(kind: str, raw: str, key: str, lineno: int):
             return float(raw)
         if kind == "scenario":
             return Scenario(raw.lower())
-        if kind == "power_mode":
-            return PowerMode(raw.lower())
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     raise AssertionError(f"unknown kind {kind}")
@@ -474,9 +441,7 @@ def _format_value(kind: str, value) -> str:
         return repr(float(value))
     if kind == "int":
         return str(int(value))
-    if kind == "bool":
-        return "true" if value else "false"
-    return value.value  # enums
+    return value.value  # scenario
 
 
 def serialize_config(cfg: SystemConfig) -> str:

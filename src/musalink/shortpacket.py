@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import LOG2_E, SystemConfig
+from .config import SystemConfig
 
 __all__ = [
     "BlocklengthPoint",
@@ -23,6 +23,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
+LOG2_E = math.log2(math.e)
 
 
 def q_function(x: float) -> float:
@@ -84,8 +85,8 @@ def error_prob_ln_form(
 def max_snr_proxy(cfg: SystemConfig) -> float:
     """Best-case SINR: the lone active device directly beneath the UAV.
 
-    Noise-limited link at horizontal distance zero, with the per-packet
-    power of the configured policy.
+    Noise-limited link at horizontal distance zero, with the equal-split
+    per-packet power :meth:`SystemConfig.mean_packet_power`.
     """
     h2 = cfg.geometry.uav_altitude**2
     pathloss = cfg.channel.pathloss_coeff * h2 ** (-0.5 * cfg.channel.pathloss_exp)

@@ -65,13 +65,15 @@ __all__ = [
 
 
 class Scheme(Enum):
-    """Transmission schemes.
+    """Transmission schemes, each a fixed (slot rule, power rule) pair.
 
-    PROPOSED adapts the slot count to the traffic and splits the power
-    budget by the maximum packet count; TPDS keeps the configured slot
-    count and splits each device's budget over its own packets; NAS keeps
-    the configured slot count at full budget per packet.  BASELINE is the
-    fixed-slot equal-power system used to validate the analytical model.
+    PROPOSED adapts the slot count to the traffic and gives every packet
+    the equal split ``cfg.mean_packet_power()`` (the budget over the
+    maximum-packet-count proxy); TPDS keeps the configured slot count and
+    splits each device's budget over its own packets; NAS keeps the
+    configured slot count at full budget per packet.  BASELINE is the
+    fixed-slot equal-split system the analytical model describes.  The
+    rules live in ``_scheme_n_slots`` and ``_per_device_power``.
     """
     PROPOSED = "proposed"
     TPDS = "tpds"
@@ -353,7 +355,7 @@ def _draw_frame(
     scheme: Scheme,
     rng: np.random.Generator,
     n_slots: int,
-    rho_proxy: int | None = None,
+    packet_power: float,
 ) -> _FrameDraws:
     """Draw a frame: counts, radii, slot keys, codes, then all fading at once."""
     counts = generate_traffic(cfg, rng)
@@ -363,7 +365,7 @@ def _draw_frame(
     return _FrameDraws(
         counts=counts,
         radii=radii,
-        powers=_per_device_power(cfg, scheme, counts, rho_proxy),
+        powers=_per_device_power(cfg, scheme, counts, packet_power),
         packets=packets,
         dropped=dropped,
         fading=(z[0] + 1j * z[1]) / math.sqrt(2.0),
@@ -501,45 +503,37 @@ def _scheme_n_slots(cfg: SystemConfig, scheme: Scheme) -> int:
 
 
 def _per_device_power(
-    cfg: SystemConfig, scheme: Scheme, counts: np.ndarray, rho_proxy: int | None = None
+    cfg: SystemConfig, scheme: Scheme, counts: np.ndarray, packet_power: float
 ) -> np.ndarray:
     """Per-packet transmit power of each device under a scheme.
 
-    ``rho_proxy`` is ``cfg.rho_max_proxy()`` precomputed by callers that
-    run many frames; it is computed here when needed and not given.
+    ``packet_power`` is ``cfg.mean_packet_power()``, evaluated once by
+    the caller: the equal split of PROPOSED and BASELINE.
     """
     p_max = cfg.power.p_max
     if scheme is Scheme.NAS:
         return np.full(len(counts), p_max)
     if scheme is Scheme.TPDS:
         return np.where(counts > 0, p_max / np.maximum(counts, 1), 0.0)
-    # PROPOSED / BASELINE: equal split of the budget by the maximum count
-    if cfg.power.exact_rho_max:
-        rho_max = max(1, int(counts.max(initial=0)))
-    else:
-        rho_max = cfg.rho_max_proxy() if rho_proxy is None else rho_proxy
-    return np.full(len(counts), p_max / rho_max)
+    return np.full(len(counts), packet_power)
 
 
 def run_frame(
     cfg: SystemConfig,
     scheme: Scheme,
     rng: np.random.Generator,
-    pool: np.ndarray | None = None,
-    n_slots: int | None = None,
     sinr_rule: str = "conservative",
 ) -> FrameStats:
     """Simulate one transmission frame and aggregate its decode outcomes.
 
-    ``pool`` and ``n_slots`` may be precomputed by callers running many
-    frames; both are deterministic functions of the configuration.
+    The code pool, the scheme's slot count and the per-packet power are
+    derived from the configuration on every call; ``estimate_coverage``
+    runs many frames with them computed once.
     """
     _check_sinr_rule(sinr_rule)
-    if pool is None:
-        pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
-    if n_slots is None:
-        n_slots = _scheme_n_slots(cfg, scheme)
-    draws = _draw_frame(cfg, scheme, rng, n_slots)
+    pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
+    n_slots = _scheme_n_slots(cfg, scheme)
+    draws = _draw_frame(cfg, scheme, rng, n_slots, cfg.mean_packet_power())
     decoded, collisions, below, blocked = (
         int(c) for c in _decode_block(cfg, [draws], n_slots, pool, sinr_rule)[0]
     )
@@ -568,12 +562,12 @@ def _coverage_worker(args) -> tuple[int, ...]:
     Returns (Σg, Σd, dropped, Σg², Σd², Σgd) with g and d the packets
     generated and decoded per frame, all exact integers.
     """
-    cfg, scheme, seed, start, stop, n_slots, sinr_rule, rho_proxy = args
+    cfg, scheme, seed, start, stop, n_slots, sinr_rule, packet_power = args
     pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     sums = [0] * 6
     for lo in range(start, stop, _BLOCK_FRAMES):
         frames = [
-            _draw_frame(cfg, scheme, _frame_rng(seed, i), n_slots, rho_proxy)
+            _draw_frame(cfg, scheme, _frame_rng(seed, i), n_slots, packet_power)
             for i in range(lo, min(lo + _BLOCK_FRAMES, stop))
         ]
         d = _decode_block(cfg, frames, n_slots, pool, sinr_rule)[:, 0]
@@ -616,11 +610,11 @@ def estimate_coverage(
         raise ValueError("n_frames must be >= 1")
     _check_sinr_rule(sinr_rule)
     n_slots = _scheme_n_slots(cfg, scheme)
-    rho_proxy = None if cfg.power.exact_rho_max else cfg.rho_max_proxy()
+    packet_power = cfg.mean_packet_power()
 
     chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
     tasks = [
-        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule, rho_proxy)
+        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule, packet_power)
         for start in range(0, n_frames, chunk)
     ]
     if n_workers <= 1:

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from musalink.analytic import frame_coverage_prob
-from musalink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, _expand_range, main
+from musalink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_USAGE, _expand_range, main
 from musalink.config import default_config, serialize_config
 
 from conftest import reference_config
@@ -179,10 +179,42 @@ def test_compare_empty_range_usage_error(cfg_file):
     assert info.value.code == 2
 
 
-def test_config_error_exit_code(tmp_path):
+@pytest.mark.parametrize("flag, value, kind", [("--n-active", "10,x", "int"),
+                                               ("--lambdas", "2,y", "float")])
+def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value, kind):
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--config", cfg_file, flag, value, "--trials", "2"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"musalink validate: error: argument {flag}: "
+        f"expected comma-separated {kind} values, got {value!r}"
+    )
+    assert "Traceback" not in err
+
+
+def test_bad_worker_count_usage_error(cfg_file, capsys, monkeypatch):
+    monkeypatch.setenv("MUSALINK_WORKERS", "abc")
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--config", cfg_file, "--trials", "2"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "musalink: error: MUSALINK_WORKERS must be an integer, got 'abc'"
+    assert "Traceback" not in err
+
+
+def test_config_error_exit_code(tmp_path, capsys):
     broken = tmp_path / "broken.cfg"
     broken.write_text("frame.n_slots = zero\n")
     assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
+    # keys outside the table are refused by name, never silently ignored
+    for line in ("power.mode = fixed", "power.exact_rho_max = true",
+                 "reliability.dispersion = 9.0"):
+        broken.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"config error: line 1: unknown key {key!r}\n"
 
 
 def test_floats_printed_at_17_significant_digits(tmp_path, cfg_file):

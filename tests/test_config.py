@@ -14,7 +14,6 @@ from scipy import stats
 
 from musalink.config import (
     ConfigError,
-    PowerMode,
     Scenario,
     db_to_linear,
     dbm_to_watts,
@@ -94,8 +93,10 @@ def test_lambda_above_max_names_c5():
 def test_parse_error_carries_line_context():
     with pytest.raises(ConfigError, match="line 2"):
         load_config("traffic.lambda = 4\nnot a key value line\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config("traffic.bogus = 1\n")
+    for key in ("traffic.bogus", "power.mode", "power.exact_rho_max",
+                "reliability.dispersion"):
+        with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+            load_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1"):
         load_config("traffic.n_active = not_an_int\n")
     with pytest.raises(ConfigError, match="duplicate"):
@@ -147,8 +148,7 @@ def test_serialize_round_trip_is_identity():
         cfg,
         traffic=replace(cfg.traffic, lam=3.7182818284590455, tail_truncation=33,
                         scenario=Scenario.NON_EMERGENCY),
-        power=replace(cfg.power, p_max=0.012345678901234567,
-                      mode=PowerMode.PER_DEVICE_SPLIT, exact_rho_max=True),
+        power=replace(cfg.power, p_max=0.012345678901234567),
         delta_slack=1.5e-7,
     )
     assert load_config(serialize_config(varied)) == varied
@@ -176,8 +176,6 @@ def test_rho_max_proxy_quantile():
 def test_mean_packet_power_modes():
     cfg = default_config()
     assert cfg.mean_packet_power() == pytest.approx(cfg.power.p_max / cfg.rho_max_proxy())
-    fixed = replace(cfg, power=replace(cfg.power, mode=PowerMode.FIXED))
-    assert fixed.mean_packet_power() == fixed.power.p_max
 
 
 def test_poisson_helpers_equal_scipy_stats():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from musalink.config import PowerMode, default_config
+from musalink.config import Scenario, default_config
 from musalink.shortpacket import (
     BlocklengthPoint,
     error_prob_ln_form,
@@ -140,7 +140,8 @@ def make_proxy_cfg(p_max, altitude, alpha, noise):
         cfg,
         geometry=replace(cfg.geometry, uav_altitude=altitude, min_radius=0.0),
         channel=replace(cfg.channel, pathloss_exp=alpha, noise_power=noise),
-        power=replace(cfg.power, p_max=p_max, mode=PowerMode.FIXED),
+        traffic=replace(cfg.traffic, scenario=Scenario.NON_EMERGENCY),  # proxy 1: p_bar = p_max
+        power=replace(cfg.power, p_max=p_max),
     )
 
 

@@ -340,19 +340,28 @@ def test_vacuous_frame():
     assert stats.packets_dropped == 0
 
 
-def test_per_device_power_rules():
+def test_per_device_power_rules(monkeypatch):
     cfg = reference_config(n_active=4, lam=4.0)
     counts = np.array([4, 1, 0, 2])
     p_max = cfg.power.p_max
-    tpds = _per_device_power(cfg, Scheme.TPDS, counts)
+    tpds = _per_device_power(cfg, Scheme.TPDS, counts, cfg.mean_packet_power())
     assert tpds == pytest.approx([p_max / 4, p_max, 0.0, p_max / 2])
-    nas = _per_device_power(cfg, Scheme.NAS, counts)
+    nas = _per_device_power(cfg, Scheme.NAS, counts, cfg.mean_packet_power())
     assert nas == pytest.approx([p_max] * 4)
-    prop = _per_device_power(cfg, Scheme.PROPOSED, counts)
-    assert prop == pytest.approx([p_max / cfg.rho_max_proxy()] * 4)
-    exact = replace(cfg, power=replace(cfg.power, exact_rho_max=True))
-    prop_exact = _per_device_power(exact, Scheme.PROPOSED, counts)
-    assert prop_exact == pytest.approx([p_max / 4] * 4)
+    # PROPOSED and BASELINE: the receiver sees the analytics' equal split, bit for bit
+    seen = []
+    decode = simulator._decode_block
+
+    def spy(cfg_, frames, *rest):
+        seen.extend(f.powers for f in frames)
+        return decode(cfg_, frames, *rest)
+
+    monkeypatch.setattr(simulator, "_decode_block", spy)
+    for scheme in (Scheme.PROPOSED, Scheme.BASELINE):
+        run_frame(cfg, scheme, np.random.default_rng(5))
+        estimate_coverage(cfg, scheme, 3, seed=5)
+    assert len(seen) == 8
+    assert all(p.tolist() == [cfg.mean_packet_power()] * 4 for p in seen)
 
 
 def test_proposed_frame_uses_adaptive_slot_count():
@@ -460,20 +469,22 @@ def test_assign_slots_codes_draw_layout():
 
 def test_power_proxy_evaluated_once_per_estimate(monkeypatch):
     calls = []
-    original = SystemConfig.rho_max_proxy
 
-    def counted(self):
-        calls.append(1)
-        return original(self)
+    def counting(name):
+        original = getattr(SystemConfig, name)
 
-    monkeypatch.setattr(SystemConfig, "rho_max_proxy", counted)
+        def counted(self):
+            calls.append(name)
+            return original(self)
+        return counted
+
+    for name in ("rho_max_proxy", "mean_packet_power"):
+        monkeypatch.setattr(SystemConfig, name, counting(name))
     cfg = reference_config(n_active=10, lam=4.0)
     estimate_coverage(cfg, Scheme.BASELINE, 30, seed=2)
-    assert len(calls) == 1
+    assert sorted(calls) == ["mean_packet_power", "rho_max_proxy"]
     counts = np.array([4, 1, 0, 2])
-    assert _per_device_power(cfg, Scheme.PROPOSED, counts, rho_proxy=5) == pytest.approx(
-        [cfg.power.p_max / 5] * 4
-    )
+    assert _per_device_power(cfg, Scheme.PROPOSED, counts, 0.002).tolist() == [0.002] * 4
 
 
 # ----------------------------------------------------------------------------
@@ -527,7 +538,7 @@ def test_batched_receiver_matches_scalar_oracle(sinr_rule):
         n_slots = _scheme_n_slots(cfg, scheme)
         for i in range(12):
             stats = run_frame(cfg, scheme, _frame_rng(40, i), sinr_rule=sinr_rule)
-            draws = _draw_frame(cfg, scheme, _frame_rng(40, i), n_slots)
+            draws = _draw_frame(cfg, scheme, _frame_rng(40, i), n_slots, cfg.mean_packet_power())
             want = oracle_frame(cfg, draws, pool, sinr_rule)
             generated = int(draws.counts.sum())
             assert stats == FrameStats(
@@ -550,7 +561,8 @@ def test_decode_block_independent_of_block_composition():
     cfg, scheme = parity_cases()[0]
     pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     n_slots = _scheme_n_slots(cfg, scheme)
-    frames = [_draw_frame(cfg, scheme, _frame_rng(3, i), n_slots) for i in range(20)]
+    p_bar = cfg.mean_packet_power()
+    frames = [_draw_frame(cfg, scheme, _frame_rng(3, i), n_slots, p_bar) for i in range(20)]
     together = _decode_block(cfg, frames, n_slots, pool, "conservative")
     alone = np.vstack([_decode_block(cfg, [f], n_slots, pool, "conservative") for f in frames])
     assert together.shape == (20, 4)
