@@ -11,8 +11,12 @@ function (:func:`_campbell_exponent`), vectorised over distances, and the
 average of the coverage kernel over the k-th ordered distance is a
 fixed-order Gauss-Jacobi sum: in t = (r/R)^2 the k-th of n_singleton
 uniform devices has the Beta(k, n_singleton - k + 1) law, whose density
-is a Jacobi weight for every fractional singleton count.  The difference
-between the 16- and 32-node sums is the reported quadrature error.
+is a Jacobi weight for every fractional singleton count.  The 16- and
+32-node rules of all ranks are built together (:func:`_gauss_jacobi`:
+one tridiagonal eigenvalue solve per rule, then one Newton step and the
+weights broadcast over every rank), and the coverage kernel is evaluated
+once on all their nodes.  The difference between the 16- and 32-node
+sums is the reported quadrature error.
 :func:`musalink.quadrature.adaptive_simpson` is kept as the test oracle
 for both.
 
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hyp2f1, roots_jacobi
+from scipy.special import eval_jacobi, hyp2f1
 
 from .config import Scenario, SystemConfig, default_tail_truncation
 from .quadrature import QuadratureError
@@ -329,31 +333,87 @@ def _coverage_kernel(cfg: SystemConfig, intensities: IntensitySet):
     return g
 
 
-def _conditional_coverage(k: int, n_singleton: float, kernel) -> tuple[float, float]:
-    """Clamped conditional coverage and its outer-quadrature error estimate.
+def _gauss_jacobi(a, b):
+    """Gauss-Jacobi rules with n and 2n nodes for K weight exponent pairs.
 
-    The mean of the kernel under the Beta(k, beta + 1) law of t, by the
-    n- and 2n-node Gauss-Jacobi rules.  With t = (1 + x)/2 the weight
-    t^(k-1) (1-t)^beta is the Jacobi weight (1-x)^beta (1+x)^(k-1) over
-    2^(beta+k-1); dividing by the weight sum 2^(beta+k) B(k, beta+1)
-    supplies the order-statistic coefficient.
+    Row r is for the weight (1-x)^a[r] (1+x)^b[r] on [-1, 1], a, b > -1.
+    Returns ``(x, w)``, each of shape (K, 3n) with n = ``_OUTER_NODES``:
+    the n-node rule followed by the 2n-node rule, the weights of each rule
+    normalised to sum to 1.  The nodes are the eigenvalues of the
+    tridiagonal Jacobi matrix (scipy's recurrence coefficients; the n-node
+    matrix is the leading block of the 2n-node one) polished by one Newton
+    step; the weights are proportional to 1/(P_{n-1}(x) P_n'(x)).
     """
+    # scipy.linalg is slow to import, so only analyses load it
+    from scipy.linalg.lapack import dsterf
+
+    n = _OUTER_NODES
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
+    ab = a + b
+    j = np.arange(1, 2 * n)
+    s = 2.0 * j + ab
+    diag = np.concatenate(((b - a) / (ab + 2.0), (b * b - a * a) / (s * (s + 2.0))), axis=1)
+    off = 2.0 / s * np.sqrt((j + a) * (j + b) / (s + 1.0))
+    # the last factor is 1 at j = 1 (0/0 when a + b = -1)
+    off[:, 1:] *= np.sqrt(j[1:] * (j[1:] + ab) / (s[:, 1:] - 1.0))
+
+    rules = ((slice(0, n), n), (slice(n, None), 2 * n))
+    x = np.empty((len(a), 3 * n))
+    for row in range(len(a)):
+        for cols, m in rules:
+            x[row, cols], info = dsterf(diag[row, :m], off[row, : m - 1])
+            if info:
+                raise QuadratureError(
+                    f"Gauss-Jacobi nodes: dsterf did not converge (info={info})",
+                    math.nan, math.nan,
+                )
+    degree = np.repeat([n, 2 * n], [n, 2 * n])
+    dp = 0.5 * (degree + ab + 1.0) * eval_jacobi(degree - 1, a + 1.0, b + 1.0, x)
+    x -= eval_jacobi(degree, a, b, x) / dp
+    # 1/(P_{n-1} P_n') in log form: the factors grow like binom(n + a, n)
+    log_w = -np.log(np.abs(eval_jacobi(degree - 1, a, b, x))) - np.log(np.abs(dp))
+    w = np.empty_like(x)
+    for cols, _ in rules:
+        w[:, cols] = np.exp(log_w[:, cols] - log_w[:, cols].max(axis=1, keepdims=True))
+        w[:, cols] /= w[:, cols].sum(axis=1, keepdims=True)
+    return x, w
+
+
+def _ranks_coverage(ranks, n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped conditional coverage of each rank and its error estimate.
+
+    The mean of the kernel under the Beta(k, beta + 1) law of t, beta =
+    n_singleton - k, by the n- and 2n-node Gauss-Jacobi rules.  With
+    t = (1 + x)/2 the density is the normalised Jacobi weight
+    (1-x)^beta (1+x)^(k-1), so the order-statistic coefficient is the
+    weight normalisation.  All ranks share one kernel call.
+    """
+    ranks = np.asarray(ranks)
+    n = _OUTER_NODES
+    x, w = _gauss_jacobi(n_singleton - ranks, ranks - 1.0)
+    wg = w * kernel(0.5 * (1.0 + x))
+    coarse = wg[:, :n].sum(axis=1)
+    value = wg[:, n:].sum(axis=1)
+    err = np.abs(value - coarse)
+    bad = ~(np.isfinite(value) & np.isfinite(err))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"conditional coverage rank k={ranks[i]}: non-finite Gauss-Jacobi sum",
+            float(value[i]), float(err[i]),
+        )
+    return np.clip(value, 0.0, 1.0), err
+
+
+def _conditional_coverage(k: int, n_singleton: float, kernel) -> tuple[float, float]:
+    """One rank of :func:`_ranks_coverage`: its value and error estimate."""
     if n_singleton <= 0:
         raise ValueError("n_singleton must be > 0")
     if not 1 <= k <= math.ceil(n_singleton):
         raise ValueError(f"k={k} outside [1, ceil(n_singleton)]")
-    beta = n_singleton - k
-    x_n, w_n = roots_jacobi(_OUTER_NODES, beta, k - 1)
-    x_2n, w_2n = roots_jacobi(2 * _OUTER_NODES, beta, k - 1)
-    g = kernel(0.5 * (1.0 + np.concatenate((x_n, x_2n))))
-    coarse = float(w_n @ g[:_OUTER_NODES] / w_n.sum())
-    value = float(w_2n @ g[_OUTER_NODES:] / w_2n.sum())
-    err = abs(value - coarse)
-    if not (math.isfinite(value) and math.isfinite(err)):
-        raise QuadratureError(
-            f"conditional coverage rank k={k}: non-finite Gauss-Jacobi sum", value, err
-        )
-    return min(1.0, max(0.0, value)), err
+    value, err = _ranks_coverage([k], n_singleton, kernel)
+    return float(value[0]), float(err[0])
 
 
 def conditional_coverage(
@@ -371,7 +431,9 @@ def conditional_coverage(
     endpoint behaviour of (1-t)^beta, and the kernel is smooth in t (both
     the transform argument and the annulus edge depend on r^2 = R^2 t),
     so one rule converges fast for negative, fractional, integer and large
-    beta alike.  The value is the 32-node sum.
+    beta alike.  The value is the 32-node sum; this is the one-rank case
+    of the batched evaluation :func:`frame_coverage_prob` makes over all
+    ranks, so the two give the same number.
     """
     value, _ = _conditional_coverage(
         k, n_singleton, _coverage_kernel(cfg, intensities)
@@ -397,20 +459,14 @@ def frame_coverage_prob(cfg: SystemConfig) -> CoverageReport:
                               stats.p_cf, (), 0.0)
 
     n_s = stats.n_singleton
-    k_max = math.ceil(n_s)
-    frac = n_s - math.floor(n_s)
-    kernel = _coverage_kernel(cfg, stats.intensities)
-    terms: list[float] = []
-    total = 0.0
-    product = 1.0
-    err_total = 0.0
-    for k in range(1, k_max + 1):
-        value, err = _conditional_coverage(k, n_s, kernel)
-        terms.append(value)
-        product *= value
-        weight = 1.0 if k <= math.floor(n_s) else frac
-        total += weight * product
-        err_total += err
+    ranks = np.arange(1, math.ceil(n_s) + 1)
+    values, errs = _ranks_coverage(
+        ranks, n_s, _coverage_kernel(cfg, stats.intensities)
+    )
+    # every rank up to floor(n_s) counts fully, a fractional top rank by
+    # its fraction n_s - floor(n_s)
+    weights = np.minimum(1.0, n_s - (ranks - 1))
+    total = float(weights @ np.cumprod(values))
     raw = n_slots / (n_active * lam_eff) * total
     return CoverageReport(
         p_succ=min(1.0, max(0.0, raw)),
@@ -418,6 +474,6 @@ def frame_coverage_prob(cfg: SystemConfig) -> CoverageReport:
         n_singleton=n_s,
         p_lambda=stats.p_lambda,
         p_cf=stats.p_cf,
-        conditional_terms=tuple(terms),
-        quadrature_error_estimate=err_total,
+        conditional_terms=tuple(values.tolist()),
+        quadrature_error_estimate=float(errs.sum()),
     )

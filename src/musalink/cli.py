@@ -16,6 +16,7 @@ Exit codes: 0 success, 2 usage, 3 configuration, 4 infeasibility,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -292,7 +293,9 @@ def cmd_validate(args) -> int:
 #  Parser and entry point
 # ----------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="musalink",
         description="Coverage analysis and link simulation for a grant-free uplink",

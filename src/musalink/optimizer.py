@@ -128,8 +128,8 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
 
     Requires a feasible emergency configuration.  Raises
     :class:`InfeasibleError` naming the first violated constraint,
-    including the case where the result would drop below the mean packet
-    count (C2).
+    ``"scenario"`` for a non-emergency configuration, and C2 when the
+    result would drop below the mean packet count.
     """
     issues = validate_config(cfg)
     if issues:
@@ -137,7 +137,9 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
         name = first.split(":", 1)[0] if first.startswith("C") else "config"
         raise InfeasibleError(name, first)
     if cfg.traffic.scenario is not Scenario.EMERGENCY:
-        raise InfeasibleError("C4", "adaptive slot selection applies to the emergency scenario")
+        raise InfeasibleError(
+            "scenario", "adaptive slot selection applies to the emergency scenario"
+        )
 
     n_lambda = cfg.traffic_slot_bound()
     gamma = max_snr_proxy(cfg)

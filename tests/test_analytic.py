@@ -567,3 +567,69 @@ def test_non_finite_kernel_raises_quadrature_error(default_cfg):
     cfg = replace(default_cfg, channel=replace(default_cfg.channel, noise_power=math.nan))
     with pytest.raises(QuadratureError):
         frame_coverage_prob(cfg)
+
+
+# ----------------------------------------------------------------------------
+#  Batched Gauss-Jacobi rules
+# ----------------------------------------------------------------------------
+
+# Singleton counts over (0, 9]: fractional and integer counts (integer n_s
+# gives alpha = beta, scipy's Gegenbauer branch, at rank (n_s + 1)/2; n_s = 1
+# its Legendre branch), counts just above an integer, where the top rank has
+# beta = n_s - k -> -1+, and 13.06..., the largest count the analytic
+# benchmark's optimize curves reach (n_active=20, lambda=6, n_slots=6).
+GJ_SINGLETON_COUNTS = sorted(
+    {round(v, 6) for v in np.linspace(0.05, 9.0, 36)}
+    | {float(n) for n in range(1, 10)}
+    | {k - 1 + 1e-3 for k in range(2, 10)}
+    | {13.06318861777029}
+)
+
+
+@pytest.mark.parametrize("n_singleton", GJ_SINGLETON_COUNTS)
+def test_gauss_jacobi_matches_roots_jacobi(n_singleton):
+    from scipy.special import roots_jacobi
+
+    n = analytic._OUTER_NODES
+    ranks = np.arange(1, math.ceil(n_singleton) + 1)
+    x, w = analytic._gauss_jacobi(n_singleton - ranks, ranks - 1.0)
+    assert x.shape == w.shape == (len(ranks), 3 * n)
+    for row, k in enumerate(ranks):
+        for rule, nodes in ((slice(0, n), n), (slice(n, 3 * n), 2 * n)):
+            x_ref, w_ref = roots_jacobi(nodes, n_singleton - k, k - 1)
+            np.testing.assert_allclose(x[row, rule], x_ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(w[row, rule], w_ref / w_ref.sum(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n_active,lam,n_slots",
+    [(5, 2.0, 20), (20, 8.0, 20), (10, 3.0, 40), (20, 6.0, 6)],
+)
+def test_batched_ranks_equal_per_rank_values(n_active, lam, n_slots):
+    cfg = reference_config(n_active=n_active, lam=lam, n_slots=n_slots)
+    stats = slot_statistics(cfg)
+    kernel = analytic._coverage_kernel(cfg, stats.intensities)
+    report = frame_coverage_prob(cfg)
+    per_rank = [
+        analytic._conditional_coverage(k, stats.n_singleton, kernel)
+        for k in range(1, math.ceil(stats.n_singleton) + 1)
+    ]
+    assert report.conditional_terms == tuple(value for value, _ in per_rank)
+    assert report.quadrature_error_estimate == pytest.approx(
+        sum(err for _, err in per_rank), rel=1e-12, abs=1e-300
+    )
+    assert report.conditional_terms[0] == conditional_coverage(
+        1, cfg, stats.n_singleton, stats.intensities
+    )
+
+
+def test_non_finite_rank_named_in_quadrature_error():
+    ranks = np.arange(1, 6)
+
+    def kernel(t):
+        # finite everywhere except on the nodes of rank 3
+        return np.where(ranks[:, None] == 3, math.nan, 1.0 - t)
+
+    with pytest.raises(QuadratureError, match=r"rank k=3:") as info:
+        analytic._ranks_coverage(ranks, 4.5, kernel)
+    assert math.isnan(info.value.value)

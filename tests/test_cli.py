@@ -133,6 +133,29 @@ def test_optimize_infeasible_config_exit_code(tmp_path):
     assert main(["optimize", "--config", str(bad)]) == EXIT_CONFIG
 
 
+def test_optimize_non_emergency_names_scenario(tmp_path, capsys):
+    # a valid non-emergency config violates no constraint (not C4)
+    cfg_path = tmp_path / "non_emergency.cfg"
+    cfg_path.write_text("traffic.scenario = non_emergency\n")
+    assert main(["optimize", "--config", str(cfg_path)]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: scenario: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_repeated_main_calls_start_from_defaults(tmp_path, cfg_file):
+    # the parser is built once per process; an option one call sets must
+    # not carry over into the next call that omits it
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    assert main(["analytic", "--config", cfg_file, "--sweep", "lambda=2:4:1",
+                 "--out", str(first)]) == 0
+    assert main(["analytic", "--config", cfg_file, "--out", str(second)]) == 0
+    assert len(read_csv(first)[1]) == 3
+    header, rows = read_csv(second)
+    assert header[0] == "lambda"
+    assert [float(row[0]) for row in rows] == [default_config().traffic.lam]
+
+
 def test_optimize_reliability_conflict_exit_code(tmp_path):
     # valid config whose reliability bound undercuts the packet count (C2)
     conflicted = tmp_path / "conflicted.cfg"

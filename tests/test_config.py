@@ -202,16 +202,10 @@ def test_poisson_helpers_equal_scipy_stats():
             assert default_tail_truncation(lam) == 0
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def run_fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run by a new interpreter importing this musalink."""
     import musalink
 
-    code = (
-        "import sys\n"
-        "import musalink as ml\n"
-        "ml.frame_coverage_prob(ml.default_config())\n"
-        "ml.adaptive_slots(ml.default_config())\n"
-        "print('scipy.stats' in sys.modules)\n"
-    )
     src_dir = str(Path(musalink.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
@@ -220,4 +214,21 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = (
+        "import sys\n"
+        "import musalink as ml\n"
+        "ml.frame_coverage_prob(ml.default_config())\n"
+        "ml.adaptive_slots(ml.default_config())\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    assert run_fresh_interpreter(code) == "False"
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg takes tens of ms to import; only an analysis loads it
+    code = "import sys\nimport musalink\nprint('scipy.linalg' in sys.modules)\n"
+    assert run_fresh_interpreter(code) == "False"

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from musalink.config import Scenario
 from musalink.optimizer import (
     InfeasibleError,
     adaptive_slots,
@@ -127,6 +128,15 @@ def test_invalid_config_rejected_with_constraint_name():
     cfg = reference_config(n_active=10, lam=1.0)  # below lambda_min=2
     with pytest.raises(InfeasibleError, match="C4"):
         adaptive_slots(cfg)
+
+
+def test_non_emergency_config_rejected_as_scenario():
+    # one packet per device: no constraint is violated, the scenario is wrong
+    cfg = reference_config(n_active=10, lam=4.0)
+    cfg = replace(cfg, traffic=replace(cfg.traffic, scenario=Scenario.NON_EMERGENCY))
+    with pytest.raises(InfeasibleError, match="^scenario: ") as info:
+        adaptive_slots(cfg)
+    assert info.value.constraint == "scenario"
 
 
 # ----------------------------------------------------------------------------
