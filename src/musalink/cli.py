@@ -48,8 +48,12 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _config_hash(cfg: SystemConfig) -> str:
-    return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()
+    return _sha256(serialize_config(cfg))
 
 
 def _read_config(path: str | None) -> SystemConfig:
@@ -162,13 +166,14 @@ def cmd_analytic(args) -> int:
 
 
 def _manifest_lines(cfg: SystemConfig, args, points: list[dict]) -> str:
+    serialized = serialize_config(cfg)
     lines = [
         f"manifest.command = {args.command}",
-        f"manifest.config_sha256 = {_config_hash(cfg)}",
+        f"manifest.config_sha256 = {_sha256(serialized)}",
         f"manifest.seed = {getattr(args, 'seed', '')}",
         f"manifest.trials = {getattr(args, 'trials', '')}",
     ]
-    for line in serialize_config(cfg).strip().splitlines():
+    for line in serialized.strip().splitlines():
         if line.startswith("#"):
             continue
         lines.append(f"config.{line}")
@@ -203,6 +208,9 @@ def cmd_simulate(args) -> int:
         point = {
             "p_hat": _fmt(est.p_hat),
             "ci_halfwidth": _fmt(est.ci_halfwidth),
+            "collision_failures": str(est.collision_failures),
+            "threshold_failures": str(est.threshold_failures),
+            "blocked_failures": str(est.blocked_failures),
             "wall_clock_s": _fmt(elapsed),
         }
         _write_text(manifest_path, _manifest_lines(cfg, args, [point]))

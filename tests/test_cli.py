@@ -5,9 +5,11 @@ import math
 
 import pytest
 
+from musalink import cli
 from musalink.analytic import frame_coverage_prob
 from musalink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_USAGE, _expand_range, main
 from musalink.config import default_config, serialize_config
+from musalink.simulator import Scheme, estimate_coverage
 
 from conftest import reference_config
 
@@ -71,6 +73,35 @@ def test_simulate_deterministic_bytes(tmp_path, cfg_file):
     text = manifest.read_text()
     assert "manifest.config_sha256 = " in text
     assert "wall_clock_s" in text
+
+
+def test_simulate_manifest_failure_counts(tmp_path, cfg_file, monkeypatch):
+    serialized = []
+    original = cli.serialize_config
+
+    def counting(cfg):
+        serialized.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(cli, "serialize_config", counting)
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--config", cfg_file, "--scheme", "baseline",
+                 "--trials", "25", "--seed", "7", "--out", str(out)]) == 0
+    assert len(serialized) == 1
+    lines = dict(
+        line.split(" = ", 1)
+        for line in (tmp_path / "a.csv.manifest").read_text().splitlines()
+    )
+    est = estimate_coverage(default_config(), Scheme.BASELINE, 25, 7)
+    assert lines["point.0.collision_failures"] == str(est.collision_failures)
+    assert lines["point.0.threshold_failures"] == str(est.threshold_failures)
+    assert lines["point.0.blocked_failures"] == str(est.blocked_failures)
+    _, rows = read_csv(out)
+    generated, decoded, dropped = (int(v) for v in rows[0][5:8])
+    failed = sum(
+        int(lines[f"point.0.{cause}_failures"]) for cause in ("collision", "threshold", "blocked")
+    )
+    assert decoded + failed == generated - dropped
 
 
 def test_simulate_unknown_scheme_usage_error(cfg_file):

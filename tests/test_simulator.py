@@ -17,7 +17,7 @@ from musalink.simulator import (
     Scheme,
     SlotRealization,
     _decode_block,
-    _draw_frame,
+    _draw_block,
     _frame_rng,
     _path_gain,
     _per_device_power,
@@ -53,6 +53,17 @@ def test_code_pool_deterministic():
     a = code_pool(4, 64)
     b = code_pool(4, 64)
     assert np.array_equal(a, b)
+
+
+def test_code_pool_memoised_read_only():
+    pool = code_pool(4, 64)
+    assert code_pool(4, 64) is pool
+    assert not pool.flags.writeable
+    with pytest.raises(ValueError):
+        pool[0, 0] = 0
+    fresh = code_pool.__wrapped__(4, 64)
+    assert fresh is not pool
+    assert np.array_equal(fresh, pool)
 
 
 def test_code_pool_rejects_oversized():
@@ -352,9 +363,9 @@ def test_per_device_power_rules(monkeypatch):
     seen = []
     decode = simulator._decode_block
 
-    def spy(cfg_, frames, *rest):
-        seen.extend(f.powers for f in frames)
-        return decode(cfg_, frames, *rest)
+    def spy(cfg_, block, *rest):
+        seen.extend(block.powers)
+        return decode(cfg_, block, *rest)
 
     monkeypatch.setattr(simulator, "_decode_block", spy)
     for scheme in (Scheme.PROPOSED, Scheme.BASELINE):
@@ -433,6 +444,20 @@ def test_estimate_coverage_accounting():
     assert est.ci_halfwidth > 0
 
 
+def test_failure_causes_account_for_transmitted_packets():
+    cfg = reference_config(n_active=20, lam=8.0)
+    cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=0.1))
+    est = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=14)
+    frames = [run_frame(cfg, Scheme.BASELINE, _frame_rng(14, i)) for i in range(40)]
+    failures = (est.collision_failures, est.threshold_failures, est.blocked_failures)
+    assert all(type(c) is int and c > 0 for c in failures)
+    assert est.packets_decoded + sum(failures) == est.packets_generated - est.packets_dropped
+    assert est.collision_failures == sum(f.collision_failures for f in frames)
+    assert est.threshold_failures == sum(f.threshold_failures for f in frames)
+    assert est.blocked_failures == sum(f.blocked_failures for f in frames)
+    assert est.packets_decoded == sum(f.packets_decoded for f in frames)
+
+
 def test_estimate_coverage_near_one_in_benign_regime():
     cfg = reference_config(n_active=5, lam=2.0, n_slots=200)
     cfg = replace(
@@ -491,20 +516,21 @@ def test_power_proxy_evaluated_once_per_estimate(monkeypatch):
 #  Batched receiver against the scalar oracle
 # ----------------------------------------------------------------------------
 
-def oracle_frame(cfg, draws, pool, sinr_rule):
-    """``sic_decode`` applied slot by slot to one frame's draws."""
+def oracle_frame(cfg, block, pool, sinr_rule):
+    """``sic_decode`` applied slot by slot to a one-frame block's draws."""
     tally = dict(decoded=0, collision=0, below=0, blocked=0, lone=0)
-    for slot_index in np.unique(draws.packets[:, 1]):
-        sel = draws.packets[:, 1] == slot_index
-        ids, codes = draws.packets[sel, 0], draws.packets[sel, 2]
+    radii, powers = block.radii[0], block.powers[0]
+    for slot_index in np.unique(block.slot):
+        sel = block.slot == slot_index
+        ids, codes = block.device[sel], block.code[sel]
         slot = SlotRealization(
             device_ids=ids,
-            radii=draws.radii[ids],
-            path_gain=_path_gain(cfg, draws.radii[ids]),
-            fading=draws.fading[sel],
+            radii=radii[ids],
+            path_gain=_path_gain(cfg, radii[ids]),
+            fading=block.fading[sel],
             code_indices=codes,
             code_vectors=pool[codes],
-            powers=draws.powers[ids],
+            powers=powers[ids],
         )
         outcome = sic_decode(
             slot, cfg.reliability.sinr_threshold, cfg.channel.noise_power, sinr_rule
@@ -538,15 +564,18 @@ def test_batched_receiver_matches_scalar_oracle(sinr_rule):
         n_slots = _scheme_n_slots(cfg, scheme)
         for i in range(12):
             stats = run_frame(cfg, scheme, _frame_rng(40, i), sinr_rule=sinr_rule)
-            draws = _draw_frame(cfg, scheme, _frame_rng(40, i), n_slots, cfg.mean_packet_power())
-            want = oracle_frame(cfg, draws, pool, sinr_rule)
-            generated = int(draws.counts.sum())
+            block = _draw_block(
+                cfg, scheme, [_frame_rng(40, i)], n_slots, cfg.mean_packet_power()
+            )
+            want = oracle_frame(cfg, block, pool, sinr_rule)
+            generated = int(block.counts.sum())
+            dropped = int(block.dropped[0])
             assert stats == FrameStats(
                 n_slots=n_slots,
                 packets_generated=generated,
-                packets_transmitted=generated - draws.dropped,
+                packets_transmitted=generated - dropped,
                 packets_decoded=want["decoded"],
-                packets_dropped=draws.dropped,
+                packets_dropped=dropped,
                 collision_failures=want["collision"],
                 threshold_failures=want["below"],
                 blocked_failures=want["blocked"],
@@ -562,11 +591,77 @@ def test_decode_block_independent_of_block_composition():
     pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     n_slots = _scheme_n_slots(cfg, scheme)
     p_bar = cfg.mean_packet_power()
-    frames = [_draw_frame(cfg, scheme, _frame_rng(3, i), n_slots, p_bar) for i in range(20)]
-    together = _decode_block(cfg, frames, n_slots, pool, "conservative")
-    alone = np.vstack([_decode_block(cfg, [f], n_slots, pool, "conservative") for f in frames])
+    frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)], n_slots, p_bar) for i in range(20)]
+    block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)], n_slots, p_bar)
+    together = _decode_block(cfg, block, n_slots, pool, "conservative")
+    alone = np.vstack([_decode_block(cfg, f, n_slots, pool, "conservative") for f in frames])
     assert together.shape == (20, 4)
     assert np.array_equal(together, alone)
+
+
+# ----------------------------------------------------------------------------
+#  Block draw against the per-frame sampling laws
+# ----------------------------------------------------------------------------
+
+def oracle_draws(cfg, scheme, rng, n_slots, packet_power):
+    """One frame drawn by the public sampling laws, in the simulator's order."""
+    counts = generate_traffic(cfg, rng)
+    radii = sample_deployment(cfg.traffic.n_active, cfg.geometry.cell_radius, rng)
+    packets, dropped = assign_slots_codes(counts, n_slots, cfg.frame.code_pool_size, rng)
+    z = rng.standard_normal((2, len(packets), cfg.frame.n_subcarriers))
+    powers = _per_device_power(cfg, scheme, counts, packet_power)
+    return counts, radii, powers, packets, dropped, (z[0] + 1j * z[1]) / math.sqrt(2.0)
+
+
+def block_draw_cases():
+    """(config, scheme, what its frames must contain) for the block-draw test."""
+    drops = reference_config(n_active=6, lam=5.0, n_slots=3)
+    sparse = reference_config(n_active=3, lam=0.3)
+    sparse = replace(sparse, traffic=replace(sparse.traffic, lambda_min=0.0))
+    quiet = reference_config(n_active=12, lam=4.0)
+    quiet = replace(quiet, traffic=replace(quiet.traffic, scenario=Scenario.NON_EMERGENCY))
+    return [
+        (drops, Scheme.TPDS, {"dropped"}),
+        (sparse, Scheme.TPDS, {"empty_frames", "silent_devices"}),
+        (drops, Scheme.PROPOSED, set()),
+        (quiet, Scheme.BASELINE, set()),
+        (quiet, Scheme.NAS, set()),
+    ]
+
+
+@pytest.mark.parametrize("n_frames", [1, 7])
+@pytest.mark.parametrize("case", range(5))
+def test_block_draw_matches_per_frame_oracle(case, n_frames):
+    cfg, scheme, must_see = block_draw_cases()[case]
+    n_slots = _scheme_n_slots(cfg, scheme)
+    p_bar = cfg.mean_packet_power()
+    n = cfg.traffic.n_active
+    seen = dict(dropped=0, empty_frames=0, silent_devices=0)
+    for first in range(0, 21, n_frames):
+        frames = range(first, first + n_frames)
+        block_rngs = [_frame_rng(17, i) for i in frames]
+        block = _draw_block(cfg, scheme, block_rngs, n_slots, p_bar)
+        frame_of = block.device // n
+        for f, i in enumerate(frames):
+            rng = _frame_rng(17, i)
+            counts, radii, powers, packets, dropped, fading = oracle_draws(
+                cfg, scheme, rng, n_slots, p_bar
+            )
+            sel = frame_of == f
+            assert np.array_equal(block.counts[f], counts)
+            assert block.radii[f].tobytes() == radii.tobytes()
+            assert block.powers[f].tobytes() == powers.tobytes()
+            assert block.dropped[f] == dropped
+            assert np.array_equal(block.device[sel] - f * n, packets[:, 0])
+            assert np.array_equal(block.slot[sel], packets[:, 1])
+            assert np.array_equal(block.code[sel], packets[:, 2])
+            assert block.fading[sel].tobytes() == fading.tobytes()
+            # the block read exactly as far into the frame's stream
+            assert block_rngs[f].bit_generator.state == rng.bit_generator.state
+            seen["dropped"] += dropped
+            seen["empty_frames"] += len(packets) == 0
+            seen["silent_devices"] += int(np.sum(counts == 0))
+    assert all(seen[key] > 0 for key in must_see), seen
 
 
 def test_estimate_coverage_invariant_to_block_size(monkeypatch):
