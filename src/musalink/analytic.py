@@ -10,13 +10,14 @@ interference transform has a closed form in the Gauss hypergeometric
 function (:func:`_campbell_exponent`), vectorised over distances, and the
 average of the coverage kernel over the k-th ordered distance is a
 fixed-order Gauss-Jacobi sum: in t = (r/R)^2 the k-th of n_singleton
-uniform devices has the Beta(k, n_singleton - k + 1) law, whose density
-is a Jacobi weight for every fractional singleton count.  The 16- and
-32-node rules of all ranks are built together (:func:`_gauss_jacobi`:
-one tridiagonal eigenvalue solve per rule, then one Newton step and the
-weights broadcast over every rank), and the coverage kernel is evaluated
-once on all their nodes.  The difference between the 16- and 32-node
-sums is the reported quadrature error.
+uniform devices has the Beta(k, n_singleton - k + 1) law.  With
+K = ceil(n_singleton) every rank's density is the Jacobi weight
+(1-x)^f, f = n_singleton - K, times a polynomial of degree K - 1, so
+one pair of rules for that weight, with n = 16 + floor(K/2) and 2n
+nodes (:func:`_gauss_jacobi`: one tridiagonal eigenvalue solve per rule
+and one Newton step), serves all ranks, and the coverage kernel is
+evaluated once on its nodes (:func:`_ranks_coverage`).  The difference
+between the n- and 2n-node sums is the reported quadrature error.
 :func:`musalink.quadrature.adaptive_simpson` is kept as the test oracle
 for both.
 
@@ -51,9 +52,10 @@ __all__ = [
     "frame_coverage_prob",
 ]
 
-# Nodes of the base Gauss-Jacobi rule of each rank's ordered-distance
-# average; the rule with twice as many nodes gives the value, and the
-# difference of the two its error estimate.
+# Nodes of the base Gauss-Jacobi rule of the ordered-distance averages at
+# one singleton rank; K ranks share a rule with floor(K/2) more.  The rule
+# with twice as many nodes gives the value, and the difference of the two
+# its error estimate.
 _OUTER_NODES = 16
 
 
@@ -93,7 +95,7 @@ class CoverageReport:
     p_lambda: float
     p_cf: float
     conditional_terms: tuple[float, ...]  # per-rank conditional coverage
-    quadrature_error_estimate: float  # sum over ranks of |32-node - 16-node| sums
+    quadrature_error_estimate: float  # sum over ranks of |2n-node - n-node| sums
 
 
 # ----------------------------------------------------------------------------
@@ -128,9 +130,11 @@ def slot_occupancy_prob(lam: float, n_slots: int, tail_truncation: int | None = 
 def collision_free_prob(p_lambda: float, n_active: int, pool_size: int) -> float:
     """Probability a device transmitting in a slot suffers no code collision.
 
-    Sums over the binomial number of co-slot transmitters among the other
-    ``n_active - 1`` devices, each independently picking one of
-    ``pool_size`` codes; terms are evaluated in log space.
+    Each of the other ``n_active - 1`` devices independently transmits in
+    the slot with probability ``p_lambda`` and picks one of ``pool_size``
+    codes, so it takes the tagged device's code with probability
+    ``p_lambda / pool_size``: the binomial sum over the co-slot
+    transmitters is (1 - p_lambda/pool_size)^(n_active - 1).
     """
     if not 0.0 <= p_lambda <= 1.0:
         raise ValueError("p_lambda must lie in [0, 1]")
@@ -138,30 +142,7 @@ def collision_free_prob(p_lambda: float, n_active: int, pool_size: int) -> float
         raise ValueError("n_active must be >= 1")
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    others = n_active - 1
-    if others == 0:
-        return 1.0
-    if p_lambda == 0.0:
-        return 1.0
-    # probability that no other device shares the slot
-    total = (1.0 - p_lambda) ** others
-    if pool_size == 1:
-        return min(1.0, max(0.0, total))
-    log_p = math.log(p_lambda)
-    log_q = math.log1p(-p_lambda) if p_lambda < 1.0 else -math.inf
-    log_miss = math.log((pool_size - 1) / pool_size)
-    for n in range(1, others + 1):
-        log_term = (
-            math.lgamma(others + 1) - math.lgamma(n + 1) - math.lgamma(others - n + 1)
-            + n * log_p + n * log_miss
-        )
-        rem = others - n
-        if rem > 0:
-            if log_q == -math.inf:
-                continue
-            log_term += rem * log_q
-        total += math.exp(log_term)
-    return min(1.0, max(0.0, total))
+    return (1.0 - p_lambda / pool_size) ** (n_active - 1)
 
 
 def singleton_count(n_active: int, p_lambda: float, p_cf: float) -> float:
@@ -333,87 +314,97 @@ def _coverage_kernel(cfg: SystemConfig, intensities: IntensitySet):
     return g
 
 
-def _gauss_jacobi(a, b):
-    """Gauss-Jacobi rules with n and 2n nodes for K weight exponent pairs.
+def _gauss_jacobi(a: float, n: int):
+    """Gauss-Jacobi rules with n and 2n nodes for the weight (1-x)^a on [-1, 1].
 
-    Row r is for the weight (1-x)^a[r] (1+x)^b[r] on [-1, 1], a, b > -1.
-    Returns ``(x, w)``, each of shape (K, 3n) with n = ``_OUTER_NODES``:
-    the n-node rule followed by the 2n-node rule, the weights of each rule
-    normalised to sum to 1.  The nodes are the eigenvalues of the
-    tridiagonal Jacobi matrix (scipy's recurrence coefficients; the n-node
-    matrix is the leading block of the 2n-node one) polished by one Newton
-    step; the weights are proportional to 1/(P_{n-1}(x) P_n'(x)).
+    ``a > -1``.  Returns ``(x, log_w)``, each of length 3n: the n-node rule
+    followed by the 2n-node rule, with the logarithms of each rule's
+    weights up to a constant per rule.  The nodes are the eigenvalues of
+    the tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 1969; the
+    n-node matrix is the leading block of the 2n-node one) polished by one
+    Newton step.  The weights are proportional to 1/((1 - x^2) P_n'(x)^2):
+    as a -> -1 the last node tends to 1, where P_{n-1} of the equivalent
+    1/(P_{n-1}(x) P_n'(x)) varies fast on the scale of the node's rounding.
     """
     # scipy.linalg is slow to import, so only analyses load it
     from scipy.linalg.lapack import dsterf
 
-    n = _OUTER_NODES
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
-    ab = a + b
+    # recurrence coefficients of the Jacobi polynomials P^(a, 0)
     j = np.arange(1, 2 * n)
-    s = 2.0 * j + ab
-    diag = np.concatenate(((b - a) / (ab + 2.0), (b * b - a * a) / (s * (s + 2.0))), axis=1)
-    off = 2.0 / s * np.sqrt((j + a) * (j + b) / (s + 1.0))
-    # the last factor is 1 at j = 1 (0/0 when a + b = -1)
-    off[:, 1:] *= np.sqrt(j[1:] * (j[1:] + ab) / (s[:, 1:] - 1.0))
+    s = 2.0 * j + a
+    diag = np.concatenate(([-a / (a + 2.0)], -a * a / (s * (s + 2.0))))
+    off = 2.0 * j * (j + a) / (s * np.sqrt(s * s - 1.0))
 
-    rules = ((slice(0, n), n), (slice(n, None), 2 * n))
-    x = np.empty((len(a), 3 * n))
-    for row in range(len(a)):
-        for cols, m in rules:
-            x[row, cols], info = dsterf(diag[row, :m], off[row, : m - 1])
-            if info:
-                raise QuadratureError(
-                    f"Gauss-Jacobi nodes: dsterf did not converge (info={info})",
-                    math.nan, math.nan,
-                )
+    x = np.empty(3 * n)
+    for cols, m in ((slice(0, n), n), (slice(n, None), 2 * n)):
+        x[cols], info = dsterf(diag[:m], off[: m - 1])
+        if info:
+            raise QuadratureError(
+                f"Gauss-Jacobi nodes: dsterf did not converge (info={info})",
+                math.nan, math.nan,
+            )
     degree = np.repeat([n, 2 * n], [n, 2 * n])
-    dp = 0.5 * (degree + ab + 1.0) * eval_jacobi(degree - 1, a + 1.0, b + 1.0, x)
-    x -= eval_jacobi(degree, a, b, x) / dp
-    # 1/(P_{n-1} P_n') in log form: the factors grow like binom(n + a, n)
-    log_w = -np.log(np.abs(eval_jacobi(degree - 1, a, b, x))) - np.log(np.abs(dp))
-    w = np.empty_like(x)
-    for cols, _ in rules:
-        w[:, cols] = np.exp(log_w[:, cols] - log_w[:, cols].max(axis=1, keepdims=True))
-        w[:, cols] /= w[:, cols].sum(axis=1, keepdims=True)
-    return x, w
+    dp = 0.5 * (degree + a + 1.0) * eval_jacobi(degree - 1, a + 1.0, 1.0, x)
+    x -= eval_jacobi(degree, a, 0.0, x) / dp
+    # Within ~1e-13 of a = -1 the last node rounds to 1, or P_n loses a + 1
+    # to the rounding of n + a and the step misplaces it.  The node then
+    # carries all but O(a + 1) of the top rank's weight and next to none of
+    # the other ranks', wherever it lies, as long as it stays below 1.
+    x = np.minimum(x, np.nextafter(1.0, 0.0))
+    # in log form: P_n' grows like binom(n + a, n)
+    log_w = -np.log1p(-x) - np.log1p(x) - 2.0 * np.log(np.abs(dp))
+    return x, log_w
 
 
-def _ranks_coverage(ranks, n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped conditional coverage of each rank and its error estimate.
+def _ranks_coverage(n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped conditional coverage of every rank and its error estimate.
 
-    The mean of the kernel under the Beta(k, beta + 1) law of t, beta =
-    n_singleton - k, by the n- and 2n-node Gauss-Jacobi rules.  With
-    t = (1 + x)/2 the density is the normalised Jacobi weight
-    (1-x)^beta (1+x)^(k-1), so the order-statistic coefficient is the
-    weight normalisation.  All ranks share one kernel call.
+    Rank k = 1..K, K = ceil(n_singleton), averages the kernel under the
+    Beta(k, n_singleton - k + 1) law of t.  With t = (1 + x)/2 its density
+    is proportional to
+
+        (1-x)^f * (1-x)^(K-k) (1+x)^(k-1),   f = n_singleton - K in (-1, 0],
+
+    whose first factor is common to all ranks and whose rest is a
+    polynomial of degree K - 1.  So one Gauss-Jacobi pair for (1-x)^f with
+    n = ``_OUTER_NODES`` + floor(K/2) and 2n nodes serves every rank: the
+    kernel is evaluated once on its 3n nodes, each rank multiplies the
+    weights by its polynomial and normalises them per rule (the
+    normalisation is the order-statistic coefficient, exact since the
+    polynomial degree is below 2n), and its value is the 2n-node sum.  The
+    floor(K/2) growth keeps the n-node rule exact for kernels of degree
+    2n - K >= 2 * ``_OUTER_NODES`` - 1 whatever K is.
     """
-    ranks = np.asarray(ranks)
-    n = _OUTER_NODES
-    x, w = _gauss_jacobi(n_singleton - ranks, ranks - 1.0)
-    wg = w * kernel(0.5 * (1.0 + x))
-    coarse = wg[:, :n].sum(axis=1)
-    value = wg[:, n:].sum(axis=1)
+    n_ranks = math.ceil(n_singleton)
+    n = _OUTER_NODES + n_ranks // 2
+    x, log_w = _gauss_jacobi(n_singleton - n_ranks, n)
+    k = np.arange(1, n_ranks + 1)[:, None]
+    log_w = log_w + (n_ranks - k) * np.log1p(-x) + (k - 1) * np.log1p(x)
+    g = kernel(0.5 * (1.0 + x))
+    sums = []
+    for cols in (slice(0, n), slice(n, None)):
+        w_k = np.exp(log_w[:, cols] - log_w[:, cols].max(axis=1, keepdims=True))
+        sums.append((w_k @ g[cols]) / w_k.sum(axis=1))
+    coarse, value = sums
     err = np.abs(value - coarse)
     bad = ~(np.isfinite(value) & np.isfinite(err))
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(
-            f"conditional coverage rank k={ranks[i]}: non-finite Gauss-Jacobi sum",
+            f"conditional coverage rank k={i + 1}: non-finite Gauss-Jacobi sum",
             float(value[i]), float(err[i]),
         )
     return np.clip(value, 0.0, 1.0), err
 
 
 def _conditional_coverage(k: int, n_singleton: float, kernel) -> tuple[float, float]:
-    """One rank of :func:`_ranks_coverage`: its value and error estimate."""
+    """Row k of :func:`_ranks_coverage`: its value and error estimate."""
     if n_singleton <= 0:
         raise ValueError("n_singleton must be > 0")
     if not 1 <= k <= math.ceil(n_singleton):
         raise ValueError(f"k={k} outside [1, ceil(n_singleton)]")
-    value, err = _ranks_coverage([k], n_singleton, kernel)
-    return float(value[0]), float(err[0])
+    value, err = _ranks_coverage(n_singleton, kernel)
+    return float(value[k - 1]), float(err[k - 1])
 
 
 def conditional_coverage(
@@ -427,13 +418,14 @@ def conditional_coverage(
     Averages the coverage kernel over the k-th order-statistic distance.
     In the CDF domain t = (r/R)^2 that distance has the Beta(k, beta + 1)
     law with beta = n_singleton - k > -1, fractional for fractional
-    singleton counts.  The Gauss-Jacobi rule for that weight absorbs the
-    endpoint behaviour of (1-t)^beta, and the kernel is smooth in t (both
-    the transform argument and the annulus edge depend on r^2 = R^2 t),
-    so one rule converges fast for negative, fractional, integer and large
-    beta alike.  The value is the 32-node sum; this is the one-rank case
-    of the batched evaluation :func:`frame_coverage_prob` makes over all
-    ranks, so the two give the same number.
+    singleton counts.  A Gauss-Jacobi rule for the weight (1-t)^f,
+    f = n_singleton - ceil(n_singleton), absorbs the endpoint behaviour of
+    the fractional power, the rest of the density is a polynomial, and the
+    kernel is smooth in t (both the transform argument and the annulus
+    edge depend on r^2 = R^2 t), so the rule converges fast for negative,
+    fractional, integer and large beta alike.  The value is row k of the
+    all-ranks evaluation :func:`frame_coverage_prob` makes, so the two
+    give the same number.
     """
     value, _ = _conditional_coverage(
         k, n_singleton, _coverage_kernel(cfg, intensities)
@@ -459,10 +451,8 @@ def frame_coverage_prob(cfg: SystemConfig) -> CoverageReport:
                               stats.p_cf, (), 0.0)
 
     n_s = stats.n_singleton
-    ranks = np.arange(1, math.ceil(n_s) + 1)
-    values, errs = _ranks_coverage(
-        ranks, n_s, _coverage_kernel(cfg, stats.intensities)
-    )
+    values, errs = _ranks_coverage(n_s, _coverage_kernel(cfg, stats.intensities))
+    ranks = np.arange(1, len(values) + 1)
     # every rank up to floor(n_s) counts fully, a fractional top rank by
     # its fraction n_s - floor(n_s)
     weights = np.minimum(1.0, n_s - (ranks - 1))

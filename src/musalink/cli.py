@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import os
 import sys
 import time
@@ -41,7 +42,8 @@ EXIT_CONFIG = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERIC = 5
 
-_SWEEP_AXES = ("lambda", "n_active", "n_slots")
+# the sweep axes and the smallest value each takes
+_SWEEP_AXES = {"lambda": 0.0, "n_active": 1, "n_slots": 1}
 
 
 def _fmt(x: float) -> str:
@@ -73,8 +75,11 @@ def _with_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def _expand_range(text: str) -> list[float]:
-    """Expand ``start:stop:step`` into start, start + step, ... up to stop."""
+def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
+    """Expand ``start:stop:step`` into start, start + step, ... up to stop.
+
+    A range that starts below ``minimum`` is refused.
+    """
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
@@ -90,7 +95,23 @@ def _expand_range(text: str) -> list[float]:
         v = start + len(values) * step
     if not values:
         raise argparse.ArgumentTypeError("range is empty")
+    if values[0] < minimum:
+        raise argparse.ArgumentTypeError(
+            f"range values must be >= {minimum:g}, got {values[0]:g}"
+        )
     return values
+
+
+def _at_least(minimum, convert=int):
+    """Argument type: ``convert(text)``, refused below ``minimum``."""
+    def parse(text: str):
+        value = convert(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {text!r}")
+        return value
+    # argparse and _comma_list name the type in their messages by __name__
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def _comma_list(convert):
@@ -113,8 +134,8 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
         )
     axis = axis.strip()
     if axis not in _SWEEP_AXES:
-        raise argparse.ArgumentTypeError(f"sweep axis must be one of {_SWEEP_AXES}")
-    return axis, _expand_range(rng)
+        raise argparse.ArgumentTypeError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
+    return axis, _expand_range(rng, _SWEEP_AXES[axis])
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -322,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo coverage estimate")
     add_common(p)
     p.add_argument("--scheme", choices=[s.value for s in Scheme], default="baseline")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--manifest", help="manifest file path")
     p.set_defaults(func=cmd_simulate)
@@ -335,19 +356,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="proposed vs benchmark schemes")
     add_common(p)
-    p.add_argument("--lambdas", type=_expand_range, default="2:10:1",
+    p.add_argument("--lambdas", type=functools.partial(_expand_range, minimum=0.0),
+                   default="2:10:1",
                    help="start:stop:step traffic rates")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="analytic vs simulated coverage grid")
     add_common(p)
-    p.add_argument("--n-active", type=_comma_list(int), default="10,20", dest="n_active",
-                   help="comma-separated device counts")
-    p.add_argument("--lambdas", type=_comma_list(float), default="2,10",
+    p.add_argument("--n-active", type=_comma_list(_at_least(1)), default="10,20",
+                   dest="n_active", help="comma-separated device counts")
+    p.add_argument("--lambdas", type=_comma_list(_at_least(0.0, float)), default="2,10",
                    help="comma-separated traffic rates")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--trials", type=_at_least(1), default=10000)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_validate)
 

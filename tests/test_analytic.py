@@ -550,17 +550,27 @@ def test_quadrature_error_estimate_bounds_refined_rule(monkeypatch):
         for n_active in (5, 10, 20) for lam in range(2, 11)
     ]
     hard = [low_altitude_config(h, theta) for h in (5.0, 1.0) for theta in (1.0, 0.01)]
-    reports = [frame_coverage_prob(cfg) for cfg in sweep + hard]
+    # n_singleton 17.6 to 23.3: a shared rule that did not grow with the rank
+    # count would lose ceil(n_singleton) - 1 degrees and read ~1e-9 here
+    many_ranks = [
+        replace(cfg, geometry=replace(cfg.geometry, uav_altitude=20.0))
+        for cfg in (reference_config(n_active=n, lam=10.0, n_slots=10) for n in (30, 45, 60))
+    ]
+    configs = sweep + hard + many_ranks
+    reports = [frame_coverage_prob(cfg) for cfg in configs]
     monkeypatch.setattr(analytic, "_OUTER_NODES", 2 * analytic._OUTER_NODES)
-    for cfg, report in zip(sweep + hard, reports):
+    for cfg, report in zip(configs, reports):
         refined = frame_coverage_prob(cfg)
         gap = sum(
             abs(a - b) for a, b in zip(report.conditional_terms, refined.conditional_terms)
         )
         # the rules agree to ~1e-13 once both have converged to rounding
         assert gap <= report.quadrature_error_estimate + 1e-12
-    assert max(r.quadrature_error_estimate for r in reports[: len(sweep)]) < 1e-11
-    assert min(r.quadrature_error_estimate for r in reports[len(sweep):]) > 1e-9
+    n_sweep, n_hard = len(sweep), len(hard)
+    assert max(r.quadrature_error_estimate for r in reports[:n_sweep]) < 1e-11
+    assert min(r.quadrature_error_estimate for r in reports[n_sweep:n_sweep + n_hard]) > 1e-9
+    assert [math.ceil(r.n_singleton) for r in reports[-3:]] == [18, 22, 24]
+    assert max(r.quadrature_error_estimate for r in reports[-3:]) < 1e-12
 
 
 def test_non_finite_kernel_raises_quadrature_error(default_cfg):
@@ -570,7 +580,7 @@ def test_non_finite_kernel_raises_quadrature_error(default_cfg):
 
 
 # ----------------------------------------------------------------------------
-#  Batched Gauss-Jacobi rules
+#  The Gauss-Jacobi rule pair shared by all ranks
 # ----------------------------------------------------------------------------
 
 # Singleton counts over (0, 9]: fractional and integer counts (integer n_s
@@ -586,19 +596,130 @@ GJ_SINGLETON_COUNTS = sorted(
 )
 
 
-@pytest.mark.parametrize("n_singleton", GJ_SINGLETON_COUNTS)
-def test_gauss_jacobi_matches_roots_jacobi(n_singleton):
+def shared_rule_size(n_singleton):
+    """Exponent f of the shared weight (1-x)^f and node count n of its base rule."""
+    n_ranks = math.ceil(n_singleton)
+    return n_singleton - n_ranks, analytic._OUTER_NODES + n_ranks // 2
+
+
+def jacobi_rule_reference(m, a):
+    """m-node Gauss rule for the weight (1-x)^a in 40-digit decimal arithmetic.
+
+    The nodes of ``roots_jacobi`` polished by one Newton step, and the
+    normalised weights 1/(P_{m-1}(x) P_m'(x)), with P^(a,0) and its
+    derivative from the three-term recurrence (DLMF 18.9.2).  In double
+    precision ``roots_jacobi``'s weight of the node nearest 1 is off by up
+    to ~3e-12 as a -> -1: that node is within ~1e-5 of 1, and P_{m-1}
+    varies fast there on the scale of its rounding.
+    """
+    from decimal import Decimal, localcontext
+
     from scipy.special import roots_jacobi
 
-    n = analytic._OUTER_NODES
+    x_start, _ = roots_jacobi(m, a, 0.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a = Decimal(a)
+
+        def evaluate(x):
+            """P_{m-1}(x), P_m(x) and P_m'(x)."""
+            p_prev, p = Decimal(1), (a + 1) + (a + 2) * (x - 1) / 2
+            d_prev, d = Decimal(0), (a + 2) / 2
+            for j in range(2, m + 1):
+                c = 2 * j + a
+                lin = (c - 1) * (c * (c - 2) * x + a * a)
+                back = 2 * (j + a - 1) * (j - 1) * c
+                norm = 2 * j * (j + a) * (c - 2)
+                p_prev, p, d_prev, d = (
+                    p,
+                    (lin * p - back * p_prev) / norm,
+                    d,
+                    (lin * d + (c - 1) * c * (c - 2) * p - back * d_prev) / norm,
+                )
+            return p_prev, p, d
+
+        nodes, weights = [], []
+        for x in map(Decimal, x_start.tolist()):
+            _, p, d = evaluate(x)
+            x -= p / d
+            p_prev, _, d = evaluate(x)
+            nodes.append(x)
+            weights.append(1 / (p_prev * d))
+        total = sum(weights)
+        return (np.array([float(x) for x in nodes]),
+                np.array([float(w / total) for w in weights]))
+
+
+@pytest.mark.parametrize("n_singleton", GJ_SINGLETON_COUNTS)
+def test_gauss_jacobi_matches_roots_jacobi(n_singleton):
+    f, n = shared_rule_size(n_singleton)
+    x, log_w = analytic._gauss_jacobi(f, n)
+    assert x.shape == log_w.shape == (3 * n,)
+    for rule, nodes in ((slice(0, n), n), (slice(n, 3 * n), 2 * n)):
+        x_ref, w_ref = jacobi_rule_reference(nodes, f)
+        w = np.exp(log_w[rule] - log_w[rule].max())
+        np.testing.assert_allclose(x[rule], x_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w / w.sum(), w_ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_singleton", GJ_SINGLETON_COUNTS)
+def test_shared_rule_exact_for_beta_moments(n_singleton):
+    # both rules of the pair integrate t^m, m <= 2 * _OUTER_NODES - 1, exactly
+    # against every rank's Beta(k, n_singleton - k + 1) law, whatever the
+    # rank count: the moment is B(k + m, n_singleton - k + 1) / B(k, ...)
     ranks = np.arange(1, math.ceil(n_singleton) + 1)
-    x, w = analytic._gauss_jacobi(n_singleton - ranks, ranks - 1.0)
-    assert x.shape == w.shape == (len(ranks), 3 * n)
-    for row, k in enumerate(ranks):
-        for rule, nodes in ((slice(0, n), n), (slice(n, 3 * n), 2 * n)):
-            x_ref, w_ref = roots_jacobi(nodes, n_singleton - k, k - 1)
-            np.testing.assert_allclose(x[row, rule], x_ref, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(w[row, rule], w_ref / w_ref.sum(), rtol=0, atol=1e-12)
+    for m in range(2 * analytic._OUTER_NODES):
+        values, errs = analytic._ranks_coverage(n_singleton, lambda t: t**m)
+        exact = [
+            math.exp(math.lgamma(k + m) + math.lgamma(n_singleton + 1.0)
+                     - math.lgamma(k) - math.lgamma(n_singleton + m + 1.0))
+            for k in ranks
+        ]
+        np.testing.assert_allclose(values, exact, rtol=1e-12, atol=0)
+        np.testing.assert_array_less(errs, 1e-12 * np.array(exact))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_ranks_continuous_above_integer_counts(k):
+    # just above an integer count the shared weight (1-x)^f has f -> -1 and its
+    # last node tends to 1; the first k ranks still tend to the k ranks at
+    # n_singleton = k, at a slope below 1 (~0.26 here)
+    cfg = reference_config()
+    kernel = analytic._coverage_kernel(cfg, slot_statistics(cfg).intensities)
+    at_k, _ = analytic._ranks_coverage(float(k), kernel)
+    for eps in (1e-6, 1e-9, 1e-12, 1e-14, math.nextafter(k, math.inf) - k):
+        above, _ = analytic._ranks_coverage(k + eps, kernel)
+        assert len(above) == k + 1
+        np.testing.assert_allclose(above[:k], at_k, rtol=0, atol=eps + 1e-14)
+
+
+def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
+    import scipy.linalg.lapack
+
+    calls = {"kernel": 0, "dsterf": 0}
+    make_kernel, dsterf = analytic._coverage_kernel, scipy.linalg.lapack.dsterf
+
+    def spy_kernel(cfg, intensities):
+        g = make_kernel(cfg, intensities)
+
+        def counted(t):
+            calls["kernel"] += 1
+            return g(t)
+        return counted
+
+    def spy_dsterf(*args):
+        calls["dsterf"] += 1
+        return dsterf(*args)
+
+    monkeypatch.setattr(analytic, "_coverage_kernel", spy_kernel)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", spy_dsterf)
+    rank_counts = []
+    for n_active, lam in ((5, 2.0), (20, 8.0), (60, 10.0)):
+        calls.update(kernel=0, dsterf=0)
+        report = frame_coverage_prob(reference_config(n_active=n_active, lam=lam, n_slots=10))
+        rank_counts.append(len(report.conditional_terms))
+        assert calls == {"kernel": 1, "dsterf": 2}
+    assert rank_counts == [1, 13, 24]
 
 
 @pytest.mark.parametrize(
@@ -624,12 +745,12 @@ def test_batched_ranks_equal_per_rank_values(n_active, lam, n_slots):
 
 
 def test_non_finite_rank_named_in_quadrature_error():
-    ranks = np.arange(1, 6)
-
     def kernel(t):
-        # finite everywhere except on the nodes of rank 3
-        return np.where(ranks[:, None] == 3, math.nan, 1.0 - t)
+        # finite everywhere except on one node of the 2n-node rule
+        g = 1.0 - t
+        g[-3] = math.nan
+        return g
 
-    with pytest.raises(QuadratureError, match=r"rank k=3:") as info:
-        analytic._ranks_coverage(ranks, 4.5, kernel)
+    with pytest.raises(QuadratureError, match=r"rank k=[1-5]: non-finite") as info:
+        analytic._ranks_coverage(4.5, kernel)
     assert math.isnan(info.value.value)

@@ -247,6 +247,29 @@ def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag, message", [
+    (["simulate", "--trials", "0"], "--trials", "must be >= 1, got '0'"),
+    (["compare", "--trials", "0"], "--trials", "must be >= 1, got '0'"),
+    (["validate", "--trials", "-2"], "--trials", "must be >= 1, got '-2'"),
+    (["validate", "--n-active", "10,0"], "--n-active", "must be >= 1, got '0'"),
+    (["validate", "--lambdas", "2,-1"], "--lambdas", "must be >= 0, got '-1'"),
+    (["compare", "--lambdas=-1:1:1"], "--lambdas", "range values must be >= 0, got -1"),
+    (["analytic", "--sweep", "n_active=0:2:1"], "--sweep", "range values must be >= 1, got 0"),
+    (["analytic", "--sweep", "n_slots=0:2:1"], "--sweep", "range values must be >= 1, got 0"),
+    (["analytic", "--sweep", "lambda=-0.5:2:1"], "--sweep",
+     "range values must be >= 0, got -0.5"),
+])
+def test_out_of_range_option_usage_error(cfg_file, capsys, argv, flag, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--config", cfg_file] + argv[1:])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"musalink {argv[0]}: error: argument {flag}: {message}"
+    ]
+    assert "Traceback" not in err
+
+
 def test_bad_worker_count_usage_error(cfg_file, capsys, monkeypatch):
     monkeypatch.setenv("MUSALINK_WORKERS", "abc")
     with pytest.raises(SystemExit) as info:
