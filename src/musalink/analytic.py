@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_jacobi, hyp2f1
+from scipy.special import eval_jacobi, hyp2f1, pdtr, pdtrc
 
-from .config import Scenario, SystemConfig, default_tail_truncation
+from .config import Scenario, SystemConfig
 from .quadrature import QuadratureError
 
 __all__ = [
@@ -102,29 +102,23 @@ class CoverageReport:
 #  Slot occupancy and code collisions
 # ----------------------------------------------------------------------------
 
-def slot_occupancy_prob(lam: float, n_slots: int, tail_truncation: int | None = None) -> float:
+def slot_occupancy_prob(lam: float, n_slots: int) -> float:
     """Probability that a given active device transmits in a given slot.
 
-    A device with L Poisson(lam) packets occupies a given slot with
-    probability min(L, n_slots)/n_slots; the Poisson mixture is truncated
-    at ceil(lam) + tail_truncation packets.
+    A device with L ~ Poisson(lam) packets occupies a given slot with
+    probability min(L, n_slots)/n_slots.  The mean of that over the whole
+    Poisson law has the closed form
+
+        E[min(L, S)]/S = (lam/S) * P(L <= S-1) + P(L > S),   S = n_slots,
+
+    since L*pmf(L) = lam*pmf(L-1).
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if n_slots < 1:
         raise ValueError("n_slots must be >= 1")
-    if lam == 0:
-        return 0.0
-    if tail_truncation is None:
-        tail_truncation = default_tail_truncation(lam)
-    log_lam = math.log(lam)
-    total = 0.0
-    for L in range(1, n_slots + 1):
-        # (L / n_slots) * pmf(L) in log space
-        total += math.exp(-lam + L * log_lam - math.lgamma(L)) / n_slots
-    for L in range(n_slots + 1, math.ceil(lam) + tail_truncation + 1):
-        total += math.exp(-lam + L * log_lam - math.lgamma(L + 1))
-    return min(1.0, max(0.0, total))
+    total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
+    return min(1.0, max(0.0, float(total)))
 
 
 def collision_free_prob(p_lambda: float, n_active: int, pool_size: int) -> float:
@@ -195,9 +189,7 @@ def slot_statistics(cfg: SystemConfig) -> SlotStatistics:
         # exactly one packet per active device, uniform over the slots
         p_lam = 1.0 / n_slots
     else:
-        p_lam = slot_occupancy_prob(
-            cfg.traffic.lam, n_slots, cfg.traffic.effective_tail_truncation()
-        )
+        p_lam = slot_occupancy_prob(cfg.traffic.lam, n_slots)
     p_cf = collision_free_prob(p_lam, cfg.traffic.n_active, cfg.frame.code_pool_size)
     n_s = singleton_count(cfg.traffic.n_active, p_lam, p_cf)
     intensities = IntensitySet.from_collision_prob(cfg.active_intensity(), p_cf)
@@ -377,7 +369,10 @@ def _ranks_coverage(n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]
     """
     n_ranks = math.ceil(n_singleton)
     n = _OUTER_NODES + n_ranks // 2
-    x, log_w = _gauss_jacobi(n_singleton - n_ranks, n)
+    # below n_singleton = 2^-54, f rounds to -1, where the recurrence
+    # divides 0 by 0; the rule at the clamp already gives the finite
+    # n_singleton -> 0 limit, and no f from n_singleton >= 2^-52 is clamped
+    x, log_w = _gauss_jacobi(max(n_singleton - n_ranks, -1.0 + 2.0**-52), n)
     k = np.arange(1, n_ranks + 1)[:, None]
     log_w = log_w + (n_ranks - k) * np.log1p(-x) + (k - 1) * np.log1p(x)
     g = kernel(0.5 * (1.0 + x))

@@ -344,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--scheme", choices=[s.value for s in Scheme], default="baseline")
     p.add_argument("--trials", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0), default=1)
     p.add_argument("--manifest", help="manifest file path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="adaptive slot count report")
     add_common(p)
-    p.add_argument("--brute-points", type=int, default=8,
+    p.add_argument("--brute-points", type=_at_least(0), default=8,
                    help="coverage-curve points for the brute-force check (0 disables)")
     p.set_defaults(func=cmd_optimize)
 
@@ -360,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="2:10:1",
                    help="start:stop:step traffic rates")
     p.add_argument("--trials", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0), default=1)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="analytic vs simulated coverage grid")
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", type=_comma_list(_at_least(0.0, float)), default="2,10",
                    help="comma-separated traffic rates")
     p.add_argument("--trials", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_at_least(0), default=1)
     p.set_defaults(func=cmd_validate)
 
     return parser

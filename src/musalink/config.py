@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from scipy.special import pdtr, pdtrc, pdtrik
+from scipy.special import pdtr, pdtrik
 
 __all__ = [
     "Scenario",
@@ -39,7 +39,6 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "default_config",
-    "default_tail_truncation",
     "load_config",
     "serialize_config",
     "validate_config",
@@ -125,21 +124,14 @@ class TrafficParams:
 
     In the non-emergency scenario every active device carries exactly one
     packet; in the emergency scenario per-device packet counts are
-    Poisson(lam).  ``tail_truncation`` bounds the Poisson tail kept by the
-    slot-occupancy series; ``None`` selects the smallest value whose
-    discarded tail mass is below 1e-12.
+    Poisson(lam), with no truncation of the Poisson tail in the analytics
+    or the simulator.
     """
     n_active: int = 10             # devices active in the frame
     lam: float = 4.0               # mean packets per active device
     lambda_min: float = 2.0        # C4 lower bound on lam (emergency)
     lambda_max: float = 10.0       # C5 upper bound on lam (emergency)
     scenario: Scenario = Scenario.EMERGENCY
-    tail_truncation: int | None = None
-
-    def effective_tail_truncation(self) -> int:
-        if self.tail_truncation is not None:
-            return self.tail_truncation
-        return default_tail_truncation(self.lam)
 
     def invariant_violations(self) -> list[str]:
         out = []
@@ -147,8 +139,6 @@ class TrafficParams:
             out.append("traffic: n_active must be a positive integer")
         if self.lam < 0:
             out.append("traffic: lambda must be >= 0")
-        if self.tail_truncation is not None and self.tail_truncation < 0:
-            out.append("traffic: tail_truncation must be >= 0")
         return out
 
 
@@ -268,17 +258,6 @@ def _poisson_quantile(q: float, lam: float) -> int:
     return below if pdtr(below, lam) >= q else k
 
 
-def default_tail_truncation(lam: float, tol: float = 1e-12) -> int:
-    """Smallest m such that P(Poisson(lam) > ceil(lam) + m) < tol."""
-    if lam <= 0:
-        return 0
-    base = math.ceil(lam)
-    m = 0
-    while pdtrc(base + m, lam) >= tol:
-        m += 1
-    return m
-
-
 def default_config() -> SystemConfig:
     """The documented default configuration."""
     return SystemConfig()
@@ -351,7 +330,6 @@ _KEY_TABLE: dict[str, tuple[str | None, str, str]] = {
     "traffic.lambda_min": ("traffic", "lambda_min", "float"),
     "traffic.lambda_max": ("traffic", "lambda_max", "float"),
     "traffic.scenario": ("traffic", "scenario", "scenario"),
-    "traffic.tail_truncation": ("traffic", "tail_truncation", "int"),
     "frame.frame_duration": ("frame", "frame_duration", "float"),
     "frame.n_slots": ("frame", "n_slots", "int"),
     "frame.packet_bits": ("frame", "packet_bits", "int"),
@@ -452,8 +430,5 @@ def serialize_config(cfg: SystemConfig) -> str:
     lines = ["# musalink configuration (SI base units)"]
     for key, (section, attr, kind) in _KEY_TABLE.items():
         holder = cfg if section is None else getattr(cfg, section)
-        value = getattr(holder, attr)
-        if value is None:  # optional field left at its computed default
-            continue
-        lines.append(f"{key} = {_format_value(kind, value)}")
+        lines.append(f"{key} = {_format_value(kind, getattr(holder, attr))}")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from musalink import analytic
 from musalink.analytic import (
@@ -59,6 +60,21 @@ def test_occupancy_matches_slot_selection_oracle():
     value = slot_occupancy_prob(2.0, 20)
     oracle = occupancy_mc(2.0, 20, 1_000_000, seed=20260801)
     assert value == pytest.approx(oracle, abs=3e-3)
+
+
+def test_occupancy_equals_untruncated_series():
+    # E[min(L, S)]/S = 1 - sum_{L < S} (1 - L/S) pmf(L): a finite sum, so
+    # no Poisson tail is cut off
+    lams = np.concatenate([np.linspace(0.3, 60.0, 60), np.geomspace(0.3, 60.0, 25)])
+    slots = np.arange(1, 151)
+    for lam in lams:
+        counts = np.arange(150)
+        pmf = np.exp(-lam + counts * math.log(lam) - gammaln(counts + 1.0))
+        short = np.cumsum(pmf) - np.cumsum(counts * pmf) / slots
+        series = 1.0 - short
+        closed = [slot_occupancy_prob(float(lam), int(s)) for s in slots]
+        np.testing.assert_allclose(closed, series, rtol=0, atol=1e-12)
+    assert all(slot_occupancy_prob(0.0, int(s)) == 0.0 for s in slots)
 
 
 def test_occupancy_rejects_negative_rate():
@@ -403,6 +419,15 @@ def test_frame_coverage_zero_rate():
     report = frame_coverage_prob(cfg)
     assert report.p_succ == 0.0
     assert report.conditional_terms == ()
+    # singleton counts below 2^-54, where the shared rule's exponent
+    # n_singleton - 1 rounds to -1: the lone rank tends to the kernel at the
+    # cell edge t = 1
+    for lam in (1e-16, 1e-17, 1e-300):
+        tiny = replace(cfg, traffic=replace(cfg.traffic, lam=lam))
+        report = frame_coverage_prob(tiny)
+        assert 0.0 < report.n_singleton < 2.0**-54
+        kernel = analytic._coverage_kernel(tiny, slot_statistics(tiny).intensities)
+        assert report.p_succ == pytest.approx(kernel(np.array([1.0]))[0], abs=1e-12)
 
 
 def test_frame_coverage_quick_monotonicity_spots():

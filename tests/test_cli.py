@@ -258,6 +258,10 @@ def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value, kind):
     (["analytic", "--sweep", "n_slots=0:2:1"], "--sweep", "range values must be >= 1, got 0"),
     (["analytic", "--sweep", "lambda=-0.5:2:1"], "--sweep",
      "range values must be >= 0, got -0.5"),
+    (["simulate", "--seed", "-1"], "--seed", "must be >= 0, got '-1'"),
+    (["compare", "--seed", "-1"], "--seed", "must be >= 0, got '-1'"),
+    (["validate", "--seed", "-3"], "--seed", "must be >= 0, got '-3'"),
+    (["optimize", "--brute-points", "-1"], "--brute-points", "must be >= 0, got '-1'"),
 ])
 def test_out_of_range_option_usage_error(cfg_file, capsys, argv, flag, message):
     with pytest.raises(SystemExit) as info:
@@ -286,7 +290,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
     # keys outside the table are refused by name, never silently ignored
     for line in ("power.mode = fixed", "power.exact_rho_max = true",
-                 "reliability.dispersion = 9.0"):
+                 "reliability.dispersion = 9.0", "traffic.tail_truncation = 40"):
         broken.write_text(line + "\n")
         capsys.readouterr()
         assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG

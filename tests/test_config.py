@@ -18,7 +18,6 @@ from musalink.config import (
     db_to_linear,
     dbm_to_watts,
     default_config,
-    default_tail_truncation,
     linear_to_db,
     load_config,
     serialize_config,
@@ -94,7 +93,7 @@ def test_parse_error_carries_line_context():
     with pytest.raises(ConfigError, match="line 2"):
         load_config("traffic.lambda = 4\nnot a key value line\n")
     for key in ("traffic.bogus", "power.mode", "power.exact_rho_max",
-                "reliability.dispersion"):
+                "reliability.dispersion", "traffic.tail_truncation"):
         with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
             load_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1"):
@@ -146,7 +145,7 @@ def test_serialize_round_trip_is_identity():
     # a config with awkward floats and non-default enums
     varied = replace(
         cfg,
-        traffic=replace(cfg.traffic, lam=3.7182818284590455, tail_truncation=33,
+        traffic=replace(cfg.traffic, lam=3.7182818284590455,
                         scenario=Scenario.NON_EMERGENCY),
         power=replace(cfg.power, p_max=0.012345678901234567),
         delta_slack=1.5e-7,
@@ -154,12 +153,11 @@ def test_serialize_round_trip_is_identity():
     assert load_config(serialize_config(varied)) == varied
 
 
-def test_default_tail_truncation_bounds_poisson_tail():
-    for lam in (0.5, 2.0, 4.0, 10.0):
-        m = default_tail_truncation(lam)
-        assert stats.poisson.sf(math.ceil(lam) + m, lam) < 1e-12
-        if m > 0:
-            assert stats.poisson.sf(math.ceil(lam) + m - 1, lam) >= 1e-12
+def test_readme_config_block_loads_to_defaults():
+    # the README documents every key at its default value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert load_config(block) == default_config()
 
 
 def test_rho_max_proxy_quantile():
@@ -193,13 +191,6 @@ def test_poisson_helpers_equal_scipy_stats():
             )
             expected = max(1, int(sps.poisson.ppf(q, lam)))
             assert varied.rho_max_proxy() == expected, (lam, q)
-        if lam > 0:
-            m = default_tail_truncation(lam)
-            base = math.ceil(lam)
-            assert sps.poisson.sf(base + m, lam) < 1e-12
-            assert m == 0 or sps.poisson.sf(base + m - 1, lam) >= 1e-12
-        else:
-            assert default_tail_truncation(lam) == 0
 
 
 def run_fresh_interpreter(code: str) -> str:
