@@ -10,7 +10,8 @@ Subcommands
 CSV columns are fixed per subcommand and floats are printed at 17
 significant digits so identical invocations produce identical bytes.
 Exit codes: 0 success, 2 usage, 3 configuration, 4 infeasibility,
-5 numerical failure.  MUSALINK_WORKERS overrides the worker count.
+5 numerical failure.  MUSALINK_WORKERS, a positive integer, overrides the
+worker count.
 """
 
 from __future__ import annotations
@@ -151,11 +152,14 @@ def _workers() -> int:
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"MUSALINK_WORKERS must be an integer, got {env!r}"
         ) from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"MUSALINK_WORKERS must be >= 1, got {env!r}")
+    return workers
 
 
 # ----------------------------------------------------------------------------
@@ -210,7 +214,10 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     est = estimate_coverage(cfg, scheme, args.trials, args.seed, n_workers=_workers())
     elapsed = time.perf_counter() - t0
-    header = "scheme,trials,seed,p_hat,ci_halfwidth,packets_generated,packets_decoded,packets_dropped"
+    header = (
+        "scheme,trials,seed,p_hat,ci_halfwidth,packets_generated,packets_decoded,"
+        "packets_dropped,collision_failures,threshold_failures,blocked_failures"
+    )
     row = ",".join(
         [
             scheme.value,
@@ -221,6 +228,9 @@ def cmd_simulate(args) -> int:
             str(est.packets_generated),
             str(est.packets_decoded),
             str(est.packets_dropped),
+            str(est.collision_failures),
+            str(est.threshold_failures),
+            str(est.blocked_failures),
         ]
     )
     _write_text(args.out, header + "\n" + row + "\n")

@@ -20,12 +20,15 @@ frames are distributed over workers or blocks.
 The receiver is batched: ``estimate_coverage`` and ``run_frame`` (a
 block of one) decode a block of frames at once.  Collisions are found
 with one ``unique`` over (slot, code) keys; each occupied slot becomes a
-row of packet indices, singletons nearest first and collided packets
-last, and the SIC iterations run in lockstep over all rows, slots whose
-undecoded sets have equal size sharing one stacked MMSE solve.
-``make_slot``, ``mmse_weights`` and ``sic_decode`` are the scalar
-one-slot receiver, kept as the oracle the batched decisions are tested
-against.
+row of packets, singletons nearest first and collided packets last, and
+iteration t of a slot tests its column t against the undecoded set of
+columns t..K-1.  By the push-through identity W = P^½Gᴴ(GPGᴴ + σ²I)⁻¹ a
+set needs the inverse of one J x J matrix, and the sets of a row grow by
+one column as t falls, so one backward sweep over t, a Sherman-Morrison
+update per step run over all rows at once, gives the SINR of every
+iteration of every slot without a linear solve.  ``make_slot``,
+``mmse_weights`` and ``sic_decode`` are the scalar one-slot receiver,
+kept as the oracle the batched decisions are tested against.
 
 Two SINR bookkeeping rules are available for the cancellation receiver:
 
@@ -431,30 +434,62 @@ def _energy(x: np.ndarray) -> np.ndarray:
     return np.sum(x.real**2 + x.imag**2, axis=-1)
 
 
-def _stacked_sinr(
-    h: np.ndarray, p: np.ndarray, noise_power: float, sinr_rule: str
+def _sweep_sinr(
+    g: np.ndarray, p: np.ndarray, depth: np.ndarray, noise_power: float, sinr_rule: str
 ) -> np.ndarray:
-    """SINR of user 0 in each of B undecoded sets of equal size m.
+    """SINR of every cancellation iteration of B slot rows, in one sweep.
 
-    ``h`` is (B, m, J), row i of set b being user i's effective channel;
-    ``p`` is (B, m).  The arithmetic is ``sic_decode``'s, one stacked
-    MMSE solve for the whole batch.
+    Row b holds the effective channels ``g[b]`` (D, J) and powers
+    ``p[b]`` of its K_b = ``depth[b]`` packets in decoding order, zero
+    past K_b; rows are sorted deepest first.  Entry (b, t) of the (B, D)
+    result is the SINR of column t against the undecoded set t..K_b-1 by
+    ``sic_decode``'s arithmetic; entries past K_b are 0.
+
+    By the push-through identity the MMSE weight rows of a set are
+    W = P^½Gᴴ R⁻¹ with R = GPGᴴ + σ²I_J, so a set needs the inverse of
+    one J x J matrix, not an m x m solve.  The set of iteration t adds
+    column t to that of t + 1, so sweeping t from D-1 down to 0 takes one
+    Sherman-Morrison update of R⁻¹ per step, an update never a downdate:
+    its denominator δ = 1 + p_t·s is at least 1.  With u = R_{t+1}⁻¹g_t
+    and s = g_tᴴu:
+
+    ``conservative``
+        p_t²s² / (δ²·Σ_{i>t} p_i²q_i² + σ²p_t‖u‖²), where
+        q_i = g_iᴴR_t⁻¹g_i is kept by q_i -= (p_t/δ)|uᴴg_i|²;
+    ``post_mmse``
+        p_t·s² / (Σ_{i>t} p_i|uᴴg_i|² + σ²‖u‖²).
+
+    Step t touches only the rows deeper than t, a prefix of the rows.
     """
-    if h.shape[1] == 1:
-        # lone device: matched filter against noise only
-        return p[:, 0] * _energy(h[:, 0]) / noise_power
-    m = h.shape[1]
-    hc = h.conj()
-    sqrt_p = np.sqrt(p)
-    a = sqrt_p[:, :, None] * (hc @ h.transpose(0, 2, 1)) * sqrt_p[:, None, :]
-    a[:, np.arange(m), np.arange(m)] += noise_power
-    w = np.linalg.solve(a, sqrt_p[:, :, None] * hc)  # (B, m, J) weight rows
-    if sinr_rule == "conservative":
-        gain = p * np.abs(np.sum(w * h, axis=2)) ** 2  # diag of W.G: own outputs
-    else:
-        gain = p * np.abs(np.einsum("bj,bkj->bk", w[:, 0], h)) ** 2  # row 0 of W.G
-    signal = gain[:, 0]
-    return signal / (gain.sum(axis=1) - signal + noise_power * _energy(w[:, 0]))
+    n_rows, d, j = g.shape
+    r_inv = np.zeros((n_rows, j, j), dtype=complex)
+    r_inv[:, np.arange(j), np.arange(j)] = 1.0 / noise_power
+    q = np.zeros((n_rows, d))
+    sinr = np.zeros((n_rows, d))
+    width = np.searchsorted(-depth, -np.arange(d))
+    for t in range(d - 1, -1, -1):
+        b = width[t]
+        g_t, p_t, p_rest = g[:b, t], p[:b, t], p[:b, t + 1:]
+        u = np.einsum("bij,bj->bi", r_inv[:b], g_t)
+        u_h = u.conj()
+        proj = np.einsum("bj,bkj->bk", u_h, g[:b, t:])  # u^H g_i for i >= t
+        s = proj[:, 0].real
+        cross = proj.real[:, 1:] ** 2 + proj.imag[:, 1:] ** 2
+        noise = noise_power * np.einsum("bj,bj->b", u_h, u).real
+        delta = 1.0 + p_t * s
+        step = p_t / delta
+        if sinr_rule == "conservative":
+            q_rest = q[:b, t + 1:]
+            q_rest -= step[:, None] * cross
+            q[:b, t] = s / delta  # g_t^H R_t^-1 g_t
+            pq = p_rest * q_rest
+            interference = delta**2 * np.einsum("bk,bk->b", pq, pq)
+            sinr[:b, t] = (p_t * s) ** 2 / (interference + p_t * noise)
+        else:
+            interference = np.einsum("bk,bk->b", p_rest, cross)
+            sinr[:b, t] = p_t * s * s / (interference + noise)
+        r_inv[:b] -= (step[:, None] * u)[:, :, None] * u_h[:, None, :]
+    return sinr
 
 
 def _decode_block(
@@ -468,11 +503,13 @@ def _decode_block(
 
     Returns the (F, 4) per-frame counts of packets decoded,
     collided, below threshold and blocked by a stronger user.  Each
-    occupied slot is a row [singletons nearest first, then collided];
-    at iteration t a slot tests its column t against the undecoded set
-    row[t:K], slots with sets of equal size sharing one stacked solve.
-    A pass moves the slot on to t + 1; a failure blocks the slot's
-    remaining singletons.
+    occupied slot is a row [singletons nearest first, then collided],
+    rows sorted deepest first.  One backward ``_sweep_sinr`` over the
+    rows of two or more packets gives the SINR of every iteration t
+    against the undecoded set row[t:K]; a lone packet keeps the matched
+    filter against noise.  A slot passes the leading run of its
+    singletons whose SINR reaches the threshold; a failure blocks the
+    slot's remaining singletons.
     """
     n_frames, n_active = block.counts.shape
     out = np.zeros((n_frames, 4), dtype=np.int64)
@@ -490,32 +527,37 @@ def _decode_block(
         slot * len(pool) + code, return_inverse=True, return_counts=True
     )
     collided = multiplicity[inverse] > 1
-
-    order = np.lexsort((radius, collided, slot))
-    first = np.flatnonzero(np.r_[True, np.diff(slot[order]) != 0])
-    k = np.diff(np.r_[first, len(order)])
-    row = np.repeat(np.arange(len(first)), k)
-    members = np.zeros((len(first), k.max()), dtype=np.int64)
-    members[row, np.arange(len(order)) - first[row]] = order
+    # one integer key sorts packets by (-depth, slot, collided, radius):
+    # rows deepest first; in a row singletons nearest first, ties between
+    # equal radii going to the lower device row
+    depth = np.bincount(slot)[slot]
+    nearness = np.empty(block.radii.size, dtype=np.int64)
+    nearness[np.argsort(block.radii, axis=None, kind="stable")] = np.arange(block.radii.size)
+    key = (slot - depth * (n_frames * n_slots)) * 2 + collided
+    order = np.argsort(key * block.radii.size + nearness[block.device])
+    ends = np.r_[np.flatnonzero(np.r_[True, np.diff(slot[order]) != 0]), len(order)]
+    first = ends[:-1]
+    k = np.diff(ends)
     singles = np.add.reduceat((~collided[order]).astype(np.int64), first)
 
     theta = cfg.reliability.sinr_threshold
     sigma2 = cfg.channel.noise_power
-    passed = np.zeros(len(first), dtype=np.int64)
-    alive = np.ones(len(first), dtype=bool)
-    # A slot at iteration t tests a set of size m = K - t, and m falls by
-    # one per pass, so sweeping m downwards visits every slot's
-    # iterations in order with one stacked solve per set size.
-    for m in range(int(k.max()), 0, -1):
-        t = k - m
-        rows = np.flatnonzero(alive & (t >= 0) & (t < singles))
-        if rows.size == 0:
-            continue
-        cols = members[rows[:, None], t[rows, None] + np.arange(m)]
-        ok = _stacked_sinr(channel[cols], power[cols], sigma2, sinr_rule) >= theta
-        passed[rows[ok]] += 1
-        alive[rows[~ok]] = False
-    failed = ~alive
+    n_multi = np.count_nonzero(k > 1)
+    cut = ends[n_multi]  # packets of the rows of two or more
+    row = np.repeat(np.arange(n_multi), k[:n_multi])
+    col = np.arange(cut) - first[row]
+    g = np.zeros((n_multi, k[0], channel.shape[1]), dtype=complex)
+    p = np.zeros((n_multi, k[0]))
+    g[row, col] = channel[order[:cut]]
+    p[row, col] = power[order[:cut]]
+    sinr = _sweep_sinr(g, p, k[:n_multi], sigma2, sinr_rule)
+    ok = (sinr >= theta) & (np.arange(k[0]) < singles[:n_multi, None])
+    lone = order[cut:]
+    passed = np.r_[
+        np.logical_and.accumulate(ok, axis=1).sum(axis=1),
+        power[lone] * _energy(channel[lone]) / sigma2 >= theta,
+    ]
+    failed = passed < singles
 
     blocked = np.where(failed, singles - passed - 1, 0)
     per_row = np.column_stack((passed, k - singles, failed, blocked))

@@ -104,6 +104,27 @@ def test_simulate_manifest_failure_counts(tmp_path, cfg_file, monkeypatch):
     assert decoded + failed == generated - dropped
 
 
+def test_simulate_csv_failure_columns(tmp_path, cfg_file):
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--config", cfg_file, "--scheme", "tpds",
+                 "--trials", "25", "--seed", "7", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == [
+        "scheme", "trials", "seed", "p_hat", "ci_halfwidth", "packets_generated",
+        "packets_decoded", "packets_dropped",
+        "collision_failures", "threshold_failures", "blocked_failures",
+    ]
+    row = dict(zip(header, rows[0]))
+    counts = {key: int(row[key]) for key in header[5:]}
+    assert counts["packets_decoded"] + counts["collision_failures"] + (
+        counts["threshold_failures"] + counts["blocked_failures"]
+    ) == counts["packets_generated"] - counts["packets_dropped"]
+    est = estimate_coverage(default_config(), Scheme.TPDS, 25, 7)
+    assert [counts[key] for key in header[8:]] == [
+        est.collision_failures, est.threshold_failures, est.blocked_failures
+    ]
+
+
 def test_simulate_unknown_scheme_usage_error(cfg_file):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--config", cfg_file, "--scheme", "warp"])
@@ -281,6 +302,19 @@ def test_bad_worker_count_usage_error(cfg_file, capsys, monkeypatch):
     assert info.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "musalink: error: MUSALINK_WORKERS must be an integer, got 'abc'"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_worker_count_usage_error(cfg_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("MUSALINK_WORKERS", value)
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--config", cfg_file, "--trials", "2"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"musalink: error: MUSALINK_WORKERS must be >= 1, got {value!r}"
+    ]
     assert "Traceback" not in err
 
 
