@@ -343,24 +343,31 @@ _KEY_TABLE: dict[str, tuple[str | None, str, str]] = {
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw.strip()!r}")
+    return value
+
+
 def _parse_value(kind: str, raw: str, key: str, lineno: int):
     raw = raw.strip()
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "int":
             return int(raw)
         if kind == "watts":
             if raw.lower().endswith("dbm"):
-                return dbm_to_watts(float(raw[:-3]))
-            return float(raw)
+                return dbm_to_watts(_finite(raw[:-3]))
+            return _finite(raw)
         if kind == "ratio":
             if raw.lower().endswith("db"):
-                return db_to_linear(float(raw[:-2]))
-            return float(raw)
+                return db_to_linear(_finite(raw[:-2]))
+            return _finite(raw)
         if kind == "scenario":
             return Scenario(raw.lower())
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
     raise AssertionError(f"unknown kind {kind}")
 

@@ -4,8 +4,12 @@ The slot count maximizing frame coverage under the latency and
 reliability constraints sits on the boundary of the feasible region:
 either the traffic bound ``n_active * lam + delta`` (C1) or the largest
 slot count still meeting the short-packet error target (C3), whichever
-is smaller.  A brute-force sweep of the analytic coverage curve serves
-as the independent optimality oracle.
+is smaller.  The C3 bound is the positive root of a quadratic in
+sqrt(n), in closed form, with its residual checked against
+``error_prob_ln_form``.  A brute-force sweep of the analytic coverage
+curve serves as the independent optimality oracle.  Burst detection
+(``detect_eoi``, ``estimate_lambda_hat``) is library-only: the proposed
+scheme takes its slot count from the configured rate.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+from scipy.special import ndtri
+
 from .analytic import frame_coverage_prob
 from .config import Scenario, SystemConfig, validate_config
-from .shortpacket import error_prob_ln_form, max_snr_proxy
+from .shortpacket import LN2, error_prob_ln_form, max_snr_proxy
 
 __all__ = [
     "OptimizerOutput",
@@ -73,54 +79,34 @@ def solve_n_epsilon(
     bandwidth: float,
     frame_duration: float,
     packet_bits: int,
-    tol: float = 1e-12,
 ) -> float:
-    """Largest slot count meeting the error target, by bisection.
+    """Largest slot count meeting the error target, in closed form.
 
-    The error probability is strictly increasing in the slot count, so
-    the root of error(n) = epsilon_max is unique on [1, n_up] where
-    n_up = B*T_f*log2(1+gamma)/D makes the Q-function argument zero
-    (error exactly 0.5).  At epsilon_max = 0.5 the root is n_up itself.
+    With s = sqrt(n), bt = B*T_f, L = ln(1+gamma) and z = Q^-1(epsilon_max)
+    the equation error(n) = epsilon_max reads D*ln2*s^2 + z*sqrt(bt)*s
+    - bt*L = 0, whose one positive root is taken without cancellation:
+    n = (2*L*sqrt(bt) / (z + sqrt(z^2 + 4*D*ln2*L)))^2.  At epsilon_max = 0.5
+    (z = 0) this is n_up = bt*log2(1+gamma)/D.
 
-    Raises :class:`InfeasibleError` when even a single slot violates the
-    target.
+    Raises :class:`InfeasibleError` when the root falls below one slot.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     if not 0 < epsilon_max <= 0.5:
         raise ValueError("epsilon_max must lie in (0, 0.5]")
-    bt = bandwidth * frame_duration
-    n_up = bt * math.log2(1.0 + gamma) / packet_bits
-    if epsilon_max == 0.5:
-        return n_up
-    if n_up <= 1.0:
-        raise InfeasibleError(
-            "C3", f"slot count bound {n_up:g} leaves no room above one slot"
-        )
-
-    def err(n: float) -> float:
-        return error_prob_ln_form(gamma, n, bandwidth, frame_duration, packet_bits)
-
-    lo, hi = 1.0, n_up
-    f_lo = err(lo) - epsilon_max
-    if f_lo > 0:
+    z = -float(ndtri(epsilon_max))
+    log_gain = math.log1p(gamma)
+    n_eps = (
+        2.0 * log_gain * math.sqrt(bandwidth * frame_duration)
+        / (z + math.sqrt(z * z + 4.0 * packet_bits * LN2 * log_gain))
+    ) ** 2
+    if n_eps < 1.0:
         raise InfeasibleError(
             "C3",
-            f"error probability {f_lo + epsilon_max:.3g} at a single slot "
-            f"already exceeds epsilon_max={epsilon_max:g}",
+            f"slot count bound {n_eps:.6g} meeting epsilon_max={epsilon_max:g} "
+            f"is below one slot",
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = err(mid) - epsilon_max
-        if abs(f_mid) <= tol:
-            return mid
-        if f_mid < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
+    return n_eps
 
 
 def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
@@ -129,7 +115,7 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
     Requires a feasible emergency configuration.  Raises
     :class:`InfeasibleError` naming the first violated constraint,
     ``"scenario"`` for a non-emergency configuration, and C2 when the
-    result would drop below the mean packet count.
+    result would drop below one slot or the mean packet count.
     """
     issues = validate_config(cfg)
     if issues:
@@ -159,11 +145,11 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
     )
     n_star = min(n_lambda, n_epsilon)
     n_practical = math.floor(n_star)
-    if n_practical < cfg.traffic.lam:
+    if n_practical < max(1, cfg.traffic.lam):
         raise InfeasibleError(
             "C2",
-            f"practical slot count {n_practical} below the mean packet count "
-            f"lambda={cfg.traffic.lam:g}",
+            f"practical slot count {n_practical} below one slot or the mean "
+            f"packet count lambda={cfg.traffic.lam:g}",
         )
     binding = "C1" if n_lambda <= n_epsilon else "C3"
     return OptimizerOutput(
@@ -180,12 +166,12 @@ def brute_force_slots(cfg: SystemConfig, n_range: Iterable[int]) -> BruteForceRe
     """Evaluate analytic coverage at every requested feasible slot count.
 
     The requested values are intersected with the feasible region
-    [ceil(lam), floor(min(n_lambda, n_epsilon))]; an empty intersection
+    [max(1, ceil(lam)), floor(min(n_lambda, n_epsilon))]; an empty intersection
     raises :class:`InfeasibleError`.  Ties on the maximum resolve to the
     smallest slot count.
     """
     bounds = adaptive_slots(cfg)
-    lo = math.ceil(cfg.traffic.lam)
+    lo = max(1, math.ceil(cfg.traffic.lam))
     hi = bounds.n_practical
     candidates = sorted({int(n) for n in n_range if lo <= int(n) <= hi})
     if not candidates:

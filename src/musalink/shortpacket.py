@@ -2,8 +2,9 @@
 
 Normal-approximation error probability for D bits carried in one slot of
 B*T_f/n_s channel uses, in both the base-2 form (explicit dispersion)
-and the natural-log form used by the slot-count root equation; the two
-coincide when the dispersion equals (log2 e)^2.
+and the natural-log form that checks the residual of the closed-form
+reliability bound; the two coincide when the dispersion equals
+(log2 e)^2.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def packet_error_prob(pt: BlocklengthPoint) -> float:
 def error_prob_ln_form(
     gamma: float, n: float, bandwidth: float, frame_duration: float, packet_bits: int
 ) -> float:
-    """Natural-log form of the error probability used by the root equation.
+    """Natural-log form of the error probability behind the reliability bound.
 
     Identical to :func:`packet_error_prob` with dispersion (log2 e)^2.
     """

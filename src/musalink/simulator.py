@@ -26,9 +26,9 @@ columns t..K-1.  By the push-through identity W = P^½Gᴴ(GPGᴴ + σ²I)⁻¹ 
 set needs the inverse of one J x J matrix, and the sets of a row grow by
 one column as t falls, so one backward sweep over t, a Sherman-Morrison
 update per step run over all rows at once, gives the SINR of every
-iteration of every slot without a linear solve.  ``make_slot``,
-``mmse_weights`` and ``sic_decode`` are the scalar one-slot receiver,
-kept as the oracle the batched decisions are tested against.
+iteration of every slot without a linear solve.  ``mmse_weights`` and ``sic_decode`` are the
+scalar one-slot receiver, kept as the oracle the batched decisions are
+tested against.
 
 Two SINR bookkeeping rules are available for the cancellation receiver:
 
@@ -235,30 +235,6 @@ class DecodingOutcome:
     decoded: np.ndarray                      # (K,) bool
     sinr_trace: tuple[tuple[int, float], ...]  # (device id, SINR) per iteration
     failure_cause: tuple[FailureCause, ...]  # per device
-
-
-def make_slot(
-    cfg: SystemConfig,
-    pool: np.ndarray,
-    device_ids: np.ndarray,
-    radii: np.ndarray,
-    code_indices: np.ndarray,
-    powers: np.ndarray,
-    rng: np.random.Generator,
-) -> SlotRealization:
-    """Draw the per-packet fading and bundle one slot's realization."""
-    k = len(device_ids)
-    j = cfg.frame.n_subcarriers
-    fading = (rng.standard_normal((k, j)) + 1j * rng.standard_normal((k, j))) / math.sqrt(2.0)
-    return SlotRealization(
-        device_ids=np.asarray(device_ids),
-        radii=np.asarray(radii, dtype=float),
-        path_gain=_path_gain(cfg, radii),
-        fading=fading,
-        code_indices=np.asarray(code_indices),
-        code_vectors=pool[np.asarray(code_indices)],
-        powers=np.asarray(powers, dtype=float),
-    )
 
 
 def mmse_weights(equiv_channel: np.ndarray, powers: np.ndarray, noise_power: float) -> np.ndarray:

@@ -215,6 +215,19 @@ def test_optimize_reliability_conflict_exit_code(tmp_path):
     assert main(["optimize", "--config", str(conflicted)]) == EXIT_INFEASIBLE
 
 
+def test_zero_rate_exits_infeasible(tmp_path, capsys):
+    # lambda = 0 with no slack leaves zero slots: C2, not a traceback
+    zero = tmp_path / "zero.cfg"
+    zero.write_text("traffic.lambda = 0\ntraffic.lambda_min = 0\n")
+    for argv in (["optimize"], ["simulate", "--scheme", "proposed", "--trials", "2",
+                                "--out", str(tmp_path / "zero.csv")]):
+        capsys.readouterr()
+        assert main(argv + ["--config", str(zero)]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: C2: ")
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_validate_grid_and_hash(tmp_path, cfg_file):
     out = tmp_path / "val.csv"
     assert main([
@@ -330,6 +343,15 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
         key = line.split(" = ")[0]
         assert capsys.readouterr().err == f"config error: line 1: unknown key {key!r}\n"
+
+
+def test_non_finite_config_value_exit_code(tmp_path, capsys):
+    broken = tmp_path / "nan.cfg"
+    broken.write_text("traffic.lambda = nan\n")
+    assert main(["optimize", "--config", str(broken)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: line 1: bad value for traffic.lambda: non-finite value 'nan'\n"
+    )
 
 
 def test_floats_printed_at_17_significant_digits(tmp_path, cfg_file):

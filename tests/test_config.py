@@ -100,6 +100,11 @@ def test_parse_error_carries_line_context():
         load_config("traffic.n_active = not_an_int\n")
     with pytest.raises(ConfigError, match="duplicate"):
         load_config("traffic.lambda = 4\ntraffic.lambda = 5\n")
+    for line in ("traffic.lambda = nan", "delta_slack = nan",
+                 "frame.frame_duration = nan", "channel.bandwidth = inf",
+                 "channel.noise_power = -inf dBm", "channel.noise_power = 5000 dBm"):
+        with pytest.raises(ConfigError, match="^line 2: bad value for "):
+            load_config(f"# non-finite\n{line}\n")
 
 
 def test_validate_default_is_clean(default_cfg):

@@ -73,6 +73,23 @@ def test_root_infeasible_at_low_sinr():
         solve_n_epsilon(0.01, 1e-5, B, T_F, D)
 
 
+def test_closed_form_relative_residual_and_half_target_c3():
+    # the quadratic's root meets the target to rounding at every scale,
+    # including targets far below any absolute stopping tolerance
+    worst = 0.0
+    for eps in (1e-9, 1e-7, 1e-5, 1e-3, 0.1, 0.3):
+        for gamma in np.geomspace(0.2, 1e6, 60):
+            root = solve_n_epsilon(float(gamma), eps, B, T_F, D)
+            err = error_prob_ln_form(float(gamma), root, B, T_F, D)
+            worst = max(worst, abs(err / eps - 1.0))
+    assert worst <= 1e-12
+    # at epsilon_max = 0.5 the root is n_up; below one slot it is C3
+    gamma = 0.02
+    assert B * T_F * math.log2(1.0 + gamma) / D < 1.0
+    with pytest.raises(InfeasibleError, match="^C3: "):
+        solve_n_epsilon(gamma, 0.5, B, T_F, D)
+
+
 # ----------------------------------------------------------------------------
 #  Adaptive slot selection
 # ----------------------------------------------------------------------------
@@ -124,6 +141,15 @@ def test_c2_conflict_reported():
         adaptive_slots(cfg)
 
 
+def test_zero_rate_without_slack_reported_as_c2():
+    # lambda = 0 and no slack leave a traffic bound of zero slots
+    cfg = reference_config(n_active=10, lam=0.0)
+    cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0))
+    assert cfg.traffic_slot_bound() == 0.0
+    with pytest.raises(InfeasibleError, match="^C2: "):
+        adaptive_slots(cfg)
+
+
 def test_invalid_config_rejected_with_constraint_name():
     cfg = reference_config(n_active=10, lam=1.0)  # below lambda_min=2
     with pytest.raises(InfeasibleError, match="C4"):
@@ -167,6 +193,13 @@ def test_brute_force_filters_to_feasible_range():
     ns = [n for n, _ in result.curve]
     assert min(ns) == math.ceil(cfg.traffic.lam)
     assert max(ns) == adaptive_slots(cfg).n_practical
+
+
+def test_brute_force_drops_zero_slots_at_zero_rate():
+    cfg = reference_config(n_active=10, lam=0.0)
+    cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0), delta_slack=3.0)
+    result = brute_force_slots(cfg, [0, 1, 2, 3])
+    assert [n for n, _ in result.curve] == [1, 2, 3]
 
 
 def test_brute_force_empty_range():

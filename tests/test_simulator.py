@@ -26,7 +26,6 @@ from musalink.simulator import (
     code_pool,
     estimate_coverage,
     generate_traffic,
-    make_slot,
     mmse_weights,
     run_frame,
     sample_deployment,
@@ -317,8 +316,18 @@ def test_sic_decode_order_is_nondecreasing_distance():
         for members in per_slot.values():
             ids = np.array([m[0] for m in members])
             codes = np.array([m[1] for m in members])
-            slot = make_slot(cfg, pool, ids, radii[ids], codes,
-                             np.ones(len(ids)), rng)
+            k, j = len(ids), cfg.frame.n_subcarriers
+            fading = (rng.standard_normal((k, j))
+                      + 1j * rng.standard_normal((k, j))) / math.sqrt(2.0)
+            slot = SlotRealization(
+                device_ids=ids,
+                radii=radii[ids],
+                path_gain=_path_gain(cfg, radii[ids]),
+                fading=fading,
+                code_indices=codes,
+                code_vectors=pool[codes],
+                powers=np.ones(k),
+            )
             outcome = sic_decode(slot, theta=1.0, noise_power=1e-13)
             decoded_ids = [dev for dev, _ in outcome.sinr_trace][: int(outcome.decoded.sum())]
             dist = {int(d): float(r) for d, r in zip(slot.device_ids, slot.radii)}
