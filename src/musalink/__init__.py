@@ -9,6 +9,7 @@ simulator that serves as the ground truth for the analytics.
 from .analytic import (
     CoverageReport,
     IntensitySet,
+    QuadratureError,
     SlotStatistics,
     collision_free_prob,
     conditional_coverage,
@@ -41,16 +42,12 @@ from .config import (
 )
 from .optimizer import (
     BruteForceResult,
-    EoIDecision,
     InfeasibleError,
     OptimizerOutput,
     adaptive_slots,
     brute_force_slots,
-    detect_eoi,
-    estimate_lambda_hat,
     solve_n_epsilon,
 )
-from .quadrature import QuadratureError, QuadratureResult, adaptive_simpson
 from .shortpacket import (
     BlocklengthPoint,
     error_prob_ln_form,

@@ -18,8 +18,8 @@ nodes (:func:`_gauss_jacobi`: one tridiagonal eigenvalue solve per rule
 and one Newton step), serves all ranks, and the coverage kernel is
 evaluated once on its nodes (:func:`_ranks_coverage`).  The difference
 between the n- and 2n-node sums is the reported quadrature error.
-:func:`musalink.quadrature.adaptive_simpson` is kept as the test oracle
-for both.
+The tests check both against an adaptive Simpson oracle kept outside
+the package, in ``tests/simpson.py``.
 
 All functions are pure; the interference field is parameterized by an
 :class:`IntensitySet` so the transforms can be exercised with arbitrary
@@ -35,9 +35,9 @@ import numpy as np
 from scipy.special import eval_jacobi, hyp2f1, pdtr, pdtrc
 
 from .config import Scenario, SystemConfig
-from .quadrature import QuadratureError
 
 __all__ = [
+    "QuadratureError",
     "IntensitySet",
     "SlotStatistics",
     "CoverageReport",
@@ -57,6 +57,19 @@ __all__ = [
 # with twice as many nodes gives the value, and the difference of the two
 # its error estimate.
 _OUTER_NODES = 16
+
+
+class QuadratureError(RuntimeError):
+    """A Gauss-Jacobi rule failed to build or its sum came out non-finite.
+
+    Carries the best available estimate so callers can report partial
+    results.
+    """
+
+    def __init__(self, message: str, value: float, error_estimate: float):
+        super().__init__(message)
+        self.value = value
+        self.error_estimate = error_estimate
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .analytic import frame_coverage_prob
+from .analytic import QuadratureError, frame_coverage_prob
 from .config import (
     ConfigError,
     SystemConfig,
@@ -34,7 +34,6 @@ from .config import (
     serialize_config,
 )
 from .optimizer import InfeasibleError, adaptive_slots, brute_force_slots
-from .quadrature import QuadratureError
 from .simulator import Scheme, estimate_coverage
 
 EXIT_OK = 0
@@ -43,7 +42,7 @@ EXIT_CONFIG = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERIC = 5
 
-# the sweep axes and the smallest value each takes
+# the sweep axes and the smallest value each takes; an int marks an integer axis
 _SWEEP_AXES = {"lambda": 0.0, "n_active": 1, "n_slots": 1}
 
 
@@ -79,7 +78,8 @@ def _with_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
 def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
     """Expand ``start:stop:step`` into start, start + step, ... up to stop.
 
-    A range that starts below ``minimum`` is refused.
+    A range with a non-finite value or one that starts below ``minimum``
+    is refused.
     """
     try:
         start, stop, step = (float(v) for v in text.split(":"))
@@ -87,6 +87,8 @@ def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
         raise argparse.ArgumentTypeError(
             f"range must look like start:stop:step, got {text!r}"
         ) from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"range values must be finite, got {text!r}")
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be > 0")
     values = []
@@ -104,9 +106,11 @@ def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
 
 
 def _at_least(minimum, convert=int):
-    """Argument type: ``convert(text)``, refused below ``minimum``."""
+    """Argument type: ``convert(text)``, refused if non-finite or below ``minimum``."""
     def parse(text: str):
         value = convert(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {text!r}")
         return value
@@ -136,7 +140,15 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     axis = axis.strip()
     if axis not in _SWEEP_AXES:
         raise argparse.ArgumentTypeError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
-    return axis, _expand_range(rng, _SWEEP_AXES[axis])
+    minimum = _SWEEP_AXES[axis]
+    values = _expand_range(rng, minimum)
+    if isinstance(minimum, int):
+        fractional = [v for v in values if not v.is_integer()]
+        if fractional:
+            raise argparse.ArgumentTypeError(
+                f"{axis} values must be integers, got {fractional[0]:g}"
+            )
+    return axis, values
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -263,8 +275,9 @@ def cmd_optimize(args) -> int:
     if args.brute_points > 0:
         import numpy as np
 
-        lo = max(1, int(np.ceil(cfg.traffic.lam)))
-        grid = {int(round(v)) for v in np.linspace(lo, out.n_practical, args.brute_points)}
+        grid = {
+            int(round(v)) for v in np.linspace(out.n_min, out.n_practical, args.brute_points)
+        }
         grid.add(out.n_practical)
         result = brute_force_slots(cfg, sorted(grid))
         p_at_choice = dict(result.curve)[out.n_practical]

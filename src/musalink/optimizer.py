@@ -1,4 +1,4 @@
-"""Adaptive slot-count selection, optimality oracle and burst detection.
+"""Adaptive slot-count selection and its optimality oracle.
 
 The slot count maximizing frame coverage under the latency and
 reliability constraints sits on the boundary of the feasible region:
@@ -7,8 +7,7 @@ slot count still meeting the short-packet error target (C3), whichever
 is smaller.  The C3 bound is the positive root of a quadratic in
 sqrt(n), in closed form, with its residual checked against
 ``error_prob_ln_form``.  A brute-force sweep of the analytic coverage
-curve serves as the independent optimality oracle.  Burst detection
-(``detect_eoi``, ``estimate_lambda_hat``) is library-only: the proposed
+curve serves as the independent optimality oracle.  The proposed
 scheme takes its slot count from the configured rate.
 """
 
@@ -26,17 +25,12 @@ from .shortpacket import LN2, error_prob_ln_form, max_snr_proxy
 
 __all__ = [
     "OptimizerOutput",
-    "EoIDecision",
     "BruteForceResult",
     "InfeasibleError",
     "solve_n_epsilon",
     "adaptive_slots",
     "brute_force_slots",
-    "detect_eoi",
-    "estimate_lambda_hat",
 ]
-
-DEFAULT_HYPOTHESIS_MAX = 10  # default top packet rate tested for a burst
 
 
 class InfeasibleError(RuntimeError):
@@ -56,14 +50,7 @@ class OptimizerOutput:
     n_epsilon_bound: float  # reliability bound (C3)
     binding: str            # "C1" or "C3"
     residual: float         # |error(n_epsilon) - epsilon_max|
-
-
-@dataclass(frozen=True)
-class EoIDecision:
-    """Outcome of the burst (event-of-interest) detection."""
-    lambda_bar: float       # observed mean packets per active device
-    lambda_hat: int         # estimated Poisson rate (1 when no burst)
-    emergency: bool
+    n_min: int              # smallest feasible slot count, max(1, ceil(lam))
 
 
 @dataclass(frozen=True)
@@ -145,7 +132,8 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
     )
     n_star = min(n_lambda, n_epsilon)
     n_practical = math.floor(n_star)
-    if n_practical < max(1, cfg.traffic.lam):
+    n_min = max(1, math.ceil(cfg.traffic.lam))
+    if n_practical < n_min:
         raise InfeasibleError(
             "C2",
             f"practical slot count {n_practical} below one slot or the mean "
@@ -159,6 +147,7 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
         n_epsilon_bound=n_epsilon,
         binding=binding,
         residual=residual,
+        n_min=n_min,
     )
 
 
@@ -166,13 +155,12 @@ def brute_force_slots(cfg: SystemConfig, n_range: Iterable[int]) -> BruteForceRe
     """Evaluate analytic coverage at every requested feasible slot count.
 
     The requested values are intersected with the feasible region
-    [max(1, ceil(lam)), floor(min(n_lambda, n_epsilon))]; an empty intersection
+    [n_min, n_practical] of :func:`adaptive_slots`; an empty intersection
     raises :class:`InfeasibleError`.  Ties on the maximum resolve to the
     smallest slot count.
     """
     bounds = adaptive_slots(cfg)
-    lo = max(1, math.ceil(cfg.traffic.lam))
-    hi = bounds.n_practical
+    lo, hi = bounds.n_min, bounds.n_practical
     candidates = sorted({int(n) for n in n_range if lo <= int(n) <= hi})
     if not candidates:
         raise InfeasibleError(
@@ -184,42 +172,3 @@ def brute_force_slots(cfg: SystemConfig, n_range: Iterable[int]) -> BruteForceRe
         curve.append((n, frame_coverage_prob(cfg_n).p_succ))
     best_n, best_p = max(curve, key=lambda item: (item[1], -item[0]))
     return BruteForceResult(best_n=best_n, best_p=best_p, curve=tuple(curve))
-
-
-def estimate_lambda_hat(x: float, m_max: int) -> int:
-    """Integer Poisson rate best explaining an observed mean of x packets.
-
-    Sequential likelihood-ratio tests between consecutive rate hypotheses
-    i and i+1 with unit threshold, equivalently the integer in [2, m_max]
-    maximizing x*ln(i) - i; ties break toward the smaller rate.  The
-    factorial of the (generally non-integer) observation drops out of
-    every ratio.
-    """
-    if x <= 1:
-        raise ValueError("x must exceed 1 (burst traffic)")
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    best_i = 2
-    best_ll = x * math.log(2.0) - 2.0
-    for i in range(3, m_max + 1):
-        ll = x * math.log(i) - i
-        if ll > best_ll:
-            best_i, best_ll = i, ll
-    return best_i
-
-
-def detect_eoi(rho_total: int, n_active: int, m_max: int = DEFAULT_HYPOTHESIS_MAX) -> EoIDecision:
-    """Decide from the frame totals whether burst traffic has started.
-
-    A strict mean of more than one packet per active device flags the
-    emergency mode and triggers the rate estimate; otherwise the rate
-    reports as 1.
-    """
-    if n_active < 1:
-        raise ValueError("n_active must be >= 1")
-    if rho_total < 0:
-        raise ValueError("rho_total must be >= 0")
-    lambda_bar = rho_total / n_active
-    emergency = lambda_bar > 1.0
-    lambda_hat = estimate_lambda_hat(lambda_bar, m_max) if emergency else 1
-    return EoIDecision(lambda_bar=lambda_bar, lambda_hat=lambda_hat, emergency=emergency)

@@ -3,16 +3,20 @@
 The test oracle for the coverage analysis: the analytic module evaluates
 its interference Laplace transforms in closed form and its
 ordered-distance averages by fixed Gauss-Jacobi rules, and the tests check
-both against this quadrature at tight tolerances.  Tolerance is allocated
-proportionally to subinterval length; the returned error estimate is the
-accumulated Richardson estimate and is conservative for smooth integrands.
+both against this quadrature at tight tolerances.  It is a test helper,
+not part of the package; tests import it as ``simpson``, as they import
+``conftest``.  Tolerance is allocated proportionally to subinterval
+length; the returned error estimate is the accumulated Richardson
+estimate and is conservative for smooth integrands.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-__all__ = ["QuadratureResult", "QuadratureError", "adaptive_simpson"]
+from musalink.analytic import QuadratureError
+
+__all__ = ["QuadratureResult", "adaptive_simpson"]
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_DEPTH = 40
@@ -21,19 +25,6 @@ DEFAULT_MAX_DEPTH = 40
 class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
-
-
-class QuadratureError(RuntimeError):
-    """Recursion depth exhausted before reaching the local tolerance.
-
-    Carries the best available estimate so callers can report partial
-    results.
-    """
-
-    def __init__(self, message: str, value: float, error_estimate: float):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:

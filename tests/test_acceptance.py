@@ -25,7 +25,6 @@ from musalink.analytic import (
 from musalink.cli import main
 from musalink.config import default_config, serialize_config
 from musalink.optimizer import adaptive_slots, brute_force_slots, solve_n_epsilon
-from musalink.quadrature import adaptive_simpson
 from musalink.shortpacket import (
     BlocklengthPoint,
     error_prob_ln_form,
@@ -35,6 +34,7 @@ from musalink.shortpacket import (
 from musalink.simulator import Scheme, estimate_coverage, mmse_weights, sic_decode
 
 from conftest import reference_config
+from simpson import adaptive_simpson
 from test_analytic import (
     collision_mc,
     interference_laplace_mc,

@@ -10,6 +10,7 @@ from scipy.special import gammaln
 from musalink import analytic
 from musalink.analytic import (
     IntensitySet,
+    QuadratureError,
     _campbell_exponent,
     collision_free_prob,
     conditional_coverage,
@@ -21,9 +22,9 @@ from musalink.analytic import (
     slot_occupancy_prob,
     slot_statistics,
 )
-from musalink.quadrature import QuadratureError, adaptive_simpson
 
 from conftest import reference_config
+from simpson import adaptive_simpson
 
 
 # ----------------------------------------------------------------------------

@@ -5,9 +5,17 @@ import math
 
 import pytest
 
+import musalink
 from musalink import cli
 from musalink.analytic import frame_coverage_prob
-from musalink.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_USAGE, _expand_range, main
+from musalink.cli import (
+    EXIT_CONFIG,
+    EXIT_INFEASIBLE,
+    EXIT_NUMERIC,
+    EXIT_USAGE,
+    _expand_range,
+    main,
+)
 from musalink.config import default_config, serialize_config
 from musalink.simulator import Scheme, estimate_coverage
 
@@ -173,7 +181,8 @@ def test_range_expansion():
     assert _expand_range("2:10:2") == [2.0, 4.0, 6.0, 8.0, 10.0]
     assert _expand_range("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     assert _expand_range("4:4:1") == [4.0]
-    for bad in ("5:2:1", "1:2:0", "1:2", "a:b:c"):
+    for bad in ("5:2:1", "1:2:0", "1:2", "a:b:c",
+                "2:3:nan", "nan:3:1", "2:inf:1", "-inf:2:1", "2:3:inf"):
         with pytest.raises(argparse.ArgumentTypeError):
             _expand_range(bad)
 
@@ -296,6 +305,20 @@ def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value, kind):
     (["compare", "--seed", "-1"], "--seed", "must be >= 0, got '-1'"),
     (["validate", "--seed", "-3"], "--seed", "must be >= 0, got '-3'"),
     (["optimize", "--brute-points", "-1"], "--brute-points", "must be >= 0, got '-1'"),
+    (["analytic", "--sweep", "n_slots=1.5:3.5:1"], "--sweep",
+     "n_slots values must be integers, got 1.5"),
+    (["analytic", "--sweep", "n_active=2.5:3.5:1"], "--sweep",
+     "n_active values must be integers, got 2.5"),
+    (["analytic", "--sweep", "n_slots=1:2:0.5"], "--sweep",
+     "n_slots values must be integers, got 1.5"),
+    (["analytic", "--sweep", "lambda=2:3:nan"], "--sweep",
+     "range values must be finite, got '2:3:nan'"),
+    (["analytic", "--sweep", "lambda=2:inf:1"], "--sweep",
+     "range values must be finite, got '2:inf:1'"),
+    (["compare", "--lambdas", "2:inf:1"], "--lambdas",
+     "range values must be finite, got '2:inf:1'"),
+    (["validate", "--lambdas", "nan"], "--lambdas", "must be finite, got 'nan'"),
+    (["validate", "--lambdas", "2,inf"], "--lambdas", "must be finite, got 'inf'"),
 ])
 def test_out_of_range_option_usage_error(cfg_file, capsys, argv, flag, message):
     with pytest.raises(SystemExit) as info:
@@ -328,6 +351,17 @@ def test_nonpositive_worker_count_usage_error(cfg_file, capsys, monkeypatch, val
     assert [line for line in err.splitlines() if "error:" in line] == [
         f"musalink: error: MUSALINK_WORKERS must be >= 1, got {value!r}"
     ]
+    assert "Traceback" not in err
+
+
+def test_numerical_failure_exit_code(cfg_file, capsys, monkeypatch):
+    def fail(cfg):
+        raise musalink.QuadratureError("non-finite Gauss-Jacobi sum", math.nan, math.nan)
+
+    monkeypatch.setattr(cli, "frame_coverage_prob", fail)
+    assert main(["analytic", "--config", cfg_file]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical failure: non-finite Gauss-Jacobi sum"]
     assert "Traceback" not in err
 
 

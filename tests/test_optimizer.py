@@ -1,4 +1,4 @@
-"""Slot-count optimization: root solver, bounds, oracle and burst detection."""
+"""Slot-count optimization: root solver, bounds and oracle."""
 
 import math
 from dataclasses import replace
@@ -11,8 +11,6 @@ from musalink.optimizer import (
     InfeasibleError,
     adaptive_slots,
     brute_force_slots,
-    detect_eoi,
-    estimate_lambda_hat,
     solve_n_epsilon,
 )
 from musalink.shortpacket import error_prob_ln_form, max_snr_proxy
@@ -207,58 +205,3 @@ def test_brute_force_empty_range():
     with pytest.raises(InfeasibleError):
         brute_force_slots(cfg, [1, 2, 3])  # all below ceil(lam)
 
-
-# ----------------------------------------------------------------------------
-#  Burst detection
-# ----------------------------------------------------------------------------
-
-def test_detect_eoi_flags_burst():
-    decision = detect_eoi(30, 10)
-    assert decision.lambda_bar == pytest.approx(3.0)
-    assert decision.emergency
-    assert decision.lambda_hat == 3
-
-
-def test_detect_eoi_boundary_is_strict():
-    decision = detect_eoi(10, 10)
-    assert decision.lambda_bar == pytest.approx(1.0)
-    assert not decision.emergency
-    assert decision.lambda_hat == 1
-
-
-def test_detect_eoi_idle():
-    decision = detect_eoi(0, 10)
-    assert decision.lambda_bar == 0.0
-    assert not decision.emergency
-
-
-def test_lambda_hat_enumeration_oracle():
-    # maximize i^x e^-i over the hypothesis range
-    for x in (3.0, 2.0, 4.7, 9.2):
-        weights = [(i, x * math.log(i) - i) for i in range(2, 11)]
-        expected = max(weights, key=lambda t: (t[1], -t[0]))[0]
-        assert estimate_lambda_hat(x, 10) == expected
-    assert estimate_lambda_hat(3.0, 10) == 3
-    assert estimate_lambda_hat(2.0, 10) == 2
-
-
-def test_lambda_hat_pairwise_ratio_oracle():
-    # the x=2.5 decision via the consecutive likelihood ratio e*(i/(i+1))^x
-    x = 2.5
-    i = 2
-    while i < 10 and math.e * (i / (i + 1)) ** x < 1.0:
-        i += 1
-    assert estimate_lambda_hat(x, 10) == i
-
-
-def test_lambda_hat_monotone_in_observation():
-    xs = np.linspace(1.0001, 12.0, 1000)
-    values = [estimate_lambda_hat(float(x), 12) for x in xs]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-def test_lambda_hat_domain():
-    with pytest.raises(ValueError):
-        estimate_lambda_hat(1.0, 10)
-    with pytest.raises(ValueError):
-        estimate_lambda_hat(2.0, 1)

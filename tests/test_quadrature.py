@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from musalink.analytic import QuadratureError
 from musalink.config import default_config
-from musalink.quadrature import QuadratureError, adaptive_simpson
+
+from simpson import adaptive_simpson
 
 
 def test_polynomial_exact():
