@@ -14,6 +14,7 @@ from .analytic import (
     collision_free_prob,
     conditional_coverage,
     frame_coverage_prob,
+    frame_coverage_probs,
     laplace_collided,
     laplace_singleton,
     ordered_distance_pdf,

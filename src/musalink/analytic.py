@@ -21,6 +21,17 @@ between the n- and 2n-node sums is the reported quadrature error.
 The tests check both against an adaptive Simpson oracle kept outside
 the package, in ``tests/simpson.py``.
 
+A sweep is evaluated in batches (:func:`frame_coverage_probs`; a single
+point is the one-point batch, :func:`frame_coverage_prob`).  A batch is
+a run of consecutive points that share a pathloss exponent, bounded by
+``_BATCH_WEIGHTS`` rank weights so its arrays stay small whatever the
+sweep's length.  The slot statistics, the two eigenvalue solves, each
+rule's weighted sums and the report run per point; the recurrence
+coefficients, the Newton step, the log weights, the coverage kernel and
+the rank weights run once over all the batch's nodes.  Every point
+keeps its own rule and its own reduction shapes, so its report is the
+same bits whatever batch it is evaluated in.
+
 All functions are pure; the interference field is parameterized by an
 :class:`IntensitySet` so the transforms can be exercised with arbitrary
 thinned intensities in tests.
@@ -30,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import eval_jacobi, hyp2f1, pdtr, pdtrc
@@ -50,6 +62,7 @@ __all__ = [
     "laplace_collided",
     "conditional_coverage",
     "frame_coverage_prob",
+    "frame_coverage_probs",
 ]
 
 # Nodes of the base Gauss-Jacobi rule of the ordered-distance averages at
@@ -57,6 +70,12 @@ __all__ = [
 # with twice as many nodes gives the value, and the difference of the two
 # its error estimate.
 _OUTER_NODES = 16
+
+# Rank weights (largest rank count x nodes) that one batch of
+# frame_coverage_probs holds; a point with more is evaluated alone.  This
+# bounds a batch's arrays at a few MB whatever the sweep's length or the
+# code pool's size.
+_BATCH_WEIGHTS = 1 << 16
 
 
 class QuadratureError(RuntimeError):
@@ -209,6 +228,17 @@ def slot_statistics(cfg: SystemConfig) -> SlotStatistics:
     return SlotStatistics(p_lam, p_cf, n_s, intensities)
 
 
+def _antiderivative(u, u_a, q, a: float):
+    """F(u) of :func:`_campbell_exponent`, given ``u_a = u**a``.
+
+    ``u``, ``u_a`` and ``q`` may be arrays; ``a`` is one exponent.
+    """
+    if a == 1.0:
+        return q * np.log1p(u / q)
+    b = 1.0 / a
+    return u * hyp2f1(1.0, b, 1.0 + b, -u_a / q)
+
+
 def _campbell_exponent(q, omega: float, u_lo, u_hi, alpha: float):
     """Campbell exponent of a Rayleigh-faded Poisson interference field.
 
@@ -226,16 +256,9 @@ def _campbell_exponent(q, omega: float, u_lo, u_hi, alpha: float):
     but not absolute accuracy, and the transform exp(-exponent) neither.
     """
     a = 0.5 * alpha
-    if a == 1.0:
-        def antiderivative(u):
-            return q * np.log1p(u / q)
-    else:
-        b = 1.0 / a
-
-        def antiderivative(u):
-            return u * hyp2f1(1.0, b, 1.0 + b, -(u**a) / q)
-
-    return math.pi * omega * (antiderivative(u_hi) - antiderivative(u_lo))
+    return math.pi * omega * (
+        _antiderivative(u_hi, u_hi**a, q, a) - _antiderivative(u_lo, u_lo**a, q, a)
+    )
 
 
 def laplace_singleton(
@@ -288,69 +311,119 @@ def laplace_collided(s: float, cfg: SystemConfig, intensities: IntensitySet) -> 
 #  Conditional and frame coverage
 # ----------------------------------------------------------------------------
 
-def _coverage_kernel(cfg: SystemConfig, intensities: IntensitySet):
-    """Return g(t): coverage probability of a device at r_hat = R * sqrt(t).
+def _coverage_kernels(cfgs: Sequence[SystemConfig], intensities: Sequence[IntensitySet]):
+    """Return g(t, point): coverage probability of a device of ``cfgs[point]``
+    at r_hat = R * sqrt(t), elementwise over ``t`` and ``point``.
 
     Combines the fading tail, noise factor and the two interference
-    transforms; independent of the order-statistic rank and vectorised
-    over ``t``.  With u = r_hat^2 + h^2 the transform argument is
-    ``s = theta * u^(alpha/2) / (p_bar * beta)``, so the Campbell parameter
-    ``q = s * p_bar * beta`` is ``theta * u^(alpha/2)``.
+    transforms, each configuration with its own field ``intensities[i]``;
+    independent of the order-statistic rank.  With u = r_hat^2 + h^2 the
+    transform argument is ``s = theta * u^(alpha/2) / (p_bar * beta)``, so
+    the Campbell parameter ``q = s * p_bar * beta`` is ``theta *
+    u^(alpha/2)``, and the antiderivative at the cell edge serves both
+    transforms.  The configurations share one pathloss exponent: numpy's
+    power at a scalar exponent (with its fast paths at 1/2, 1 and 2) can
+    differ in the last bit from the same power at an array of exponents.
     """
-    theta = cfg.reliability.sinr_threshold
-    h2 = cfg.geometry.uav_altitude**2
-    radius2 = cfg.geometry.cell_radius**2
-    alpha = cfg.channel.pathloss_exp
-    noise_per_q = cfg.channel.noise_power / (
-        cfg.mean_packet_power() * cfg.channel.pathloss_coeff
-    )
-    u_edge = radius2 + h2
+    alpha = cfgs[0].channel.pathloss_exp
+    a = 0.5 * alpha
+    rows = []
+    # mean_packet_power reads the power policy and the traffic only, which
+    # the points of a slot-count curve share
+    p_bar = {}
+    for cfg, field in zip(cfgs, intensities, strict=True):
+        if cfg.channel.pathloss_exp != alpha:
+            raise ValueError("a batch of coverage kernels needs one pathloss exponent")
+        radius2 = cfg.geometry.cell_radius**2
+        h2 = cfg.geometry.uav_altitude**2
+        u_edge = radius2 + h2
+        key = (id(cfg.power), id(cfg.traffic))
+        if key not in p_bar:
+            p_bar[key] = cfg.mean_packet_power()
+        noise_per_q = cfg.channel.noise_power / (p_bar[key] * cfg.channel.pathloss_coeff)
+        # scalar powers: numpy's vectorised power may differ from them in the last bit
+        rows.append((radius2, h2, cfg.reliability.sinr_threshold, noise_per_q,
+                     math.pi * field.omega_s, math.pi * field.omega_c,
+                     u_edge, u_edge**a, h2**a))
+    params = np.array(rows).T
 
-    def g(t):
+    def g(t, point):
+        radius2, h2, theta, noise_per_q, pi_omega_s, pi_omega_c, u_edge, u_edge_a, h2_a = (
+            params[:, point]
+        )
         u = radius2 * t + h2
-        q = theta * u ** (0.5 * alpha)
+        u_a = u**a
+        q = theta * u_a
+        f_edge = _antiderivative(u_edge, u_edge_a, q, a)
+        # the Campbell exponents (_campbell_exponent) of the weaker singletons,
+        # from u to the edge, and of the collided devices, over the whole disk
         exponent = (
             q * noise_per_q
-            + _campbell_exponent(q, intensities.omega_s, u, u_edge, alpha)
-            + _campbell_exponent(q, intensities.omega_c, h2, u_edge, alpha)
+            + pi_omega_s * (f_edge - _antiderivative(u, u_a, q, a))
+            + pi_omega_c * (f_edge - _antiderivative(h2, h2_a, q, a))
         )
         return np.exp(-exponent)
 
     return g
 
 
-def _gauss_jacobi(a: float, n: int):
+def _coverage_kernel(cfg: SystemConfig, intensities: IntensitySet):
+    """Return g(t): the coverage kernel of one configuration, a row of
+    :func:`_coverage_kernels`."""
+    g = _coverage_kernels([cfg], [intensities])
+    return lambda t: g(t, 0)
+
+
+def _gauss_jacobi(a, n):
     """Gauss-Jacobi rules with n and 2n nodes for the weight (1-x)^a on [-1, 1].
 
-    ``a > -1``.  Returns ``(x, log_w)``, each of length 3n: the n-node rule
-    followed by the 2n-node rule, with the logarithms of each rule's
-    weights up to a constant per rule.  The nodes are the eigenvalues of
-    the tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 1969; the
-    n-node matrix is the leading block of the 2n-node one) polished by one
-    Newton step.  The weights are proportional to 1/((1 - x^2) P_n'(x)^2):
-    as a -> -1 the last node tends to 1, where P_{n-1} of the equivalent
-    1/(P_{n-1}(x) P_n'(x)) varies fast on the scale of the node's rounding.
+    ``a > -1``.  ``a`` and ``n`` may also be equal-length arrays, one rule
+    pair per entry.  Returns ``(x, log_w)``, each of length 3n per entry,
+    the entries one after another: the n-node rule followed by the 2n-node
+    rule, with the logarithms of each rule's weights up to a constant per
+    rule.  The nodes are the eigenvalues of the tridiagonal Jacobi matrix
+    (Golub & Welsch, Math. Comp. 1969; the n-node matrix is the leading
+    block of the 2n-node one) polished by one Newton step.  The weights are
+    proportional to 1/((1 - x^2) P_n'(x)^2): as a -> -1 the last node tends
+    to 1, where P_{n-1} of the equivalent 1/(P_{n-1}(x) P_n'(x)) varies fast
+    on the scale of the node's rounding.  Only the eigenvalue solves run
+    once per rule; every other step runs once over all entries.
     """
     # scipy.linalg is slow to import, so only analyses load it
     from scipy.linalg.lapack import dsterf
 
-    # recurrence coefficients of the Jacobi polynomials P^(a, 0)
-    j = np.arange(1, 2 * n)
-    s = 2.0 * j + a
-    diag = np.concatenate(([-a / (a + 2.0)], -a * a / (s * (s + 2.0))))
-    off = 2.0 * j * (j + a) / (s * np.sqrt(s * s - 1.0))
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    n = np.atleast_1d(n)
+    # recurrence coefficients of the Jacobi polynomials P^(a, 0): per entry
+    # the diagonal holds 2n terms and the off-diagonal the 2n - 1 of j = 1 .. 2n-1
+    n_off = 2 * n - 1
+    off_start = np.cumsum(n_off) - n_off
+    entry = np.repeat(np.arange(n.size), n_off)
+    j = np.arange(n_off.sum()) - off_start[entry] + 1
+    a_j = a[entry]
+    s = 2.0 * j + a_j
+    diag_start = off_start + np.arange(n.size)
+    diag = np.empty(n_off.sum() + n.size)
+    diag[diag_start] = -a / (a + 2.0)
+    diag[np.arange(j.size) + entry + 1] = -a_j * a_j / (s * (s + 2.0))
+    off = 2.0 * j * (j + a_j) / (s * np.sqrt(s * s - 1.0))
 
-    x = np.empty(3 * n)
-    for cols, m in ((slice(0, n), n), (slice(n, None), 2 * n)):
-        x[cols], info = dsterf(diag[:m], off[: m - 1])
-        if info:
-            raise QuadratureError(
-                f"Gauss-Jacobi nodes: dsterf did not converge (info={info})",
-                math.nan, math.nan,
-            )
-    degree = np.repeat([n, 2 * n], [n, 2 * n])
-    dp = 0.5 * (degree + a + 1.0) * eval_jacobi(degree - 1, a + 1.0, 1.0, x)
-    x -= eval_jacobi(degree, a, 0.0, x) / dp
+    sizes = np.column_stack((n, 2 * n)).ravel()  # nodes of each rule
+    x = np.empty(sizes.sum())
+    start = 0
+    for d, o, base in zip(diag_start.tolist(), off_start.tolist(), n.tolist()):
+        for m in (base, 2 * base):
+            x[start: start + m], info = dsterf(diag[d: d + m], off[o: o + m - 1])
+            if info:
+                raise QuadratureError(
+                    f"Gauss-Jacobi nodes: dsterf did not converge (info={info})",
+                    math.nan, math.nan,
+                )
+            start += m
+    degree = np.repeat(sizes, sizes)
+    a_x = np.repeat(a, 3 * n)
+    dp = 0.5 * (degree + a_x + 1.0) * eval_jacobi(degree - 1, a_x + 1.0, 1.0, x)
+    x -= eval_jacobi(degree, a_x, 0.0, x) / dp
     # Within ~1e-13 of a = -1 the last node rounds to 1, or P_n loses a + 1
     # to the rounding of n + a and the step misplaces it.  The node then
     # carries all but O(a + 1) of the top rank's weight and next to none of
@@ -361,10 +434,19 @@ def _gauss_jacobi(a: float, n: int):
     return x, log_w
 
 
-def _ranks_coverage(n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped conditional coverage of every rank and its error estimate.
+def _rule_size(n_singleton: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank counts K = ceil(n_singleton) and base node counts n of the rule pairs."""
+    n_ranks = np.ceil(n_singleton).astype(np.int64)
+    return n_ranks, _OUTER_NODES + n_ranks // 2
 
-    Rank k = 1..K, K = ceil(n_singleton), averages the kernel under the
+
+def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Clamped conditional coverage of every rank and its error estimate,
+    for each singleton count of ``n_singletons``.
+
+    ``kernel(t, point)`` evaluates the coverage kernel of point ``point``
+    (an index into ``n_singletons``) at ``t``, elementwise.  Rank
+    k = 1..K, K = ceil(n_singleton), averages the kernel under the
     Beta(k, n_singleton - k + 1) law of t.  With t = (1 + x)/2 its density
     is proportional to
 
@@ -379,30 +461,56 @@ def _ranks_coverage(n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]
     polynomial degree is below 2n), and its value is the 2n-node sum.  The
     floor(K/2) growth keeps the n-node rule exact for kernels of degree
     2n - K >= 2 * ``_OUTER_NODES`` - 1 whatever K is.
+
+    The rules, the kernel and the rank weights of all points are evaluated
+    together; each rule's weighted sum runs on its point's own K x m block,
+    so a point's values do not depend on the other points.
     """
-    n_ranks = math.ceil(n_singleton)
-    n = _OUTER_NODES + n_ranks // 2
+    n_s = np.asarray(n_singletons, dtype=float)
+    n_ranks, n = _rule_size(n_s)
     # below n_singleton = 2^-54, f rounds to -1, where the recurrence
     # divides 0 by 0; the rule at the clamp already gives the finite
     # n_singleton -> 0 limit, and no f from n_singleton >= 2^-52 is clamped
-    x, log_w = _gauss_jacobi(max(n_singleton - n_ranks, -1.0 + 2.0**-52), n)
-    k = np.arange(1, n_ranks + 1)[:, None]
-    log_w = log_w + (n_ranks - k) * np.log1p(-x) + (k - 1) * np.log1p(x)
-    g = kernel(0.5 * (1.0 + x))
-    sums = []
-    for cols in (slice(0, n), slice(n, None)):
-        w_k = np.exp(log_w[:, cols] - log_w[:, cols].max(axis=1, keepdims=True))
-        sums.append((w_k @ g[cols]) / w_k.sum(axis=1))
-    coarse, value = sums
+    x, log_w = _gauss_jacobi(np.maximum(n_s - n_ranks, -1.0 + 2.0**-52), n)
+    g = kernel(0.5 * (1.0 + x), np.repeat(np.arange(n.size), 3 * n))
+
+    # the weights of every rank up to the batch's largest K at every node,
+    # one row per rank; each point reads its own first K rows
+    k = np.arange(n_ranks.max())[:, None]  # rank - 1
+    log_w = (log_w + (np.repeat(n_ranks, 3 * n) - 1 - k) * np.log1p(-x)
+             + k * np.log1p(x))
+    cols = np.column_stack((n, 2 * n)).ravel()  # nodes of each rule
+    first = np.cumsum(cols) - cols  # first node of each rule
+    w = np.exp(log_w - np.repeat(np.maximum.reduceat(log_w, first, axis=1), cols, axis=1))
+
+    # each rule's weighted sums over its own K x m block: the same sums over
+    # rows padded to the batch's largest K can differ in the last bit
+    num, den = [], []
+    for r, f, c in zip(np.repeat(n_ranks, 2).tolist(), first.tolist(), cols.tolist()):
+        w_k = w[:r, f: f + c]
+        num.append(w_k.dot(g[f: f + c]))
+        den.append(np.add.reduce(w_k, axis=1))
+    coarse = np.concatenate(num[0::2]) / np.concatenate(den[0::2])
+    value = np.concatenate(num[1::2]) / np.concatenate(den[1::2])
     err = np.abs(value - coarse)
     bad = ~(np.isfinite(value) & np.isfinite(err))
+    rank_start = np.cumsum(n_ranks) - n_ranks
     if bad.any():
         i = int(np.argmax(bad))
+        rank = i - int(rank_start[np.searchsorted(rank_start, i, side="right") - 1]) + 1
         raise QuadratureError(
-            f"conditional coverage rank k={i + 1}: non-finite Gauss-Jacobi sum",
+            f"conditional coverage rank k={rank}: non-finite Gauss-Jacobi sum",
             float(value[i]), float(err[i]),
         )
-    return np.clip(value, 0.0, 1.0), err
+    value = np.clip(value, 0.0, 1.0)
+    return [(value[o: o + r], err[o: o + r])
+            for o, r in zip(rank_start.tolist(), n_ranks.tolist())]
+
+
+def _ranks_coverage(n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """One point's row of :func:`_ranks_coverages`, with its kernel g(t)."""
+    [row] = _ranks_coverages([n_singleton], lambda t, point: kernel(t))
+    return row
 
 
 def _conditional_coverage(k: int, n_singleton: float, kernel) -> tuple[float, float]:
@@ -441,37 +549,80 @@ def conditional_coverage(
     return value
 
 
+def _batches(points: list[int], cfgs: list[SystemConfig], stats: list[SlotStatistics]):
+    """Split ``points``, indices into ``cfgs``, into the runs evaluated together.
+
+    A run shares one pathloss exponent and holds at most ``_BATCH_WEIGHTS``
+    rank weights, its largest rank count times its nodes; a point with more
+    forms a run of its own.
+    """
+    n_ranks, n = _rule_size(np.array([stats[i].n_singleton for i in points]))
+    batch, ranks, nodes = [], 0, 0
+    for i, k, m in zip(points, n_ranks.tolist(), (3 * n).tolist()):
+        alpha = cfgs[i].channel.pathloss_exp
+        if batch and (max(ranks, k) * (nodes + m) > _BATCH_WEIGHTS
+                      or alpha != cfgs[batch[0]].channel.pathloss_exp):
+            yield batch
+            batch, ranks, nodes = [], 0, 0
+        batch.append(i)
+        ranks, nodes = max(ranks, k), nodes + m
+    if batch:
+        yield batch
+
+
+def frame_coverage_probs(cfgs: Iterable[SystemConfig]) -> list[CoverageReport]:
+    """Frame coverage of every configuration, evaluated together.
+
+    Entry i equals ``frame_coverage_prob(cfgs[i])`` bit for bit, whatever
+    the other configurations are.  Consecutive configurations that share a
+    pathloss exponent are evaluated as one batch of at most
+    ``_BATCH_WEIGHTS`` rank weights.  The slot statistics, the eigenvalue
+    solves, each rule's weighted sums and the report run per point; every
+    other step of :func:`_ranks_coverages` runs once per batch.
+    """
+    cfgs = list(cfgs)
+    stats = [slot_statistics(cfg) for cfg in cfgs]
+    # packets per device and frame; one in the non-emergency scenario
+    loads = [1.0 if cfg.traffic.scenario is Scenario.NON_EMERGENCY else cfg.traffic.lam
+             for cfg in cfgs]
+    reports = [None] * len(cfgs)
+    live = []
+    for i, st in enumerate(stats):
+        if loads[i] == 0.0 or st.n_singleton <= 0.0:
+            reports[i] = CoverageReport(0.0, 0.0, st.n_singleton, st.p_lambda, st.p_cf, (), 0.0)
+        else:
+            live.append(i)
+    for batch in _batches(live, cfgs, stats):
+        kernel = _coverage_kernels([cfgs[i] for i in batch],
+                                   [stats[i].intensities for i in batch])
+        n_s = np.array([stats[i].n_singleton for i in batch])
+        rows = _ranks_coverages(n_s, kernel)
+        # every rank up to floor(n_s) counts fully, a fractional top rank by
+        # its fraction n_s - floor(n_s); row j holds point j's weights
+        ranks = np.arange(1, max(len(values) for values, _ in rows) + 1)
+        weights = np.minimum(1.0, n_s[:, None] - (ranks - 1))
+        for j, (i, (values, errs)) in enumerate(zip(batch, rows)):
+            cfg = cfgs[i]
+            total = float(weights[j, : len(values)].dot(values.cumprod()))
+            raw = cfg.frame.n_slots / (cfg.traffic.n_active * loads[i]) * total
+            reports[i] = CoverageReport(
+                p_succ=min(1.0, max(0.0, raw)),
+                p_succ_raw=raw,
+                n_singleton=stats[i].n_singleton,
+                p_lambda=stats[i].p_lambda,
+                p_cf=stats[i].p_cf,
+                conditional_terms=tuple(values.tolist()),
+                quadrature_error_estimate=float(np.add.reduce(errs)),
+            )
+    return reports
+
+
 def frame_coverage_prob(cfg: SystemConfig) -> CoverageReport:
     """Average probability a generated packet is collision-free and covered.
 
     Sums the rank-wise survival products over the (possibly fractional)
     singleton count and normalizes by the mean per-frame packet load; in
-    the non-emergency scenario the load is one packet per device.
+    the non-emergency scenario the load is one packet per device.  The
+    one-point case of :func:`frame_coverage_probs`.
     """
-    stats = slot_statistics(cfg)
-    n_slots = cfg.frame.n_slots
-    n_active = cfg.traffic.n_active
-    lam_eff = (
-        1.0 if cfg.traffic.scenario is Scenario.NON_EMERGENCY else cfg.traffic.lam
-    )
-    if lam_eff == 0.0 or stats.n_singleton <= 0.0:
-        return CoverageReport(0.0, 0.0, stats.n_singleton, stats.p_lambda,
-                              stats.p_cf, (), 0.0)
-
-    n_s = stats.n_singleton
-    values, errs = _ranks_coverage(n_s, _coverage_kernel(cfg, stats.intensities))
-    ranks = np.arange(1, len(values) + 1)
-    # every rank up to floor(n_s) counts fully, a fractional top rank by
-    # its fraction n_s - floor(n_s)
-    weights = np.minimum(1.0, n_s - (ranks - 1))
-    total = float(weights @ np.cumprod(values))
-    raw = n_slots / (n_active * lam_eff) * total
-    return CoverageReport(
-        p_succ=min(1.0, max(0.0, raw)),
-        p_succ_raw=raw,
-        n_singleton=n_s,
-        p_lambda=stats.p_lambda,
-        p_cf=stats.p_cf,
-        conditional_terms=tuple(values.tolist()),
-        quadrature_error_estimate=float(errs.sum()),
-    )
+    return frame_coverage_probs([cfg])[0]

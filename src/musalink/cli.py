@@ -25,7 +25,7 @@ import sys
 import time
 from dataclasses import replace
 
-from .analytic import QuadratureError, frame_coverage_prob
+from .analytic import QuadratureError, frame_coverage_probs
 from .config import (
     ConfigError,
     SystemConfig,
@@ -44,6 +44,9 @@ EXIT_NUMERIC = 5
 
 # the sweep axes and the smallest value each takes; an int marks an integer axis
 _SWEEP_AXES = {"lambda": 0.0, "n_active": 1, "n_slots": 1}
+
+# the most values a start:stop:step range may expand to
+_MAX_RANGE_POINTS = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -78,8 +81,8 @@ def _with_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
 def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
     """Expand ``start:stop:step`` into start, start + step, ... up to stop.
 
-    A range with a non-finite value or one that starts below ``minimum``
-    is refused.
+    A range with a non-finite value, one that starts below ``minimum`` or
+    one of more than ``_MAX_RANGE_POINTS`` values is refused.
     """
     try:
         start, stop, step = (float(v) for v in text.split(":"))
@@ -91,6 +94,12 @@ def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
         raise argparse.ArgumentTypeError(f"range values must be finite, got {text!r}")
     if step <= 0:
         raise argparse.ArgumentTypeError("range step must be > 0")
+    # floor((stop - start)/step) + 1 values, counted before any is made; the
+    # quotient of two finite values may overflow to inf
+    if (stop - start) / step >= _MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range has more than {_MAX_RANGE_POINTS} values, got {text!r}"
+        )
     values = []
     v = start
     while v <= stop + 1e-9 * max(1.0, abs(stop)):
@@ -185,8 +194,8 @@ def cmd_analytic(args) -> int:
     else:
         axis, values = "lambda", [cfg.traffic.lam]
     lines = [f"{axis},p_succ,p_lambda,p_cf,n_singleton"]
-    for value in values:
-        report = frame_coverage_prob(_with_axis(cfg, axis, value))
+    reports = frame_coverage_probs([_with_axis(cfg, axis, value) for value in values])
+    for value, report in zip(values, reports):
         lines.append(
             ",".join(
                 [
@@ -317,26 +326,25 @@ def cmd_validate(args) -> int:
         f"# config_sha256 = {_config_hash(cfg)}",
         "n_active,lambda,p_succ_analytic,p_hat_simulated,ci_halfwidth,gap",
     ]
-    for na in args.n_active:
-        for lam in args.lambdas:
-            cfg_point = _with_axis(_with_axis(cfg, "n_active", na), "lambda", lam)
-            report = frame_coverage_prob(cfg_point)
-            est = estimate_coverage(
-                cfg_point, Scheme.BASELINE, args.trials, args.seed, n_workers=workers
+    grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
+    cfgs = [_with_axis(_with_axis(cfg, "n_active", na), "lambda", lam) for na, lam in grid]
+    for (na, lam), cfg_point, report in zip(grid, cfgs, frame_coverage_probs(cfgs)):
+        est = estimate_coverage(
+            cfg_point, Scheme.BASELINE, args.trials, args.seed, n_workers=workers
+        )
+        gap = abs(report.p_succ - est.p_hat)
+        lines.append(
+            ",".join(
+                [
+                    str(na),
+                    _fmt(lam),
+                    _fmt(report.p_succ),
+                    _fmt(est.p_hat),
+                    _fmt(est.ci_halfwidth),
+                    _fmt(gap),
+                ]
             )
-            gap = abs(report.p_succ - est.p_hat)
-            lines.append(
-                ",".join(
-                    [
-                        str(na),
-                        _fmt(lam),
-                        _fmt(report.p_succ),
-                        _fmt(est.p_hat),
-                        _fmt(est.ci_halfwidth),
-                        _fmt(gap),
-                    ]
-                )
-            )
+        )
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -19,7 +19,7 @@ from typing import Iterable
 
 from scipy.special import ndtri
 
-from .analytic import frame_coverage_prob
+from .analytic import frame_coverage_probs
 from .config import Scenario, SystemConfig, validate_config
 from .shortpacket import LN2, error_prob_ln_form, max_snr_proxy
 
@@ -166,9 +166,9 @@ def brute_force_slots(cfg: SystemConfig, n_range: Iterable[int]) -> BruteForceRe
         raise InfeasibleError(
             "C2", f"no requested slot count falls in the feasible range [{lo}, {hi}]"
         )
-    curve = []
-    for n in candidates:
-        cfg_n = replace(cfg, frame=replace(cfg.frame, n_slots=n))
-        curve.append((n, frame_coverage_prob(cfg_n).p_succ))
+    reports = frame_coverage_probs(
+        replace(cfg, frame=replace(cfg.frame, n_slots=n)) for n in candidates
+    )
+    curve = [(n, report.p_succ) for n, report in zip(candidates, reports)]
     best_n, best_p = max(curve, key=lambda item: (item[1], -item[0]))
     return BruteForceResult(best_n=best_n, best_p=best_p, curve=tuple(curve))

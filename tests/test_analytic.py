@@ -15,6 +15,7 @@ from musalink.analytic import (
     collision_free_prob,
     conditional_coverage,
     frame_coverage_prob,
+    frame_coverage_probs,
     laplace_collided,
     laplace_singleton,
     ordered_distance_pdf,
@@ -22,6 +23,7 @@ from musalink.analytic import (
     slot_occupancy_prob,
     slot_statistics,
 )
+from musalink.config import Scenario
 
 from conftest import reference_config
 from simpson import adaptive_simpson
@@ -723,21 +725,21 @@ def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
     import scipy.linalg.lapack
 
     calls = {"kernel": 0, "dsterf": 0}
-    make_kernel, dsterf = analytic._coverage_kernel, scipy.linalg.lapack.dsterf
+    make_kernel, dsterf = analytic._coverage_kernels, scipy.linalg.lapack.dsterf
 
-    def spy_kernel(cfg, intensities):
-        g = make_kernel(cfg, intensities)
+    def spy_kernel(cfgs, intensities):
+        g = make_kernel(cfgs, intensities)
 
-        def counted(t):
+        def counted(t, point):
             calls["kernel"] += 1
-            return g(t)
+            return g(t, point)
         return counted
 
     def spy_dsterf(*args):
         calls["dsterf"] += 1
         return dsterf(*args)
 
-    monkeypatch.setattr(analytic, "_coverage_kernel", spy_kernel)
+    monkeypatch.setattr(analytic, "_coverage_kernels", spy_kernel)
     monkeypatch.setattr(scipy.linalg.lapack, "dsterf", spy_dsterf)
     rank_counts = []
     for n_active, lam in ((5, 2.0), (20, 8.0), (60, 10.0)):
@@ -779,4 +781,88 @@ def test_non_finite_rank_named_in_quadrature_error():
 
     with pytest.raises(QuadratureError, match=r"rank k=[1-5]: non-finite") as info:
         analytic._ranks_coverage(4.5, kernel)
+    assert math.isnan(info.value.value)
+
+
+# ----------------------------------------------------------------------------
+#  Batched evaluation of many points
+# ----------------------------------------------------------------------------
+
+def mixed_batch():
+    """Points that differ along all three sweep axes, plus the edge cases."""
+    zero = reference_config(n_active=10, lam=0.0)
+    zero = replace(zero, traffic=replace(zero.traffic, lambda_min=0.0))
+    quiet = reference_config(n_active=20, lam=6.0)
+    quiet = replace(quiet, traffic=replace(quiet.traffic, scenario=Scenario.NON_EMERGENCY))
+    return [
+        reference_config(n_active=5, lam=2.0, n_slots=20),
+        reference_config(n_active=20, lam=8.0, n_slots=20),
+        zero,
+        reference_config(n_active=10, lam=3.0, n_slots=40),
+        quiet,
+        replace(zero, traffic=replace(zero.traffic, lam=1e-300)),
+        reference_config(n_active=60, lam=10.0, n_slots=10),  # 24 ranks
+        low_altitude_config(2.0, 1.0),
+        reference_config(n_active=20, lam=6.0, n_slots=6),
+        reference_config(n_active=15, lam=3.0, n_slots=3),
+    ]
+
+
+@pytest.mark.parametrize("budget", [analytic._BATCH_WEIGHTS, 1, 2000])
+def test_batched_reports_equal_single_point_reports(monkeypatch, budget):
+    # the whole report, bit for bit, whatever batch a point lands in: the
+    # default budget takes one batch, 1 one point per batch, 2000 a few
+    cfgs = mixed_batch()
+    singles = [frame_coverage_prob(cfg) for cfg in cfgs]
+    assert singles[2].conditional_terms == () and singles[2].p_succ == 0.0
+    assert [len(singles[i].conditional_terms) for i in (5, 6)] == [1, 24]
+    monkeypatch.setattr(analytic, "_BATCH_WEIGHTS", budget)
+    assert frame_coverage_probs([]) == []
+    for order in (slice(None), slice(None, None, -1), slice(3, 9)):
+        assert frame_coverage_probs(cfgs[order]) == singles[order]
+    # a second pathloss exponent starts a batch of its own
+    steep = [replace(cfg, channel=replace(cfg.channel, pathloss_exp=4.0)) for cfg in cfgs[:2]]
+    mixed = [cfgs[0], steep[0], cfgs[1], steep[1]]
+    assert frame_coverage_probs(mixed) == [singles[0], frame_coverage_prob(steep[0]),
+                                           singles[1], frame_coverage_prob(steep[1])]
+
+
+def test_one_kernel_call_and_rule_pair_per_point_of_a_batch(monkeypatch):
+    import scipy.linalg.lapack
+
+    calls = {"kernel": 0, "dsterf": 0}
+    make_kernel, dsterf = analytic._coverage_kernels, scipy.linalg.lapack.dsterf
+
+    def spy_kernel(cfgs, intensities):
+        g = make_kernel(cfgs, intensities)
+
+        def counted(t, point):
+            calls["kernel"] += 1
+            return g(t, point)
+        return counted
+
+    def spy_dsterf(*args):
+        calls["dsterf"] += 1
+        return dsterf(*args)
+
+    monkeypatch.setattr(analytic, "_coverage_kernels", spy_kernel)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", spy_dsterf)
+    cfgs = mixed_batch()
+    reports = frame_coverage_probs(cfgs)
+    # the zero-rate point needs no rule
+    assert calls == {"kernel": 1, "dsterf": 2 * (len(cfgs) - 1)}
+    assert sum(r.conditional_terms == () for r in reports) == 1
+
+
+def test_non_finite_rank_in_a_batch_named_in_quadrature_error():
+    def kernel(t, point):
+        # finite everywhere except on one node of the third point's 2n-node rule
+        g = 1.0 - t
+        g[np.flatnonzero(point == 2)[-3]] = math.nan
+        return g
+
+    rows = analytic._ranks_coverages([2.5, 0.5, 4.5], lambda t, point: 1.0 - t)
+    assert [len(values) for values, _ in rows] == [3, 1, 5]
+    with pytest.raises(QuadratureError, match=r"rank k=[1-5]: non-finite") as info:
+        analytic._ranks_coverages([2.5, 0.5, 4.5], kernel)
     assert math.isnan(info.value.value)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 import musalink
-from musalink import cli
+from musalink import analytic, cli
 from musalink.analytic import frame_coverage_prob
 from musalink.cli import (
     EXIT_CONFIG,
@@ -182,7 +182,7 @@ def test_range_expansion():
     assert _expand_range("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
     assert _expand_range("4:4:1") == [4.0]
     for bad in ("5:2:1", "1:2:0", "1:2", "a:b:c",
-                "2:3:nan", "nan:3:1", "2:inf:1", "-inf:2:1", "2:3:inf"):
+                "2:3:nan", "nan:3:1", "2:inf:1", "-inf:2:1", "2:3:inf", "0:1e9:1e-3"):
         with pytest.raises(argparse.ArgumentTypeError):
             _expand_range(bad)
 
@@ -319,6 +319,8 @@ def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value, kind):
      "range values must be finite, got '2:inf:1'"),
     (["validate", "--lambdas", "nan"], "--lambdas", "must be finite, got 'nan'"),
     (["validate", "--lambdas", "2,inf"], "--lambdas", "must be finite, got 'inf'"),
+    (["analytic", "--sweep", "lambda=0:1e9:1e-3"], "--sweep",
+     "range has more than 100000 values, got '0:1e9:1e-3'"),
 ])
 def test_out_of_range_option_usage_error(cfg_file, capsys, argv, flag, message):
     with pytest.raises(SystemExit) as info:
@@ -355,14 +357,36 @@ def test_nonpositive_worker_count_usage_error(cfg_file, capsys, monkeypatch, val
 
 
 def test_numerical_failure_exit_code(cfg_file, capsys, monkeypatch):
-    def fail(cfg):
+    def fail(cfgs):
         raise musalink.QuadratureError("non-finite Gauss-Jacobi sum", math.nan, math.nan)
 
-    monkeypatch.setattr(cli, "frame_coverage_prob", fail)
+    monkeypatch.setattr(cli, "frame_coverage_probs", fail)
     assert main(["analytic", "--config", cfg_file]) == EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.splitlines() == ["numerical failure: non-finite Gauss-Jacobi sum"]
     assert "Traceback" not in err
+
+
+def test_numerical_failure_inside_a_sweep_batch_exit_code(cfg_file, capsys, monkeypatch):
+    make_kernel = analytic._coverage_kernels
+
+    def poisoned(cfgs, intensities):
+        g = make_kernel(cfgs, intensities)
+
+        def kernel(t, point):
+            # the second point of the sweep's batch is non-finite everywhere
+            values = g(t, point)
+            values[point == 1] = math.nan
+            return values
+        return kernel
+
+    monkeypatch.setattr(analytic, "_coverage_kernels", poisoned)
+    argv = ["analytic", "--config", cfg_file, "--sweep", "lambda=2:4:1"]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "numerical failure: conditional coverage rank k=1: non-finite Gauss-Jacobi sum"
+    ]
 
 
 def test_config_error_exit_code(tmp_path, capsys):
