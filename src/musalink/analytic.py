@@ -16,7 +16,7 @@ K = ceil(n_singleton) every rank's density is the Jacobi weight
 one pair of rules for that weight, with n = 16 + floor(K/2) and 2n
 nodes (:func:`_gauss_jacobi`: one tridiagonal eigenvalue solve per rule
 and one Newton step), serves all ranks, and the coverage kernel is
-evaluated once on its nodes (:func:`_ranks_coverage`).  The difference
+evaluated once on its nodes (:func:`_ranks_coverages`).  The difference
 between the n- and 2n-node sums is the reported quadrature error.
 The tests check both against an adaptive Simpson oracle kept outside
 the package, in ``tests/simpson.py``.
@@ -328,19 +328,15 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], intensities: Sequence[Intens
     alpha = cfgs[0].channel.pathloss_exp
     a = 0.5 * alpha
     rows = []
-    # mean_packet_power reads the power policy and the traffic only, which
-    # the points of a slot-count curve share
-    p_bar = {}
     for cfg, field in zip(cfgs, intensities, strict=True):
         if cfg.channel.pathloss_exp != alpha:
             raise ValueError("a batch of coverage kernels needs one pathloss exponent")
         radius2 = cfg.geometry.cell_radius**2
         h2 = cfg.geometry.uav_altitude**2
         u_edge = radius2 + h2
-        key = (id(cfg.power), id(cfg.traffic))
-        if key not in p_bar:
-            p_bar[key] = cfg.mean_packet_power()
-        noise_per_q = cfg.channel.noise_power / (p_bar[key] * cfg.channel.pathloss_coeff)
+        noise_per_q = cfg.channel.noise_power / (
+            cfg.mean_packet_power() * cfg.channel.pathloss_coeff
+        )
         # scalar powers: numpy's vectorised power may differ from them in the last bit
         rows.append((radius2, h2, cfg.reliability.sinr_threshold, noise_per_q,
                      math.pi * field.omega_s, math.pi * field.omega_c,
@@ -365,13 +361,6 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], intensities: Sequence[Intens
         return np.exp(-exponent)
 
     return g
-
-
-def _coverage_kernel(cfg: SystemConfig, intensities: IntensitySet):
-    """Return g(t): the coverage kernel of one configuration, a row of
-    :func:`_coverage_kernels`."""
-    g = _coverage_kernels([cfg], [intensities])
-    return lambda t: g(t, 0)
 
 
 def _gauss_jacobi(a, n):
@@ -507,22 +496,6 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
             for o, r in zip(rank_start.tolist(), n_ranks.tolist())]
 
 
-def _ranks_coverage(n_singleton: float, kernel) -> tuple[np.ndarray, np.ndarray]:
-    """One point's row of :func:`_ranks_coverages`, with its kernel g(t)."""
-    [row] = _ranks_coverages([n_singleton], lambda t, point: kernel(t))
-    return row
-
-
-def _conditional_coverage(k: int, n_singleton: float, kernel) -> tuple[float, float]:
-    """Row k of :func:`_ranks_coverage`: its value and error estimate."""
-    if n_singleton <= 0:
-        raise ValueError("n_singleton must be > 0")
-    if not 1 <= k <= math.ceil(n_singleton):
-        raise ValueError(f"k={k} outside [1, ceil(n_singleton)]")
-    value, err = _ranks_coverage(n_singleton, kernel)
-    return float(value[k - 1]), float(err[k - 1])
-
-
 def conditional_coverage(
     k: int,
     cfg: SystemConfig,
@@ -543,10 +516,12 @@ def conditional_coverage(
     all-ranks evaluation :func:`frame_coverage_prob` makes, so the two
     give the same number.
     """
-    value, _ = _conditional_coverage(
-        k, n_singleton, _coverage_kernel(cfg, intensities)
-    )
-    return value
+    if n_singleton <= 0:
+        raise ValueError("n_singleton must be > 0")
+    if not 1 <= k <= math.ceil(n_singleton):
+        raise ValueError(f"k={k} outside [1, ceil(n_singleton)]")
+    [(values, _)] = _ranks_coverages([n_singleton], _coverage_kernels([cfg], [intensities]))
+    return float(values[k - 1])
 
 
 def _batches(points: list[int], cfgs: list[SystemConfig], stats: list[SlotStatistics]):

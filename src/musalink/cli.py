@@ -57,15 +57,15 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _config_hash(cfg: SystemConfig) -> str:
-    return _sha256(serialize_config(cfg))
-
-
 def _read_config(path: str | None) -> SystemConfig:
     if path is None:
         return default_config()
-    with open(path, "rb") as fh:
-        return load_config(fh)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
+    return load_config(data)
 
 
 def _with_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
@@ -163,9 +163,12 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _workers() -> int:
@@ -211,21 +214,20 @@ def cmd_analytic(args) -> int:
     return EXIT_OK
 
 
-def _manifest_lines(cfg: SystemConfig, args, points: list[dict]) -> str:
+def _manifest_lines(cfg: SystemConfig, args, point: dict) -> str:
     serialized = serialize_config(cfg)
     lines = [
         f"manifest.command = {args.command}",
         f"manifest.config_sha256 = {_sha256(serialized)}",
-        f"manifest.seed = {getattr(args, 'seed', '')}",
-        f"manifest.trials = {getattr(args, 'trials', '')}",
+        f"manifest.seed = {args.seed}",
+        f"manifest.trials = {args.trials}",
     ]
     for line in serialized.strip().splitlines():
         if line.startswith("#"):
             continue
         lines.append(f"config.{line}")
-    for i, point in enumerate(points):
-        for key, val in point.items():
-            lines.append(f"point.{i}.{key} = {val}")
+    for key, val in point.items():
+        lines.append(f"point.0.{key} = {val}")
     return "\n".join(lines) + "\n"
 
 
@@ -265,7 +267,7 @@ def cmd_simulate(args) -> int:
             "blocked_failures": str(est.blocked_failures),
             "wall_clock_s": _fmt(elapsed),
         }
-        _write_text(manifest_path, _manifest_lines(cfg, args, [point]))
+        _write_text(manifest_path, _manifest_lines(cfg, args, point))
     return EXIT_OK
 
 
@@ -273,7 +275,7 @@ def cmd_optimize(args) -> int:
     cfg = _read_config(args.config)
     out = adaptive_slots(cfg)
     lines = [
-        f"config_sha256 = {_config_hash(cfg)}",
+        f"config_sha256 = {_sha256(serialize_config(cfg))}",
         f"n_practical = {out.n_practical}",
         f"n_star = {_fmt(out.n_star)}",
         f"n_lambda_bound = {_fmt(out.n_lambda_bound)}",
@@ -323,7 +325,7 @@ def cmd_validate(args) -> int:
     cfg = _read_config(args.config)
     workers = _workers()
     lines = [
-        f"# config_sha256 = {_config_hash(cfg)}",
+        f"# config_sha256 = {_sha256(serialize_config(cfg))}",
         "n_active,lambda,p_succ_analytic,p_hat_simulated,ci_halfwidth,gap",
     ]
     grid = [(na, lam) for na in args.n_active for lam in args.lambdas]

@@ -377,17 +377,16 @@ def load_config(source) -> SystemConfig:
 
     ``source`` may be a text string, a bytes object, or a readable stream.
     Omitted keys take the documented defaults; an empty document yields the
-    default configuration.  Raises :class:`ConfigError` on parse problems
-    (with line context) and on feasibility violations (naming the
-    constraint).
+    default configuration.  Raises :class:`ConfigError` on bytes that are
+    not UTF-8, on parse problems (with line context) and on feasibility
+    violations (naming the constraint).
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text: {exc}") from None
 
     values: dict[str, object] = {}
     for lineno, line in enumerate(io.StringIO(text), start=1):

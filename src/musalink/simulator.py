@@ -351,11 +351,7 @@ class _Block(NamedTuple):
 
 
 def _draw_block(
-    cfg: SystemConfig,
-    scheme: Scheme,
-    rngs: list[np.random.Generator],
-    n_slots: int,
-    packet_power: float,
+    cfg: SystemConfig, scheme: Scheme, rngs: list[np.random.Generator], n_slots: int
 ) -> _Block:
     """Draw a block of frames, frame f from ``rngs[f]``.
 
@@ -398,7 +394,7 @@ def _draw_block(
         counts=counts,
         dropped=counts.sum(axis=1) - n_pkt,
         radii=cfg.geometry.cell_radius * np.sqrt(u[:, :n]),
-        powers=_per_device_power(cfg, scheme, counts, packet_power),
+        powers=_per_device_power(cfg, scheme, counts),
         device=np.repeat(np.arange(counts.size), tx.ravel()),
         slot=slot,
         code=np.concatenate(codes),
@@ -469,11 +465,7 @@ def _sweep_sinr(
 
 
 def _decode_block(
-    cfg: SystemConfig,
-    block: _Block,
-    n_slots: int,
-    pool: np.ndarray,
-    sinr_rule: str,
+    cfg: SystemConfig, block: _Block, n_slots: int, sinr_rule: str
 ) -> np.ndarray:
     """Run the cancellation receiver on every slot of a block of frames.
 
@@ -487,6 +479,7 @@ def _decode_block(
     singletons whose SINR reaches the threshold; a failure blocks the
     slot's remaining singletons.
     """
+    pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     n_frames, n_active = block.counts.shape
     out = np.zeros((n_frames, 4), dtype=np.int64)
     if len(block.device) == 0:
@@ -578,20 +571,18 @@ def _scheme_n_slots(cfg: SystemConfig, scheme: Scheme) -> int:
     return cfg.frame.n_slots
 
 
-def _per_device_power(
-    cfg: SystemConfig, scheme: Scheme, counts: np.ndarray, packet_power: float
-) -> np.ndarray:
+def _per_device_power(cfg: SystemConfig, scheme: Scheme, counts: np.ndarray) -> np.ndarray:
     """Per-packet transmit power of each device under a scheme.
 
-    ``packet_power`` is ``cfg.mean_packet_power()``, evaluated once by
-    the caller: the equal split of PROPOSED and BASELINE.
+    PROPOSED and BASELINE give every packet the equal split
+    ``cfg.mean_packet_power()``, read once per call, so once per block.
     """
     p_max = cfg.power.p_max
     if scheme is Scheme.NAS:
         return np.full(counts.shape, p_max)
     if scheme is Scheme.TPDS:
         return np.where(counts > 0, p_max / np.maximum(counts, 1), 0.0)
-    return np.full(counts.shape, packet_power)
+    return np.full(counts.shape, cfg.mean_packet_power())
 
 
 def run_frame(
@@ -603,17 +594,14 @@ def run_frame(
     """Simulate one transmission frame and aggregate its decode outcomes.
 
     The frame is a block of one, drawn from ``rng`` as frame i of
-    ``estimate_coverage`` draws from its (seed, i) stream.  The scheme's
-    slot count and the per-packet power are derived from the
-    configuration on every call; ``estimate_coverage`` runs many frames
-    with them computed once.
+    ``estimate_coverage`` draws from its (seed, i) stream, with the same
+    scheme slot count and per-packet powers.
     """
     _check_sinr_rule(sinr_rule)
-    pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     n_slots = _scheme_n_slots(cfg, scheme)
-    block = _draw_block(cfg, scheme, [rng], n_slots, cfg.mean_packet_power())
+    block = _draw_block(cfg, scheme, [rng], n_slots)
     decoded, collisions, below, blocked = (
-        int(c) for c in _decode_block(cfg, block, n_slots, pool, sinr_rule)[0]
+        int(c) for c in _decode_block(cfg, block, n_slots, sinr_rule)[0]
     )
     generated = int(block.counts.sum())
     dropped = int(block.dropped[0])
@@ -642,13 +630,12 @@ def _coverage_worker(args) -> tuple[int, ...]:
     blocked) with g and d the packets generated and decoded per frame,
     all exact integers.
     """
-    cfg, scheme, seed, start, stop, n_slots, sinr_rule, packet_power = args
-    pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
+    cfg, scheme, seed, start, stop, n_slots, sinr_rule = args
     sums = [0] * 9
     for lo in range(start, stop, _BLOCK_FRAMES):
         rngs = [_frame_rng(seed, i) for i in range(lo, min(lo + _BLOCK_FRAMES, stop))]
-        block = _draw_block(cfg, scheme, rngs, n_slots, packet_power)
-        outcomes = _decode_block(cfg, block, n_slots, pool, sinr_rule)
+        block = _draw_block(cfg, scheme, rngs, n_slots)
+        outcomes = _decode_block(cfg, block, n_slots, sinr_rule)
         g = block.counts.sum(axis=1)
         d = outcomes[:, 0]
         values = (g.sum(), d.sum(), block.dropped.sum(), g @ g, d @ d, g @ d,
@@ -684,17 +671,18 @@ def estimate_coverage(
     for any worker count or chunking.  The confidence halfwidth is the
     95% normal approximation of the ratio estimator with frames as the
     iid unit (packets of one frame share its deployment and traffic);
-    it is NaN for a single frame.
+    it is NaN for a single frame.  The scheme's slot count is derived once
+    per estimate; each block reads the per-packet power and the code pool
+    from ``cfg`` itself.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     _check_sinr_rule(sinr_rule)
     n_slots = _scheme_n_slots(cfg, scheme)
-    packet_power = cfg.mean_packet_power()
 
     chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
     tasks = [
-        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule, packet_power)
+        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule)
         for start in range(0, n_frames, chunk)
     ]
     if n_workers <= 1:

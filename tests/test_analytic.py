@@ -429,8 +429,8 @@ def test_frame_coverage_zero_rate():
         tiny = replace(cfg, traffic=replace(cfg.traffic, lam=lam))
         report = frame_coverage_prob(tiny)
         assert 0.0 < report.n_singleton < 2.0**-54
-        kernel = analytic._coverage_kernel(tiny, slot_statistics(tiny).intensities)
-        assert report.p_succ == pytest.approx(kernel(np.array([1.0]))[0], abs=1e-12)
+        kernel = analytic._coverage_kernels([tiny], [slot_statistics(tiny).intensities])
+        assert report.p_succ == pytest.approx(kernel(np.array([1.0]), 0)[0], abs=1e-12)
 
 
 def test_frame_coverage_quick_monotonicity_spots():
@@ -697,7 +697,7 @@ def test_shared_rule_exact_for_beta_moments(n_singleton):
     # rank count: the moment is B(k + m, n_singleton - k + 1) / B(k, ...)
     ranks = np.arange(1, math.ceil(n_singleton) + 1)
     for m in range(2 * analytic._OUTER_NODES):
-        values, errs = analytic._ranks_coverage(n_singleton, lambda t: t**m)
+        [(values, errs)] = analytic._ranks_coverages([n_singleton], lambda t, point: t**m)
         exact = [
             math.exp(math.lgamma(k + m) + math.lgamma(n_singleton + 1.0)
                      - math.lgamma(k) - math.lgamma(n_singleton + m + 1.0))
@@ -713,10 +713,10 @@ def test_ranks_continuous_above_integer_counts(k):
     # last node tends to 1; the first k ranks still tend to the k ranks at
     # n_singleton = k, at a slope below 1 (~0.26 here)
     cfg = reference_config()
-    kernel = analytic._coverage_kernel(cfg, slot_statistics(cfg).intensities)
-    at_k, _ = analytic._ranks_coverage(float(k), kernel)
+    kernel = analytic._coverage_kernels([cfg], [slot_statistics(cfg).intensities])
+    [(at_k, _)] = analytic._ranks_coverages([float(k)], kernel)
     for eps in (1e-6, 1e-9, 1e-12, 1e-14, math.nextafter(k, math.inf) - k):
-        above, _ = analytic._ranks_coverage(k + eps, kernel)
+        [(above, _)] = analytic._ranks_coverages([k + eps], kernel)
         assert len(above) == k + 1
         np.testing.assert_allclose(above[:k], at_k, rtol=0, atol=eps + 1e-14)
 
@@ -757,12 +757,10 @@ def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
 def test_batched_ranks_equal_per_rank_values(n_active, lam, n_slots):
     cfg = reference_config(n_active=n_active, lam=lam, n_slots=n_slots)
     stats = slot_statistics(cfg)
-    kernel = analytic._coverage_kernel(cfg, stats.intensities)
+    kernel = analytic._coverage_kernels([cfg], [stats.intensities])
     report = frame_coverage_prob(cfg)
-    per_rank = [
-        analytic._conditional_coverage(k, stats.n_singleton, kernel)
-        for k in range(1, math.ceil(stats.n_singleton) + 1)
-    ]
+    [(values, errs)] = analytic._ranks_coverages([stats.n_singleton], kernel)
+    per_rank = list(zip(values.tolist(), errs.tolist()))
     assert report.conditional_terms == tuple(value for value, _ in per_rank)
     assert report.quadrature_error_estimate == pytest.approx(
         sum(err for _, err in per_rank), rel=1e-12, abs=1e-300
@@ -773,14 +771,14 @@ def test_batched_ranks_equal_per_rank_values(n_active, lam, n_slots):
 
 
 def test_non_finite_rank_named_in_quadrature_error():
-    def kernel(t):
+    def kernel(t, point):
         # finite everywhere except on one node of the 2n-node rule
         g = 1.0 - t
         g[-3] = math.nan
         return g
 
     with pytest.raises(QuadratureError, match=r"rank k=[1-5]: non-finite") as info:
-        analytic._ranks_coverage(4.5, kernel)
+        analytic._ranks_coverages([4.5], kernel)
     assert math.isnan(info.value.value)
 
 

@@ -401,6 +401,29 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
         key = line.split(" = ")[0]
         assert capsys.readouterr().err == f"config error: line 1: unknown key {key!r}\n"
+    # a file that cannot be read or is not UTF-8 text is a config error too
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("# caf\xe9\nframe.n_slots = 20\n".encode("latin-1"))
+    for path in (tmp_path / "missing.cfg", tmp_path, latin1):
+        capsys.readouterr()
+        assert main(["analytic", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("config error:")] == [
+            err.strip()
+        ]
+        assert "Traceback" not in err
+
+
+def test_unwritable_out_usage_error(tmp_path, cfg_file, capsys):
+    out = tmp_path / "no_such_dir" / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["analytic", "--config", cfg_file, "--out", str(out)])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"musalink: error: cannot write {out}: No such file or directory"
+    ]
+    assert "Traceback" not in err
 
 
 def test_non_finite_config_value_exit_code(tmp_path, capsys):

@@ -39,18 +39,24 @@ from conftest import reference_config
 #  Code pool
 # ----------------------------------------------------------------------------
 
-def test_code_pool_unit_norm_and_distinct():
-    pool = code_pool(4, 64)
-    assert pool.shape == (64, 4)
+# 4^9 > 2^16 codes: the pool is drawn by rejection sampling, not a permutation
+POOL_SHAPES = [(4, 64), (9, 64)]
+
+
+@pytest.mark.parametrize("n_subcarriers,pool_size", POOL_SHAPES)
+def test_code_pool_unit_norm_and_distinct(n_subcarriers, pool_size):
+    pool = code_pool(n_subcarriers, pool_size)
+    assert pool.shape == (pool_size, n_subcarriers)
     norms = np.linalg.norm(pool, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
-    as_tuples = {tuple(np.round(row * math.sqrt(8), 6)) for row in pool}
-    assert len(as_tuples) == 64
+    as_tuples = {tuple(np.round(row * math.sqrt(2 * n_subcarriers), 6)) for row in pool}
+    assert len(as_tuples) == pool_size
 
 
-def test_code_pool_deterministic():
-    a = code_pool(4, 64)
-    b = code_pool(4, 64)
+@pytest.mark.parametrize("n_subcarriers,pool_size", POOL_SHAPES)
+def test_code_pool_deterministic(n_subcarriers, pool_size):
+    a = code_pool(n_subcarriers, pool_size)
+    b = code_pool.__wrapped__(n_subcarriers, pool_size)
     assert np.array_equal(a, b)
 
 
@@ -364,9 +370,9 @@ def test_per_device_power_rules(monkeypatch):
     cfg = reference_config(n_active=4, lam=4.0)
     counts = np.array([4, 1, 0, 2])
     p_max = cfg.power.p_max
-    tpds = _per_device_power(cfg, Scheme.TPDS, counts, cfg.mean_packet_power())
+    tpds = _per_device_power(cfg, Scheme.TPDS, counts)
     assert tpds == pytest.approx([p_max / 4, p_max, 0.0, p_max / 2])
-    nas = _per_device_power(cfg, Scheme.NAS, counts, cfg.mean_packet_power())
+    nas = _per_device_power(cfg, Scheme.NAS, counts)
     assert nas == pytest.approx([p_max] * 4)
     # PROPOSED and BASELINE: the receiver sees the analytics' equal split, bit for bit
     seen = []
@@ -517,8 +523,6 @@ def test_power_proxy_evaluated_once_per_estimate(monkeypatch):
     cfg = reference_config(n_active=10, lam=4.0)
     estimate_coverage(cfg, Scheme.BASELINE, 30, seed=2)
     assert sorted(calls) == ["mean_packet_power", "rho_max_proxy"]
-    counts = np.array([4, 1, 0, 2])
-    assert _per_device_power(cfg, Scheme.PROPOSED, counts, 0.002).tolist() == [0.002] * 4
 
 
 # ----------------------------------------------------------------------------
@@ -585,9 +589,7 @@ def test_batched_receiver_matches_scalar_oracle(sinr_rule):
         n_slots = _scheme_n_slots(cfg, scheme)
         for i in range(12):
             stats = run_frame(cfg, scheme, _frame_rng(40, i), sinr_rule=sinr_rule)
-            block = _draw_block(
-                cfg, scheme, [_frame_rng(40, i)], n_slots, cfg.mean_packet_power()
-            )
+            block = _draw_block(cfg, scheme, [_frame_rng(40, i)], n_slots)
             want = oracle_frame(cfg, block, pool, sinr_rule)
             generated = int(block.counts.sum())
             dropped = int(block.dropped[0])
@@ -697,13 +699,11 @@ def test_estimate_coverage_makes_no_linear_solve(monkeypatch):
 
 def test_decode_block_independent_of_block_composition():
     cfg, scheme = parity_cases()[0]
-    pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     n_slots = _scheme_n_slots(cfg, scheme)
-    p_bar = cfg.mean_packet_power()
-    frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)], n_slots, p_bar) for i in range(20)]
-    block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)], n_slots, p_bar)
-    together = _decode_block(cfg, block, n_slots, pool, "conservative")
-    alone = np.vstack([_decode_block(cfg, f, n_slots, pool, "conservative") for f in frames])
+    frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)], n_slots) for i in range(20)]
+    block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)], n_slots)
+    together = _decode_block(cfg, block, n_slots, "conservative")
+    alone = np.vstack([_decode_block(cfg, f, n_slots, "conservative") for f in frames])
     assert together.shape == (20, 4)
     assert np.array_equal(together, alone)
 
@@ -712,13 +712,13 @@ def test_decode_block_independent_of_block_composition():
 #  Block draw against the per-frame sampling laws
 # ----------------------------------------------------------------------------
 
-def oracle_draws(cfg, scheme, rng, n_slots, packet_power):
+def oracle_draws(cfg, scheme, rng, n_slots):
     """One frame drawn by the public sampling laws, in the simulator's order."""
     counts = generate_traffic(cfg, rng)
     radii = sample_deployment(cfg.traffic.n_active, cfg.geometry.cell_radius, rng)
     packets, dropped = assign_slots_codes(counts, n_slots, cfg.frame.code_pool_size, rng)
     z = rng.standard_normal((2, len(packets), cfg.frame.n_subcarriers))
-    powers = _per_device_power(cfg, scheme, counts, packet_power)
+    powers = _per_device_power(cfg, scheme, counts)
     return counts, radii, powers, packets, dropped, (z[0] + 1j * z[1]) / math.sqrt(2.0)
 
 
@@ -743,18 +743,17 @@ def block_draw_cases():
 def test_block_draw_matches_per_frame_oracle(case, n_frames):
     cfg, scheme, must_see = block_draw_cases()[case]
     n_slots = _scheme_n_slots(cfg, scheme)
-    p_bar = cfg.mean_packet_power()
     n = cfg.traffic.n_active
     seen = dict(dropped=0, empty_frames=0, silent_devices=0)
     for first in range(0, 21, n_frames):
         frames = range(first, first + n_frames)
         block_rngs = [_frame_rng(17, i) for i in frames]
-        block = _draw_block(cfg, scheme, block_rngs, n_slots, p_bar)
+        block = _draw_block(cfg, scheme, block_rngs, n_slots)
         frame_of = block.device // n
         for f, i in enumerate(frames):
             rng = _frame_rng(17, i)
             counts, radii, powers, packets, dropped, fading = oracle_draws(
-                cfg, scheme, rng, n_slots, p_bar
+                cfg, scheme, rng, n_slots
             )
             sel = frame_of == f
             assert np.array_equal(block.counts[f], counts)
