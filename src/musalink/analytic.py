@@ -180,34 +180,27 @@ def singleton_count(n_active: int, p_lambda: float, p_cf: float) -> float:
 #  Ordered distance statistics
 # ----------------------------------------------------------------------------
 
-def _order_stat_log_coeff(k: int, n: float) -> float:
-    # Gamma-generalized n! / ((k-1)! (n-k)!) for fractional n
-    return math.lgamma(n + 1.0) - math.lgamma(k) - math.lgamma(n - k + 1.0)
-
-
-def ordered_distance_pdf(k: int, n_singleton: float, radius: float, x: float) -> float:
-    """Density of the k-th smallest horizontal distance among the singletons.
+def ordered_distance_pdf(k: int, n_singleton: int, radius: float, x: float) -> float:
+    """Density of the k-th smallest horizontal distance among n singletons.
 
     Devices are uniform in the serving disk, so a single distance has
-    density 2x/R^2 and CDF x^2/R^2; the order-statistic coefficient is
-    generalized through the Gamma function when ``n_singleton`` is
-    fractional.  For the top rank of a fractional count the density has an
-    integrable divergence at ``x = radius``.
+    density 2x/R^2 and CDF t = x^2/R^2, and the k-th of n has density
+    n!/((k-1)!(n-k)!) * t^(k-1) * (1-t)^(n-k) * 2x/R^2.  ``n_singleton``
+    must be an integral count (5 or 5.0); the coverage engine integrates
+    the same Beta law for fractional mean counts without this function.
     """
-    if n_singleton <= 0:
-        raise ValueError("n_singleton must be > 0")
-    if not 1 <= k <= math.ceil(n_singleton):
-        raise ValueError(f"k={k} outside [1, ceil(n_singleton)={math.ceil(n_singleton)}]")
+    if not (float(n_singleton).is_integer() and n_singleton >= 1):
+        raise ValueError(f"n_singleton must be a positive integer, got {n_singleton!r}")
+    n = int(n_singleton)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, n_singleton={n}]")
     if radius <= 0:
         raise ValueError("radius must be > 0")
     if x < 0 or x > radius:
         raise ValueError("x must lie in [0, radius]")
     t = (x / radius) ** 2
-    beta = n_singleton - k
-    if t == 1.0 and beta < 0:
-        return math.inf
-    coeff = math.exp(_order_stat_log_coeff(k, n_singleton))
-    return coeff * (2.0 * x / radius**2) * t ** (k - 1) * (1.0 - t) ** beta
+    coeff = n * math.comb(n - 1, k - 1)
+    return coeff * (2.0 * x / radius**2) * t ** (k - 1) * (1.0 - t) ** (n - k)
 
 
 # ----------------------------------------------------------------------------

@@ -109,6 +109,8 @@ class ChannelParams:
 
     def invariant_violations(self) -> list[str]:
         out = []
+        if not self.pathloss_coeff > 0:
+            out.append("channel: pathloss_coeff must be > 0")
         if not self.pathloss_exp >= 2:
             out.append("channel: pathloss_exp must be >= 2")
         if not self.noise_power > 0:
@@ -171,25 +173,26 @@ class FrameParams:
         return out
 
 
+# Poisson quantile of lambda that stands in for the per-frame maximum
+# packet count rho_max in the equal power split
+RHO_MAX_QUANTILE = 0.99
+
+
 @dataclass(frozen=True)
 class PowerPolicy:
-    """Per-device power budget and the equal-split proxy.
+    """Per-device power budget.
 
     Which rule splits the budget over a device's packets is fixed by the
-    transmission scheme (``simulator.Scheme``).  ``rho_max_proxy_quantile``
-    sets the deterministic Poisson quantile that stands in for the
-    per-frame maximum packet count in the equal split of
-    :meth:`SystemConfig.mean_packet_power`.
+    transmission scheme (``simulator.Scheme``).  The equal split of
+    :meth:`SystemConfig.mean_packet_power` divides it by the
+    :data:`RHO_MAX_QUANTILE` Poisson quantile of the traffic rate.
     """
     p_max: float = 0.01            # W (10 dBm), per-device power budget
-    rho_max_proxy_quantile: float = 0.99
 
     def invariant_violations(self) -> list[str]:
         out = []
         if not self.p_max > 0:
             out.append("power: p_max must be > 0")
-        if not 0 < self.rho_max_proxy_quantile < 1:
-            out.append("power: rho_max_proxy_quantile must lie in (0, 1)")
         return out
 
 
@@ -227,12 +230,13 @@ class SystemConfig:
     def rho_max_proxy(self) -> int:
         """Deterministic stand-in for the per-frame maximum packet count.
 
-        Poisson quantile of the traffic rate in the emergency scenario,
-        1 in the non-emergency scenario, never below 1.
+        The :data:`RHO_MAX_QUANTILE` Poisson quantile of the traffic rate
+        in the emergency scenario, 1 in the non-emergency scenario, never
+        below 1.
         """
         if self.traffic.scenario is Scenario.NON_EMERGENCY:
             return 1
-        return max(1, _poisson_quantile(self.power.rho_max_proxy_quantile, self.traffic.lam))
+        return max(1, _poisson_quantile(RHO_MAX_QUANTILE, self.traffic.lam))
 
     def mean_packet_power(self) -> float:
         """Equal-split per-packet power: the budget over the rho_max proxy (W).
@@ -336,7 +340,6 @@ _KEY_TABLE: dict[str, tuple[str | None, str, str]] = {
     "frame.n_subcarriers": ("frame", "n_subcarriers", "int"),
     "frame.code_pool_size": ("frame", "code_pool_size", "int"),
     "power.p_max": ("power", "p_max", "watts"),
-    "power.rho_max_proxy_quantile": ("power", "rho_max_proxy_quantile", "float"),
     "reliability.sinr_threshold": ("reliability", "sinr_threshold", "ratio"),
     "reliability.epsilon_max": ("reliability", "epsilon_max", "float"),
     "delta_slack": (None, "delta_slack", "float"),

@@ -1,10 +1,9 @@
 """Finite-blocklength reliability of single-slot short packets.
 
 Normal-approximation error probability for D bits carried in one slot of
-B*T_f/n_s channel uses, in both the base-2 form (explicit dispersion)
-and the natural-log form that checks the residual of the closed-form
-reliability bound; the two coincide when the dispersion equals
-(log2 e)^2.
+B*T_f/n_s channel uses at the AWGN dispersion (log2 e)^2 bits^2, in both
+the base-2 form and the natural-log form that checks the residual of the
+closed-form reliability bound; the two are the same quantity.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
-LOG2_E = math.log2(math.e)
+DISPERSION = math.log2(math.e) ** 2  # AWGN channel dispersion, bits^2
 
 
 def q_function(x: float) -> float:
@@ -36,20 +35,17 @@ def q_function(x: float) -> float:
 
 @dataclass(frozen=True)
 class BlocklengthPoint:
-    """One operating point of the finite-blocklength error model."""
+    """One operating point of the error model, at dispersion :data:`DISPERSION`."""
     sinr: float           # linear SINR at the receiver
     n_slots: float        # slots per frame (real-relaxed)
     channel_uses: float   # bandwidth-time product B * T_f of the frame
     packet_bits: int      # payload bits per packet
-    dispersion: float = LOG2_E**2
 
     def __post_init__(self):
         if self.n_slots <= 0:
             raise ValueError("n_slots must be > 0")
         if self.channel_uses / self.n_slots < 1.0:
             raise ValueError("need at least one channel use per slot")
-        if self.dispersion <= 0:
-            raise ValueError("dispersion must be > 0")
         if self.packet_bits < 1:
             raise ValueError("packet_bits must be a positive integer")
 
@@ -59,7 +55,7 @@ def packet_error_prob(pt: BlocklengthPoint) -> float:
     if pt.sinr <= 0:
         raise ValueError("sinr must be > 0")
     rate = pt.packet_bits * pt.n_slots / pt.channel_uses  # bits per channel use
-    arg = math.sqrt(pt.channel_uses / (pt.dispersion * pt.n_slots)) * (
+    arg = math.sqrt(pt.channel_uses / (DISPERSION * pt.n_slots)) * (
         math.log2(1.0 + pt.sinr) - rate
     )
     return q_function(arg)
@@ -70,7 +66,7 @@ def error_prob_ln_form(
 ) -> float:
     """Natural-log form of the error probability behind the reliability bound.
 
-    Identical to :func:`packet_error_prob` with dispersion (log2 e)^2.
+    The same quantity as :func:`packet_error_prob`, in natural logarithms.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")

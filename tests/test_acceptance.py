@@ -122,7 +122,6 @@ def test_criterion_2_monotonicity_suite():
 
 def test_criterion_3_short_packet_identity_and_trends():
     b, t_f, d = 5e6, 1e-3, 200
-    v = math.log2(math.e) ** 2
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(100):
@@ -131,7 +130,7 @@ def test_criterion_3_short_packet_identity_and_trends():
         ln_form = error_prob_ln_form(gamma, n, b, t_f, d)
         base2 = packet_error_prob(
             BlocklengthPoint(sinr=gamma, n_slots=n, channel_uses=b * t_f,
-                             packet_bits=d, dispersion=v)
+                             packet_bits=d)
         )
         worst = max(worst, abs(ln_form - base2))
     identity_ok = worst <= 1e-12
@@ -140,7 +139,7 @@ def test_criterion_3_short_packet_identity_and_trends():
     eps_n = [
         packet_error_prob(
             BlocklengthPoint(sinr=1.0, n_slots=n, channel_uses=b * t_f,
-                             packet_bits=d, dispersion=v)
+                             packet_bits=d)
         )
         for n in range(2, 51)
     ]
@@ -149,7 +148,7 @@ def test_criterion_3_short_packet_identity_and_trends():
     eps_g = [
         packet_error_prob(
             BlocklengthPoint(sinr=g, n_slots=20, channel_uses=b * t_f,
-                             packet_bits=d, dispersion=v)
+                             packet_bits=d)
         )
         for g in (0.5, 1.0, 2.0, 3.16, 5.0, 10.0)
     ]

@@ -209,6 +209,7 @@ def test_distance_pdf_matches_order_statistic_sampling():
 
 
 def test_distance_pdf_domain_errors():
+    assert ordered_distance_pdf(2, 5.0, 50.0, 10.0) == ordered_distance_pdf(2, 5, 50.0, 10.0)
     with pytest.raises(ValueError):
         ordered_distance_pdf(0, 5, 50.0, 10.0)
     with pytest.raises(ValueError):
@@ -217,6 +218,8 @@ def test_distance_pdf_domain_errors():
         ordered_distance_pdf(1, 5, 50.0, 51.0)
     with pytest.raises(ValueError):
         ordered_distance_pdf(1, 5, 50.0, -1.0)
+    with pytest.raises(ValueError):
+        ordered_distance_pdf(1, 3.4, 50.0, 10.0)
 
 
 # ----------------------------------------------------------------------------
@@ -757,16 +760,14 @@ def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
 def test_batched_ranks_equal_per_rank_values(n_active, lam, n_slots):
     cfg = reference_config(n_active=n_active, lam=lam, n_slots=n_slots)
     stats = slot_statistics(cfg)
-    kernel = analytic._coverage_kernels([cfg], [stats.intensities])
     report = frame_coverage_prob(cfg)
-    [(values, errs)] = analytic._ranks_coverages([stats.n_singleton], kernel)
-    per_rank = list(zip(values.tolist(), errs.tolist()))
-    assert report.conditional_terms == tuple(value for value, _ in per_rank)
+    for k, value in enumerate(report.conditional_terms, start=1):
+        oracle = conditional_coverage_simpson(k, cfg, stats.n_singleton, stats.intensities)
+        assert value == pytest.approx(oracle, abs=1e-10), f"k={k}"
+    kernel = analytic._coverage_kernels([cfg], [stats.intensities])
+    [(_, errs)] = analytic._ranks_coverages([stats.n_singleton], kernel)
     assert report.quadrature_error_estimate == pytest.approx(
-        sum(err for _, err in per_rank), rel=1e-12, abs=1e-300
-    )
-    assert report.conditional_terms[0] == conditional_coverage(
-        1, cfg, stats.n_singleton, stats.intensities
+        sum(errs.tolist()), rel=1e-12, abs=1e-300
     )
 
 

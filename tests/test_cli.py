@@ -395,7 +395,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
     # keys outside the table are refused by name, never silently ignored
     for line in ("power.mode = fixed", "power.exact_rho_max = true",
-                 "reliability.dispersion = 9.0", "traffic.tail_truncation = 40"):
+                 "reliability.dispersion = 9.0", "traffic.tail_truncation = 40",
+                 "power.rho_max_proxy_quantile = 0.9"):
         broken.write_text(line + "\n")
         capsys.readouterr()
         assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
@@ -412,6 +413,16 @@ def test_config_error_exit_code(tmp_path, capsys):
             err.strip()
         ]
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-4000 dB"])
+def test_nonpositive_pathloss_coeff_config_error(tmp_path, capsys, value):
+    # -4000 dB underflows to a linear 0
+    broken = tmp_path / "pathloss.cfg"
+    broken.write_text(f"channel.pathloss_coeff = {value}\n")
+    assert main(["analytic", "--config", str(broken)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: channel: pathloss_coeff must be > 0\n"
 
 
 def test_unwritable_out_usage_error(tmp_path, cfg_file, capsys):

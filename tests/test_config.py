@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from musalink import config
 from musalink.config import (
     ConfigError,
     Scenario,
@@ -93,7 +94,8 @@ def test_parse_error_carries_line_context():
     with pytest.raises(ConfigError, match="line 2"):
         load_config("traffic.lambda = 4\nnot a key value line\n")
     for key in ("traffic.bogus", "power.mode", "power.exact_rho_max",
-                "reliability.dispersion", "traffic.tail_truncation"):
+                "reliability.dispersion", "traffic.tail_truncation",
+                "power.rho_max_proxy_quantile"):
         with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
             load_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1"):
@@ -139,6 +141,10 @@ def test_validate_reports_type_invariants():
     cfg = default_config()
     cfg = replace(cfg, channel=replace(cfg.channel, noise_power=0.0))
     assert any("noise_power" in issue for issue in validate_config(cfg))
+    for coeff in (0.0, -1.0):
+        cfg = default_config()
+        cfg = replace(cfg, channel=replace(cfg.channel, pathloss_coeff=coeff))
+        assert validate_config(cfg) == ["channel: pathloss_coeff must be > 0"]
     cfg = default_config()
     cfg = replace(cfg, frame=replace(cfg.frame, n_subcarriers=2, code_pool_size=64))
     assert any("code_pool_size" in issue for issue in validate_config(cfg))
@@ -189,13 +195,10 @@ def test_poisson_helpers_equal_scipy_stats():
     cfg = default_config()
     for lam in lams:
         for q in quantiles:
-            varied = replace(
-                cfg,
-                traffic=replace(cfg.traffic, lam=float(lam)),
-                power=replace(cfg.power, rho_max_proxy_quantile=q),
-            )
-            expected = max(1, int(sps.poisson.ppf(q, lam)))
-            assert varied.rho_max_proxy() == expected, (lam, q)
+            expected = int(sps.poisson.ppf(q, lam))
+            assert config._poisson_quantile(q, float(lam)) == expected, (lam, q)
+        varied = replace(cfg, traffic=replace(cfg.traffic, lam=float(lam)))
+        assert varied.rho_max_proxy() == max(1, int(sps.poisson.ppf(0.99, lam))), lam
 
 
 def run_fresh_interpreter(code: str) -> str:

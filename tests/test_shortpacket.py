@@ -49,7 +49,7 @@ def test_q_function_matches_series_oracle():
 
 def point(gamma, n_slots):
     return BlocklengthPoint(
-        sinr=gamma, n_slots=n_slots, channel_uses=B * T_F, packet_bits=D, dispersion=V
+        sinr=gamma, n_slots=n_slots, channel_uses=B * T_F, packet_bits=D
     )
 
 
@@ -83,9 +83,6 @@ def test_blocklength_point_invariants():
         BlocklengthPoint(sinr=1.0, n_slots=0.0, channel_uses=5000, packet_bits=D)
     with pytest.raises(ValueError):
         BlocklengthPoint(sinr=1.0, n_slots=8000, channel_uses=5000, packet_bits=D)
-    with pytest.raises(ValueError):
-        BlocklengthPoint(sinr=1.0, n_slots=20, channel_uses=5000, packet_bits=D,
-                         dispersion=0.0)
 
 
 def test_ln_form_base_change_identity_single_point():
