@@ -764,6 +764,7 @@ def test_batched_ranks_equal_per_rank_values(n_active, lam, n_slots):
     for k, value in enumerate(report.conditional_terms, start=1):
         oracle = conditional_coverage_simpson(k, cfg, stats.n_singleton, stats.intensities)
         assert value == pytest.approx(oracle, abs=1e-10), f"k={k}"
+        assert value == conditional_coverage(k, cfg, stats.n_singleton, stats.intensities), f"k={k}"
     kernel = analytic._coverage_kernels([cfg], [stats.intensities])
     [(_, errs)] = analytic._ranks_coverages([stats.n_singleton], kernel)
     assert report.quadrature_error_estimate == pytest.approx(
