@@ -7,11 +7,15 @@ Subcommands
     compare    proposed vs benchmark schemes across traffic rates -> CSV
     validate   analytic vs simulated coverage on an (n_active, lambda) grid
 
-CSV columns are fixed per subcommand and floats are printed at 17
-significant digits so identical invocations produce identical bytes.
-Exit codes: 0 success, 2 usage, 3 configuration, 4 infeasibility,
-5 numerical failure.  MUSALINK_WORKERS, a positive integer, overrides the
-worker count.
+Each command builds its rows as mappings keyed by column name, and one
+writer renders them: a column named like a result field (of
+``CoverageEstimate``, ``CoverageReport`` or ``OptimizerOutput``) holds that
+field.  Floats are printed at 17 significant digits, everything else by
+``str``, so identical invocations produce identical bytes.  ``--trials``
+and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
+compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
+4 infeasibility, 5 numerical failure.  MUSALINK_WORKERS, a positive
+integer, overrides the worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 from .analytic import QuadratureError, frame_coverage_probs
 from .config import (
@@ -32,6 +35,7 @@ from .config import (
     default_config,
     load_config,
     serialize_config,
+    with_values,
 )
 from .optimizer import InfeasibleError, adaptive_slots, brute_force_slots
 from .simulator import Scheme, estimate_coverage
@@ -42,15 +46,23 @@ EXIT_CONFIG = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERIC = 5
 
-# the sweep axes and the smallest value each takes; an int marks an integer axis
-_SWEEP_AXES = {"lambda": 0.0, "n_active": 1, "n_slots": 1}
+# sweep axis -> (config key, smallest value); an int marks an integer axis
+_SWEEP_AXES = {
+    "lambda": ("traffic.lambda", 0.0),
+    "n_active": ("traffic.n_active", 1),
+    "n_slots": ("frame.n_slots", 1),
+}
+
+# the analytic columns after the axis, each a CoverageReport field
+_ANALYTIC_FIELDS = ("p_succ", "p_lambda", "p_cf", "n_singleton")
+
+# the simulate row's fields also written to its manifest
+_MANIFEST_FIELDS = (
+    "p_hat", "ci_halfwidth", "collision_failures", "threshold_failures", "blocked_failures",
+)
 
 # the most values a start:stop:step range may expand to
 _MAX_RANGE_POINTS = 100_000
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _sha256(text: str) -> str:
@@ -66,16 +78,6 @@ def _read_config(path: str | None) -> SystemConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
     return load_config(data)
-
-
-def _with_axis(cfg: SystemConfig, axis: str, value: float) -> SystemConfig:
-    if axis == "lambda":
-        return replace(cfg, traffic=replace(cfg.traffic, lam=float(value)))
-    if axis == "n_active":
-        return replace(cfg, traffic=replace(cfg.traffic, n_active=int(value)))
-    if axis == "n_slots":
-        return replace(cfg, frame=replace(cfg.frame, n_slots=int(value)))
-    raise ValueError(f"unknown sweep axis {axis!r}")
 
 
 def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
@@ -140,7 +142,7 @@ def _comma_list(convert):
     return parse
 
 
-def _parse_sweep(text: str) -> tuple[str, list[float]]:
+def _parse_sweep(text: str) -> tuple[str, list]:
     axis, sep, rng = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(
@@ -149,7 +151,7 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
     axis = axis.strip()
     if axis not in _SWEEP_AXES:
         raise argparse.ArgumentTypeError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
-    minimum = _SWEEP_AXES[axis]
+    minimum = _SWEEP_AXES[axis][1]
     values = _expand_range(rng, minimum)
     if isinstance(minimum, int):
         fractional = [v for v in values if not v.is_integer()]
@@ -157,10 +159,26 @@ def _parse_sweep(text: str) -> tuple[str, list[float]]:
             raise argparse.ArgumentTypeError(
                 f"{axis} values must be integers, got {fractional[0]:g}"
             )
+        values = [int(v) for v in values]
     return axis, values
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _cell(value) -> str:
+    """A float at 17 significant digits, anything else by ``str``."""
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+def _table(columns, rows) -> list[str]:
+    """CSV lines: the header, then each row's cells in column order."""
+    return [",".join(columns)] + [",".join(_cell(row[c]) for c in columns) for row in rows]
+
+
+def _report(fields: dict) -> list[str]:
+    return [f"{key} = {_cell(value)}" for key, value in fields.items()]
+
+
+def _write_lines(path: str | None, lines: list[str]) -> None:
+    text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -192,43 +210,12 @@ def _workers() -> int:
 
 def cmd_analytic(args) -> int:
     cfg = _read_config(args.config)
-    if args.sweep:
-        axis, values = args.sweep
-    else:
-        axis, values = "lambda", [cfg.traffic.lam]
-    lines = [f"{axis},p_succ,p_lambda,p_cf,n_singleton"]
-    reports = frame_coverage_probs([_with_axis(cfg, axis, value) for value in values])
-    for value, report in zip(values, reports):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(value),
-                    _fmt(report.p_succ),
-                    _fmt(report.p_lambda),
-                    _fmt(report.p_cf),
-                    _fmt(report.n_singleton),
-                ]
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    axis, values = args.sweep or ("lambda", [cfg.traffic.lam])
+    key = _SWEEP_AXES[axis][0]
+    reports = frame_coverage_probs([with_values(cfg, {key: value}) for value in values])
+    rows = [{axis: value, **vars(report)} for value, report in zip(values, reports)]
+    _write_lines(args.out, _table((axis, *_ANALYTIC_FIELDS), rows))
     return EXIT_OK
-
-
-def _manifest_lines(cfg: SystemConfig, args, point: dict) -> str:
-    serialized = serialize_config(cfg)
-    lines = [
-        f"manifest.command = {args.command}",
-        f"manifest.config_sha256 = {_sha256(serialized)}",
-        f"manifest.seed = {args.seed}",
-        f"manifest.trials = {args.trials}",
-    ]
-    for line in serialized.strip().splitlines():
-        if line.startswith("#"):
-            continue
-        lines.append(f"config.{line}")
-    for key, val in point.items():
-        lines.append(f"point.0.{key} = {val}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_simulate(args) -> int:
@@ -237,52 +224,33 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     est = estimate_coverage(cfg, scheme, args.trials, args.seed, n_workers=_workers())
     elapsed = time.perf_counter() - t0
-    header = (
-        "scheme,trials,seed,p_hat,ci_halfwidth,packets_generated,packets_decoded,"
-        "packets_dropped,collision_failures,threshold_failures,blocked_failures"
-    )
-    row = ",".join(
-        [
-            scheme.value,
-            str(args.trials),
-            str(args.seed),
-            _fmt(est.p_hat),
-            _fmt(est.ci_halfwidth),
-            str(est.packets_generated),
-            str(est.packets_decoded),
-            str(est.packets_dropped),
-            str(est.collision_failures),
-            str(est.threshold_failures),
-            str(est.blocked_failures),
-        ]
-    )
-    _write_text(args.out, header + "\n" + row + "\n")
+    row = {"scheme": scheme.value, "trials": args.trials, "seed": args.seed, **vars(est)}
+    # n_frames repeats trials
+    _write_lines(args.out, _table([c for c in row if c != "n_frames"], [row]))
     manifest_path = args.manifest or (args.out + ".manifest" if args.out else None)
     if manifest_path:
-        point = {
-            "p_hat": _fmt(est.p_hat),
-            "ci_halfwidth": _fmt(est.ci_halfwidth),
-            "collision_failures": str(est.collision_failures),
-            "threshold_failures": str(est.threshold_failures),
-            "blocked_failures": str(est.blocked_failures),
-            "wall_clock_s": _fmt(elapsed),
+        serialized = serialize_config(cfg)
+        manifest = {
+            "manifest.command": args.command,
+            "manifest.config_sha256": _sha256(serialized),
+            "manifest.seed": args.seed,
+            "manifest.trials": args.trials,
         }
-        _write_text(manifest_path, _manifest_lines(cfg, args, point))
+        manifest.update(
+            f"config.{line}".split(" = ", 1)
+            for line in serialized.splitlines() if not line.startswith("#")
+        )
+        manifest.update((f"point.0.{key}", row[key]) for key in _MANIFEST_FIELDS)
+        manifest["point.0.wall_clock_s"] = elapsed
+        _write_lines(manifest_path, _report(manifest))
     return EXIT_OK
 
 
 def cmd_optimize(args) -> int:
     cfg = _read_config(args.config)
     out = adaptive_slots(cfg)
-    lines = [
-        f"config_sha256 = {_sha256(serialize_config(cfg))}",
-        f"n_practical = {out.n_practical}",
-        f"n_star = {_fmt(out.n_star)}",
-        f"n_lambda_bound = {_fmt(out.n_lambda_bound)}",
-        f"n_epsilon_bound = {_fmt(out.n_epsilon_bound)}",
-        f"binding = {out.binding}",
-        f"residual = {_fmt(out.residual)}",
-    ]
+    report = {"config_sha256": _sha256(serialize_config(cfg)), **vars(out)}
+    del report["n_min"]
     if args.brute_points > 0:
         import numpy as np
 
@@ -291,63 +259,53 @@ def cmd_optimize(args) -> int:
         }
         grid.add(out.n_practical)
         result = brute_force_slots(cfg, sorted(grid))
-        p_at_choice = dict(result.curve)[out.n_practical]
-        lines.append(f"brute_force.best_n = {result.best_n}")
-        lines.append(f"brute_force.best_p = {_fmt(result.best_p)}")
-        lines.append(f"brute_force.p_at_n_practical = {_fmt(p_at_choice)}")
-        lines.append(
-            "brute_force.curve = "
-            + ";".join(f"{n}:{_fmt(p)}" for n, p in result.curve)
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+        report.update({
+            "brute_force.best_n": result.best_n,
+            "brute_force.best_p": result.best_p,
+            "brute_force.p_at_n_practical": dict(result.curve)[out.n_practical],
+            "brute_force.curve": ";".join(f"{n}:{_cell(p)}" for n, p in result.curve),
+        })
+    _write_lines(args.out, _report(report))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
     cfg = _read_config(args.config)
     workers = _workers()
-    header = (
-        "lambda,proposed_p_hat,proposed_ci,tpds_p_hat,tpds_ci,nas_p_hat,nas_ci"
-    )
-    lines = [header]
+    rows = []
     for lam in args.lambdas:
-        cfg_l = _with_axis(cfg, "lambda", lam)
-        cells = [_fmt(lam)]
+        cfg_l = with_values(cfg, {"traffic.lambda": lam})
+        row = {"lambda": lam}
         for scheme in (Scheme.PROPOSED, Scheme.TPDS, Scheme.NAS):
             est = estimate_coverage(cfg_l, scheme, args.trials, args.seed, n_workers=workers)
-            cells.extend([_fmt(est.p_hat), _fmt(est.ci_halfwidth)])
-        lines.append(",".join(cells))
-    _write_text(args.out, "\n".join(lines) + "\n")
+            row[f"{scheme.value}_p_hat"] = est.p_hat
+            row[f"{scheme.value}_ci"] = est.ci_halfwidth
+        rows.append(row)
+    _write_lines(args.out, _table(list(rows[0]), rows))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     cfg = _read_config(args.config)
     workers = _workers()
-    lines = [
-        f"# config_sha256 = {_sha256(serialize_config(cfg))}",
-        "n_active,lambda,p_succ_analytic,p_hat_simulated,ci_halfwidth,gap",
-    ]
     grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
-    cfgs = [_with_axis(_with_axis(cfg, "n_active", na), "lambda", lam) for na, lam in grid]
+    cfgs = [with_values(cfg, {"traffic.n_active": na, "traffic.lambda": lam})
+            for na, lam in grid]
+    rows = []
     for (na, lam), cfg_point, report in zip(grid, cfgs, frame_coverage_probs(cfgs)):
         est = estimate_coverage(
             cfg_point, Scheme.BASELINE, args.trials, args.seed, n_workers=workers
         )
-        gap = abs(report.p_succ - est.p_hat)
-        lines.append(
-            ",".join(
-                [
-                    str(na),
-                    _fmt(lam),
-                    _fmt(report.p_succ),
-                    _fmt(est.p_hat),
-                    _fmt(est.ci_halfwidth),
-                    _fmt(gap),
-                ]
-            )
-        )
-    _write_text(args.out, "\n".join(lines) + "\n")
+        rows.append({
+            "n_active": na,
+            "lambda": lam,
+            "p_succ_analytic": report.p_succ,
+            "p_hat_simulated": est.p_hat,
+            "ci_halfwidth": est.ci_halfwidth,
+            "gap": abs(report.p_succ - est.p_hat),
+        })
+    comment = _report({"config_sha256": _sha256(serialize_config(cfg))})
+    _write_lines(args.out, [f"# {line}" for line in comment] + _table(list(rows[0]), rows))
     return EXIT_OK
 
 
@@ -368,6 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="config file path (defaults when omitted)")
         p.add_argument("--out", help="output file (stdout when omitted)")
 
+    def add_monte_carlo(p):
+        p.add_argument("--trials", type=_at_least(1), default=10000)
+        p.add_argument("--seed", type=_at_least(0), default=1)
+
     p = sub.add_parser("analytic", help="analytic coverage sweep")
     add_common(p)
     p.add_argument("--sweep", type=_parse_sweep, help="axis=start:stop:step")
@@ -376,8 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo coverage estimate")
     add_common(p)
     p.add_argument("--scheme", choices=[s.value for s in Scheme], default="baseline")
-    p.add_argument("--trials", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=_at_least(0), default=1)
+    add_monte_carlo(p)
     p.add_argument("--manifest", help="manifest file path")
     p.set_defaults(func=cmd_simulate)
 
@@ -392,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambdas", type=functools.partial(_expand_range, minimum=0.0),
                    default="2:10:1",
                    help="start:stop:step traffic rates")
-    p.add_argument("--trials", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=_at_least(0), default=1)
+    add_monte_carlo(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="analytic vs simulated coverage grid")
@@ -402,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="n_active", help="comma-separated device counts")
     p.add_argument("--lambdas", type=_comma_list(_at_least(0.0, float)), default="2,10",
                    help="comma-separated traffic rates")
-    p.add_argument("--trials", type=_at_least(1), default=10000)
-    p.add_argument("--seed", type=_at_least(0), default=1)
+    add_monte_carlo(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -40,6 +40,7 @@ __all__ = [
     "watts_to_dbm",
     "default_config",
     "load_config",
+    "with_values",
     "serialize_config",
     "validate_config",
     "ensure_valid",
@@ -407,20 +408,22 @@ def load_config(source) -> SystemConfig:
         _, _, kind = _KEY_TABLE[key]
         values[key] = _parse_value(kind, raw, key, lineno)
 
-    cfg = default_config()
-    by_section: dict[str, dict[str, object]] = {}
-    top: dict[str, object] = {}
+    return ensure_valid(with_values(default_config(), values))
+
+
+def with_values(cfg: SystemConfig, values: dict[str, object]) -> SystemConfig:
+    """``cfg`` with each config-file key in ``values`` set to its value.
+
+    Values are stored as given, so each must already have its field's type
+    (an ``int`` for ``traffic.n_active``); the result is not validated.
+    """
+    sections: dict[str | None, dict[str, object]] = {}
     for key, value in values.items():
         section, attr, _ = _KEY_TABLE[key]
-        if section is None:
-            top[attr] = value
-        else:
-            by_section.setdefault(section, {})[attr] = value
-    for section, kw in by_section.items():
-        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **kw)})
-    if top:
-        cfg = replace(cfg, **top)
-    return ensure_valid(cfg)
+        sections.setdefault(section, {})[attr] = value
+    fields = sections.pop(None, {})
+    fields.update((s, replace(getattr(cfg, s), **kw)) for s, kw in sections.items())
+    return replace(cfg, **fields)
 
 
 def _format_value(kind: str, value) -> str:

@@ -107,8 +107,10 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
     issues = validate_config(cfg)
     if issues:
         first = issues[0]
-        name = first.split(":", 1)[0] if first.startswith("C") else "config"
-        raise InfeasibleError(name, first)
+        # a constraint's issue starts with its own "Cn: " label
+        if first.startswith("C"):
+            raise InfeasibleError(*first.split(": ", 1))
+        raise InfeasibleError("config", first)
     if cfg.traffic.scenario is not Scenario.EMERGENCY:
         raise InfeasibleError(
             "scenario", "adaptive slot selection applies to the emergency scenario"

@@ -328,10 +328,15 @@ def sic_decode(
 #  Batched lockstep receiver
 # ============================================================================
 
-# Frames drawn and decoded together by estimate_coverage.  Draws are per
-# frame stream and decisions per slot, so the estimate does not depend on
-# it; it bounds the block's memory.
+# Frames drawn and decoded together by estimate_coverage: at most
+# _BLOCK_FRAMES, and fewer where a block's F·n_active·(1 + n_slots) radii
+# and slot keys would pass _BLOCK_DRAWS (8 MB of doubles).  The block's
+# other arrays (the keys' argsort, the normals, the padded slot rows) grow
+# at most in proportion to its keys, so this bounds its memory.  Draws are
+# per frame stream and decisions per slot, so the estimate does not depend
+# on the block size.
 _BLOCK_FRAMES = 256
+_BLOCK_DRAWS = 1 << 20
 
 
 class _Block(NamedTuple):
@@ -631,9 +636,11 @@ def _coverage_worker(args) -> tuple[int, ...]:
     all exact integers.
     """
     cfg, scheme, seed, start, stop, n_slots, sinr_rule = args
+    frame_draws = cfg.traffic.n_active * (1 + n_slots)
+    size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // frame_draws))
     sums = [0] * 9
-    for lo in range(start, stop, _BLOCK_FRAMES):
-        rngs = [_frame_rng(seed, i) for i in range(lo, min(lo + _BLOCK_FRAMES, stop))]
+    for lo in range(start, stop, size):
+        rngs = [_frame_rng(seed, i) for i in range(lo, min(lo + size, stop))]
         block = _draw_block(cfg, scheme, rngs, n_slots)
         outcomes = _decode_block(cfg, block, n_slots, sinr_rule)
         g = block.counts.sum(axis=1)
@@ -670,10 +677,11 @@ def estimate_coverage(
     Frame i draws its stream from (seed, i), so the result is identical
     for any worker count or chunking.  The confidence halfwidth is the
     95% normal approximation of the ratio estimator with frames as the
-    iid unit (packets of one frame share its deployment and traffic);
-    it is NaN for a single frame.  The scheme's slot count is derived once
-    per estimate; each block reads the per-packet power and the code pool
-    from ``cfg`` itself.
+    iid unit (packets of one frame share its deployment and traffic).
+    The estimate and its halfwidth are NaN when no packet was generated;
+    the halfwidth is NaN for a single frame too.  The scheme's slot count
+    is derived once per estimate; each block reads the per-packet power and
+    the code pool from ``cfg`` itself.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -695,8 +703,7 @@ def estimate_coverage(
     )
 
     if generated == 0:
-        p_hat = math.nan
-        ci = 0.0
+        p_hat = ci = math.nan
     else:
         p_hat = decoded / generated
         ci = _clustered_ci(n_frames, generated, decoded, gg, dd, gd)

@@ -2,6 +2,8 @@
 
 import argparse
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +237,52 @@ def test_zero_rate_exits_infeasible(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("infeasible: C2: ")
         assert len(err.strip().splitlines()) == 1
+
+
+def test_compare_below_lambda_min_names_constraint_once(cfg_file, capsys):
+    # the proposed scheme's slot count needs lambda_min <= lambda (C4)
+    argv = ["compare", "--config", cfg_file, "--trials", "20", "--lambdas", "0:1:1"]
+    assert main(argv) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: C4: lambda (0) below lambda_min (2)\n"
+
+
+def test_validate_zero_traffic_row_is_undefined(tmp_path, cfg_file):
+    out = tmp_path / "val.csv"
+    assert main(["validate", "--config", cfg_file, "--n-active", "10", "--lambdas", "0,2",
+                 "--trials", "20", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows[0] == ["10", "0", "0", "nan", "nan", "nan"]
+    assert all(math.isfinite(float(v)) for v in rows[1])
+
+
+def documented_columns():
+    """command -> the CSV columns README's "Command line" section lists for it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    columns = {}
+    for bullet in section.split("\n- ")[1:]:
+        command = re.match(r"`(\w+)`", bullet).group(1)
+        columns[command] = re.findall(r"`(\w+(?:,\w+)+)`", bullet)
+    return columns
+
+
+def test_csv_headers_match_readme(tmp_path, cfg_file):
+    documented = documented_columns()
+    runs = {
+        "analytic": ["--sweep", "n_slots=5:6:1"],
+        "simulate": ["--trials", "3"],
+        "compare": ["--lambdas", "2:2:1", "--trials", "3"],
+        "validate": ["--n-active", "5", "--lambdas", "2", "--trials", "3"],
+    }
+    for command, args in runs.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--config", cfg_file, "--out", str(out)] + args) == 0
+        header, _ = read_csv(out)
+        expected = documented[command][0].split(",")
+        if command == "analytic":  # the first column is named after the swept axis
+            assert expected[0] == "axis"
+            expected[0] = "n_slots"
+        assert header == expected, command
 
 
 def test_validate_grid_and_hash(tmp_path, cfg_file):

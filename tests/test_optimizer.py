@@ -150,8 +150,16 @@ def test_zero_rate_without_slack_reported_as_c2():
 
 def test_invalid_config_rejected_with_constraint_name():
     cfg = reference_config(n_active=10, lam=1.0)  # below lambda_min=2
-    with pytest.raises(InfeasibleError, match="C4"):
+    with pytest.raises(InfeasibleError, match="^C4: lambda") as info:
         adaptive_slots(cfg)
+    assert info.value.constraint == "C4"
+    # each constraint's label is printed once, not once more by the error
+    above = reference_config(n_active=10, lam=11.0)  # above lambda_max=10
+    ok = reference_config(n_active=10, lam=4.0)
+    narrow = replace(ok, geometry=replace(ok.geometry, cell_radius=5.0))  # min_radius=10
+    for bad, message in ((above, "^C5: lambda"), (narrow, "^C6: cell_radius")):
+        with pytest.raises(InfeasibleError, match=message):
+            adaptive_slots(bad)
 
 
 def test_non_emergency_config_rejected_as_scenario():

@@ -779,6 +779,22 @@ def test_estimate_coverage_invariant_to_block_size(monkeypatch):
         monkeypatch.setattr(simulator, "_BLOCK_FRAMES", block)
         assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
         assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
+    # a draw budget just short of two frames' n_active·(1 + n_slots) forces
+    # one-frame blocks whatever the frame cap
+    frame_draws = 10 * (1 + adaptive_slots(cfg).n_practical)
+    monkeypatch.setattr(simulator, "_BLOCK_FRAMES", 256)
+    monkeypatch.setattr(simulator, "_BLOCK_DRAWS", 2 * frame_draws - 1)
+    sizes = []
+    draw_block = simulator._draw_block
+
+    def recording(cfg, scheme, rngs, n_slots):
+        sizes.append(len(rngs))
+        return draw_block(cfg, scheme, rngs, n_slots)
+
+    monkeypatch.setattr(simulator, "_draw_block", recording)
+    assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
+    assert sizes == [1] * 45
+    assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
 
 
 # ----------------------------------------------------------------------------
@@ -799,6 +815,15 @@ def test_clustered_ci_matches_per_frame_computation():
     # packets of a frame are correlated: the packet-binomial interval is too narrow
     binomial = 1.96 * math.sqrt(p * (1 - p) / g.sum())
     assert est.ci_halfwidth > 1.2 * binomial
+
+
+def test_coverage_undefined_without_traffic():
+    # no packet generated: neither the estimate nor its halfwidth exists
+    cfg = reference_config(n_active=10, lam=0.0)
+    est = estimate_coverage(cfg, Scheme.BASELINE, 20, seed=4)
+    assert est.packets_generated == 0
+    assert math.isnan(est.p_hat)
+    assert math.isnan(est.ci_halfwidth)
 
 
 def test_clustered_ci_undefined_for_one_frame():
