@@ -61,7 +61,7 @@ _MANIFEST_FIELDS = (
     "p_hat", "ci_halfwidth", "collision_failures", "threshold_failures", "blocked_failures",
 )
 
-# the most values a start:stop:step range may expand to
+# the most values a numeric list on the command line may hold
 _MAX_RANGE_POINTS = 100_000
 
 
@@ -80,87 +80,69 @@ def _read_config(path: str | None) -> SystemConfig:
     return load_config(data)
 
 
-def _expand_range(text: str, minimum: float = -math.inf) -> list[float]:
-    """Expand ``start:stop:step`` into start, start + step, ... up to stop.
+def _numbers(minimum: float, integer: bool = False):
+    """Argument type: comma-separated numbers and ``start:stop:step`` ranges.
 
-    A range with a non-finite value, one that starts below ``minimum`` or
-    one of more than ``_MAX_RANGE_POINTS`` values is refused.
+    A bare number x is the range x:x:1.  A range holds start + i*step for
+    i = 0, 1, ... up to stop, to within 1e-9 of a step; its values are
+    counted before any is built, and a list of more than
+    ``_MAX_RANGE_POINTS`` values in all is refused.  Every value must be
+    finite, at least ``minimum`` and, when ``integer`` is set, integral.
     """
-    try:
-        start, stop, step = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"range must look like start:stop:step, got {text!r}"
-        ) from None
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise argparse.ArgumentTypeError(f"range values must be finite, got {text!r}")
-    if step <= 0:
-        raise argparse.ArgumentTypeError("range step must be > 0")
-    # floor((stop - start)/step) + 1 values, counted before any is made; the
-    # quotient of two finite values may overflow to inf
-    if (stop - start) / step >= _MAX_RANGE_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"range has more than {_MAX_RANGE_POINTS} values, got {text!r}"
-        )
-    values = []
-    v = start
-    while v <= stop + 1e-9 * max(1.0, abs(stop)):
-        values.append(v)
-        v = start + len(values) * step
-    if not values:
-        raise argparse.ArgumentTypeError("range is empty")
-    if values[0] < minimum:
-        raise argparse.ArgumentTypeError(
-            f"range values must be >= {minimum:g}, got {values[0]:g}"
-        )
-    return values
-
-
-def _at_least(minimum, convert=int):
-    """Argument type: ``convert(text)``, refused if non-finite or below ``minimum``."""
-    def parse(text: str):
-        value = convert(text)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {text!r}")
-        return value
-    # argparse and _comma_list name the type in their messages by __name__
-    parse.__name__ = convert.__name__
+    def parse(text: str) -> list:
+        values = []
+        for item in text.split(","):
+            parts = item.split(":")
+            try:
+                start, stop, step = map(float, parts if len(parts) > 1 else parts * 2 + ["1"])
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"expected a number or start:stop:step, got {item!r}"
+                ) from None
+            if not all(map(math.isfinite, (start, stop, step))):
+                raise argparse.ArgumentTypeError(f"must be finite, got {item!r}")
+            if step <= 0:
+                raise argparse.ArgumentTypeError(f"step must be > 0, got {item!r}")
+            # the range holds floor(span) + 1 values; the quotient of two
+            # finite values may overflow to inf, so span meets the cap unfloored
+            span = (stop - start) / step + 1e-9
+            if span < 0:
+                raise argparse.ArgumentTypeError(f"range is empty, got {item!r}")
+            if span >= _MAX_RANGE_POINTS - len(values):
+                raise argparse.ArgumentTypeError(
+                    f"must have at most {_MAX_RANGE_POINTS} values, got {text!r}"
+                )
+            built = [start + i * step for i in range(int(span) + 1)]
+            if any(v < minimum for v in built):
+                raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {item!r}")
+            if integer and not all(v.is_integer() for v in built):
+                raise argparse.ArgumentTypeError(f"must be an integer, got {item!r}")
+            values += map(int, built) if integer else built
+        return values
     return parse
 
 
-def _comma_list(convert):
-    """Argument type: comma-separated values, each passed through ``convert``."""
-    def parse(text: str) -> list:
-        try:
-            return [convert(v) for v in text.split(",")]
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {convert.__name__} values, got {text!r}"
-            ) from None
+def _at_least(minimum: int):
+    """Argument type: an integer, refused below ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+    # argparse names the type by __name__ in "invalid int value"
+    parse.__name__ = "int"
     return parse
 
 
 def _parse_sweep(text: str) -> tuple[str, list]:
-    axis, sep, rng = text.partition("=")
+    axis, sep, items = text.partition("=")
     if not sep:
-        raise argparse.ArgumentTypeError(
-            f"sweep must look like axis=start:stop:step, got {text!r}"
-        )
+        raise argparse.ArgumentTypeError(f"sweep must look like axis=values, got {text!r}")
     axis = axis.strip()
     if axis not in _SWEEP_AXES:
         raise argparse.ArgumentTypeError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
     minimum = _SWEEP_AXES[axis][1]
-    values = _expand_range(rng, minimum)
-    if isinstance(minimum, int):
-        fractional = [v for v in values if not v.is_integer()]
-        if fractional:
-            raise argparse.ArgumentTypeError(
-                f"{axis} values must be integers, got {fractional[0]:g}"
-            )
-        values = [int(v) for v in values]
-    return axis, values
+    return axis, _numbers(minimum, integer=isinstance(minimum, int))(items)
 
 
 def _cell(value) -> str:
@@ -258,7 +240,7 @@ def cmd_optimize(args) -> int:
             int(round(v)) for v in np.linspace(out.n_min, out.n_practical, args.brute_points)
         }
         grid.add(out.n_practical)
-        result = brute_force_slots(cfg, sorted(grid))
+        result = brute_force_slots(cfg, sorted(grid), out)
         report.update({
             "brute_force.best_n": result.best_n,
             "brute_force.best_p": result.best_p,
@@ -332,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analytic", help="analytic coverage sweep")
     add_common(p)
-    p.add_argument("--sweep", type=_parse_sweep, help="axis=start:stop:step")
+    p.add_argument("--sweep", type=_parse_sweep, help="axis=values, e.g. lambda=2:10:1")
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("simulate", help="Monte Carlo coverage estimate")
@@ -350,18 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="proposed vs benchmark schemes")
     add_common(p)
-    p.add_argument("--lambdas", type=functools.partial(_expand_range, minimum=0.0),
-                   default="2:10:1",
-                   help="start:stop:step traffic rates")
+    p.add_argument("--lambdas", type=_numbers(0.0), default="2:10:1",
+                   help="traffic rates: numbers and start:stop:step ranges")
     add_monte_carlo(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="analytic vs simulated coverage grid")
     add_common(p)
-    p.add_argument("--n-active", type=_comma_list(_at_least(1)), default="10,20",
-                   dest="n_active", help="comma-separated device counts")
-    p.add_argument("--lambdas", type=_comma_list(_at_least(0.0, float)), default="2,10",
-                   help="comma-separated traffic rates")
+    p.add_argument("--n-active", type=_numbers(1, integer=True), default="10,20",
+                   dest="n_active", help="device counts: numbers and start:stop:step ranges")
+    p.add_argument("--lambdas", type=_numbers(0.0), default="2,10",
+                   help="traffic rates: numbers and start:stop:step ranges")
     add_monte_carlo(p)
     p.set_defaults(func=cmd_validate)
 

@@ -153,15 +153,18 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
     )
 
 
-def brute_force_slots(cfg: SystemConfig, n_range: Iterable[int]) -> BruteForceResult:
+def brute_force_slots(
+    cfg: SystemConfig, n_range: Iterable[int], bounds: OptimizerOutput | None = None
+) -> BruteForceResult:
     """Evaluate analytic coverage at every requested feasible slot count.
 
     The requested values are intersected with the feasible region
-    [n_min, n_practical] of :func:`adaptive_slots`; an empty intersection
-    raises :class:`InfeasibleError`.  Ties on the maximum resolve to the
-    smallest slot count.
+    [n_min, n_practical] of ``bounds``, :func:`adaptive_slots` of ``cfg``
+    when omitted; an empty intersection raises :class:`InfeasibleError`.
+    Ties on the maximum resolve to the smallest slot count.
     """
-    bounds = adaptive_slots(cfg)
+    if bounds is None:
+        bounds = adaptive_slots(cfg)
     lo, hi = bounds.n_min, bounds.n_practical
     candidates = sorted({int(n) for n in n_range if lo <= int(n) <= hi})
     if not candidates:

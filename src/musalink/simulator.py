@@ -35,10 +35,13 @@ Two SINR bookkeeping rules are available for the cancellation receiver:
 ``conservative`` (default)
     Signal and noise are the target's MMSE output; the interference is
     the sum of every other undecoded device's own MMSE output power
-    (its diagonal term of W·G), granting no cross-suppression credit.
-    This is not the analytical model's matched-filter SINR: at
-    (n_active, lambda, n_slots) = (10, 2, 20) it decodes 0.507 of the
-    packets where the model's own assumptions give 0.616.
+    (its diagonal term of W·G) in place of its leakage into the
+    target's output.  It bounds the exact post-MMSE SINR of
+    ``post_mmse`` neither way: with one subcarrier and a pool of 4 codes
+    it decodes more packets (0.085 against 0.069 at (n_active, lambda,
+    n_slots) = (20, 4, 20), 10 000 frames, seed 100), with the default
+    four subcarriers far fewer (0.507 against 0.985 at (10, 2, 20), 4000
+    frames).
 
 ``post_mmse``
     Textbook post-detection SINR using the cross projections of the

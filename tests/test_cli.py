@@ -2,20 +2,23 @@
 
 import argparse
 import math
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 import musalink
-from musalink import analytic, cli
+from musalink import analytic, cli, optimizer
 from musalink.analytic import frame_coverage_prob
 from musalink.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_NUMERIC,
     EXIT_USAGE,
-    _expand_range,
+    _numbers,
+    _parse_sweep,
+    build_parser,
     main,
 )
 from musalink.config import default_config, serialize_config
@@ -114,6 +117,21 @@ def test_simulate_manifest_failure_counts(tmp_path, cfg_file, monkeypatch):
     assert decoded + failed == generated - dropped
 
 
+def test_simulate_manifest_beside_stdout_csv(tmp_path, cfg_file, capsys):
+    manifest = tmp_path / "run.manifest"
+    assert main(["simulate", "--config", cfg_file, "--trials", "25", "--seed", "7",
+                 "--manifest", str(manifest)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    lines = dict(line.split(" = ", 1) for line in manifest.read_text().splitlines())
+    assert lines["manifest.seed"] == row["seed"] == "7"
+    assert lines["manifest.trials"] == row["trials"] == "25"
+    points = {key[len("point.0."):]: value
+              for key, value in lines.items() if key.startswith("point.0.")}
+    assert points.keys() == {*cli._MANIFEST_FIELDS, "wall_clock_s"}
+    assert all(points[key] == row[key] for key in cli._MANIFEST_FIELDS)
+
+
 def test_simulate_csv_failure_columns(tmp_path, cfg_file):
     out = tmp_path / "a.csv"
     assert main(["simulate", "--config", cfg_file, "--scheme", "tpds",
@@ -179,14 +197,89 @@ def test_optimize_single_brute_point_reports_n_practical(tmp_path):
     assert p_at == expected.p_succ
 
 
+def test_optimize_solves_the_slot_bounds_once(tmp_path, monkeypatch):
+    calls = []
+    original = optimizer.adaptive_slots
+
+    def counting(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(optimizer, "adaptive_slots", counting)
+    monkeypatch.setattr(cli, "adaptive_slots", counting)
+    for points in ("6", "0"):
+        calls.clear()
+        assert main(["optimize", "--brute-points", points, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 1
+
+
 def test_range_expansion():
-    assert _expand_range("2:10:2") == [2.0, 4.0, 6.0, 8.0, 10.0]
-    assert _expand_range("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
-    assert _expand_range("4:4:1") == [4.0]
+    parse = _numbers(-math.inf)
+    assert parse("2:10:2") == [2.0, 4.0, 6.0, 8.0, 10.0]
+    assert parse("0.1:0.3:0.1") == pytest.approx([0.1, 0.2, 0.3])
+    assert parse("4:4:1") == [4.0]
+    assert parse("1e14:1e14:1") == [1e14]
+    assert _parse_sweep("n_slots=1e17:1e17:1") == ("n_slots", [10**17])
+    assert parse("3") == [3.0]
+    assert parse("2,3:4:0.5,1") == [2.0, 3.0, 3.5, 4.0, 1.0]
+    assert _numbers(1, integer=True)("10,20:30:10,4e1") == [10, 20, 30, 40]
     for bad in ("5:2:1", "1:2:0", "1:2", "a:b:c",
-                "2:3:nan", "nan:3:1", "2:inf:1", "-inf:2:1", "2:3:inf", "0:1e9:1e-3"):
+                "2:3:nan", "nan:3:1", "2:inf:1", "-inf:2:1", "2:3:inf", "0:1e9:1e-3",
+                "", "2,", "2:3:1:1", "2;3"):
         with pytest.raises(argparse.ArgumentTypeError):
-            _expand_range(bad)
+            parse(bad)
+
+
+def test_range_values_stay_within_stop_and_cap():
+    # random finite ranges over 21 decades of start and 12 of step, from
+    # one value to about twice the cap, alone and joined into lists
+    parse = _numbers(-math.inf)
+    rng = random.Random(16)
+    for _ in range(200):
+        items, lengths = [], []
+        for _ in range(rng.randint(1, 3)):
+            start = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 18)
+            step = 10 ** rng.uniform(-9, 3)
+            stop = start + step * 10 ** rng.uniform(-1, 5.3)
+            item = f"{start!r}:{stop!r}:{step!r}"
+            items.append(item)
+            try:
+                values = parse(item)
+            except argparse.ArgumentTypeError as exc:
+                assert str(exc).startswith("must have at most 100000 values")
+                lengths.append(cli._MAX_RANGE_POINTS + 1)
+                continue
+            assert 1 <= len(values) <= cli._MAX_RANGE_POINTS
+            assert values[0] == start
+            tolerance = 1e-9 * step + 4 * math.ulp(max(abs(start), abs(stop)))
+            assert max(values) <= stop + tolerance
+            lengths.append(len(values))
+        if sum(lengths) > cli._MAX_RANGE_POINTS:
+            with pytest.raises(argparse.ArgumentTypeError, match="at most 100000 values"):
+                parse(",".join(items))
+        else:
+            assert len(parse(",".join(items))) == sum(lengths)
+
+
+def test_every_list_option_takes_the_one_grammar():
+    parser = build_parser()
+    args = parser.parse_args(["validate", "--n-active", "5:10:5,12", "--lambdas", "2,3:4:1"])
+    assert (args.n_active, args.lambdas) == ([5, 10, 12], [2.0, 3.0, 4.0])
+    assert all(type(n) is int for n in args.n_active)
+    assert parser.parse_args(["compare", "--lambdas", "2,3"]).lambdas == [2.0, 3.0]
+    assert parser.parse_args(["analytic", "--sweep", "lambda=2,4:5:1"]).sweep == (
+        "lambda", [2.0, 4.0, 5.0]
+    )
+    # the defaults go through the same parser
+    assert parser.parse_args(["compare"]).lambdas == [float(v) for v in range(2, 11)]
+    assert parser.parse_args(["validate"]).n_active == [10, 20]
+
+
+def test_huge_slot_count_sweep_prints_one_row(capsys):
+    assert main(["analytic", "--sweep", "n_slots=1e17:1e17:1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("100000000000000000,")
 
 
 def test_optimize_infeasible_config_exit_code(tmp_path):
@@ -324,16 +417,15 @@ def test_compare_empty_range_usage_error(cfg_file):
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("flag, value, kind", [("--n-active", "10,x", "int"),
-                                               ("--lambdas", "2,y", "float")])
-def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value, kind):
+@pytest.mark.parametrize("flag, value", [("--n-active", "10,x"), ("--lambdas", "2,y")])
+def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value):
     with pytest.raises(SystemExit) as info:
         main(["validate", "--config", cfg_file, flag, value, "--trials", "2"])
     assert info.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == (
         f"musalink validate: error: argument {flag}: "
-        f"expected comma-separated {kind} values, got {value!r}"
+        f"expected a number or start:stop:step, got {value[-1]!r}"
     )
     assert "Traceback" not in err
 
@@ -344,31 +436,35 @@ def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value, kind):
     (["validate", "--trials", "-2"], "--trials", "must be >= 1, got '-2'"),
     (["validate", "--n-active", "10,0"], "--n-active", "must be >= 1, got '0'"),
     (["validate", "--lambdas", "2,-1"], "--lambdas", "must be >= 0, got '-1'"),
-    (["compare", "--lambdas=-1:1:1"], "--lambdas", "range values must be >= 0, got -1"),
-    (["analytic", "--sweep", "n_active=0:2:1"], "--sweep", "range values must be >= 1, got 0"),
-    (["analytic", "--sweep", "n_slots=0:2:1"], "--sweep", "range values must be >= 1, got 0"),
+    (["compare", "--lambdas=-1:1:1"], "--lambdas", "must be >= 0, got '-1:1:1'"),
+    (["analytic", "--sweep", "n_active=0:2:1"], "--sweep", "must be >= 1, got '0:2:1'"),
+    (["analytic", "--sweep", "n_slots=0:2:1"], "--sweep", "must be >= 1, got '0:2:1'"),
     (["analytic", "--sweep", "lambda=-0.5:2:1"], "--sweep",
-     "range values must be >= 0, got -0.5"),
+     "must be >= 0, got '-0.5:2:1'"),
     (["simulate", "--seed", "-1"], "--seed", "must be >= 0, got '-1'"),
     (["compare", "--seed", "-1"], "--seed", "must be >= 0, got '-1'"),
     (["validate", "--seed", "-3"], "--seed", "must be >= 0, got '-3'"),
     (["optimize", "--brute-points", "-1"], "--brute-points", "must be >= 0, got '-1'"),
     (["analytic", "--sweep", "n_slots=1.5:3.5:1"], "--sweep",
-     "n_slots values must be integers, got 1.5"),
+     "must be an integer, got '1.5:3.5:1'"),
     (["analytic", "--sweep", "n_active=2.5:3.5:1"], "--sweep",
-     "n_active values must be integers, got 2.5"),
+     "must be an integer, got '2.5:3.5:1'"),
     (["analytic", "--sweep", "n_slots=1:2:0.5"], "--sweep",
-     "n_slots values must be integers, got 1.5"),
+     "must be an integer, got '1:2:0.5'"),
     (["analytic", "--sweep", "lambda=2:3:nan"], "--sweep",
-     "range values must be finite, got '2:3:nan'"),
+     "must be finite, got '2:3:nan'"),
     (["analytic", "--sweep", "lambda=2:inf:1"], "--sweep",
-     "range values must be finite, got '2:inf:1'"),
+     "must be finite, got '2:inf:1'"),
     (["compare", "--lambdas", "2:inf:1"], "--lambdas",
-     "range values must be finite, got '2:inf:1'"),
+     "must be finite, got '2:inf:1'"),
     (["validate", "--lambdas", "nan"], "--lambdas", "must be finite, got 'nan'"),
     (["validate", "--lambdas", "2,inf"], "--lambdas", "must be finite, got 'inf'"),
     (["analytic", "--sweep", "lambda=0:1e9:1e-3"], "--sweep",
-     "range has more than 100000 values, got '0:1e9:1e-3'"),
+     "must have at most 100000 values, got '0:1e9:1e-3'"),
+    (["validate", "--n-active", "10.5"], "--n-active", "must be an integer, got '10.5'"),
+    (["compare", "--lambdas", "1:2:0"], "--lambdas", "step must be > 0, got '1:2:0'"),
+    (["compare", "--lambdas", "2,5:2:1"], "--lambdas", "range is empty, got '5:2:1'"),
+    (["analytic", "--sweep", "lambda"], "--sweep", "sweep must look like axis=values, got 'lambda'"),
 ])
 def test_out_of_range_option_usage_error(cfg_file, capsys, argv, flag, message):
     with pytest.raises(SystemExit) as info:

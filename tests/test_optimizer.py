@@ -201,6 +201,17 @@ def test_brute_force_filters_to_feasible_range():
     assert max(ns) == adaptive_slots(cfg).n_practical
 
 
+def test_brute_force_given_bounds_matches_recomputed():
+    cfg = reference_config(n_active=10, lam=4.0)
+    bounds = adaptive_slots(cfg)
+    assert brute_force_slots(cfg, range(1, 1000), bounds) == brute_force_slots(
+        cfg, range(1, 1000)
+    )
+    with pytest.raises(InfeasibleError) as info:
+        brute_force_slots(cfg, [1, 2, 3], bounds)
+    assert info.value.constraint == "C2"
+
+
 def test_brute_force_drops_zero_slots_at_zero_rate():
     cfg = reference_config(n_active=10, lam=0.0)
     cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0), delta_slack=3.0)
