@@ -33,6 +33,7 @@ from .config import (
     ConfigError,
     SystemConfig,
     default_config,
+    key_domain,
     load_config,
     serialize_config,
     with_values,
@@ -46,11 +47,11 @@ EXIT_CONFIG = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERIC = 5
 
-# sweep axis -> (config key, smallest value); an int marks an integer axis
+# sweep axis -> the config key it sets
 _SWEEP_AXES = {
-    "lambda": ("traffic.lambda", 0.0),
-    "n_active": ("traffic.n_active", 1),
-    "n_slots": ("frame.n_slots", 1),
+    "lambda": "traffic.lambda",
+    "n_active": "traffic.n_active",
+    "n_slots": "frame.n_slots",
 }
 
 # the analytic columns after the axis, each a CoverageReport field
@@ -122,6 +123,12 @@ def _numbers(minimum: float, integer: bool = False):
     return parse
 
 
+def _values_of(key: str):
+    """Argument type: numbers for config ``key``, typed and bounded by its table row."""
+    kind, (_, minimum) = key_domain(key)
+    return _numbers(minimum, integer=kind == "int")
+
+
 def _at_least(minimum: int):
     """Argument type: an integer, refused below ``minimum``."""
     def parse(text: str) -> int:
@@ -141,8 +148,7 @@ def _parse_sweep(text: str) -> tuple[str, list]:
     axis = axis.strip()
     if axis not in _SWEEP_AXES:
         raise argparse.ArgumentTypeError(f"sweep axis must be one of {tuple(_SWEEP_AXES)}")
-    minimum = _SWEEP_AXES[axis][1]
-    return axis, _numbers(minimum, integer=isinstance(minimum, int))(items)
+    return axis, _values_of(_SWEEP_AXES[axis])(items)
 
 
 def _cell(value) -> str:
@@ -193,7 +199,7 @@ def _workers() -> int:
 def cmd_analytic(args) -> int:
     cfg = _read_config(args.config)
     axis, values = args.sweep or ("lambda", [cfg.traffic.lam])
-    key = _SWEEP_AXES[axis][0]
+    key = _SWEEP_AXES[axis]
     reports = frame_coverage_probs([with_values(cfg, {key: value}) for value in values])
     rows = [{axis: value, **vars(report)} for value, report in zip(values, reports)]
     _write_lines(args.out, _table((axis, *_ANALYTIC_FIELDS), rows))
@@ -332,16 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="proposed vs benchmark schemes")
     add_common(p)
-    p.add_argument("--lambdas", type=_numbers(0.0), default="2:10:1",
+    p.add_argument("--lambdas", type=_values_of("traffic.lambda"), default="2:10:1",
                    help="traffic rates: numbers and start:stop:step ranges")
     add_monte_carlo(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("validate", help="analytic vs simulated coverage grid")
     add_common(p)
-    p.add_argument("--n-active", type=_numbers(1, integer=True), default="10,20",
+    p.add_argument("--n-active", type=_values_of("traffic.n_active"), default="10,20",
                    dest="n_active", help="device counts: numbers and start:stop:step ranges")
-    p.add_argument("--lambdas", type=_numbers(0.0), default="2,10",
+    p.add_argument("--lambdas", type=_values_of("traffic.lambda"), default="2,10",
                    help="traffic rates: numbers and start:stop:step ranges")
     add_monte_carlo(p)
     p.set_defaults(func=cmd_validate)

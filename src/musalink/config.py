@@ -12,7 +12,9 @@ Feasibility constraints checked by :func:`validate_config`:
   C5  lambda <= lambda_max          (emergency scenario only)
   C6  min_radius <= cell_radius
 
-plus the structural invariants of every parameter group.
+plus the lower bound that each key's row of the config-key table states
+(the same bound limits the command-line lists that set the key), an
+epsilon_max below 0.5 and a code pool of at most 4^n_subcarriers codes.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "serialize_config",
     "validate_config",
     "ensure_valid",
+    "key_domain",
 ]
 
 
@@ -91,14 +94,6 @@ class GeometryParams:
     uav_altitude: float = 125.0    # m, hover altitude
     min_radius: float = 10.0       # m, smallest admissible serving radius (C6)
 
-    def invariant_violations(self) -> list[str]:
-        out = []
-        if not self.cell_radius > 0:
-            out.append("geometry: cell_radius must be > 0")
-        if not self.uav_altitude > 0:
-            out.append("geometry: uav_altitude must be > 0")
-        return out
-
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -107,18 +102,6 @@ class ChannelParams:
     pathloss_exp: float = 2.2      # pathloss exponent
     noise_power: float = 1e-13     # W (-100 dBm)
     bandwidth: float = 5e6         # Hz
-
-    def invariant_violations(self) -> list[str]:
-        out = []
-        if not self.pathloss_coeff > 0:
-            out.append("channel: pathloss_coeff must be > 0")
-        if not self.pathloss_exp >= 2:
-            out.append("channel: pathloss_exp must be >= 2")
-        if not self.noise_power > 0:
-            out.append("channel: noise_power must be > 0")
-        if not self.bandwidth > 0:
-            out.append("channel: bandwidth must be > 0")
-        return out
 
 
 @dataclass(frozen=True)
@@ -136,14 +119,6 @@ class TrafficParams:
     lambda_max: float = 10.0       # C5 upper bound on lam (emergency)
     scenario: Scenario = Scenario.EMERGENCY
 
-    def invariant_violations(self) -> list[str]:
-        out = []
-        if self.n_active < 1:
-            out.append("traffic: n_active must be a positive integer")
-        if self.lam < 0:
-            out.append("traffic: lambda must be >= 0")
-        return out
-
 
 @dataclass(frozen=True)
 class FrameParams:
@@ -153,25 +128,6 @@ class FrameParams:
     packet_bits: int = 200         # payload bits per packet
     n_subcarriers: int = 4         # spreading-code length J
     code_pool_size: int = 64       # number of distinct spreading codes
-
-    def invariant_violations(self) -> list[str]:
-        out = []
-        if self.frame_duration <= 0:
-            out.append("frame: frame_duration must be > 0")
-        if self.n_slots < 1:
-            out.append("frame: n_slots must be >= 1")
-        if self.packet_bits < 1:
-            out.append("frame: packet_bits must be a positive integer")
-        if self.n_subcarriers < 1:
-            out.append("frame: n_subcarriers must be >= 1")
-        if self.code_pool_size < 2:
-            out.append("frame: code_pool_size must be >= 2")
-        if 4 ** self.n_subcarriers < self.code_pool_size:
-            out.append(
-                "frame: code_pool_size exceeds the 4^n_subcarriers distinct "
-                "quaternary spreading codes"
-            )
-        return out
 
 
 # Poisson quantile of lambda that stands in for the per-frame maximum
@@ -190,26 +146,12 @@ class PowerPolicy:
     """
     p_max: float = 0.01            # W (10 dBm), per-device power budget
 
-    def invariant_violations(self) -> list[str]:
-        out = []
-        if not self.p_max > 0:
-            out.append("power: p_max must be > 0")
-        return out
-
 
 @dataclass(frozen=True)
 class ReliabilityParams:
     """Decoding threshold and short-packet reliability targets."""
     sinr_threshold: float = 1.0    # linear SINR threshold (0 dB)
     epsilon_max: float = 1e-5      # max short-packet error probability (C3)
-
-    def invariant_violations(self) -> list[str]:
-        out = []
-        if not self.sinr_threshold > 0:
-            out.append("reliability: sinr_threshold must be > 0")
-        if not 0 < self.epsilon_max < 0.5:
-            out.append("reliability: epsilon_max must lie in (0, 0.5)")
-        return out
 
 
 @dataclass(frozen=True)
@@ -269,37 +211,83 @@ def default_config() -> SystemConfig:
 
 
 # ----------------------------------------------------------------------------
-#  Validation
+#  Config keys and validation
 # ----------------------------------------------------------------------------
 
-def validate_config(cfg: SystemConfig) -> list[str]:
-    """Collect every violated feasibility constraint and type invariant.
+# key -> (section attr, field attr, value kind, lower bound); the one
+# statement of each key, read by the file parser, the serializer,
+# validate_config and the command-line lists.
+# kinds: float, int (a finite whole number: 10, 10.0 and 1e1 are all 10),
+# watts (dBm suffix accepted), ratio (dB suffix accepted), scenario.
+# lower bound: (">", x) or (">=", x) on the value in base units, or None.
+_KEY_TABLE: dict[str, tuple[str | None, str, str, tuple[str, float] | None]] = {
+    "geometry.cell_radius": ("geometry", "cell_radius", "float", (">", 0.0)),
+    "geometry.uav_altitude": ("geometry", "uav_altitude", "float", (">", 0.0)),
+    "geometry.min_radius": ("geometry", "min_radius", "float", None),
+    "channel.pathloss_coeff": ("channel", "pathloss_coeff", "ratio", (">", 0.0)),
+    "channel.pathloss_exp": ("channel", "pathloss_exp", "float", (">=", 2.0)),
+    "channel.noise_power": ("channel", "noise_power", "watts", (">", 0.0)),
+    "channel.bandwidth": ("channel", "bandwidth", "float", (">", 0.0)),
+    "traffic.n_active": ("traffic", "n_active", "int", (">=", 1)),
+    "traffic.lambda": ("traffic", "lam", "float", (">=", 0.0)),
+    "traffic.lambda_min": ("traffic", "lambda_min", "float", None),
+    "traffic.lambda_max": ("traffic", "lambda_max", "float", None),
+    "traffic.scenario": ("traffic", "scenario", "scenario", None),
+    "frame.frame_duration": ("frame", "frame_duration", "float", (">", 0.0)),
+    "frame.n_slots": ("frame", "n_slots", "int", (">=", 1)),
+    "frame.packet_bits": ("frame", "packet_bits", "int", (">=", 1)),
+    "frame.n_subcarriers": ("frame", "n_subcarriers", "int", (">=", 1)),
+    "frame.code_pool_size": ("frame", "code_pool_size", "int", (">=", 2)),
+    "power.p_max": ("power", "p_max", "watts", (">", 0.0)),
+    "reliability.sinr_threshold": ("reliability", "sinr_threshold", "ratio", (">", 0.0)),
+    "reliability.epsilon_max": ("reliability", "epsilon_max", "float", (">", 0.0)),
+    "delta_slack": (None, "delta_slack", "float", (">=", 0.0)),
+}
 
-    Returns an empty list iff the configuration is feasible.  C4/C5 apply
-    only in the emergency scenario.
+
+def key_domain(key: str) -> tuple[str, tuple[str, float] | None]:
+    """Config ``key``'s value kind and lower bound, as its table row states them."""
+    return _KEY_TABLE[key][2:]
+
+
+def _field(cfg: SystemConfig, section: str | None, attr: str):
+    return getattr(cfg if section is None else getattr(cfg, section), attr)
+
+
+def validate_config(cfg: SystemConfig) -> list[str]:
+    """Collect every violated lower bound and feasibility constraint.
+
+    The lower bounds of ``_KEY_TABLE`` come first, in table order, written
+    so that NaN breaks every bound; then the checks that span fields or
+    bound from above: at most 4^n_subcarriers codes, epsilon_max below
+    0.5, and C4-C6.  Returns an empty list iff the configuration is
+    feasible.  C4/C5 apply only in the emergency scenario.
     """
-    issues: list[str] = []
-    for group in (cfg.geometry, cfg.channel, cfg.traffic, cfg.frame,
-                  cfg.power, cfg.reliability):
-        issues.extend(group.invariant_violations())
-    if cfg.delta_slack < 0:
-        issues.append("delta_slack must be >= 0")
+    issues = []
+    for key, (section, attr, _, bound) in _KEY_TABLE.items():
+        if bound is None:
+            continue
+        op, least = bound
+        value = _field(cfg, section, attr)
+        if not (value > least if op == ">" else value >= least):
+            issues.append(f"{key.replace('.', ': ')} must be {op} {least:g}")
+    f = cfg.frame
+    if 4 ** f.n_subcarriers < f.code_pool_size:
+        issues.append(
+            "frame: code_pool_size exceeds the 4^n_subcarriers distinct "
+            "quaternary spreading codes"
+        )
+    if not cfg.reliability.epsilon_max < 0.5:
+        issues.append("reliability: epsilon_max must lie in (0, 0.5)")
     t = cfg.traffic
     if t.scenario is Scenario.EMERGENCY:
         if t.lam < t.lambda_min:
-            issues.append(
-                f"C4: lambda ({t.lam:g}) below lambda_min ({t.lambda_min:g})"
-            )
+            issues.append(f"C4: lambda ({t.lam:g}) below lambda_min ({t.lambda_min:g})")
         if t.lam > t.lambda_max:
-            issues.append(
-                f"C5: lambda ({t.lam:g}) exceeds lambda_max ({t.lambda_max:g})"
-            )
+            issues.append(f"C5: lambda ({t.lam:g}) exceeds lambda_max ({t.lambda_max:g})")
     g = cfg.geometry
     if g.cell_radius < g.min_radius:
-        issues.append(
-            f"C6: cell_radius ({g.cell_radius:g}) below min_radius "
-            f"({g.min_radius:g})"
-        )
+        issues.append(f"C6: cell_radius ({g.cell_radius:g}) below min_radius ({g.min_radius:g})")
     return issues
 
 
@@ -319,34 +307,6 @@ class ConfigError(ValueError):
     """Malformed or infeasible configuration document."""
 
 
-# key -> (section attr, field attr, value kind)
-# kinds: float, int, watts (dBm suffix accepted), ratio (dB suffix
-# accepted), scenario
-_KEY_TABLE: dict[str, tuple[str | None, str, str]] = {
-    "geometry.cell_radius": ("geometry", "cell_radius", "float"),
-    "geometry.uav_altitude": ("geometry", "uav_altitude", "float"),
-    "geometry.min_radius": ("geometry", "min_radius", "float"),
-    "channel.pathloss_coeff": ("channel", "pathloss_coeff", "ratio"),
-    "channel.pathloss_exp": ("channel", "pathloss_exp", "float"),
-    "channel.noise_power": ("channel", "noise_power", "watts"),
-    "channel.bandwidth": ("channel", "bandwidth", "float"),
-    "traffic.n_active": ("traffic", "n_active", "int"),
-    "traffic.lambda": ("traffic", "lam", "float"),
-    "traffic.lambda_min": ("traffic", "lambda_min", "float"),
-    "traffic.lambda_max": ("traffic", "lambda_max", "float"),
-    "traffic.scenario": ("traffic", "scenario", "scenario"),
-    "frame.frame_duration": ("frame", "frame_duration", "float"),
-    "frame.n_slots": ("frame", "n_slots", "int"),
-    "frame.packet_bits": ("frame", "packet_bits", "int"),
-    "frame.n_subcarriers": ("frame", "n_subcarriers", "int"),
-    "frame.code_pool_size": ("frame", "code_pool_size", "int"),
-    "power.p_max": ("power", "p_max", "watts"),
-    "reliability.sinr_threshold": ("reliability", "sinr_threshold", "ratio"),
-    "reliability.epsilon_max": ("reliability", "epsilon_max", "float"),
-    "delta_slack": (None, "delta_slack", "float"),
-}
-
-
 def _finite(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -360,7 +320,10 @@ def _parse_value(kind: str, raw: str, key: str, lineno: int):
         if kind == "float":
             return _finite(raw)
         if kind == "int":
-            return int(raw)
+            value = _finite(raw)
+            if not value.is_integer():
+                raise ValueError(f"not a whole number {raw!r}")
+            return int(value)
         if kind == "watts":
             if raw.lower().endswith("dbm"):
                 return dbm_to_watts(_finite(raw[:-3]))
@@ -405,8 +368,7 @@ def load_config(source) -> SystemConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        _, _, kind = _KEY_TABLE[key]
-        values[key] = _parse_value(kind, raw, key, lineno)
+        values[key] = _parse_value(_KEY_TABLE[key][2], raw, key, lineno)
 
     return ensure_valid(with_values(default_config(), values))
 
@@ -419,7 +381,7 @@ def with_values(cfg: SystemConfig, values: dict[str, object]) -> SystemConfig:
     """
     sections: dict[str | None, dict[str, object]] = {}
     for key, value in values.items():
-        section, attr, _ = _KEY_TABLE[key]
+        section, attr = _KEY_TABLE[key][:2]
         sections.setdefault(section, {})[attr] = value
     fields = sections.pop(None, {})
     fields.update((s, replace(getattr(cfg, s), **kw)) for s, kw in sections.items())
@@ -440,7 +402,6 @@ def serialize_config(cfg: SystemConfig) -> str:
     Base units only (watts, linear ratios) with full float precision.
     """
     lines = ["# musalink configuration (SI base units)"]
-    for key, (section, attr, kind) in _KEY_TABLE.items():
-        holder = cfg if section is None else getattr(cfg, section)
-        lines.append(f"{key} = {_format_value(kind, getattr(holder, attr))}")
+    for key, (section, attr, kind, _) in _KEY_TABLE.items():
+        lines.append(f"{key} = {_format_value(kind, _field(cfg, section, attr))}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,13 @@ from musalink.cli import (
     build_parser,
     main,
 )
-from musalink.config import default_config, serialize_config
+from musalink.config import (
+    default_config,
+    key_domain,
+    serialize_config,
+    validate_config,
+    with_values,
+)
 from musalink.simulator import Scheme, estimate_coverage
 
 from conftest import reference_config
@@ -273,6 +279,35 @@ def test_every_list_option_takes_the_one_grammar():
     # the defaults go through the same parser
     assert parser.parse_args(["compare"]).lambdas == [float(v) for v in range(2, 11)]
     assert parser.parse_args(["validate"]).n_active == [10, 20]
+
+
+def test_list_bounds_agree_with_the_config_key(capsys):
+    # each list option is refused exactly where validate_config refuses the key
+    options = [(f"analytic --sweep {axis}=", key) for axis, key in cli._SWEEP_AXES.items()]
+    options += [("compare --lambdas=", "traffic.lambda"), ("validate --lambdas=", "traffic.lambda"),
+                ("validate --n-active=", "traffic.n_active")]
+    parser = build_parser()
+
+    def accepted(option, value):
+        try:
+            parser.parse_args(f"{option}{value!r}".split())
+        except SystemExit:
+            return False
+        return True
+
+    def config_accepts(key, value):
+        issues = validate_config(with_values(default_config(), {key: value}))
+        return not any(issue.startswith(key.replace(".", ": ") + " must be") for issue in issues)
+
+    for option, key in options:
+        kind, (_, minimum) = key_domain(key)
+        below = math.nextafter(minimum, -math.inf)
+        assert accepted(option, minimum) and config_accepts(key, minimum), option
+        assert not accepted(option, below) and not config_accepts(key, below), option
+        assert "must be >=" in capsys.readouterr().err
+        if kind == "int":
+            assert not accepted(option, minimum + 0.5), option
+            assert "must be an integer" in capsys.readouterr().err
 
 
 def test_huge_slot_count_sweep_prints_one_row(capsys):

@@ -100,6 +100,13 @@ def test_parse_error_carries_line_context():
             load_config(f"{key} = 1\n")
     with pytest.raises(ConfigError, match="line 1"):
         load_config("traffic.n_active = not_an_int\n")
+    # an integer key reads a finite whole number in any float spelling
+    for raw in ("10", "10.0", "1e1", "+10", "1_0"):
+        assert load_config(f"traffic.n_active = {raw}\n").traffic.n_active == 10
+    assert type(load_config("frame.n_slots = 2e1\n").frame.n_slots) is int
+    for raw in ("10.5", "1e-1", "nan", "inf", "-inf", "1e400", "0x10"):
+        with pytest.raises(ConfigError, match="^line 3: bad value for frame.packet_bits: "):
+            load_config(f"# integer\n\nframe.packet_bits = {raw}\n")
     with pytest.raises(ConfigError, match="duplicate"):
         load_config("traffic.lambda = 4\ntraffic.lambda = 5\n")
     for line in ("traffic.lambda = nan", "delta_slack = nan",
@@ -150,6 +157,16 @@ def test_validate_reports_type_invariants():
     assert any("code_pool_size" in issue for issue in validate_config(cfg))
 
 
+def test_nan_breaks_every_lower_bound():
+    bounded = {key for key in config._KEY_TABLE if config.key_domain(key)[1] is not None}
+    assert {"traffic.lambda", "frame.frame_duration", "delta_slack", "traffic.n_active",
+            "frame.n_slots"} <= bounded
+    for key in bounded:
+        op, bound = config.key_domain(key)[1]
+        issues = validate_config(config.with_values(default_config(), {key: math.nan}))
+        assert f"{key.replace('.', ': ')} must be {op} {bound:g}" in issues, key
+
+
 def test_serialize_round_trip_is_identity():
     cfg = default_config()
     assert load_config(serialize_config(cfg)) == cfg
@@ -169,6 +186,13 @@ def test_readme_config_block_loads_to_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     assert load_config(block) == default_config()
+    # and each key's lower bound as its table row states it
+    for line in block.splitlines():
+        bound = config.key_domain(line.split(" = ", 1)[0])[1]
+        if bound:
+            assert line.endswith(f"[{bound[0]} {bound[1]:g}]"), line
+        else:
+            assert "[" not in line, line
 
 
 def test_rho_max_proxy_quantile():
