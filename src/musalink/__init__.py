@@ -35,11 +35,9 @@ from .config import (
     db_to_linear,
     dbm_to_watts,
     default_config,
-    linear_to_db,
     load_config,
     serialize_config,
     validate_config,
-    watts_to_dbm,
 )
 from .optimizer import (
     BruteForceResult,
@@ -60,7 +58,6 @@ from .simulator import (
     CoverageEstimate,
     DecodingOutcome,
     FailureCause,
-    FrameStats,
     Scheme,
     SlotRealization,
     assign_slots_codes,
@@ -68,7 +65,6 @@ from .simulator import (
     estimate_coverage,
     generate_traffic,
     mmse_weights,
-    run_frame,
     sample_deployment,
     sic_decode,
 )

@@ -129,15 +129,31 @@ def _values_of(key: str):
     return _numbers(minimum, integer=kind == "int")
 
 
+def _whole(text: str) -> int:
+    """A count by the lists' rule, a finite whole number: 1e4 is 10000.
+
+    An integer literal is read exactly, however many digits it has.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(value)
+
+
 def _at_least(minimum: int):
-    """Argument type: an integer, refused below ``minimum``."""
+    """Argument type: a whole number, refused below ``minimum``."""
     def parse(text: str) -> int:
-        value = int(text)
+        value = _whole(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
         return value
-    # argparse names the type by __name__ in "invalid int value"
-    parse.__name__ = "int"
     return parse
 
 
@@ -182,11 +198,9 @@ def _workers() -> int:
     if not env:
         return 1
     try:
-        workers = int(env)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"MUSALINK_WORKERS must be an integer, got {env!r}"
-        ) from None
+        workers = _whole(env)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"MUSALINK_WORKERS {exc}") from None
     if workers < 1:
         raise argparse.ArgumentTypeError(f"MUSALINK_WORKERS must be >= 1, got {env!r}")
     return workers
@@ -213,8 +227,7 @@ def cmd_simulate(args) -> int:
     est = estimate_coverage(cfg, scheme, args.trials, args.seed, n_workers=_workers())
     elapsed = time.perf_counter() - t0
     row = {"scheme": scheme.value, "trials": args.trials, "seed": args.seed, **vars(est)}
-    # n_frames repeats trials
-    _write_lines(args.out, _table([c for c in row if c != "n_frames"], [row]))
+    _write_lines(args.out, _table(list(row), [row]))
     manifest_path = args.manifest or (args.out + ".manifest" if args.out else None)
     if manifest_path:
         serialized = serialize_config(cfg)

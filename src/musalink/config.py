@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -37,9 +38,7 @@ __all__ = [
     "SystemConfig",
     "ConfigError",
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
-    "watts_to_dbm",
     "default_config",
     "load_config",
     "with_values",
@@ -59,23 +58,9 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    """Linear power ratio -> dB."""
-    if value <= 0:
-        raise ValueError("dB conversion requires a positive ratio")
-    return 10.0 * math.log10(value)
-
-
 def dbm_to_watts(value_dbm: float) -> float:
     """Power in dBm -> watts."""
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(value_w: float) -> float:
-    """Power in watts -> dBm."""
-    if value_w <= 0:
-        raise ValueError("dBm conversion requires a positive power")
-    return 10.0 * math.log10(value_w) + 30.0
 
 
 class Scenario(Enum):
@@ -170,6 +155,12 @@ class SystemConfig:
         r = self.geometry.cell_radius
         return self.traffic.n_active / (math.pi * r * r)
 
+    def path_gain(self, radii):
+        """Large-scale linear power gain at horizontal distances ``radii`` (m)."""
+        h2 = self.geometry.uav_altitude**2
+        exponent = -0.5 * self.channel.pathloss_exp
+        return self.channel.pathloss_coeff * (radii**2 + h2) ** exponent
+
     def rho_max_proxy(self) -> int:
         """Deterministic stand-in for the per-frame maximum packet count.
 
@@ -257,20 +248,23 @@ def _field(cfg: SystemConfig, section: str | None, attr: str):
 def validate_config(cfg: SystemConfig) -> list[str]:
     """Collect every violated lower bound and feasibility constraint.
 
-    The lower bounds of ``_KEY_TABLE`` come first, in table order, written
-    so that NaN breaks every bound; then the checks that span fields or
+    The per-key checks of ``_KEY_TABLE`` come first, in table order: an
+    ``int`` key must hold a Python or numpy integer (not 10.0), and NaN
+    breaks every lower bound.  Then come the checks that span fields or
     bound from above: at most 4^n_subcarriers codes, epsilon_max below
-    0.5, and C4-C6.  Returns an empty list iff the configuration is
-    feasible.  C4/C5 apply only in the emergency scenario.
+    0.5, and C4-C6 (C4/C5 in the emergency scenario only).  Returns an
+    empty list iff the configuration is feasible.
     """
     issues = []
-    for key, (section, attr, _, bound) in _KEY_TABLE.items():
-        if bound is None:
-            continue
-        op, least = bound
+    for key, (section, attr, kind, bound) in _KEY_TABLE.items():
         value = _field(cfg, section, attr)
-        if not (value > least if op == ">" else value >= least):
-            issues.append(f"{key.replace('.', ': ')} must be {op} {least:g}")
+        name = key.replace(".", ": ")
+        if kind == "int" and not isinstance(value, numbers.Integral):
+            issues.append(f"{name} must be an integer")
+        if bound is not None:
+            op, least = bound
+            if not (value > least if op == ">" else value >= least):
+                issues.append(f"{name} must be {op} {least:g}")
     f = cfg.frame
     if 4 ** f.n_subcarriers < f.code_pool_size:
         issues.append(

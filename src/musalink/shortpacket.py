@@ -85,6 +85,4 @@ def max_snr_proxy(cfg: SystemConfig) -> float:
     Noise-limited link at horizontal distance zero, with the equal-split
     per-packet power :meth:`SystemConfig.mean_packet_power`.
     """
-    h2 = cfg.geometry.uav_altitude**2
-    pathloss = cfg.channel.pathloss_coeff * h2 ** (-0.5 * cfg.channel.pathloss_exp)
-    return cfg.mean_packet_power() * pathloss / cfg.channel.noise_power
+    return cfg.mean_packet_power() * cfg.path_gain(0.0) / cfg.channel.noise_power

@@ -17,16 +17,16 @@ radii, powers and de-interleaving run once on the stacked block.
 Estimates are therefore reproducible bit for bit regardless of how
 frames are distributed over workers or blocks.
 
-The receiver is batched: ``estimate_coverage`` and ``run_frame`` (a
-block of one) decode a block of frames at once.  Collisions are found
-with one ``unique`` over (slot, code) keys; each occupied slot becomes a
-row of packets, singletons nearest first and collided packets last, and
-iteration t of a slot tests its column t against the undecoded set of
-columns t..K-1.  By the push-through identity W = P^½Gᴴ(GPGᴴ + σ²I)⁻¹ a
-set needs the inverse of one J x J matrix, and the sets of a row grow by
-one column as t falls, so one backward sweep over t, a Sherman-Morrison
-update per step run over all rows at once, gives the SINR of every
-iteration of every slot without a linear solve.  ``mmse_weights`` and ``sic_decode`` are the
+The receiver is batched: ``estimate_coverage`` decodes a block of frames
+at once.  Collisions are found with one ``unique`` over (slot, code)
+keys; each occupied slot becomes a row of packets, singletons nearest
+first and collided packets last, and iteration t of a slot tests its
+column t against the undecoded set of columns t..K-1.  By the
+push-through identity W = P^½Gᴴ(GPGᴴ + σ²I)⁻¹ a set needs the inverse of
+one J x J matrix, and the sets of a row grow by one column as t falls,
+so one backward sweep over t, a Sherman-Morrison update per step run
+over all rows at once, gives the SINR of every iteration of every slot
+without a linear solve.  ``mmse_weights`` and ``sic_decode`` are the
 scalar one-slot receiver, kept as the oracle the batched decisions are
 tested against.
 
@@ -68,7 +68,6 @@ __all__ = [
     "FailureCause",
     "SlotRealization",
     "DecodingOutcome",
-    "FrameStats",
     "CoverageEstimate",
     "code_pool",
     "sample_deployment",
@@ -76,7 +75,6 @@ __all__ = [
     "assign_slots_codes",
     "mmse_weights",
     "sic_decode",
-    "run_frame",
     "estimate_coverage",
 ]
 
@@ -199,12 +197,6 @@ def assign_slots_codes(
     devices = np.repeat(np.arange(len(counts)), tx)
     codes = rng.integers(0, pool_size, size=len(slots))
     return np.column_stack((devices, slots, codes)), int(counts.sum() - tx.sum())
-
-
-def _path_gain(cfg: SystemConfig, radii: np.ndarray) -> np.ndarray:
-    """Large-scale linear power gain at horizontal distances ``radii``."""
-    h2 = cfg.geometry.uav_altitude**2
-    return cfg.channel.pathloss_coeff * (radii**2 + h2) ** (-0.5 * cfg.channel.pathloss_exp)
 
 
 # ============================================================================
@@ -497,7 +489,7 @@ def _decode_block(
     radius = block.radii.ravel()[block.device]
     power = block.powers.ravel()[block.device]
     channel = block.fading * pool[code]
-    channel *= np.sqrt(_path_gain(cfg, radius))[:, None]
+    channel *= np.sqrt(cfg.path_gain(radius))[:, None]
 
     slot = frame_of * n_slots + block.slot
     _, inverse, multiplicity = np.unique(
@@ -547,22 +539,9 @@ def _decode_block(
 # ============================================================================
 
 @dataclass(frozen=True)
-class FrameStats:
-    n_slots: int
-    packets_generated: int
-    packets_transmitted: int
-    packets_decoded: int
-    packets_dropped: int
-    collision_failures: int
-    threshold_failures: int
-    blocked_failures: int
-
-
-@dataclass(frozen=True)
 class CoverageEstimate:
     p_hat: float
     ci_halfwidth: float   # 95% normal approximation, frames as the iid unit
-    n_frames: int
     packets_generated: int
     packets_decoded: int
     packets_dropped: int
@@ -591,38 +570,6 @@ def _per_device_power(cfg: SystemConfig, scheme: Scheme, counts: np.ndarray) -> 
     if scheme is Scheme.TPDS:
         return np.where(counts > 0, p_max / np.maximum(counts, 1), 0.0)
     return np.full(counts.shape, cfg.mean_packet_power())
-
-
-def run_frame(
-    cfg: SystemConfig,
-    scheme: Scheme,
-    rng: np.random.Generator,
-    sinr_rule: str = "conservative",
-) -> FrameStats:
-    """Simulate one transmission frame and aggregate its decode outcomes.
-
-    The frame is a block of one, drawn from ``rng`` as frame i of
-    ``estimate_coverage`` draws from its (seed, i) stream, with the same
-    scheme slot count and per-packet powers.
-    """
-    _check_sinr_rule(sinr_rule)
-    n_slots = _scheme_n_slots(cfg, scheme)
-    block = _draw_block(cfg, scheme, [rng], n_slots)
-    decoded, collisions, below, blocked = (
-        int(c) for c in _decode_block(cfg, block, n_slots, sinr_rule)[0]
-    )
-    generated = int(block.counts.sum())
-    dropped = int(block.dropped[0])
-    return FrameStats(
-        n_slots=n_slots,
-        packets_generated=generated,
-        packets_transmitted=generated - dropped,
-        packets_decoded=decoded,
-        packets_dropped=dropped,
-        collision_failures=collisions,
-        threshold_failures=below,
-        blocked_failures=blocked,
-    )
 
 
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -713,7 +660,6 @@ def estimate_coverage(
     return CoverageEstimate(
         p_hat=p_hat,
         ci_halfwidth=ci,
-        n_frames=n_frames,
         packets_generated=generated,
         packets_decoded=decoded,
         packets_dropped=dropped,

@@ -500,6 +500,16 @@ def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value):
     (["compare", "--lambdas", "1:2:0"], "--lambdas", "step must be > 0, got '1:2:0'"),
     (["compare", "--lambdas", "2,5:2:1"], "--lambdas", "range is empty, got '5:2:1'"),
     (["analytic", "--sweep", "lambda"], "--sweep", "sweep must look like axis=values, got 'lambda'"),
+    # counts take the lists' whole-number rule: 1e1 is 10, fractions are refused
+    (["simulate", "--trials", "10.5"], "--trials", "must be an integer, got '10.5'"),
+    (["compare", "--trials", "inf"], "--trials", "must be an integer, got 'inf'"),
+    (["validate", "--trials", "1:3:1"], "--trials", "must be an integer, got '1:3:1'"),
+    (["simulate", "--trials", "abc"], "--trials", "must be an integer, got 'abc'"),
+    (["simulate", "--trials=-1e1"], "--trials", "must be >= 1, got '-1e1'"),
+    (["simulate", "--seed", "2.5"], "--seed", "must be an integer, got '2.5'"),
+    (["compare", "--seed", "nan"], "--seed", "must be an integer, got 'nan'"),
+    (["optimize", "--brute-points", "6.5"], "--brute-points", "must be an integer, got '6.5'"),
+    (["optimize", "--brute-points", "inf"], "--brute-points", "must be an integer, got 'inf'"),
 ])
 def test_out_of_range_option_usage_error(cfg_file, capsys, argv, flag, message):
     with pytest.raises(SystemExit) as info:
@@ -520,6 +530,41 @@ def test_bad_worker_count_usage_error(cfg_file, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == "musalink: error: MUSALINK_WORKERS must be an integer, got 'abc'"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["10.5", "inf", "1:3:1"])
+def test_fractional_worker_count_usage_error(cfg_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("MUSALINK_WORKERS", value)
+    with pytest.raises(SystemExit) as info:
+        main(["simulate", "--config", cfg_file, "--trials", "2"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"musalink: error: MUSALINK_WORKERS must be an integer, got {value!r}"
+    )
+
+
+def test_count_spellings_write_the_same_bytes(tmp_path, cfg_file, monkeypatch):
+    def simulate(trials, seed, workers):
+        monkeypatch.setenv("MUSALINK_WORKERS", workers)
+        out = tmp_path / f"sim_{trials}_{seed}_{workers}.csv"
+        assert main(["simulate", "--config", cfg_file, "--trials", trials,
+                     "--seed", seed, "--out", str(out)]) == 0
+        manifest = Path(f"{out}.manifest").read_text().splitlines()
+        return out.read_bytes(), [line for line in manifest if "wall_clock_s" not in line]
+
+    reference = simulate("10", "5", "1")
+    assert simulate("1e1", "5", "1") == reference
+    assert simulate("10.0", "5e0", "1e0") == reference
+    assert simulate("10", "5", "2e0") == reference
+
+    def optimize(points):
+        out = tmp_path / f"opt_{points}.txt"
+        assert main(["optimize", "--config", cfg_file, "--brute-points", points,
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    assert optimize("6.0") == optimize("6")
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

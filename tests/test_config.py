@@ -19,11 +19,9 @@ from musalink.config import (
     db_to_linear,
     dbm_to_watts,
     default_config,
-    linear_to_db,
     load_config,
     serialize_config,
     validate_config,
-    watts_to_dbm,
 )
 
 REFERENCE_DOC = """
@@ -46,10 +44,6 @@ def test_db_conversions_round_trip():
     assert db_to_linear(0.0) == pytest.approx(1.0, rel=1e-12)
     assert dbm_to_watts(10.0) == pytest.approx(0.01, rel=1e-12)
     assert dbm_to_watts(-100.0) == pytest.approx(1e-13, rel=1e-12)
-    for db in (-31.7, 0.0, 12.5):
-        assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
-    for w in (1e-13, 0.01, 3.7):
-        assert dbm_to_watts(watts_to_dbm(w)) == pytest.approx(w, rel=1e-12)
 
 
 def test_active_intensity_inverts_disc_area():
@@ -165,6 +159,22 @@ def test_nan_breaks_every_lower_bound():
         op, bound = config.key_domain(key)[1]
         issues = validate_config(config.with_values(default_config(), {key: math.nan}))
         assert f"{key.replace('.', ': ')} must be {op} {bound:g}" in issues, key
+
+
+INT_KEYS = ["traffic.n_active", "frame.n_slots", "frame.packet_bits",
+            "frame.n_subcarriers", "frame.code_pool_size"]
+
+
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_int_key_must_hold_an_integer(key):
+    assert [k for k in config._KEY_TABLE if config.key_domain(k)[0] == "int"] == INT_KEYS
+    default = config._field(default_config(), *config._KEY_TABLE[key][:2])
+    message = f"{key.replace('.', ': ')} must be an integer"
+    for value in (default + 0.5, float(default)):
+        issues = validate_config(config.with_values(default_config(), {key: value}))
+        assert issues == [message], value
+    for value in (default, np.int64(default), np.int32(default)):
+        assert validate_config(config.with_values(default_config(), {key: value})) == []
 
 
 def test_serialize_round_trip_is_identity():

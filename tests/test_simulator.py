@@ -13,13 +13,11 @@ from musalink.config import Scenario, SystemConfig, default_config
 from musalink.optimizer import adaptive_slots
 from musalink.simulator import (
     FailureCause,
-    FrameStats,
     Scheme,
     SlotRealization,
     _decode_block,
     _draw_block,
     _frame_rng,
-    _path_gain,
     _per_device_power,
     _scheme_n_slots,
     assign_slots_codes,
@@ -27,7 +25,6 @@ from musalink.simulator import (
     estimate_coverage,
     generate_traffic,
     mmse_weights,
-    run_frame,
     sample_deployment,
     sic_decode,
 )
@@ -328,7 +325,7 @@ def test_sic_decode_order_is_nondecreasing_distance():
             slot = SlotRealization(
                 device_ids=ids,
                 radii=radii[ids],
-                path_gain=_path_gain(cfg, radii[ids]),
+                path_gain=cfg.path_gain(radii[ids]),
                 fading=fading,
                 code_indices=codes,
                 code_vectors=pool[codes],
@@ -343,27 +340,35 @@ def test_sic_decode_order_is_nondecreasing_distance():
 
 def test_sic_post_mmse_rule_is_more_permissive():
     cfg = reference_config(n_active=20, lam=8.0)
-    rng = np.random.default_rng(13)
-    base = run_frame(cfg, Scheme.BASELINE, np.random.default_rng(13))
-    optimistic = run_frame(
+    _, base = decode_frame(cfg, Scheme.BASELINE, np.random.default_rng(13))
+    _, optimistic = decode_frame(
         cfg, Scheme.BASELINE, np.random.default_rng(13), sinr_rule="post_mmse"
     )
-    assert optimistic.packets_decoded >= base.packets_decoded
+    assert optimistic[0] >= base[0]
     with pytest.raises(ValueError):
-        run_frame(cfg, Scheme.BASELINE, rng, sinr_rule="bogus")
+        estimate_coverage(cfg, Scheme.BASELINE, 1, seed=13, sinr_rule="bogus")
 
 
 # ----------------------------------------------------------------------------
 #  Frames and schemes
 # ----------------------------------------------------------------------------
 
+def decode_frame(cfg, scheme, rng, sinr_rule="conservative"):
+    """One frame's block drawn from ``rng`` at the scheme's slot count, and
+    its [decoded, collided, below threshold, blocked] packet counts.
+    """
+    n_slots = _scheme_n_slots(cfg, scheme)
+    block = _draw_block(cfg, scheme, [rng], n_slots)
+    return block, _decode_block(cfg, block, n_slots, sinr_rule)[0]
+
+
 def test_vacuous_frame():
     cfg = reference_config(n_active=1, lam=0.0)
     cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0))
-    stats = run_frame(cfg, Scheme.NAS, np.random.default_rng(0))
-    assert stats.packets_generated == 0
-    assert stats.packets_decoded == 0
-    assert stats.packets_dropped == 0
+    block, counts = decode_frame(cfg, Scheme.NAS, np.random.default_rng(0))
+    assert block.counts.sum() == 0
+    assert counts[0] == 0
+    assert block.dropped[0] == 0
 
 
 def test_per_device_power_rules(monkeypatch):
@@ -384,30 +389,24 @@ def test_per_device_power_rules(monkeypatch):
 
     monkeypatch.setattr(simulator, "_decode_block", spy)
     for scheme in (Scheme.PROPOSED, Scheme.BASELINE):
-        run_frame(cfg, scheme, np.random.default_rng(5))
         estimate_coverage(cfg, scheme, 3, seed=5)
-    assert len(seen) == 8
+    assert len(seen) == 6
     assert all(p.tolist() == [cfg.mean_packet_power()] * 4 for p in seen)
 
 
 def test_proposed_frame_uses_adaptive_slot_count():
     cfg = reference_config(n_active=10, lam=2.0)
     expected = adaptive_slots(cfg).n_practical
-    stats = run_frame(cfg, Scheme.PROPOSED, np.random.default_rng(21))
-    assert stats.n_slots == expected
+    assert _scheme_n_slots(cfg, Scheme.PROPOSED) == expected
 
 
 def test_conservation_over_random_frames():
     cfg = reference_config(n_active=15, lam=6.0)
     for seed in range(20):
-        stats = run_frame(cfg, Scheme.BASELINE, np.random.default_rng(seed))
-        failed = (
-            stats.collision_failures
-            + stats.threshold_failures
-            + stats.blocked_failures
-        )
-        assert stats.packets_decoded + failed == stats.packets_transmitted
-        assert stats.packets_transmitted + stats.packets_dropped == stats.packets_generated
+        block, counts = decode_frame(cfg, Scheme.BASELINE, np.random.default_rng(seed))
+        transmitted = len(block.device)
+        assert counts.sum() == transmitted
+        assert transmitted + block.dropped[0] == block.counts.sum()
 
 
 def test_collision_rate_matches_analytic():
@@ -463,14 +462,16 @@ def test_failure_causes_account_for_transmitted_packets():
     cfg = reference_config(n_active=20, lam=8.0)
     cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=0.1))
     est = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=14)
-    frames = [run_frame(cfg, Scheme.BASELINE, _frame_rng(14, i)) for i in range(40)]
+    decoded, collided, below, blocked = sum(
+        decode_frame(cfg, Scheme.BASELINE, _frame_rng(14, i))[1] for i in range(40)
+    )
     failures = (est.collision_failures, est.threshold_failures, est.blocked_failures)
     assert all(type(c) is int and c > 0 for c in failures)
     assert est.packets_decoded + sum(failures) == est.packets_generated - est.packets_dropped
-    assert est.collision_failures == sum(f.collision_failures for f in frames)
-    assert est.threshold_failures == sum(f.threshold_failures for f in frames)
-    assert est.blocked_failures == sum(f.blocked_failures for f in frames)
-    assert est.packets_decoded == sum(f.packets_decoded for f in frames)
+    assert est.collision_failures == collided
+    assert est.threshold_failures == below
+    assert est.blocked_failures == blocked
+    assert est.packets_decoded == decoded
 
 
 def test_estimate_coverage_near_one_in_benign_regime():
@@ -487,8 +488,6 @@ def test_estimate_coverage_near_one_in_benign_regime():
 def test_unknown_sinr_rule_rejected_without_traffic():
     cfg = reference_config(n_active=5, lam=0.0)
     cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0))
-    with pytest.raises(ValueError):
-        run_frame(cfg, Scheme.BASELINE, np.random.default_rng(0), sinr_rule="bogus")
     with pytest.raises(ValueError):
         estimate_coverage(cfg, Scheme.BASELINE, 3, seed=1, sinr_rule="bogus")
 
@@ -539,7 +538,7 @@ def oracle_frame(cfg, block, pool, sinr_rule):
         slot = SlotRealization(
             device_ids=ids,
             radii=radii[ids],
-            path_gain=_path_gain(cfg, radii[ids]),
+            path_gain=cfg.path_gain(radii[ids]),
             fading=block.fading[sel],
             code_indices=codes,
             code_vectors=pool[codes],
@@ -586,23 +585,12 @@ def test_batched_receiver_matches_scalar_oracle(sinr_rule):
     seen = dict(decoded=0, collision=0, below=0, blocked=0, lone=0)
     for cfg, scheme in parity_cases():
         pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
-        n_slots = _scheme_n_slots(cfg, scheme)
         for i in range(12):
-            stats = run_frame(cfg, scheme, _frame_rng(40, i), sinr_rule=sinr_rule)
-            block = _draw_block(cfg, scheme, [_frame_rng(40, i)], n_slots)
+            block, counts = decode_frame(cfg, scheme, _frame_rng(40, i), sinr_rule)
             want = oracle_frame(cfg, block, pool, sinr_rule)
-            generated = int(block.counts.sum())
-            dropped = int(block.dropped[0])
-            assert stats == FrameStats(
-                n_slots=n_slots,
-                packets_generated=generated,
-                packets_transmitted=generated - dropped,
-                packets_decoded=want["decoded"],
-                packets_dropped=dropped,
-                collision_failures=want["collision"],
-                threshold_failures=want["below"],
-                blocked_failures=want["blocked"],
-            )
+            assert counts.tolist() == [
+                want["decoded"], want["collision"], want["below"], want["blocked"]
+            ]
             for key in seen:
                 seen[key] += want[key]
     # every receiver path was exercised: lone devices, shared codes, blocks
@@ -617,7 +605,7 @@ def sweep_oracle_slots(cfg, pool, rng, n_slots):
     split and its halves to quarters.  A random subset of each slot
     shares one code: a collided tail, never decoded, always interfering.
     """
-    g0 = _path_gain(cfg, np.zeros(1))[0]
+    g0 = cfg.path_gain(np.zeros(1))[0]
     j = cfg.frame.n_subcarriers
     slots = []
     for _ in range(n_slots):
@@ -805,9 +793,9 @@ def test_clustered_ci_matches_per_frame_computation():
     cfg = reference_config(n_active=10, lam=2.0)
     n = 300
     est = estimate_coverage(cfg, Scheme.BASELINE, n, seed=21)
-    frames = [run_frame(cfg, Scheme.BASELINE, _frame_rng(21, i)) for i in range(n)]
-    g = np.array([f.packets_generated for f in frames], dtype=float)
-    d = np.array([f.packets_decoded for f in frames], dtype=float)
+    frames = [decode_frame(cfg, Scheme.BASELINE, _frame_rng(21, i)) for i in range(n)]
+    g = np.array([block.counts.sum() for block, _ in frames], dtype=float)
+    d = np.array([counts[0] for _, counts in frames], dtype=float)
     p = d.sum() / g.sum()
     var = n / (n - 1) * np.sum((d - p * g) ** 2) / g.sum() ** 2
     assert est.p_hat == p
