@@ -30,6 +30,7 @@ from .config import (
     PowerPolicy,
     ReliabilityParams,
     Scenario,
+    Scheme,
     SystemConfig,
     TrafficParams,
     db_to_linear,
@@ -58,7 +59,6 @@ from .simulator import (
     CoverageEstimate,
     DecodingOutcome,
     FailureCause,
-    Scheme,
     SlotRealization,
     assign_slots_codes,
     code_pool,

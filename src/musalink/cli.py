@@ -31,6 +31,7 @@ import time
 from .analytic import QuadratureError, frame_coverage_probs
 from .config import (
     ConfigError,
+    Scheme,
     SystemConfig,
     default_config,
     key_domain,
@@ -39,7 +40,7 @@ from .config import (
     with_values,
 )
 from .optimizer import InfeasibleError, adaptive_slots, brute_force_slots
-from .simulator import Scheme, estimate_coverage
+from .simulator import estimate_coverage
 
 EXIT_OK = 0
 EXIT_USAGE = 2

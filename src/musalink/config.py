@@ -25,10 +25,12 @@ import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
+import numpy as np
 from scipy.special import pdtr, pdtrik
 
 __all__ = [
     "Scenario",
+    "Scheme",
     "GeometryParams",
     "ChannelParams",
     "TrafficParams",
@@ -66,6 +68,22 @@ def dbm_to_watts(value_dbm: float) -> float:
 class Scenario(Enum):
     NON_EMERGENCY = "non_emergency"
     EMERGENCY = "emergency"
+
+
+class Scheme(Enum):
+    """Transmission schemes, each a fixed (slot rule, power rule) pair.
+
+    PROPOSED runs at the adaptive slot count in an emergency, every other
+    scheme at the configured one.  PROPOSED and BASELINE send each packet
+    at the equal split ``p_max / rho_max_proxy()``, TPDS at ``p_max`` over
+    the device's own packet count, NAS at ``p_max``.  BASELINE is the
+    system the analytical model describes.  The rules are
+    ``optimizer.scheme_slots`` and :meth:`SystemConfig.packet_power`.
+    """
+    PROPOSED = "proposed"
+    TPDS = "tpds"
+    NAS = "nas"
+    BASELINE = "baseline"
 
 
 # ----------------------------------------------------------------------------
@@ -125,8 +143,8 @@ class PowerPolicy:
     """Per-device power budget.
 
     Which rule splits the budget over a device's packets is fixed by the
-    transmission scheme (``simulator.Scheme``).  The equal split of
-    :meth:`SystemConfig.mean_packet_power` divides it by the
+    transmission scheme (:meth:`SystemConfig.packet_power`).  The equal
+    split of :meth:`SystemConfig.mean_packet_power` divides it by the
     :data:`RHO_MAX_QUANTILE` Poisson quantile of the traffic rate.
     """
     p_max: float = 0.01            # W (10 dBm), per-device power budget
@@ -176,9 +194,19 @@ class SystemConfig:
         """Equal-split per-packet power: the budget over the rho_max proxy (W).
 
         The one definition read by the analytics, the SNR proxy and the
-        simulator's PROPOSED and BASELINE schemes.
+        PROPOSED and BASELINE schemes of :meth:`packet_power`.
         """
         return self.power.p_max / self.rho_max_proxy()
+
+    def packet_power(self, scheme: Scheme, counts: np.ndarray) -> np.ndarray:
+        """Per-packet power (W), by ``scheme``'s rule (see :class:`Scheme`), of
+        devices holding ``counts`` packets; 0 for a silent TPDS device."""
+        p_max = self.power.p_max
+        if scheme is Scheme.NAS:
+            return np.full(counts.shape, p_max)
+        if scheme is Scheme.TPDS:
+            return np.where(counts > 0, p_max / np.maximum(counts, 1), 0.0)
+        return np.full(counts.shape, self.mean_packet_power())
 
     def traffic_slot_bound(self) -> float:
         """Upper bound on the slot count from the traffic load (C1)."""
@@ -265,8 +293,10 @@ def validate_config(cfg: SystemConfig) -> list[str]:
             op, least = bound
             if not (value > least if op == ">" else value >= least):
                 issues.append(f"{name} must be {op} {least:g}")
-    f = cfg.frame
-    if 4 ** f.n_subcarriers < f.code_pool_size:
+    j, pool = cfg.frame.n_subcarriers, cfg.frame.code_pool_size
+    # 4^j < pool as pool - 1 >= 2^(2j); a non-integer is reported above
+    if (isinstance(j, numbers.Integral) and isinstance(pool, numbers.Integral)
+            and pool > 0 and int(pool - 1).bit_length() > 2 * int(j)):
         issues.append(
             "frame: code_pool_size exceeds the 4^n_subcarriers distinct "
             "quaternary spreading codes"

@@ -8,7 +8,7 @@ is smaller.  The C3 bound is the positive root of a quadratic in
 sqrt(n), in closed form, with its residual checked against
 ``error_prob_ln_form``.  A brute-force sweep of the analytic coverage
 curve serves as the independent optimality oracle.  The proposed
-scheme takes its slot count from the configured rate.
+scheme takes its slot count from the configured rate (``scheme_slots``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable
 from scipy.special import ndtri
 
 from .analytic import frame_coverage_probs
-from .config import Scenario, SystemConfig, validate_config
+from .config import Scenario, Scheme, SystemConfig, validate_config
 from .shortpacket import LN2, error_prob_ln_form, max_snr_proxy
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "InfeasibleError",
     "solve_n_epsilon",
     "adaptive_slots",
+    "scheme_slots",
     "brute_force_slots",
 ]
 
@@ -151,6 +152,13 @@ def adaptive_slots(cfg: SystemConfig) -> OptimizerOutput:
         residual=residual,
         n_min=n_min,
     )
+
+
+def scheme_slots(cfg: SystemConfig, scheme: Scheme) -> int:
+    """Slots per frame by ``scheme``'s slot rule (see ``config.Scheme``)."""
+    if scheme is Scheme.PROPOSED and cfg.traffic.scenario is Scenario.EMERGENCY:
+        return adaptive_slots(cfg).n_practical
+    return cfg.frame.n_slots
 
 
 def brute_force_slots(

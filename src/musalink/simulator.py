@@ -60,11 +60,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Scenario, SystemConfig
-from .optimizer import adaptive_slots
+from .config import Scenario, Scheme, SystemConfig
+from .optimizer import scheme_slots
 
 __all__ = [
-    "Scheme",
     "FailureCause",
     "SlotRealization",
     "DecodingOutcome",
@@ -77,23 +76,6 @@ __all__ = [
     "sic_decode",
     "estimate_coverage",
 ]
-
-
-class Scheme(Enum):
-    """Transmission schemes, each a fixed (slot rule, power rule) pair.
-
-    PROPOSED adapts the slot count to the traffic and gives every packet
-    the equal split ``cfg.mean_packet_power()`` (the budget over the
-    maximum-packet-count proxy); TPDS keeps the configured slot count and
-    splits each device's budget over its own packets; NAS keeps the
-    configured slot count at full budget per packet.  BASELINE is the
-    fixed-slot equal-split system the analytical model describes.  The
-    rules live in ``_scheme_n_slots`` and ``_per_device_power``.
-    """
-    PROPOSED = "proposed"
-    TPDS = "tpds"
-    NAS = "nas"
-    BASELINE = "baseline"
 
 
 class FailureCause(Enum):
@@ -355,21 +337,18 @@ def _draw_block(
 ) -> _Block:
     """Draw a block of frames, frame f from ``rngs[f]``.
 
-    Each stream is read as ``generate_traffic``, ``sample_deployment``,
-    ``assign_slots_codes`` and ``standard_normal((2, N, J))`` would read
-    it: the radii and slot keys of a frame are one ``random`` call, since
-    ``random(n)`` then ``random((n, S))`` yields the same doubles.  Only
-    these generator calls run per frame; sorting, indexing and powers run
-    once on the stacked block.
+    ``generate_traffic`` draws a frame's counts; the rest of its stream is
+    read as ``sample_deployment``, ``assign_slots_codes`` and
+    ``standard_normal((2, N, J))`` would read it: the radii and slot keys
+    are one ``random`` call, since ``random(n)`` then ``random((n, S))``
+    yields the same doubles.  Only these generator calls run per frame;
+    sorting, indexing and powers run once on the stacked block.
     """
-    n, lam = cfg.traffic.n_active, cfg.traffic.lam
-    j = cfg.frame.n_subcarriers
-    emergency = cfg.traffic.scenario is Scenario.EMERGENCY
-    counts = np.ones((len(rngs), n), dtype=np.int64)
+    n, j = cfg.traffic.n_active, cfg.frame.n_subcarriers
+    counts = np.empty((len(rngs), n), dtype=np.int64)
     u = np.empty((len(rngs), n * (1 + n_slots)))  # per frame: radii, then (n, S) keys
     for f, rng in enumerate(rngs):
-        if emergency:
-            counts[f] = rng.poisson(lam, n)
+        counts[f] = generate_traffic(cfg, rng)
         rng.random(out=u[f])
     tx = np.minimum(counts, n_slots)
     n_pkt = tx.sum(axis=1)
@@ -394,7 +373,7 @@ def _draw_block(
         counts=counts,
         dropped=counts.sum(axis=1) - n_pkt,
         radii=cfg.geometry.cell_radius * np.sqrt(u[:, :n]),
-        powers=_per_device_power(cfg, scheme, counts),
+        powers=cfg.packet_power(scheme, counts),
         device=np.repeat(np.arange(counts.size), tx.ravel()),
         slot=slot,
         code=np.concatenate(codes),
@@ -552,26 +531,6 @@ class CoverageEstimate:
     blocked_failures: int
 
 
-def _scheme_n_slots(cfg: SystemConfig, scheme: Scheme) -> int:
-    if scheme is Scheme.PROPOSED and cfg.traffic.scenario is Scenario.EMERGENCY:
-        return adaptive_slots(cfg).n_practical
-    return cfg.frame.n_slots
-
-
-def _per_device_power(cfg: SystemConfig, scheme: Scheme, counts: np.ndarray) -> np.ndarray:
-    """Per-packet transmit power of each device under a scheme.
-
-    PROPOSED and BASELINE give every packet the equal split
-    ``cfg.mean_packet_power()``, read once per call, so once per block.
-    """
-    p_max = cfg.power.p_max
-    if scheme is Scheme.NAS:
-        return np.full(counts.shape, p_max)
-    if scheme is Scheme.TPDS:
-        return np.where(counts > 0, p_max / np.maximum(counts, 1), 0.0)
-    return np.full(counts.shape, cfg.mean_packet_power())
-
-
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(frame_index,))
@@ -636,17 +595,18 @@ def estimate_coverage(
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     _check_sinr_rule(sinr_rule)
-    n_slots = _scheme_n_slots(cfg, scheme)
+    n_slots = scheme_slots(cfg, scheme)
 
     chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
     tasks = [
         (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule)
         for start in range(0, n_frames, chunk)
     ]
-    if n_workers <= 1:
+    workers = min(n_workers, len(tasks))
+    if workers <= 1:
         parts = [_coverage_worker(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool_exec:
+        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
             parts = list(pool_exec.map(_coverage_worker, tasks))
     generated, decoded, dropped, gg, dd, gd, collided, below, blocked = (
         sum(col) for col in zip(*parts)

@@ -23,7 +23,7 @@ from musalink.analytic import (
     slot_statistics,
 )
 from musalink.cli import main
-from musalink.config import default_config, serialize_config
+from musalink.config import Scheme, default_config, serialize_config
 from musalink.optimizer import adaptive_slots, brute_force_slots, solve_n_epsilon
 from musalink.shortpacket import (
     BlocklengthPoint,
@@ -31,7 +31,7 @@ from musalink.shortpacket import (
     max_snr_proxy,
     packet_error_prob,
 )
-from musalink.simulator import Scheme, estimate_coverage, mmse_weights, sic_decode
+from musalink.simulator import estimate_coverage, mmse_weights, sic_decode
 
 from conftest import reference_config
 from simpson import adaptive_simpson

@@ -22,13 +22,14 @@ from musalink.cli import (
     main,
 )
 from musalink.config import (
+    Scheme,
     default_config,
     key_domain,
     serialize_config,
     validate_config,
     with_values,
 )
-from musalink.simulator import Scheme, estimate_coverage
+from musalink.simulator import estimate_coverage
 
 from conftest import reference_config
 

@@ -151,6 +151,25 @@ def test_validate_reports_type_invariants():
     assert any("code_pool_size" in issue for issue in validate_config(cfg))
 
 
+def test_code_pool_check_is_exact_and_constant_time():
+    def exceeds(j, pool):
+        cfg = config.with_values(
+            default_config(), {"frame.n_subcarriers": j, "frame.code_pool_size": pool}
+        )
+        return any("code_pool_size exceeds" in issue for issue in validate_config(cfg))
+
+    for j in [*range(13), 40]:
+        for pool in (4**j - 1, 4**j, 4**j + 1, 0, 1, 2, 10**40):
+            for j_int, pool_int in ((int, int), (np.int64, int), (int, np.int64),
+                                    (np.int64, np.int64)):
+                if pool_int is np.int64 and pool >= 2**63:
+                    continue
+                assert exceeds(j_int(j), pool_int(pool)) == (4**j < pool), (j, pool)
+    # 4**(10**9) would take seconds and a quarter of a gigabyte
+    cfg = config.with_values(default_config(), {"frame.n_subcarriers": 10**9})
+    assert validate_config(cfg) == []
+
+
 def test_nan_breaks_every_lower_bound():
     bounded = {key for key in config._KEY_TABLE if config.key_domain(key)[1] is not None}
     assert {"traffic.lambda", "frame.frame_duration", "delta_slack", "traffic.n_active",

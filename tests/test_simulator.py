@@ -9,17 +9,14 @@ from scipy import stats as sps
 
 from musalink.analytic import collision_free_prob, slot_occupancy_prob
 from musalink import simulator
-from musalink.config import Scenario, SystemConfig, default_config
-from musalink.optimizer import adaptive_slots
+from musalink.config import Scenario, Scheme, SystemConfig, default_config
+from musalink.optimizer import adaptive_slots, scheme_slots
 from musalink.simulator import (
     FailureCause,
-    Scheme,
     SlotRealization,
     _decode_block,
     _draw_block,
     _frame_rng,
-    _per_device_power,
-    _scheme_n_slots,
     assign_slots_codes,
     code_pool,
     estimate_coverage,
@@ -357,7 +354,7 @@ def decode_frame(cfg, scheme, rng, sinr_rule="conservative"):
     """One frame's block drawn from ``rng`` at the scheme's slot count, and
     its [decoded, collided, below threshold, blocked] packet counts.
     """
-    n_slots = _scheme_n_slots(cfg, scheme)
+    n_slots = scheme_slots(cfg, scheme)
     block = _draw_block(cfg, scheme, [rng], n_slots)
     return block, _decode_block(cfg, block, n_slots, sinr_rule)[0]
 
@@ -371,13 +368,13 @@ def test_vacuous_frame():
     assert block.dropped[0] == 0
 
 
-def test_per_device_power_rules(monkeypatch):
+def test_packet_power_rules(monkeypatch):
     cfg = reference_config(n_active=4, lam=4.0)
     counts = np.array([4, 1, 0, 2])
     p_max = cfg.power.p_max
-    tpds = _per_device_power(cfg, Scheme.TPDS, counts)
+    tpds = cfg.packet_power(Scheme.TPDS, counts)
     assert tpds == pytest.approx([p_max / 4, p_max, 0.0, p_max / 2])
-    nas = _per_device_power(cfg, Scheme.NAS, counts)
+    nas = cfg.packet_power(Scheme.NAS, counts)
     assert nas == pytest.approx([p_max] * 4)
     # PROPOSED and BASELINE: the receiver sees the analytics' equal split, bit for bit
     seen = []
@@ -397,7 +394,7 @@ def test_per_device_power_rules(monkeypatch):
 def test_proposed_frame_uses_adaptive_slot_count():
     cfg = reference_config(n_active=10, lam=2.0)
     expected = adaptive_slots(cfg).n_practical
-    assert _scheme_n_slots(cfg, Scheme.PROPOSED) == expected
+    assert scheme_slots(cfg, Scheme.PROPOSED) == expected
 
 
 def test_conservation_over_random_frames():
@@ -448,6 +445,44 @@ def test_estimate_coverage_worker_invariance():
     serial = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9, n_workers=1)
     parallel = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9, n_workers=2)
     assert serial == parallel
+
+
+def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
+    made = []
+
+    class RecordingPool:
+        """Records its worker count and maps in-process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    cfg = reference_config(n_active=10, lam=4.0)
+    one = estimate_coverage(cfg, Scheme.BASELINE, 1, seed=9, n_workers=4)
+    assert made == []
+    three = estimate_coverage(cfg, Scheme.BASELINE, 3, seed=9, n_workers=8)
+    assert made == [3]
+    assert one == estimate_coverage(cfg, Scheme.BASELINE, 1, seed=9)
+    assert three == estimate_coverage(cfg, Scheme.BASELINE, 3, seed=9)
+
+
+def test_schemes_coincide_outside_an_emergency():
+    # one packet per device: PROPOSED keeps the configured slots, and
+    # p_max / 1 (TPDS), p_max (NAS) and p_max / rho_max_proxy() agree
+    cfg = reference_config(n_active=12, lam=4.0)
+    cfg = replace(cfg, traffic=replace(cfg.traffic, scenario=Scenario.NON_EMERGENCY))
+    estimates = [estimate_coverage(cfg, scheme, 40, seed=4) for scheme in Scheme]
+    assert estimates[0].packets_decoded > 0
+    assert all(est == estimates[0] for est in estimates)
 
 
 def test_estimate_coverage_accounting():
@@ -687,7 +722,7 @@ def test_estimate_coverage_makes_no_linear_solve(monkeypatch):
 
 def test_decode_block_independent_of_block_composition():
     cfg, scheme = parity_cases()[0]
-    n_slots = _scheme_n_slots(cfg, scheme)
+    n_slots = scheme_slots(cfg, scheme)
     frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)], n_slots) for i in range(20)]
     block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)], n_slots)
     together = _decode_block(cfg, block, n_slots, "conservative")
@@ -706,7 +741,7 @@ def oracle_draws(cfg, scheme, rng, n_slots):
     radii = sample_deployment(cfg.traffic.n_active, cfg.geometry.cell_radius, rng)
     packets, dropped = assign_slots_codes(counts, n_slots, cfg.frame.code_pool_size, rng)
     z = rng.standard_normal((2, len(packets), cfg.frame.n_subcarriers))
-    powers = _per_device_power(cfg, scheme, counts)
+    powers = cfg.packet_power(scheme, counts)
     return counts, radii, powers, packets, dropped, (z[0] + 1j * z[1]) / math.sqrt(2.0)
 
 
@@ -730,7 +765,7 @@ def block_draw_cases():
 @pytest.mark.parametrize("case", range(5))
 def test_block_draw_matches_per_frame_oracle(case, n_frames):
     cfg, scheme, must_see = block_draw_cases()[case]
-    n_slots = _scheme_n_slots(cfg, scheme)
+    n_slots = scheme_slots(cfg, scheme)
     n = cfg.traffic.n_active
     seen = dict(dropped=0, empty_frames=0, silent_devices=0)
     for first in range(0, 21, n_frames):
