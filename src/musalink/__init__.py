@@ -19,7 +19,6 @@ from .analytic import (
     laplace_singleton,
     ordered_distance_pdf,
     singleton_count,
-    slot_occupancy_prob,
     slot_statistics,
 )
 from .config import (
@@ -38,6 +37,7 @@ from .config import (
     default_config,
     load_config,
     serialize_config,
+    slot_occupancy_prob,
     validate_config,
 )
 from .optimizer import (
@@ -63,7 +63,6 @@ from .simulator import (
     assign_slots_codes,
     code_pool,
     estimate_coverage,
-    generate_traffic,
     mmse_weights,
     sample_deployment,
     sic_decode,

@@ -44,16 +44,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import eval_jacobi, hyp2f1, pdtr, pdtrc
+from scipy.special import eval_jacobi, hyp2f1
 
-from .config import Scenario, SystemConfig
+from .config import SystemConfig
 
 __all__ = [
     "QuadratureError",
     "IntensitySet",
     "SlotStatistics",
     "CoverageReport",
-    "slot_occupancy_prob",
     "collision_free_prob",
     "singleton_count",
     "ordered_distance_pdf",
@@ -72,10 +71,12 @@ __all__ = [
 _OUTER_NODES = 16
 
 # Rank weights (largest rank count x nodes) that one batch of
-# frame_coverage_probs holds; a point with more is evaluated alone.  This
-# bounds a batch's arrays at a few MB whatever the sweep's length or the
-# code pool's size.
+# frame_coverage_probs holds, so a long sweep's arrays stay at a few MB; a
+# point with more is evaluated alone, its weights built _RANK_WEIGHTS at a
+# time.  That is far above _BATCH_WEIGHTS, so every batch of two or more
+# points is one block: a dot over fewer rows can differ in the last bit.
 _BATCH_WEIGHTS = 1 << 16
+_RANK_WEIGHTS = 1 << 20
 
 
 class QuadratureError(RuntimeError):
@@ -131,27 +132,8 @@ class CoverageReport:
 
 
 # ----------------------------------------------------------------------------
-#  Slot occupancy and code collisions
+#  Code collisions
 # ----------------------------------------------------------------------------
-
-def slot_occupancy_prob(lam: float, n_slots: int) -> float:
-    """Probability that a given active device transmits in a given slot.
-
-    A device with L ~ Poisson(lam) packets occupies a given slot with
-    probability min(L, n_slots)/n_slots.  The mean of that over the whole
-    Poisson law has the closed form
-
-        E[min(L, S)]/S = (lam/S) * P(L <= S-1) + P(L > S),   S = n_slots,
-
-    since L*pmf(L) = lam*pmf(L-1).
-    """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
-    return min(1.0, max(0.0, float(total)))
-
 
 def collision_free_prob(p_lambda: float, n_active: int, pool_size: int) -> float:
     """Probability a device transmitting in a slot suffers no code collision.
@@ -209,12 +191,7 @@ def ordered_distance_pdf(k: int, n_singleton: int, radius: float, x: float) -> f
 
 def slot_statistics(cfg: SystemConfig) -> SlotStatistics:
     """Derive the per-slot occupancy, collision and intensity figures."""
-    n_slots = cfg.frame.n_slots
-    if cfg.traffic.scenario is Scenario.NON_EMERGENCY:
-        # exactly one packet per active device, uniform over the slots
-        p_lam = 1.0 / n_slots
-    else:
-        p_lam = slot_occupancy_prob(cfg.traffic.lam, n_slots)
+    p_lam = cfg.traffic.slot_occupancy(cfg.frame.n_slots)
     p_cf = collision_free_prob(p_lam, cfg.traffic.n_active, cfg.frame.code_pool_size)
     n_s = singleton_count(cfg.traffic.n_active, p_lam, p_cf)
     intensities = IntensitySet.from_collision_prob(cfg.active_intensity(), p_cf)
@@ -456,24 +433,26 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
     x, log_w = _gauss_jacobi(np.maximum(n_s - n_ranks, -1.0 + 2.0**-52), n)
     g = kernel(0.5 * (1.0 + x), np.repeat(np.arange(n.size), 3 * n))
 
-    # the weights of every rank up to the batch's largest K at every node,
-    # one row per rank; each point reads its own first K rows
-    k = np.arange(n_ranks.max())[:, None]  # rank - 1
-    log_w = (log_w + (np.repeat(n_ranks, 3 * n) - 1 - k) * np.log1p(-x)
-             + k * np.log1p(x))
+    # the weights of every rank up to the batch's largest K at every node, one
+    # row per rank, _RANK_WEIGHTS at a time; each point reads its own first K rows
     cols = np.column_stack((n, 2 * n)).ravel()  # nodes of each rule
     first = np.cumsum(cols) - cols  # first node of each rule
-    w = np.exp(log_w - np.repeat(np.maximum.reduceat(log_w, first, axis=1), cols, axis=1))
-
-    # each rule's weighted sums over its own K x m block: the same sums over
-    # rows padded to the batch's largest K can differ in the last bit
-    num, den = [], []
-    for r, f, c in zip(np.repeat(n_ranks, 2).tolist(), first.tolist(), cols.tolist()):
-        w_k = w[:r, f: f + c]
-        num.append(w_k.dot(g[f: f + c]))
-        den.append(np.add.reduce(w_k, axis=1))
-    coarse = np.concatenate(num[0::2]) / np.concatenate(den[0::2])
-    value = np.concatenate(num[1::2]) / np.concatenate(den[1::2])
+    rules = list(zip(np.repeat(n_ranks, 2).tolist(), first.tolist(), cols.tolist()))
+    top, log_lo, log_hi = np.repeat(n_ranks, 3 * n) - 1, np.log1p(-x), np.log1p(x)
+    num, den = [[] for _ in rules], [[] for _ in rules]
+    step = max(1, _RANK_WEIGHTS // x.size)
+    for lo in range(0, int(n_ranks.max()), step):
+        k = np.arange(lo, min(lo + step, n_ranks.max()))[:, None]  # rank - 1
+        log_wk = log_w + (top - k) * log_lo + k * log_hi
+        w = np.exp(log_wk - np.repeat(np.maximum.reduceat(log_wk, first, axis=1), cols, axis=1))
+        # each rule's weighted sums over its own K x m block: the same sums
+        # over rows padded to the batch's largest K can differ in the last bit
+        for (r, f, c), num_r, den_r in zip(rules, num, den):
+            w_k = w[: max(r - lo, 0), f: f + c]
+            num_r.append(w_k.dot(g[f: f + c]))
+            den_r.append(np.add.reduce(w_k, axis=1))
+    coarse, value = (np.concatenate([p for rule in num[i::2] for p in rule])  # n, 2n nodes
+                     / np.concatenate([p for rule in den[i::2] for p in rule]) for i in (0, 1))
     err = np.abs(value - coarse)
     bad = ~(np.isfinite(value) & np.isfinite(err))
     rank_start = np.cumsum(n_ranks) - n_ranks
@@ -550,9 +529,7 @@ def frame_coverage_probs(cfgs: Iterable[SystemConfig]) -> list[CoverageReport]:
     """
     cfgs = list(cfgs)
     stats = [slot_statistics(cfg) for cfg in cfgs]
-    # packets per device and frame; one in the non-emergency scenario
-    loads = [1.0 if cfg.traffic.scenario is Scenario.NON_EMERGENCY else cfg.traffic.lam
-             for cfg in cfgs]
+    loads = [cfg.traffic.mean_packets() for cfg in cfgs]
     reports = [None] * len(cfgs)
     live = []
     for i, st in enumerate(stats):
@@ -589,8 +566,8 @@ def frame_coverage_prob(cfg: SystemConfig) -> CoverageReport:
     """Average probability a generated packet is collision-free and covered.
 
     Sums the rank-wise survival products over the (possibly fractional)
-    singleton count and normalizes by the mean per-frame packet load; in
-    the non-emergency scenario the load is one packet per device.  The
-    one-point case of :func:`frame_coverage_probs`.
+    singleton count and normalizes by the mean per-frame packet load
+    (:meth:`TrafficParams.mean_packets`).  The one-point case of
+    :func:`frame_coverage_probs`.
     """
     return frame_coverage_probs([cfg])[0]

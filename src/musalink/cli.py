@@ -196,15 +196,10 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 def _workers() -> int:
     env = os.environ.get("MUSALINK_WORKERS")
-    if not env:
-        return 1
     try:
-        workers = _whole(env)
+        return _at_least(1)(env) if env else 1
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"MUSALINK_WORKERS {exc}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"MUSALINK_WORKERS must be >= 1, got {env!r}")
-    return workers
 
 
 # ----------------------------------------------------------------------------

@@ -6,6 +6,9 @@ linear power ratios).  The plain-text config format accepts explicit
 the canonical serialization always emits base units so that a
 load/serialize round trip is exact.
 
+:class:`TrafficParams` states the packet-count law: one packet per
+device and frame outside an emergency, Poisson(lambda) inside one.
+
 Feasibility constraints checked by :func:`validate_config`:
 
   C4  lambda_min <= lambda          (emergency scenario only)
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import pdtr, pdtrik
+from scipy.special import pdtr, pdtrc, pdtrik
 
 __all__ = [
     "Scenario",
@@ -48,6 +51,7 @@ __all__ = [
     "validate_config",
     "ensure_valid",
     "key_domain",
+    "slot_occupancy_prob",
 ]
 
 
@@ -111,16 +115,31 @@ class ChannelParams:
 class TrafficParams:
     """Per-frame traffic model of the active devices.
 
-    In the non-emergency scenario every active device carries exactly one
-    packet; in the emergency scenario per-device packet counts are
-    Poisson(lam), with no truncation of the Poisson tail in the analytics
-    or the simulator.
+    The packet-count law L of an active device in a frame: one packet
+    outside an emergency, Poisson(lam) inside one, with no truncated tail.
+    The analytics and the simulator read L only through the methods below.
     """
     n_active: int = 10             # devices active in the frame
     lam: float = 4.0               # mean packets per active device
     lambda_min: float = 2.0        # C4 lower bound on lam (emergency)
     lambda_max: float = 10.0       # C5 upper bound on lam (emergency)
     scenario: Scenario = Scenario.EMERGENCY
+
+    def packet_counts(self, rng: np.random.Generator) -> np.ndarray:
+        """Each active device's L, drawn from ``rng``; no draw outside an emergency."""
+        if self.scenario is Scenario.NON_EMERGENCY:
+            return np.ones(self.n_active, dtype=np.int64)
+        return rng.poisson(self.lam, self.n_active)
+
+    def mean_packets(self) -> float:
+        """E[L], the mean packet load of an active device."""
+        return 1.0 if self.scenario is Scenario.NON_EMERGENCY else self.lam
+
+    def slot_occupancy(self, n_slots: int) -> float:
+        """P(a device transmits in a given slot) = E[min(L, S)]/S, S = ``n_slots``."""
+        if self.scenario is Scenario.NON_EMERGENCY:
+            return 1.0 / n_slots
+        return slot_occupancy_prob(self.lam, n_slots)
 
 
 @dataclass(frozen=True)
@@ -222,6 +241,25 @@ def _poisson_quantile(q: float, lam: float) -> int:
     k = math.ceil(pdtrik(q, lam))
     below = max(k - 1, 0)
     return below if pdtr(below, lam) >= q else k
+
+
+def slot_occupancy_prob(lam: float, n_slots: int) -> float:
+    """Probability that a given active device transmits in a given slot.
+
+    A device with L ~ Poisson(lam) packets occupies a given slot with
+    probability min(L, n_slots)/n_slots.  The mean of that over the whole
+    Poisson law has the closed form
+
+        E[min(L, S)]/S = (lam/S) * P(L <= S-1) + P(L > S),   S = n_slots,
+
+    since L*pmf(L) = lam*pmf(L-1).
+    """
+    if lam < 0:
+        raise ValueError("lam must be >= 0")
+    if n_slots < 1:
+        raise ValueError("n_slots must be >= 1")
+    total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
+    return min(1.0, max(0.0, float(total)))
 
 
 def default_config() -> SystemConfig:

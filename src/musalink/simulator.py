@@ -9,7 +9,7 @@ order: packet counts (emergency only), then one ``random`` call holding
 the radii and the (n_devices, n_slots) slot keys whose row-wise argsort
 gives each device's slots, one ``integers`` call for every code, and one
 ``standard_normal`` call for all fading, the (2, n_packets, J) real and
-imaginary parts.  These are the draws ``generate_traffic``,
+imaginary parts.  These are the draws ``TrafficParams.packet_counts``,
 ``sample_deployment`` and ``assign_slots_codes`` make in turn, and those
 public laws are the oracle of the block draw.  A block of frames is
 drawn at once: only the generator calls run per frame; the argsort,
@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Scenario, Scheme, SystemConfig
+from .config import Scheme, SystemConfig
 from .optimizer import scheme_slots
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "CoverageEstimate",
     "code_pool",
     "sample_deployment",
-    "generate_traffic",
     "assign_slots_codes",
     "mmse_weights",
     "sic_decode",
@@ -147,14 +146,6 @@ def sample_deployment(n_active: int, radius: float, rng: np.random.Generator) ->
     if n_active < 0:
         raise ValueError("n_active must be >= 0")
     return radius * np.sqrt(rng.random(n_active))
-
-
-def generate_traffic(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-device packet counts: all ones outside an emergency, Poisson inside."""
-    n = cfg.traffic.n_active
-    if cfg.traffic.scenario is Scenario.NON_EMERGENCY:
-        return np.ones(n, dtype=np.int64)
-    return rng.poisson(cfg.traffic.lam, n)
 
 
 def assign_slots_codes(
@@ -337,8 +328,8 @@ def _draw_block(
 ) -> _Block:
     """Draw a block of frames, frame f from ``rngs[f]``.
 
-    ``generate_traffic`` draws a frame's counts; the rest of its stream is
-    read as ``sample_deployment``, ``assign_slots_codes`` and
+    ``TrafficParams.packet_counts`` draws a frame's counts; the rest of its
+    stream is read as ``sample_deployment``, ``assign_slots_codes`` and
     ``standard_normal((2, N, J))`` would read it: the radii and slot keys
     are one ``random`` call, since ``random(n)`` then ``random((n, S))``
     yields the same doubles.  Only these generator calls run per frame;
@@ -348,7 +339,7 @@ def _draw_block(
     counts = np.empty((len(rngs), n), dtype=np.int64)
     u = np.empty((len(rngs), n * (1 + n_slots)))  # per frame: radii, then (n, S) keys
     for f, rng in enumerate(rngs):
-        counts[f] = generate_traffic(cfg, rng)
+        counts[f] = cfg.traffic.packet_counts(rng)
         rng.random(out=u[f])
     tx = np.minimum(counts, n_slots)
     n_pkt = tx.sum(axis=1)

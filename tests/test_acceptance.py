@@ -19,11 +19,10 @@ from musalink.analytic import (
     laplace_collided,
     laplace_singleton,
     ordered_distance_pdf,
-    slot_occupancy_prob,
     slot_statistics,
 )
 from musalink.cli import main
-from musalink.config import Scheme, default_config, serialize_config
+from musalink.config import Scheme, default_config, serialize_config, slot_occupancy_prob
 from musalink.optimizer import adaptive_slots, brute_force_slots, solve_n_epsilon
 from musalink.shortpacket import (
     BlocklengthPoint,

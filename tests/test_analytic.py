@@ -1,6 +1,7 @@
 """Coverage analysis against brute-force sampling and quadrature oracles."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,10 +21,9 @@ from musalink.analytic import (
     laplace_singleton,
     ordered_distance_pdf,
     singleton_count,
-    slot_occupancy_prob,
     slot_statistics,
 )
-from musalink.config import Scenario
+from musalink.config import Scenario, slot_occupancy_prob
 
 from conftest import reference_config
 from simpson import adaptive_simpson
@@ -401,8 +401,12 @@ def test_frame_coverage_collision_limited_threshold_limit():
     assert report.p_succ == pytest.approx(expected, abs=1e-6)
 
 
-def test_frame_coverage_report_recombines(default_cfg):
-    report = frame_coverage_prob(default_cfg)
+@pytest.mark.parametrize("scenario, load",
+                         [(Scenario.EMERGENCY, 4.0), (Scenario.NON_EMERGENCY, 1.0)],
+                         ids=["emergency", "non_emergency"])
+def test_frame_coverage_report_recombines(default_cfg, scenario, load):
+    cfg = replace(default_cfg, traffic=replace(default_cfg.traffic, scenario=scenario))
+    report = frame_coverage_prob(cfg)
     n_s = report.n_singleton
     total = 0.0
     product = 1.0
@@ -410,9 +414,10 @@ def test_frame_coverage_report_recombines(default_cfg):
         product *= term
         weight = 1.0 if k <= math.floor(n_s) else n_s - math.floor(n_s)
         total += weight * product
-    lam = default_cfg.traffic.lam
-    expected = default_cfg.frame.n_slots / (default_cfg.traffic.n_active * lam) * total
+    expected = cfg.frame.n_slots / (cfg.traffic.n_active * load) * total
     assert report.p_succ_raw == pytest.approx(expected, abs=1e-9)
+    p_lambda = slot_occupancy_prob(4.0, 20) if scenario is Scenario.EMERGENCY else 1.0 / 20
+    assert slot_statistics(cfg).p_lambda == report.p_lambda == p_lambda
     assert len(report.conditional_terms) == math.ceil(n_s)
     assert -1e-9 <= report.p_succ_raw <= 1 + 1e-9
     assert 0.0 <= report.p_succ <= 1.0
@@ -825,6 +830,34 @@ def test_batched_reports_equal_single_point_reports(monkeypatch, budget):
     mixed = [cfgs[0], steep[0], cfgs[1], steep[1]]
     assert frame_coverage_probs(mixed) == [singles[0], frame_coverage_prob(steep[0]),
                                            singles[1], frame_coverage_prob(steep[1])]
+
+
+@pytest.mark.parametrize("rank_weights", [1, 2000])
+def test_rank_weights_in_row_blocks_agree_with_one_block(monkeypatch, rank_weights):
+    # a dot over fewer rows can differ in the last bit: agreement to rounding
+    cfgs = [mixed_batch()[6], reference_config(20, 8.0, 20), reference_config(5, 2.0, 20)]
+    defaults = [frame_coverage_prob(cfg) for cfg in cfgs]
+    assert len(defaults[0].conditional_terms) == 24
+    monkeypatch.setattr(analytic, "_RANK_WEIGHTS", rank_weights)
+    reports = frame_coverage_probs(cfgs) + [frame_coverage_prob(cfg) for cfg in cfgs]
+    for report, default in zip(reports, defaults * 2):
+        assert report.conditional_terms == pytest.approx(default.conditional_terms, abs=1e-15)
+        assert (report.p_succ_raw, report.quadrature_error_estimate) == pytest.approx(
+            (default.p_succ_raw, default.quadrature_error_estimate), abs=1e-15)
+
+
+def test_lone_point_rank_weights_bounded_in_memory():
+    # ~2991 singleton ranks: one K x 3n array of all rank weights is ~100 MB
+    cfg = reference_config(n_active=3000, lam=10.0, n_slots=1)
+    cfg = replace(cfg, frame=replace(cfg.frame, n_subcarriers=10, code_pool_size=1_000_000))
+    tracemalloc.start()
+    try:
+        report = frame_coverage_prob(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.conditional_terms) == math.ceil(report.n_singleton) > 2900
+    assert peak < 64 * 2**20
 
 
 def test_one_kernel_call_and_rule_pair_per_point_of_a_batch(monkeypatch):

@@ -21,6 +21,7 @@ from musalink.config import (
     default_config,
     load_config,
     serialize_config,
+    slot_occupancy_prob,
     validate_config,
 )
 
@@ -233,6 +234,22 @@ def test_rho_max_proxy_quantile():
         cfg, traffic=replace(cfg.traffic, scenario=Scenario.NON_EMERGENCY)
     )
     assert non_emerg.rho_max_proxy() == 1
+
+
+def test_packet_count_law_by_scenario():
+    emergency = replace(default_config().traffic, n_active=6, lam=3.0)
+    quiet = replace(emergency, scenario=Scenario.NON_EMERGENCY)
+    assert (emergency.mean_packets(), quiet.mean_packets()) == (3.0, 1.0)
+    for n_slots in (1, 2, 20):
+        assert emergency.slot_occupancy(n_slots) == slot_occupancy_prob(3.0, n_slots)
+        assert quiet.slot_occupancy(n_slots) == 1.0 / n_slots
+    counts = emergency.packet_counts(np.random.default_rng(5))
+    assert counts.tolist() == np.random.default_rng(5).poisson(3.0, 6).tolist()
+    # one packet each, drawn without reading the stream
+    rng = np.random.default_rng(5)
+    counts = quiet.packet_counts(rng)
+    assert counts.dtype == np.int64 and counts.tolist() == [1] * 6
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 def test_mean_packet_power_modes():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from musalink.analytic import collision_free_prob, slot_occupancy_prob
+from musalink.analytic import collision_free_prob
 from musalink import simulator
-from musalink.config import Scenario, Scheme, SystemConfig, default_config
+from musalink.config import Scenario, Scheme, SystemConfig, default_config, slot_occupancy_prob
 from musalink.optimizer import adaptive_slots, scheme_slots
 from musalink.simulator import (
     FailureCause,
@@ -20,7 +20,6 @@ from musalink.simulator import (
     assign_slots_codes,
     code_pool,
     estimate_coverage,
-    generate_traffic,
     mmse_weights,
     sample_deployment,
     sic_decode,
@@ -90,13 +89,13 @@ def test_deployment_radial_cdf():
 def test_traffic_non_emergency_single_packet():
     cfg = default_config()
     cfg = replace(cfg, traffic=replace(cfg.traffic, scenario=Scenario.NON_EMERGENCY))
-    counts = generate_traffic(cfg, np.random.default_rng(1))
+    counts = cfg.traffic.packet_counts(np.random.default_rng(1))
     assert np.all(counts == 1)
 
 
 def test_traffic_poisson_moments():
     cfg = reference_config(n_active=1_000_000, lam=4.0)
-    counts = generate_traffic(cfg, np.random.default_rng(7))
+    counts = cfg.traffic.packet_counts(np.random.default_rng(7))
     n = counts.size
     mean = counts.mean()
     var = counts.var()
@@ -108,7 +107,7 @@ def test_traffic_poisson_moments():
 def test_traffic_zero_rate():
     cfg = reference_config(n_active=100, lam=0.0)
     cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0))
-    assert np.all(generate_traffic(cfg, np.random.default_rng(2)) == 0)
+    assert np.all(cfg.traffic.packet_counts(np.random.default_rng(2)) == 0)
 
 
 def test_assign_single_packet():
@@ -307,7 +306,7 @@ def test_sic_decode_order_is_nondecreasing_distance():
     rng = np.random.default_rng(11)
     pool = code_pool(4, 64)
     for _ in range(50):
-        counts = generate_traffic(cfg, rng)
+        counts = cfg.traffic.packet_counts(rng)
         radii = sample_deployment(cfg.traffic.n_active, 50.0, rng)
         assignments, _ = assign_slots_codes(counts, 20, 64, rng)
         per_slot = {}
@@ -413,7 +412,7 @@ def test_collision_rate_matches_analytic():
     collided = 0
     n_frames = 10_000  # 200k slots
     for _ in range(n_frames):
-        counts = generate_traffic(cfg, rng)
+        counts = cfg.traffic.packet_counts(rng)
         assignments, _ = assign_slots_codes(counts, 20, 64, rng)
         slot_codes: dict[int, list[int]] = {}
         for _, slot_idx, code in assignments:
@@ -737,7 +736,7 @@ def test_decode_block_independent_of_block_composition():
 
 def oracle_draws(cfg, scheme, rng, n_slots):
     """One frame drawn by the public sampling laws, in the simulator's order."""
-    counts = generate_traffic(cfg, rng)
+    counts = cfg.traffic.packet_counts(rng)
     radii = sample_deployment(cfg.traffic.n_active, cfg.geometry.cell_radius, rng)
     packets, dropped = assign_slots_codes(counts, n_slots, cfg.frame.code_pool_size, rng)
     z = rng.standard_normal((2, len(packets), cfg.frame.n_subcarriers))
