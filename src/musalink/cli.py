@@ -11,7 +11,12 @@ Each command builds its rows as mappings keyed by column name, and one
 writer renders them: a column named like a result field (of
 ``CoverageEstimate``, ``CoverageReport`` or ``OptimizerOutput``) holds that
 field.  Floats are printed at 17 significant digits, everything else by
-``str``, so identical invocations produce identical bytes.  ``--trials``
+``str``, so identical invocations produce identical bytes.  An output
+file is written in place, never unlinked or renamed, and a symlink is
+followed; a regular file is then cut to the new text's length, while a
+device or pipe (``/dev/stdout``) is not truncated and gets no implied
+manifest beside it.  A write cut off before that final truncate can leave
+the old file's tail past the new bytes.  ``--trials``
 and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
 compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
 4 infeasibility, 5 numerical failure.  MUSALINK_WORKERS, a positive
@@ -25,6 +30,7 @@ import functools
 import hashlib
 import math
 import os
+import stat
 import sys
 import time
 
@@ -183,13 +189,24 @@ def _report(fields: dict) -> list[str]:
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
+    """Write ``lines`` to ``path`` in place, or to stdout when it is None.
+
+    The file is opened without ``O_TRUNC`` and a regular file is cut to
+    the new text's length after it is written: truncating a file that holds
+    data to zero makes ext4 flush it on close, which costs more than the
+    write.  Devices and pipes are written and never truncated.
+    """
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
+    data = text.encode()
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                os.ftruncate(fh.fileno(), len(data))
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -224,7 +241,9 @@ def cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - t0
     row = {"scheme": scheme.value, "trials": args.trials, "seed": args.seed, **vars(est)}
     _write_lines(args.out, _table(list(row), [row]))
-    manifest_path = args.manifest or (args.out + ".manifest" if args.out else None)
+    # a manifest is implied beside a regular file only, not a device or pipe
+    implied = args.out + ".manifest" if args.out and os.path.isfile(args.out) else None
+    manifest_path = args.manifest or implied
     if manifest_path:
         serialized = serialize_config(cfg)
         manifest = {

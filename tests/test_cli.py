@@ -2,9 +2,13 @@
 
 import argparse
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +35,7 @@ from musalink.config import (
 )
 from musalink.simulator import estimate_coverage
 
-from conftest import reference_config
+from conftest import fresh_interpreter_env, reference_config
 
 
 @pytest.fixture
@@ -660,6 +664,55 @@ def test_unwritable_out_usage_error(tmp_path, cfg_file, capsys):
         f"musalink: error: cannot write {out}: No such file or directory"
     ]
     assert "Traceback" not in err
+
+
+def test_longer_outputs_are_rewritten_in_place(tmp_path, cfg_file, monkeypatch):
+    # a fixed clock makes the manifest's wall_clock_s line repeat
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    args = ["simulate", "--config", cfg_file, "--trials", "5", "--seed", "7"]
+    fresh_out, fresh_manifest = tmp_path / "fresh.csv", tmp_path / "fresh.manifest"
+    assert main(args + ["--out", str(fresh_out), "--manifest", str(fresh_manifest)]) == 0
+    out, manifest = tmp_path / "old.csv", tmp_path / "old.manifest"
+    for path, fresh in ((out, fresh_out), (manifest, fresh_manifest)):
+        path.write_bytes(b"x" * (len(fresh.read_bytes()) + 10_000))
+    inodes = [os.stat(path).st_ino for path in (out, manifest)]
+    assert main(args + ["--out", str(out), "--manifest", str(manifest)]) == 0
+    assert out.read_bytes() == fresh_out.read_bytes()
+    assert manifest.read_bytes() == fresh_manifest.read_bytes()
+    assert [os.stat(path).st_ino for path in (out, manifest)] == inodes
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, cfg_file):
+    args = ["analytic", "--config", cfg_file, "--sweep", "lambda=2:4:1"]
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    assert main(args + ["--out", str(fresh)]) == 0
+    target.write_bytes(b"x" * 10_000)
+    link.symlink_to(target)
+    assert main(args + ["--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_stdout_device_writes_the_file_bytes(tmp_path, cfg_file):
+    args = ["analytic", "--config", cfg_file, "--sweep", "lambda=2:4:1"]
+    fresh = tmp_path / "fresh.csv"
+    assert main(args + ["--out", str(fresh)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "musalink.cli", *args, "--out", "/dev/stdout"],
+        env=fresh_interpreter_env(), stdout=subprocess.PIPE, check=True, timeout=120,
+    )
+    assert proc.stdout == fresh.read_bytes()
+
+
+def test_no_manifest_implied_beside_a_device(tmp_path, cfg_file):
+    sink = tmp_path / "sink"
+    sink.symlink_to("/dev/null")
+    args = ["simulate", "--config", cfg_file, "--trials", "5", "--seed", "7", "--out", str(sink)]
+    assert main(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg", "sink"]
+    manifest = tmp_path / "run.manifest"
+    assert main(args + ["--manifest", str(manifest)]) == 0
+    assert "manifest.seed = 7" in manifest.read_text().splitlines()
 
 
 def test_non_finite_config_value_exit_code(tmp_path, capsys):

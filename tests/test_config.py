@@ -2,7 +2,6 @@
 
 import io
 import math
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -24,6 +23,8 @@ from musalink.config import (
     slot_occupancy_prob,
     validate_config,
 )
+
+from conftest import fresh_interpreter_env
 
 REFERENCE_DOC = """
 # reference scenario
@@ -273,15 +274,9 @@ def test_poisson_helpers_equal_scipy_stats():
 
 def run_fresh_interpreter(code: str) -> str:
     """Stdout of ``code`` run by a new interpreter importing this musalink."""
-    import musalink
-
-    src_dir = str(Path(musalink.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src_dir] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    ))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True, timeout=120,
+        [sys.executable, "-c", code], env=fresh_interpreter_env(), capture_output=True,
+        text=True, check=True, timeout=120,
     )
     return out.stdout.strip()
 
