@@ -49,23 +49,14 @@ from .optimizer import (
     solve_n_epsilon,
 )
 from .shortpacket import (
-    BlocklengthPoint,
     error_prob_ln_form,
     max_snr_proxy,
-    packet_error_prob,
     q_function,
 )
 from .simulator import (
     CoverageEstimate,
-    DecodingOutcome,
-    FailureCause,
-    SlotRealization,
-    assign_slots_codes,
     code_pool,
     estimate_coverage,
-    mmse_weights,
-    sample_deployment,
-    sic_decode,
 )
 
 __version__ = "0.1.0"

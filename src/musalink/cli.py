@@ -14,8 +14,12 @@ field.  Floats are printed at 17 significant digits, everything else by
 ``str``, so identical invocations produce identical bytes.  An output
 file is written in place, never unlinked or renamed, and a symlink is
 followed; a regular file is then cut to the new text's length, while a
-device or pipe (``/dev/stdout``) is not truncated and gets no implied
-manifest beside it.  A write cut off before that final truncate can leave
+device or pipe (``/dev/stdout``) is not truncated.  The manifest that
+``simulate`` implies sits beside the file actually written, ``--out``
+with every symlink resolved, and only when that is a regular file: a
+symlinked ``--out`` gets it beside the link's target, ``/dev/stdout``
+redirected to ``run.csv`` gets ``run.csv.manifest``, and a device or
+pipe gets none.  A write cut off before that final truncate can leave
 the old file's tail past the new bytes.  ``--trials``
 and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
 compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
@@ -241,8 +245,9 @@ def cmd_simulate(args) -> int:
     elapsed = time.perf_counter() - t0
     row = {"scheme": scheme.value, "trials": args.trials, "seed": args.seed, **vars(est)}
     _write_lines(args.out, _table(list(row), [row]))
-    # a manifest is implied beside a regular file only, not a device or pipe
-    implied = args.out + ".manifest" if args.out and os.path.isfile(args.out) else None
+    # a manifest is implied beside the regular file written, not a device or pipe
+    written = os.path.realpath(args.out) if args.out else None
+    implied = written + ".manifest" if written and os.path.isfile(written) else None
     manifest_path = args.manifest or implied
     if manifest_path:
         serialized = serialize_config(cfg)

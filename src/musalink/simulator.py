@@ -9,13 +9,13 @@ order: packet counts (emergency only), then one ``random`` call holding
 the radii and the (n_devices, n_slots) slot keys whose row-wise argsort
 gives each device's slots, one ``integers`` call for every code, and one
 ``standard_normal`` call for all fading, the (2, n_packets, J) real and
-imaginary parts.  These are the draws ``TrafficParams.packet_counts``,
-``sample_deployment`` and ``assign_slots_codes`` make in turn, and those
-public laws are the oracle of the block draw.  A block of frames is
-drawn at once: only the generator calls run per frame; the argsort,
-radii, powers and de-interleaving run once on the stacked block.
-Estimates are therefore reproducible bit for bit regardless of how
-frames are distributed over workers or blocks.
+imaginary parts.  A block of frames is drawn at once: only the
+generator calls run per frame; the argsort, radii, powers and
+de-interleaving run once on the stacked block.  Estimates are therefore
+reproducible bit for bit regardless of how frames are distributed over
+workers or blocks.  ``_draw_block`` is the one draw the package ships;
+the per-frame laws it is tested against, ``sample_deployment`` and
+``assign_slots_codes``, are in ``tests/oracles.py``.
 
 The receiver is batched: ``estimate_coverage`` decodes a block of frames
 at once.  Collisions are found with one ``unique`` over (slot, code)
@@ -26,9 +26,10 @@ push-through identity W = P^½Gᴴ(GPGᴴ + σ²I)⁻¹ a set needs the inverse 
 one J x J matrix, and the sets of a row grow by one column as t falls,
 so one backward sweep over t, a Sherman-Morrison update per step run
 over all rows at once, gives the SINR of every iteration of every slot
-without a linear solve.  ``mmse_weights`` and ``sic_decode`` are the
-scalar one-slot receiver, kept as the oracle the batched decisions are
-tested against.
+without a linear solve.  This is the one receiver the package ships;
+the scalar one-slot receiver it is tested against, an m x m solve per
+cancellation step (``mmse_weights`` and ``sic_decode``), is in
+``tests/oracles.py``.
 
 Two SINR bookkeeping rules are available for the cancellation receiver:
 
@@ -55,7 +56,6 @@ import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
@@ -64,24 +64,10 @@ from .config import Scheme, SystemConfig
 from .optimizer import scheme_slots
 
 __all__ = [
-    "FailureCause",
-    "SlotRealization",
-    "DecodingOutcome",
     "CoverageEstimate",
     "code_pool",
-    "sample_deployment",
-    "assign_slots_codes",
-    "mmse_weights",
-    "sic_decode",
     "estimate_coverage",
 ]
-
-
-class FailureCause(Enum):
-    DECODED = "decoded"
-    COLLISION = "collision"
-    BELOW_THRESHOLD = "below_threshold"
-    BLOCKED_BY_STRONGER = "blocked_by_stronger"
 
 
 _SINR_RULES = ("conservative", "post_mmse")
@@ -138,161 +124,6 @@ def code_pool(n_subcarriers: int, pool_size: int) -> np.ndarray:
 
 
 # ============================================================================
-#  Sampling operations
-# ============================================================================
-
-def sample_deployment(n_active: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Horizontal distances of devices uniform over the serving disk."""
-    if n_active < 0:
-        raise ValueError("n_active must be >= 0")
-    return radius * np.sqrt(rng.random(n_active))
-
-
-def assign_slots_codes(
-    counts: np.ndarray, n_slots: int, pool_size: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Assign each packet a distinct slot and an independent code index.
-
-    A device transmits min(count, n_slots) packets in distinct uniformly
-    chosen slots; the excess packets are dropped.  The slots of device i
-    are the first min(count_i, n_slots) entries of the argsort of row i
-    of one ``rng.random((n_devices, n_slots))`` draw; one
-    ``rng.integers`` call then draws every code.  Returns the (N, 3) int
-    array of (device, slot, code index) rows, device-major, and the
-    number of dropped packets.
-    """
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    counts = np.maximum(np.asarray(counts, dtype=np.int64), 0)
-    tx = np.minimum(counts, n_slots)
-    keys = rng.random((len(counts), n_slots))
-    slots = np.argsort(keys, axis=1)[np.arange(n_slots) < tx[:, None]]
-    devices = np.repeat(np.arange(len(counts)), tx)
-    codes = rng.integers(0, pool_size, size=len(slots))
-    return np.column_stack((devices, slots, codes)), int(counts.sum() - tx.sum())
-
-
-# ============================================================================
-#  Scalar one-slot receiver (the oracle of the batched receiver below)
-# ============================================================================
-
-@dataclass(frozen=True)
-class SlotRealization:
-    """Everything the receiver sees in one time slot.
-
-    ``fading`` holds the unit-power small-scale gains per packet and
-    subcarrier; ``path_gain`` the corresponding large-scale linear power
-    gains derived from the horizontal distances.
-    """
-    device_ids: np.ndarray     # (K,) int
-    radii: np.ndarray          # (K,) m
-    path_gain: np.ndarray      # (K,) linear power gain incl. altitude
-    fading: np.ndarray         # (K, J) complex, CN(0, 1) entries
-    code_indices: np.ndarray   # (K,) int indices into the pool
-    code_vectors: np.ndarray   # (K, J) complex unit-norm codes
-    powers: np.ndarray         # (K,) W per packet
-
-    def equivalent_channel(self) -> np.ndarray:
-        """J x K effective channel: code-spread faded columns with pathloss."""
-        cols = (self.fading * self.code_vectors) * np.sqrt(self.path_gain)[:, None]
-        return cols.T
-
-
-@dataclass(frozen=True)
-class DecodingOutcome:
-    decoded: np.ndarray                      # (K,) bool
-    sinr_trace: tuple[tuple[int, float], ...]  # (device id, SINR) per iteration
-    failure_cause: tuple[FailureCause, ...]  # per device
-
-
-def mmse_weights(equiv_channel: np.ndarray, powers: np.ndarray, noise_power: float) -> np.ndarray:
-    """MMSE weight rows for the undecoded set.
-
-    Solves (P^(1/2) G^H G P^(1/2) + noise I) W^H = P^(1/2) G^H for the
-    K x J matrix of weight rows.
-    """
-    g = np.asarray(equiv_channel)
-    sqrt_p = np.sqrt(np.asarray(powers, dtype=float))
-    gram = g.conj().T @ g
-    a = (sqrt_p[:, None] * gram) * sqrt_p[None, :]
-    a[np.diag_indices_from(a)] += noise_power
-    rhs = sqrt_p[:, None] * g.conj().T
-    return np.linalg.solve(a, rhs)
-
-
-def sic_decode(
-    slot: SlotRealization, theta: float, noise_power: float, sinr_rule: str = "conservative"
-) -> DecodingOutcome:
-    """Distance-ordered successive cancellation of one slot.
-
-    Devices sharing a code index are collided: never decoded, always
-    interfering.  At each iteration the nearest undecoded singleton is
-    tested against the threshold with weights recomputed over the whole
-    undecoded set; a failure blocks it and every weaker singleton.
-    """
-    _check_sinr_rule(sinr_rule)
-    k_total = len(slot.device_ids)
-    decoded = np.zeros(k_total, dtype=bool)
-    cause: list[FailureCause | None] = [None] * k_total
-    trace: list[tuple[int, float]] = []
-
-    idx, counts = np.unique(slot.code_indices, return_counts=True)
-    shared = set(idx[counts > 1].tolist())
-    is_collided = np.array([c in shared for c in slot.code_indices.tolist()])
-    for i in np.flatnonzero(is_collided):
-        cause[i] = FailureCause.COLLISION
-
-    g_full = slot.equivalent_channel()
-    undecoded = np.ones(k_total, dtype=bool)
-
-    while True:
-        singles = np.flatnonzero(undecoded & ~is_collided)
-        if singles.size == 0:
-            break
-        target = singles[np.argmin(slot.radii[singles])]
-        current = np.flatnonzero(undecoded)
-
-        if current.size == 1:
-            # lone device: matched filter against noise only
-            g_t = g_full[:, target]
-            sinr = slot.powers[target] * float(np.real(np.vdot(g_t, g_t))) / noise_power
-        else:
-            g_u = g_full[:, current]
-            p_u = slot.powers[current]
-            weights = mmse_weights(g_u, p_u, noise_power)
-            outputs = weights @ g_u  # (K_u, K_u): row i is w_i^H applied to all columns
-            ti = int(np.flatnonzero(current == target)[0])
-            signal = p_u[ti] * abs(outputs[ti, ti]) ** 2
-            noise = noise_power * float(np.real(np.vdot(weights[ti], weights[ti])))
-            if sinr_rule == "conservative":
-                own = p_u * np.abs(np.diag(outputs)) ** 2
-                interference = float(own.sum() - own[ti])
-            else:
-                cross = p_u * np.abs(outputs[ti]) ** 2
-                interference = float(cross.sum() - cross[ti])
-            sinr = signal / (interference + noise)
-
-        trace.append((int(slot.device_ids[target]), float(sinr)))
-        if sinr >= theta:
-            decoded[target] = True
-            cause[target] = FailureCause.DECODED
-            undecoded[target] = False
-        else:
-            cause[target] = FailureCause.BELOW_THRESHOLD
-            for i in singles:
-                if i != target:
-                    cause[i] = FailureCause.BLOCKED_BY_STRONGER
-            break
-
-    assert all(c is not None for c in cause), "every device must be classified"
-    return DecodingOutcome(
-        decoded=decoded,
-        sinr_trace=tuple(trace),
-        failure_cause=tuple(cause),
-    )
-
-
-# ============================================================================
 #  Batched lockstep receiver
 # ============================================================================
 
@@ -328,12 +159,14 @@ def _draw_block(
 ) -> _Block:
     """Draw a block of frames, frame f from ``rngs[f]``.
 
-    ``TrafficParams.packet_counts`` draws a frame's counts; the rest of its
-    stream is read as ``sample_deployment``, ``assign_slots_codes`` and
-    ``standard_normal((2, N, J))`` would read it: the radii and slot keys
-    are one ``random`` call, since ``random(n)`` then ``random((n, S))``
-    yields the same doubles.  Only these generator calls run per frame;
-    sorting, indexing and powers run once on the stacked block.
+    ``TrafficParams.packet_counts`` draws a frame's counts; the rest of
+    its stream is one ``random(n·(1 + S))`` call, the n radii then the
+    (n, S) slot keys whose row-wise argsort gives each device's slots,
+    one ``integers`` call for every code, and ``standard_normal((2, N,
+    J))`` for the fading.  Only these generator calls run per frame;
+    sorting, indexing and powers run once on the stacked block.  The
+    per-frame laws in ``tests/oracles.py`` (``sample_deployment`` then
+    ``assign_slots_codes``) read the same doubles in the same order.
     """
     n, j = cfg.traffic.n_active, cfg.frame.n_subcarriers
     counts = np.empty((len(rngs), n), dtype=np.int64)
@@ -385,7 +218,8 @@ def _sweep_sinr(
     ``p[b]`` of its K_b = ``depth[b]`` packets in decoding order, zero
     past K_b; rows are sorted deepest first.  Entry (b, t) of the (B, D)
     result is the SINR of column t against the undecoded set t..K_b-1 by
-    ``sic_decode``'s arithmetic; entries past K_b are 0.
+    the arithmetic of the scalar receiver in ``tests/oracles.py``;
+    entries past K_b are 0.
 
     By the push-through identity the MMSE weight rows of a set are
     W = P^½Gᴴ R⁻¹ with R = GPGᴴ + σ²I_J, so a set needs the inverse of

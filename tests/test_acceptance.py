@@ -24,15 +24,11 @@ from musalink.analytic import (
 from musalink.cli import main
 from musalink.config import Scheme, default_config, serialize_config, slot_occupancy_prob
 from musalink.optimizer import adaptive_slots, brute_force_slots, solve_n_epsilon
-from musalink.shortpacket import (
-    BlocklengthPoint,
-    error_prob_ln_form,
-    max_snr_proxy,
-    packet_error_prob,
-)
-from musalink.simulator import estimate_coverage, mmse_weights, sic_decode
+from musalink.shortpacket import error_prob_ln_form, max_snr_proxy
+from musalink.simulator import estimate_coverage
 
 from conftest import reference_config
+from oracles import BlocklengthPoint, mmse_weights, packet_error_prob, sic_decode
 from simpson import adaptive_simpson
 from test_analytic import (
     collision_mc,

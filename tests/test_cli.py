@@ -715,6 +715,18 @@ def test_no_manifest_implied_beside_a_device(tmp_path, cfg_file):
     assert "manifest.seed = 7" in manifest.read_text().splitlines()
 
 
+def test_implied_manifest_sits_beside_the_file_written(tmp_path, cfg_file):
+    target_dir = tmp_path / "runs"
+    target_dir.mkdir()
+    target, link = target_dir / "run.csv", tmp_path / "link.csv"
+    target.write_text("")
+    link.symlink_to(target)
+    args = ["simulate", "--config", cfg_file, "--trials", "5", "--seed", "7", "--out", str(link)]
+    assert main(args) == 0
+    assert not (tmp_path / "link.csv.manifest").exists()
+    assert "manifest.seed = 7" in (target_dir / "run.csv.manifest").read_text().splitlines()
+
+
 def test_non_finite_config_value_exit_code(tmp_path, capsys):
     broken = tmp_path / "nan.cfg"
     broken.write_text("traffic.lambda = nan\n")

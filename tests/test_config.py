@@ -1,7 +1,11 @@
 """Configuration types, unit conversions, validation and text round trips."""
 
+import ast
+import importlib
+import inspect
 import io
 import math
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import musalink
 from musalink import config
 from musalink.config import (
     ConfigError,
@@ -296,3 +301,19 @@ def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg takes tens of ms to import; only an analysis loads it
     code = "import sys\nimport musalink\nprint('scipy.linalg' in sys.modules)\n"
     assert run_fresh_interpreter(code) == "False"
+
+
+def test_public_names_are_listed_and_exist():
+    # every name a module exports exists there, and every name the package
+    # re-exports is exported by its module, so a trimmed list cannot go stale
+    for info in pkgutil.iter_modules(musalink.__path__):
+        module = importlib.import_module(f"musalink.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert missing == [], info.name
+    tree = ast.parse(inspect.getsource(musalink))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports and all(node.level == 1 for node in imports)
+    for node in imports:
+        exported = importlib.import_module(f"musalink.{node.module}").__all__
+        unlisted = [alias.name for alias in node.names if alias.name not in exported]
+        assert unlisted == [], node.module

@@ -7,13 +7,9 @@ import numpy as np
 import pytest
 
 from musalink.config import Scenario, default_config
-from musalink.shortpacket import (
-    BlocklengthPoint,
-    error_prob_ln_form,
-    max_snr_proxy,
-    packet_error_prob,
-    q_function,
-)
+from musalink.shortpacket import error_prob_ln_form, max_snr_proxy, q_function
+
+from oracles import BlocklengthPoint, packet_error_prob
 
 # reference operating point
 B = 5e6

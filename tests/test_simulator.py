@@ -12,20 +12,22 @@ from musalink import simulator
 from musalink.config import Scenario, Scheme, SystemConfig, default_config, slot_occupancy_prob
 from musalink.optimizer import adaptive_slots, scheme_slots
 from musalink.simulator import (
-    FailureCause,
-    SlotRealization,
     _decode_block,
     _draw_block,
     _frame_rng,
-    assign_slots_codes,
     code_pool,
     estimate_coverage,
+)
+
+from conftest import reference_config
+from oracles import (
+    FailureCause,
+    SlotRealization,
+    assign_slots_codes,
     mmse_weights,
     sample_deployment,
     sic_decode,
 )
-
-from conftest import reference_config
 
 
 # ----------------------------------------------------------------------------
