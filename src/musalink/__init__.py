@@ -12,12 +12,8 @@ from .analytic import (
     QuadratureError,
     SlotStatistics,
     collision_free_prob,
-    conditional_coverage,
     frame_coverage_prob,
     frame_coverage_probs,
-    laplace_collided,
-    laplace_singleton,
-    ordered_distance_pdf,
     singleton_count,
     slot_statistics,
 )

@@ -1,13 +1,15 @@
 """Closed-form coverage analysis for the uplink frame.
 
-Evaluates the slot-occupancy and code-collision probabilities, the
-ordered-distance statistics of the decodable (singleton) devices, the
-interference Laplace transforms of the singleton/collided point
-processes, and combines them into the frame SINR coverage probability.
+Evaluates the slot-occupancy and code-collision probabilities and
+combines them with the interference of the singleton and collided point
+processes and the ordered distances of the decodable (singleton)
+devices into the frame SINR coverage probability.
 
-No integral is evaluated adaptively.  The Campbell exponent of every
-interference transform has a closed form in the Gauss hypergeometric
-function (:func:`_campbell_exponent`), vectorised over distances, and the
+No integral is evaluated adaptively.  The coverage kernel
+(:func:`_coverage_kernels`) multiplies the noise factor by the two
+interference Laplace transforms, each the exponential of a Campbell
+exponent with a closed form in the Gauss hypergeometric function
+(:func:`_antiderivative`), vectorised over distances, and the
 average of the coverage kernel over the k-th ordered distance is a
 fixed-order Gauss-Jacobi sum: in t = (r/R)^2 the k-th of n_singleton
 uniform devices has the Beta(k, n_singleton - k + 1) law.  With
@@ -32,9 +34,12 @@ the rank weights run once over all the batch's nodes.  Every point
 keeps its own rule and its own reduction shapes, so its report is the
 same bits whatever batch it is evaluated in.
 
-All functions are pure; the interference field is parameterized by an
-:class:`IntensitySet` so the transforms can be exercised with arbitrary
-thinned intensities in tests.
+All functions are pure.  The interference field is parameterized by an
+:class:`IntensitySet`, so the engine can be evaluated at arbitrary
+thinned intensities.  The per-point form of the field, the two Laplace
+transforms, the Campbell exponent over an annulus and the
+ordered-distance density, is kept as test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -55,11 +60,7 @@ __all__ = [
     "CoverageReport",
     "collision_free_prob",
     "singleton_count",
-    "ordered_distance_pdf",
     "slot_statistics",
-    "laplace_singleton",
-    "laplace_collided",
-    "conditional_coverage",
     "frame_coverage_prob",
     "frame_coverage_probs",
 ]
@@ -159,34 +160,7 @@ def singleton_count(n_active: int, p_lambda: float, p_cf: float) -> float:
 
 
 # ----------------------------------------------------------------------------
-#  Ordered distance statistics
-# ----------------------------------------------------------------------------
-
-def ordered_distance_pdf(k: int, n_singleton: int, radius: float, x: float) -> float:
-    """Density of the k-th smallest horizontal distance among n singletons.
-
-    Devices are uniform in the serving disk, so a single distance has
-    density 2x/R^2 and CDF t = x^2/R^2, and the k-th of n has density
-    n!/((k-1)!(n-k)!) * t^(k-1) * (1-t)^(n-k) * 2x/R^2.  ``n_singleton``
-    must be an integral count (5 or 5.0); the coverage engine integrates
-    the same Beta law for fractional mean counts without this function.
-    """
-    if not (float(n_singleton).is_integer() and n_singleton >= 1):
-        raise ValueError(f"n_singleton must be a positive integer, got {n_singleton!r}")
-    n = int(n_singleton)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, n_singleton={n}]")
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    if x < 0 or x > radius:
-        raise ValueError("x must lie in [0, radius]")
-    t = (x / radius) ** 2
-    coeff = n * math.comb(n - 1, k - 1)
-    return coeff * (2.0 * x / radius**2) * t ** (k - 1) * (1.0 - t) ** (n - k)
-
-
-# ----------------------------------------------------------------------------
-#  Interference Laplace transforms
+#  Slot statistics and the interference field
 # ----------------------------------------------------------------------------
 
 def slot_statistics(cfg: SystemConfig) -> SlotStatistics:
@@ -199,82 +173,27 @@ def slot_statistics(cfg: SystemConfig) -> SlotStatistics:
 
 
 def _antiderivative(u, u_a, q, a: float):
-    """F(u) of :func:`_campbell_exponent`, given ``u_a = u**a``.
+    """F(u) of the Campbell exponent of a Rayleigh-faded Poisson field, given
+    ``u_a = u**a``.
 
-    ``u``, ``u_a`` and ``q`` may be arrays; ``a`` is one exponent.
+    The exponent ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 +
+    h^2)^(-alpha/2)`` over an annulus, written in ``u = r^2 + h^2``, is
+    ``pi*omega * [F(u_hi) - F(u_lo)]`` in closed form (Andrews, Baccelli &
+    Ganti 2011): with ``a = alpha/2``,
+
+        F(u) = u * 2F1(1, 1/a; 1 + 1/a; -u^a/q),
+
+    and ``F(u) = q * log(1 + u/q)`` at ``a = 1``, where the hypergeometric
+    form is degenerate.  The absolute error of the difference is of the
+    order of the rounding error of ``pi * omega * u_hi``, so a very thin
+    annulus loses relative accuracy but not absolute accuracy, and the
+    transform exp(-exponent) neither.  ``u``, ``u_a`` and ``q`` may be
+    arrays; ``a`` is one exponent.
     """
     if a == 1.0:
         return q * np.log1p(u / q)
     b = 1.0 / a
     return u * hyp2f1(1.0, b, 1.0 + b, -u_a / q)
-
-
-def _campbell_exponent(q, omega: float, u_lo, u_hi, alpha: float):
-    """Campbell exponent of a Rayleigh-faded Poisson interference field.
-
-    ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 + h^2)^(-alpha/2)``
-    over an annulus, written in ``u = r^2 + h^2`` between ``u_lo`` and
-    ``u_hi`` and evaluated in closed form (Andrews, Baccelli & Ganti 2011):
-    with ``a = alpha/2``,
-
-        pi*omega * [F(u_hi) - F(u_lo)],  F(u) = u * 2F1(1, 1/a; 1 + 1/a; -u^a/q),
-
-    and ``F(u) = q * log(1 + u/q)`` at ``a = 1``, where the hypergeometric
-    form is degenerate.  ``q``, ``u_lo`` and ``u_hi`` may be arrays.  The
-    absolute error is of the order of the rounding error of
-    ``pi * omega * u_hi``, so a very thin annulus loses relative accuracy
-    but not absolute accuracy, and the transform exp(-exponent) neither.
-    """
-    a = 0.5 * alpha
-    return math.pi * omega * (
-        _antiderivative(u_hi, u_hi**a, q, a) - _antiderivative(u_lo, u_lo**a, q, a)
-    )
-
-
-def laplace_singleton(
-    s: float, r_hat: float, cfg: SystemConfig, intensities: IntensitySet
-) -> float:
-    """Laplace transform of the interference from weaker singleton devices.
-
-    Interfering singletons live on the annulus between the tagged device's
-    distance ``r_hat`` and the cell edge.  Equals 1 exactly at ``s = 0``
-    and for an empty annulus.
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    radius = cfg.geometry.cell_radius
-    if not 0 <= r_hat <= radius:
-        raise ValueError("r_hat must lie in [0, cell_radius]")
-    if s == 0.0 or r_hat == radius:
-        return 1.0
-    # pair s with the per-packet power first: the product is invariant under
-    # an equal rescaling of all transmit powers
-    q = (s * cfg.mean_packet_power()) * cfg.channel.pathloss_coeff
-    h2 = cfg.geometry.uav_altitude**2
-    exponent = _campbell_exponent(
-        q, intensities.omega_s, r_hat * r_hat + h2, radius * radius + h2,
-        cfg.channel.pathloss_exp,
-    )
-    return math.exp(-exponent)
-
-
-def laplace_collided(s: float, cfg: SystemConfig, intensities: IntensitySet) -> float:
-    """Laplace transform of the interference from collided devices.
-
-    Collided devices interfere from anywhere in the serving disk.  Equals
-    1 exactly at ``s = 0`` or when the collided intensity vanishes.
-    """
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if s == 0.0 or intensities.omega_c <= 0.0:
-        return 1.0
-    q = (s * cfg.mean_packet_power()) * cfg.channel.pathloss_coeff
-    h2 = cfg.geometry.uav_altitude**2
-    exponent = _campbell_exponent(
-        q, intensities.omega_c, h2, cfg.geometry.cell_radius**2 + h2,
-        cfg.channel.pathloss_exp,
-    )
-    return math.exp(-exponent)
 
 
 # ----------------------------------------------------------------------------
@@ -321,8 +240,8 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], intensities: Sequence[Intens
         u_a = u**a
         q = theta * u_a
         f_edge = _antiderivative(u_edge, u_edge_a, q, a)
-        # the Campbell exponents (_campbell_exponent) of the weaker singletons,
-        # from u to the edge, and of the collided devices, over the whole disk
+        # the Campbell exponents of the weaker singletons, from u to the
+        # edge, and of the collided devices, over the whole disk
         exponent = (
             q * noise_per_q
             + pi_omega_s * (f_edge - _antiderivative(u, u_a, q, a))
@@ -466,34 +385,6 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
     value = np.clip(value, 0.0, 1.0)
     return [(value[o: o + r], err[o: o + r])
             for o, r in zip(rank_start.tolist(), n_ranks.tolist())]
-
-
-def conditional_coverage(
-    k: int,
-    cfg: SystemConfig,
-    n_singleton: float,
-    intensities: IntensitySet,
-) -> float:
-    """Coverage probability of the k-th nearest singleton device.
-
-    Averages the coverage kernel over the k-th order-statistic distance.
-    In the CDF domain t = (r/R)^2 that distance has the Beta(k, beta + 1)
-    law with beta = n_singleton - k > -1, fractional for fractional
-    singleton counts.  A Gauss-Jacobi rule for the weight (1-t)^f,
-    f = n_singleton - ceil(n_singleton), absorbs the endpoint behaviour of
-    the fractional power, the rest of the density is a polynomial, and the
-    kernel is smooth in t (both the transform argument and the annulus
-    edge depend on r^2 = R^2 t), so the rule converges fast for negative,
-    fractional, integer and large beta alike.  The value is row k of the
-    all-ranks evaluation :func:`frame_coverage_prob` makes, so the two
-    give the same number.
-    """
-    if n_singleton <= 0:
-        raise ValueError("n_singleton must be > 0")
-    if not 1 <= k <= math.ceil(n_singleton):
-        raise ValueError(f"k={k} outside [1, ceil(n_singleton)]")
-    [(values, _)] = _ranks_coverages([n_singleton], _coverage_kernels([cfg], [intensities]))
-    return float(values[k - 1])
 
 
 def _batches(points: list[int], cfgs: list[SystemConfig], stats: list[SlotStatistics]):

@@ -20,7 +20,9 @@ with every symlink resolved, and only when that is a regular file: a
 symlinked ``--out`` gets it beside the link's target, ``/dev/stdout``
 redirected to ``run.csv`` gets ``run.csv.manifest``, and a device or
 pipe gets none.  A write cut off before that final truncate can leave
-the old file's tail past the new bytes.  ``--trials``
+the old file's tail past the new bytes.  More than one value of a
+config key the scenario ignores (``lambda`` outside an emergency, see
+``config.reads_key``) is a usage error.  ``--trials``
 and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
 compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
 4 infeasibility, 5 numerical failure.  MUSALINK_WORKERS, a positive
@@ -46,6 +48,7 @@ from .config import (
     default_config,
     key_domain,
     load_config,
+    reads_key,
     serialize_config,
     with_values,
 )
@@ -71,6 +74,7 @@ _ANALYTIC_FIELDS = ("p_succ", "p_lambda", "p_cf", "n_singleton")
 # the simulate row's fields also written to its manifest
 _MANIFEST_FIELDS = (
     "p_hat", "ci_halfwidth", "collision_failures", "threshold_failures", "blocked_failures",
+    "n_slots",
 )
 
 # the most values a numeric list on the command line may hold
@@ -138,6 +142,16 @@ def _values_of(key: str):
     """Argument type: numbers for config ``key``, typed and bounded by its table row."""
     kind, (_, minimum) = key_domain(key)
     return _numbers(minimum, integer=kind == "int")
+
+
+def _check_read(cfg: SystemConfig, key: str, option: str, values: list) -> None:
+    """Refuse more than one value of config ``key`` where ``cfg``'s scenario ignores it:
+    the rows would differ only in the column that sets it."""
+    if len(values) > 1 and not reads_key(cfg, key):
+        raise argparse.ArgumentTypeError(
+            f"{option}: the {cfg.traffic.scenario.value} scenario ignores {key}, "
+            f"so it takes one value, got {len(values)}"
+        )
 
 
 def _whole(text: str) -> int:
@@ -231,6 +245,7 @@ def cmd_analytic(args) -> int:
     cfg = _read_config(args.config)
     axis, values = args.sweep or ("lambda", [cfg.traffic.lam])
     key = _SWEEP_AXES[axis]
+    _check_read(cfg, key, "--sweep", values)
     reports = frame_coverage_probs([with_values(cfg, {key: value}) for value in values])
     rows = [{axis: value, **vars(report)} for value, report in zip(values, reports)]
     _write_lines(args.out, _table((axis, *_ANALYTIC_FIELDS), rows))
@@ -292,6 +307,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _read_config(args.config)
+    _check_read(cfg, "traffic.lambda", "--lambdas", args.lambdas)
     workers = _workers()
     rows = []
     for lam in args.lambdas:
@@ -308,6 +324,7 @@ def cmd_compare(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _read_config(args.config)
+    _check_read(cfg, "traffic.lambda", "--lambdas", args.lambdas)
     workers = _workers()
     grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
     cfgs = [with_values(cfg, {"traffic.n_active": na, "traffic.lambda": lam})

@@ -51,6 +51,7 @@ __all__ = [
     "validate_config",
     "ensure_valid",
     "key_domain",
+    "reads_key",
     "slot_occupancy_prob",
 ]
 
@@ -302,9 +303,26 @@ _KEY_TABLE: dict[str, tuple[str | None, str, str, tuple[str, float] | None]] = {
 }
 
 
+# scenario -> the keys of _KEY_TABLE that no number depends on in it.
+# Outside an emergency every device sends one packet, so nothing reads the
+# traffic rate, its C4/C5 bounds or the C1 slack of the adaptive slot
+# count, which applies only in an emergency.
+_IGNORED_KEYS: dict[Scenario, frozenset[str]] = {
+    Scenario.EMERGENCY: frozenset(),
+    Scenario.NON_EMERGENCY: frozenset(
+        {"traffic.lambda", "traffic.lambda_min", "traffic.lambda_max", "delta_slack"}
+    ),
+}
+
+
 def key_domain(key: str) -> tuple[str, tuple[str, float] | None]:
     """Config ``key``'s value kind and lower bound, as its table row states them."""
     return _KEY_TABLE[key][2:]
+
+
+def reads_key(cfg: SystemConfig, key: str) -> bool:
+    """Whether any number computed from ``cfg`` depends on config ``key``'s value."""
+    return key not in _IGNORED_KEYS[cfg.traffic.scenario]
 
 
 def _field(cfg: SystemConfig, section: str | None, attr: str):

@@ -354,6 +354,7 @@ class CoverageEstimate:
     collision_failures: int
     threshold_failures: int
     blocked_failures: int
+    n_slots: int          # slots per frame the scheme ran (optimizer.scheme_slots)
 
 
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -414,8 +415,8 @@ def estimate_coverage(
     iid unit (packets of one frame share its deployment and traffic).
     The estimate and its halfwidth are NaN when no packet was generated;
     the halfwidth is NaN for a single frame too.  The scheme's slot count
-    is derived once per estimate; each block reads the per-packet power and
-    the code pool from ``cfg`` itself.
+    is derived once per estimate and reported as ``n_slots``; each block
+    reads the per-packet power and the code pool from ``cfg`` itself.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -451,4 +452,5 @@ def estimate_coverage(
         collision_failures=collided,
         threshold_failures=below,
         blocked_failures=blocked,
+        n_slots=n_slots,
     )

@@ -3,6 +3,13 @@
 The package ships one form of each computation; the tests check it
 against the form here, written the direct way:
 
+- the interference field one point at a time: ``laplace_singleton`` and
+  ``laplace_collided``, the Laplace transforms of the singleton and
+  collided interference at one distance through the Campbell exponent
+  over an annulus (``_campbell_exponent``), the oracles of the
+  vectorised ``analytic._coverage_kernels``; and the ordered-distance
+  density ``ordered_distance_pdf``, the law the engine's Gauss-Jacobi
+  rank averages integrate;
 - the scalar one-slot receiver (``mmse_weights`` and ``sic_decode``, an
   m x m linear solve per cancellation step), the oracle of the batched
   ``simulator._sweep_sinr`` / ``_decode_block`` receiver;
@@ -24,10 +31,15 @@ from enum import Enum
 
 import numpy as np
 
+from musalink.analytic import IntensitySet, _antiderivative
+from musalink.config import SystemConfig
 from musalink.shortpacket import q_function
 from musalink.simulator import _check_sinr_rule
 
 __all__ = [
+    "ordered_distance_pdf",
+    "laplace_singleton",
+    "laplace_collided",
     "FailureCause",
     "SlotRealization",
     "DecodingOutcome",
@@ -39,6 +51,95 @@ __all__ = [
     "BlocklengthPoint",
     "packet_error_prob",
 ]
+
+
+# ============================================================================
+#  Interference field and ordered distances (the per-point form of
+#  analytic._coverage_kernels)
+# ============================================================================
+
+def ordered_distance_pdf(k: int, n_singleton: int, radius: float, x: float) -> float:
+    """Density of the k-th smallest horizontal distance among n singletons.
+
+    Devices are uniform in the serving disk, so a single distance has
+    density 2x/R^2 and CDF t = x^2/R^2, and the k-th of n has density
+    n!/((k-1)!(n-k)!) * t^(k-1) * (1-t)^(n-k) * 2x/R^2.  ``n_singleton``
+    must be an integral count (5 or 5.0); the coverage engine integrates
+    the same Beta law for fractional mean counts without this function.
+    """
+    if not (float(n_singleton).is_integer() and n_singleton >= 1):
+        raise ValueError(f"n_singleton must be a positive integer, got {n_singleton!r}")
+    n = int(n_singleton)
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} outside [1, n_singleton={n}]")
+    if radius <= 0:
+        raise ValueError("radius must be > 0")
+    if x < 0 or x > radius:
+        raise ValueError("x must lie in [0, radius]")
+    t = (x / radius) ** 2
+    coeff = n * math.comb(n - 1, k - 1)
+    return coeff * (2.0 * x / radius**2) * t ** (k - 1) * (1.0 - t) ** (n - k)
+
+
+def _campbell_exponent(q, omega: float, u_lo, u_hi, alpha: float):
+    """Campbell exponent of a Rayleigh-faded Poisson interference field.
+
+    ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 + h^2)^(-alpha/2)``
+    over an annulus, written in ``u = r^2 + h^2`` between ``u_lo`` and
+    ``u_hi`` as ``pi*omega * [F(u_hi) - F(u_lo)]`` with the package's
+    closed form F (``analytic._antiderivative``, which states it and its
+    accuracy).  ``q``, ``u_lo`` and ``u_hi`` may be arrays.
+    """
+    a = 0.5 * alpha
+    return math.pi * omega * (
+        _antiderivative(u_hi, u_hi**a, q, a) - _antiderivative(u_lo, u_lo**a, q, a)
+    )
+
+
+def laplace_singleton(
+    s: float, r_hat: float, cfg: SystemConfig, intensities: IntensitySet
+) -> float:
+    """Laplace transform of the interference from weaker singleton devices.
+
+    Interfering singletons live on the annulus between the tagged device's
+    distance ``r_hat`` and the cell edge.  Equals 1 exactly at ``s = 0``
+    and for an empty annulus.
+    """
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    radius = cfg.geometry.cell_radius
+    if not 0 <= r_hat <= radius:
+        raise ValueError("r_hat must lie in [0, cell_radius]")
+    if s == 0.0 or r_hat == radius:
+        return 1.0
+    # pair s with the per-packet power first: the product is invariant under
+    # an equal rescaling of all transmit powers
+    q = (s * cfg.mean_packet_power()) * cfg.channel.pathloss_coeff
+    h2 = cfg.geometry.uav_altitude**2
+    exponent = _campbell_exponent(
+        q, intensities.omega_s, r_hat * r_hat + h2, radius * radius + h2,
+        cfg.channel.pathloss_exp,
+    )
+    return math.exp(-exponent)
+
+
+def laplace_collided(s: float, cfg: SystemConfig, intensities: IntensitySet) -> float:
+    """Laplace transform of the interference from collided devices.
+
+    Collided devices interfere from anywhere in the serving disk.  Equals
+    1 exactly at ``s = 0`` or when the collided intensity vanishes.
+    """
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if s == 0.0 or intensities.omega_c <= 0.0:
+        return 1.0
+    q = (s * cfg.mean_packet_power()) * cfg.channel.pathloss_coeff
+    h2 = cfg.geometry.uav_altitude**2
+    exponent = _campbell_exponent(
+        q, intensities.omega_c, h2, cfg.geometry.cell_radius**2 + h2,
+        cfg.channel.pathloss_exp,
+    )
+    return math.exp(-exponent)
 
 
 # ============================================================================

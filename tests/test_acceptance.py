@@ -13,14 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from musalink.analytic import (
-    collision_free_prob,
-    frame_coverage_prob,
-    laplace_collided,
-    laplace_singleton,
-    ordered_distance_pdf,
-    slot_statistics,
-)
+from musalink.analytic import collision_free_prob, frame_coverage_prob, slot_statistics
 from musalink.cli import main
 from musalink.config import Scheme, default_config, serialize_config, slot_occupancy_prob
 from musalink.optimizer import adaptive_slots, brute_force_slots, solve_n_epsilon
@@ -28,7 +21,15 @@ from musalink.shortpacket import error_prob_ln_form, max_snr_proxy
 from musalink.simulator import estimate_coverage
 
 from conftest import reference_config
-from oracles import BlocklengthPoint, mmse_weights, packet_error_prob, sic_decode
+from oracles import (
+    BlocklengthPoint,
+    laplace_collided,
+    laplace_singleton,
+    mmse_weights,
+    ordered_distance_pdf,
+    packet_error_prob,
+    sic_decode,
+)
 from simpson import adaptive_simpson
 from test_analytic import (
     collision_mc,

@@ -12,21 +12,23 @@ from musalink import analytic
 from musalink.analytic import (
     IntensitySet,
     QuadratureError,
-    _campbell_exponent,
     collision_free_prob,
-    conditional_coverage,
     frame_coverage_prob,
     frame_coverage_probs,
-    laplace_collided,
-    laplace_singleton,
-    ordered_distance_pdf,
     singleton_count,
     slot_statistics,
 )
 from musalink.config import Scenario, slot_occupancy_prob
 
 from conftest import reference_config
+from oracles import _campbell_exponent, laplace_collided, laplace_singleton, ordered_distance_pdf
 from simpson import adaptive_simpson
+
+
+def conditional_coverage(k, cfg, n_singleton, intensities):
+    """Rank k's conditional coverage: row k of the engine's all-ranks evaluation."""
+    kernel = analytic._coverage_kernels([cfg], [intensities])
+    return float(analytic._ranks_coverages([n_singleton], kernel)[0][0][k - 1])
 
 
 # ----------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_simulate_csv_failure_columns(tmp_path, cfg_file):
     assert header == [
         "scheme", "trials", "seed", "p_hat", "ci_halfwidth", "packets_generated",
         "packets_decoded", "packets_dropped",
-        "collision_failures", "threshold_failures", "blocked_failures",
+        "collision_failures", "threshold_failures", "blocked_failures", "n_slots",
     ]
     row = dict(zip(header, rows[0]))
     counts = {key: int(row[key]) for key in header[5:]}
@@ -160,8 +160,28 @@ def test_simulate_csv_failure_columns(tmp_path, cfg_file):
     ) == counts["packets_generated"] - counts["packets_dropped"]
     est = estimate_coverage(default_config(), Scheme.TPDS, 25, 7)
     assert [counts[key] for key in header[8:]] == [
-        est.collision_failures, est.threshold_failures, est.blocked_failures
+        est.collision_failures, est.threshold_failures, est.blocked_failures, est.n_slots
     ]
+
+
+@pytest.mark.parametrize("scheme, n_slots", [("proposed", 40), ("baseline", 20)])
+def test_simulate_reports_the_slot_count_run(tmp_path, cfg_file, monkeypatch, scheme, n_slots):
+    # proposed runs at the adaptive count (40 here), not at frame.n_slots = 20,
+    # and the run reports the count it used without deriving it again
+    calls = []
+    adaptive = optimizer.adaptive_slots
+    monkeypatch.setattr(optimizer, "adaptive_slots", lambda cfg: calls.append(cfg) or adaptive(cfg))
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--config", cfg_file, "--scheme", scheme,
+                 "--trials", "3", "--seed", "7", "--out", str(out)]) == 0
+    assert len(calls) == (scheme == "proposed")
+    assert optimizer.scheme_slots(default_config(), Scheme(scheme)) == n_slots
+    header, rows = read_csv(out)
+    assert dict(zip(header, rows[0]))["n_slots"] == str(n_slots)
+    lines = dict(line.split(" = ", 1)
+                 for line in (tmp_path / "a.csv.manifest").read_text().splitlines())
+    assert lines["point.0.n_slots"] == str(n_slots)
+    assert lines["config.frame.n_slots"] == "20"
 
 
 def test_simulate_unknown_scheme_usage_error(cfg_file):
@@ -337,6 +357,44 @@ def test_optimize_non_emergency_names_scenario(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("infeasible: scenario: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, flag, count", [
+    (["analytic", "--sweep", "lambda=2:4:1"], "--sweep", 3),
+    (["compare", "--lambdas", "2,3", "--trials", "2"], "--lambdas", 2),
+    (["compare", "--trials", "2"], "--lambdas", 9),  # the default 2:10:1
+    (["validate", "--n-active", "10", "--lambdas", "2:3:1", "--trials", "2"], "--lambdas", 2),
+])
+def test_lambda_list_outside_emergency_usage_error(tmp_path, capsys, argv, flag, count):
+    # outside an emergency lambda changes no number: the rows would differ
+    # only in the lambda column
+    cfg_path = tmp_path / "quiet.cfg"
+    cfg_path.write_text("traffic.scenario = non_emergency\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as info:
+        main(argv[:1] + ["--config", str(cfg_path), "--out", str(out)] + argv[1:])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"musalink: error: {flag}: the non_emergency scenario ignores traffic.lambda, "
+        f"so it takes one value, got {count}"
+    ]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analytic", "--sweep", "lambda=3"],
+    ["analytic", "--sweep", "n_slots=10:20:10"],
+    ["compare", "--lambdas", "2", "--trials", "2"],
+    ["validate", "--n-active", "5,10", "--lambdas", "2", "--trials", "2"],
+])
+def test_one_lambda_outside_emergency_runs(tmp_path, argv):
+    cfg_path = tmp_path / "quiet.cfg"
+    cfg_path.write_text("traffic.scenario = non_emergency\n")
+    out = tmp_path / "out.csv"
+    assert main(argv[:1] + ["--config", str(cfg_path), "--out", str(out)] + argv[1:]) == 0
+    assert read_csv(out)[1]
 
 
 def test_repeated_main_calls_start_from_defaults(tmp_path, cfg_file):

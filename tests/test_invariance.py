@@ -12,12 +12,16 @@ same threshold, so its estimates are asserted equal under both SINR rules.
 The default point is interference-limited: noise × 1000 alone moves only
 4 of its 5105 conservative decodes.  The power case is therefore also run
 at noise × 1e5, where noise costs about a quarter of the coverage.
+
+The last case changes a key the config's scenario ignores
+(``config.reads_key``): every report and estimate must stay bit-identical.
 """
 
 import pytest
 
+from musalink import config
 from musalink.analytic import frame_coverage_prob
-from musalink.config import Scheme, with_values
+from musalink.config import Scenario, Scheme, reads_key, with_values
 from musalink.simulator import estimate_coverage
 
 from conftest import reference_config
@@ -68,3 +72,20 @@ def test_lengths_scaled_with_pathloss_coeff_change_nothing():
     estimates = _estimates(cfg)
     assert all(0 < est.packets_decoded < est.packets_generated for est in estimates)
     assert _estimates(scaled) == estimates
+
+
+def test_keys_a_scenario_ignores_change_nothing():
+    # each key the non-emergency scenario is said to ignore, set far from its
+    # default: neither engine's result moves, for any scheme
+    cfg = with_values(reference_config(n_active=10, lam=2.0, n_slots=20),
+                      {"traffic.scenario": Scenario.NON_EMERGENCY})
+    changes = {"traffic.lambda": 7.0, "traffic.lambda_min": 5.0,
+               "traffic.lambda_max": 1.0, "delta_slack": 3.0}
+    assert set(changes) == config._IGNORED_KEYS[Scenario.NON_EMERGENCY]
+    assert all(reads_key(cfg, key) == (key not in changes) for key in config._KEY_TABLE)
+    for key, value in changes.items():
+        changed = with_values(cfg, {key: value})
+        assert frame_coverage_prob(changed) == frame_coverage_prob(cfg), key
+        for scheme in Scheme:
+            assert (estimate_coverage(changed, scheme, 50, SEED)
+                    == estimate_coverage(cfg, scheme, 50, SEED)), (key, scheme)
