@@ -290,9 +290,9 @@ def cmd_optimize(args) -> int:
     if args.brute_points > 0:
         import numpy as np
 
-        grid = {
-            int(round(v)) for v in np.linspace(out.n_min, out.n_practical, args.brute_points)
-        }
+        # more points than feasible slot counts would only repeat them
+        points = min(args.brute_points, out.n_practical - out.n_min + 1)
+        grid = {int(round(v)) for v in np.linspace(out.n_min, out.n_practical, points)}
         grid.add(out.n_practical)
         result = brute_force_slots(cfg, sorted(grid), out)
         report.update({

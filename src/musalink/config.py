@@ -424,9 +424,10 @@ def load_config(source) -> SystemConfig:
 
     ``source`` may be a text string, a bytes object, or a readable stream.
     Omitted keys take the documented defaults; an empty document yields the
-    default configuration.  Raises :class:`ConfigError` on bytes that are
-    not UTF-8, on parse problems (with line context) and on feasibility
-    violations (naming the constraint).
+    default configuration.  One leading byte-order mark is ignored.
+    Raises :class:`ConfigError` on bytes that are not UTF-8, on parse
+    problems (with line context) and on feasibility violations (naming
+    the constraint).
     """
     text = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(text, bytes):
@@ -434,6 +435,7 @@ def load_config(source) -> SystemConfig:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"not UTF-8 text: {exc}") from None
+    text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
 
     values: dict[str, object] = {}
     for lineno, line in enumerate(io.StringIO(text), start=1):

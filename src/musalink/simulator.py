@@ -7,11 +7,11 @@ interference cancellation receiver on every occupied slot.
 Frame i draws from its own stream, seeded by (seed, i), in a fixed
 order: packet counts (emergency only), then one ``random`` call holding
 the radii and the (n_devices, n_slots) slot keys whose row-wise argsort
-gives each device's slots, one ``integers`` call for every code, and one
-``standard_normal`` call for all fading, the (2, n_packets, J) real and
-imaginary parts.  A block of frames is drawn at once: only the
-generator calls run per frame; the argsort, radii, powers and
-de-interleaving run once on the stacked block.  Estimates are therefore
+gives each device's slots, one ``integers`` call for the codes of its k
+packets sent, and one ``standard_normal`` call for their fading, the
+(2, k, J) real and imaginary parts.  A block of frames is drawn in one
+pass over its frames, each making only these calls; the argsort, radii
+and powers run once on the stacked block.  Estimates are therefore
 reproducible bit for bit regardless of how frames are distributed over
 workers or blocks.  ``_draw_block`` is the one draw the package ships;
 the per-frame laws it is tested against, ``sample_deployment`` and
@@ -104,11 +104,9 @@ def code_pool(n_subcarriers: int, pool_size: int) -> np.ndarray:
         np.random.SeedSequence(entropy=_POOL_ENTROPY, spawn_key=(n_subcarriers, pool_size))
     )
     if total <= 1 << 16:
-        digits = np.array([
-            (np.arange(total) >> (2 * j)) & 3 for j in range(n_subcarriers)
-        ]).T  # (total, J) base-4 digits
         chosen = rng.permutation(total)[:pool_size]
-        raw = _CODE_ALPHABET[digits[chosen]]
+        digits = (chosen[:, None] >> 2 * np.arange(n_subcarriers)) & 3  # base-4, (size, J)
+        raw = _CODE_ALPHABET[digits]
     else:
         seen: set[tuple[int, ...]] = set()
         rows = []
@@ -145,7 +143,6 @@ class _Block(NamedTuple):
     ``device`` indexes the block's F·n_active device rows.
     """
     counts: np.ndarray    # (F, n_active) packets generated per device
-    dropped: np.ndarray   # (F,) packets beyond a device's n_slots, never sent
     radii: np.ndarray     # (F, n_active) m
     powers: np.ndarray    # (F, n_active) W per packet
     device: np.ndarray    # (N,) device row of each packet
@@ -159,43 +156,33 @@ def _draw_block(
 ) -> _Block:
     """Draw a block of frames, frame f from ``rngs[f]``.
 
-    ``TrafficParams.packet_counts`` draws a frame's counts; the rest of
-    its stream is one ``random(n·(1 + S))`` call, the n radii then the
-    (n, S) slot keys whose row-wise argsort gives each device's slots,
-    one ``integers`` call for every code, and ``standard_normal((2, N,
-    J))`` for the fading.  Only these generator calls run per frame;
-    sorting, indexing and powers run once on the stacked block.  The
+    Each frame makes its generator calls in the order the module
+    docstring states, sized by its own k = Σ min(count, S) packets.
+    Sorting, indexing and powers run once on the stacked block.  The
     per-frame laws in ``tests/oracles.py`` (``sample_deployment`` then
     ``assign_slots_codes``) read the same doubles in the same order.
     """
     n, j = cfg.traffic.n_active, cfg.frame.n_subcarriers
     counts = np.empty((len(rngs), n), dtype=np.int64)
     u = np.empty((len(rngs), n * (1 + n_slots)))  # per frame: radii, then (n, S) keys
+    codes, normals = [], []
     for f, rng in enumerate(rngs):
         counts[f] = cfg.traffic.packet_counts(rng)
         rng.random(out=u[f])
-    tx = np.minimum(counts, n_slots)
-    n_pkt = tx.sum(axis=1)
-    first = np.cumsum(n_pkt) - n_pkt  # each frame's first packet
-    # frame f's normals are (2, N_f, J): N_f real rows, then N_f imaginary rows
-    z = np.empty(2 * int(n_pkt.sum()) * j)
-    codes = []
-    for rng, lo, k in zip(rngs, (2 * j * first).tolist(), n_pkt.tolist()):
+        k = int(np.minimum(counts[f], n_slots).sum())
         codes.append(rng.integers(0, cfg.frame.code_pool_size, size=k))
-        rng.standard_normal(out=z[lo:lo + 2 * j * k])
-    z = z.reshape(-1, j)
-    frame = np.repeat(np.arange(len(rngs)), n_pkt)
-    real = np.arange(len(frame)) + first[frame]
+        normals.append(rng.standard_normal((2, k, j)))
+    tx = np.minimum(counts, n_slots)
+    z = np.concatenate(normals, axis=1)  # (2, N, J) real and imaginary parts
     # bit for bit (re + 1j*im) / sqrt(2), without the complex temporaries
-    fading = np.empty((len(frame), j), dtype=complex)
-    fading.real = z[real]
-    fading.imag = z[real + n_pkt[frame]]
+    fading = np.empty(z.shape[1:], dtype=complex)
+    fading.real = z[0]
+    fading.imag = z[1]
     fading /= math.sqrt(2.0)
     keys = u[:, n:].reshape(-1, n_slots)
     slot = np.argsort(keys, axis=1)[np.arange(n_slots) < tx.reshape(-1, 1)]
     return _Block(
         counts=counts,
-        dropped=counts.sum(axis=1) - n_pkt,
         radii=cfg.geometry.cell_radius * np.sqrt(u[:, :n]),
         powers=cfg.packet_power(scheme, counts),
         device=np.repeat(np.arange(counts.size), tx.ravel()),
@@ -380,7 +367,7 @@ def _coverage_worker(args) -> tuple[int, ...]:
         outcomes = _decode_block(cfg, block, n_slots, sinr_rule)
         g = block.counts.sum(axis=1)
         d = outcomes[:, 0]
-        values = (g.sum(), d.sum(), block.dropped.sum(), g @ g, d @ d, g @ d,
+        values = (g.sum(), d.sum(), g.sum() - len(block.device), g @ g, d @ d, g @ d,
                   *outcomes[:, 1:].sum(axis=0))
         for i, v in enumerate(values):
             sums[i] += int(v)

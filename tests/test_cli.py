@@ -228,6 +228,32 @@ def test_optimize_single_brute_point_reports_n_practical(tmp_path):
     assert p_at == expected.p_succ
 
 
+def test_optimize_caps_brute_points_at_the_feasible_range(tmp_path):
+    # a request beyond the feasible slot counts evaluates each of them once
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text("traffic.n_active = 10\ntraffic.lambda = 2\n")
+    out = tmp_path / "opt.txt"
+    assert main(["optimize", "--config", str(cfg_path), "--brute-points", "1e12",
+                 "--out", str(out)]) == 0
+    fields = dict(
+        line.split(" = ", 1) for line in out.read_text().strip().splitlines()
+    )
+    curve = [int(item.split(":")[0]) for item in fields["brute_force.curve"].split(";")]
+    assert curve == list(range(2, int(fields["n_practical"]) + 1))
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text("traffic.n_active = 12\n", encoding="utf-8")
+    marked.write_text("traffic.n_active = 12\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outs = []
+    for path in (plain, marked):
+        outs.append(tmp_path / (path.stem + ".csv"))
+        assert main(["analytic", "--config", str(path), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_optimize_solves_the_slot_bounds_once(tmp_path, monkeypatch):
     calls = []
     original = optimizer.adaptive_slots

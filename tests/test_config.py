@@ -81,6 +81,15 @@ def test_load_accepts_bytes_and_streams():
         assert load_config(source).traffic.lam == 6.0
 
 
+def test_load_drops_one_leading_byte_order_mark():
+    doc = "\ufefftraffic.lambda = 6\n"
+    for source in (doc, doc.encode(), io.StringIO(doc), io.BytesIO(doc.encode())):
+        assert load_config(source).traffic.lam == 6.0
+    # only the first: a second mark is part of the key
+    with pytest.raises(ConfigError, match=r"line 1: unknown key '\\ufefftraffic"):
+        load_config("\ufeff" + doc)
+
+
 def test_empty_document_gives_defaults():
     assert load_config("") == default_config()
 

@@ -366,7 +366,7 @@ def test_vacuous_frame():
     block, counts = decode_frame(cfg, Scheme.NAS, np.random.default_rng(0))
     assert block.counts.sum() == 0
     assert counts[0] == 0
-    assert block.dropped[0] == 0
+    assert len(block.device) == 0
 
 
 def test_packet_power_rules(monkeypatch):
@@ -400,11 +400,13 @@ def test_proposed_frame_uses_adaptive_slot_count():
 
 def test_conservation_over_random_frames():
     cfg = reference_config(n_active=15, lam=6.0)
+    n_slots = scheme_slots(cfg, Scheme.BASELINE)
     for seed in range(20):
         block, counts = decode_frame(cfg, Scheme.BASELINE, np.random.default_rng(seed))
         transmitted = len(block.device)
         assert counts.sum() == transmitted
-        assert transmitted + block.dropped[0] == block.counts.sum()
+        dropped = np.maximum(block.counts - n_slots, 0).sum()
+        assert transmitted + dropped == block.counts.sum()
 
 
 def test_collision_rate_matches_analytic():
@@ -783,7 +785,7 @@ def test_block_draw_matches_per_frame_oracle(case, n_frames):
             assert np.array_equal(block.counts[f], counts)
             assert block.radii[f].tobytes() == radii.tobytes()
             assert block.powers[f].tobytes() == powers.tobytes()
-            assert block.dropped[f] == dropped
+            assert block.counts[f].sum() - sel.sum() == dropped
             assert np.array_equal(block.device[sel] - f * n, packets[:, 0])
             assert np.array_equal(block.slot[sel], packets[:, 1])
             assert np.array_equal(block.code[sel], packets[:, 2])
