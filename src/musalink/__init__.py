@@ -8,13 +8,10 @@ simulator that serves as the ground truth for the analytics.
 
 from .analytic import (
     CoverageReport,
-    IntensitySet,
     QuadratureError,
     SlotStatistics,
-    collision_free_prob,
     frame_coverage_prob,
     frame_coverage_probs,
-    singleton_count,
     slot_statistics,
 )
 from .config import (
@@ -33,7 +30,6 @@ from .config import (
     default_config,
     load_config,
     serialize_config,
-    slot_occupancy_prob,
     validate_config,
 )
 from .optimizer import (

@@ -34,12 +34,13 @@ the rank weights run once over all the batch's nodes.  Every point
 keeps its own rule and its own reduction shapes, so its report is the
 same bits whatever batch it is evaluated in.
 
-All functions are pure.  The interference field is parameterized by an
-:class:`IntensitySet`, so the engine can be evaluated at arbitrary
-thinned intensities.  The per-point form of the field, the two Laplace
-transforms, the Campbell exponent over an annulus and the
-ordered-distance density, is kept as test oracles in
-``tests/oracles.py``.
+All functions are pure.  :func:`slot_statistics` states the per-slot
+law once: the occupancy p_lambda, the collision-free probability p_cf,
+the mean singleton count, and the singleton and collided thinnings of
+the active field, the only figures of the field the kernel reads.  The
+per-point form of the field, the two Laplace transforms, the Campbell
+exponent over an annulus and the ordered-distance density, is kept as
+test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -55,11 +56,8 @@ from .config import SystemConfig
 
 __all__ = [
     "QuadratureError",
-    "IntensitySet",
     "SlotStatistics",
     "CoverageReport",
-    "collision_free_prob",
-    "singleton_count",
     "slot_statistics",
     "frame_coverage_prob",
     "frame_coverage_probs",
@@ -94,30 +92,13 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class IntensitySet:
-    """Spatial intensities of the active, singleton and collided processes.
-
-    The singleton and collided processes are independent thinnings of the
-    active process: ``omega_s = omega_o * p_cf`` and
-    ``omega_c = omega_o * (1 - p_cf)``, so the two always sum back to
-    ``omega_o``.
-    """
-    omega_o: float  # devices / m^2, frame-active process
-    omega_s: float  # devices / m^2, collision-free thinning
-    omega_c: float  # devices / m^2, collided thinning
-
-    @classmethod
-    def from_collision_prob(cls, omega_o: float, p_cf: float) -> "IntensitySet":
-        return cls(omega_o, omega_o * p_cf, omega_o * (1.0 - p_cf))
-
-
-@dataclass(frozen=True)
 class SlotStatistics:
-    """Per-slot occupancy statistics derived from a configuration."""
+    """The per-slot law of a configuration (:func:`slot_statistics`)."""
     p_lambda: float      # probability a given device transmits in a given slot
     p_cf: float          # collision-free probability of a transmitting device
     n_singleton: float   # mean decodable devices per slot (may be fractional)
-    intensities: IntensitySet
+    omega_s: float       # devices / m^2, collision-free thinning of the active field
+    omega_c: float       # devices / m^2, collided thinning of the active field
 
 
 @dataclass(frozen=True)
@@ -133,43 +114,31 @@ class CoverageReport:
 
 
 # ----------------------------------------------------------------------------
-#  Code collisions
-# ----------------------------------------------------------------------------
-
-def collision_free_prob(p_lambda: float, n_active: int, pool_size: int) -> float:
-    """Probability a device transmitting in a slot suffers no code collision.
-
-    Each of the other ``n_active - 1`` devices independently transmits in
-    the slot with probability ``p_lambda`` and picks one of ``pool_size``
-    codes, so it takes the tagged device's code with probability
-    ``p_lambda / pool_size``: the binomial sum over the co-slot
-    transmitters is (1 - p_lambda/pool_size)^(n_active - 1).
-    """
-    if not 0.0 <= p_lambda <= 1.0:
-        raise ValueError("p_lambda must lie in [0, 1]")
-    if n_active < 1:
-        raise ValueError("n_active must be >= 1")
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
-    return (1.0 - p_lambda / pool_size) ** (n_active - 1)
-
-
-def singleton_count(n_active: int, p_lambda: float, p_cf: float) -> float:
-    """Mean number of decodable (collision-free) devices in a slot."""
-    return n_active * p_lambda * p_cf
-
-
-# ----------------------------------------------------------------------------
 #  Slot statistics and the interference field
 # ----------------------------------------------------------------------------
 
 def slot_statistics(cfg: SystemConfig) -> SlotStatistics:
-    """Derive the per-slot occupancy, collision and intensity figures."""
+    """The per-slot occupancy, collision and intensity figures of ``cfg``.
+
+    A device transmits in a given slot with probability p_lambda
+    (:meth:`TrafficParams.slot_occupancy`).  Each of the other
+    ``n_active - 1`` devices independently transmits in the slot with
+    probability p_lambda and picks one of the ``code_pool_size`` codes, so
+    it takes a transmitting device's code with probability
+    p_lambda/pool: the binomial sum over the co-slot transmitters gives the
+    collision-free probability p_cf = (1 - p_lambda/pool)^(n_active - 1).
+    A slot then holds n_active * p_lambda * p_cf decodable (singleton)
+    devices on average, and the singleton and collided devices are the
+    independent thinnings ``omega * p_cf`` and ``omega * (1 - p_cf)`` of
+    the active intensity omega (:meth:`SystemConfig.active_intensity`),
+    which always sum back to omega.
+    """
+    n_active = cfg.traffic.n_active
     p_lam = cfg.traffic.slot_occupancy(cfg.frame.n_slots)
-    p_cf = collision_free_prob(p_lam, cfg.traffic.n_active, cfg.frame.code_pool_size)
-    n_s = singleton_count(cfg.traffic.n_active, p_lam, p_cf)
-    intensities = IntensitySet.from_collision_prob(cfg.active_intensity(), p_cf)
-    return SlotStatistics(p_lam, p_cf, n_s, intensities)
+    p_cf = (1.0 - p_lam / cfg.frame.code_pool_size) ** (n_active - 1)
+    omega = cfg.active_intensity()
+    return SlotStatistics(p_lam, p_cf, n_active * p_lam * p_cf,
+                          omega * p_cf, omega * (1.0 - p_cf))
 
 
 def _antiderivative(u, u_a, q, a: float):
@@ -200,12 +169,13 @@ def _antiderivative(u, u_a, q, a: float):
 #  Conditional and frame coverage
 # ----------------------------------------------------------------------------
 
-def _coverage_kernels(cfgs: Sequence[SystemConfig], intensities: Sequence[IntensitySet]):
+def _coverage_kernels(cfgs: Sequence[SystemConfig], stats: Sequence[SlotStatistics]):
     """Return g(t, point): coverage probability of a device of ``cfgs[point]``
     at r_hat = R * sqrt(t), elementwise over ``t`` and ``point``.
 
     Combines the fading tail, noise factor and the two interference
-    transforms, each configuration with its own field ``intensities[i]``;
+    transforms, each configuration with the singleton and collided
+    intensities ``omega_s`` and ``omega_c`` of its own ``stats[i]``;
     independent of the order-statistic rank.  With u = r_hat^2 + h^2 the
     transform argument is ``s = theta * u^(alpha/2) / (p_bar * beta)``, so
     the Campbell parameter ``q = s * p_bar * beta`` is ``theta *
@@ -217,7 +187,7 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], intensities: Sequence[Intens
     alpha = cfgs[0].channel.pathloss_exp
     a = 0.5 * alpha
     rows = []
-    for cfg, field in zip(cfgs, intensities, strict=True):
+    for cfg, st in zip(cfgs, stats, strict=True):
         if cfg.channel.pathloss_exp != alpha:
             raise ValueError("a batch of coverage kernels needs one pathloss exponent")
         radius2 = cfg.geometry.cell_radius**2
@@ -228,7 +198,7 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], intensities: Sequence[Intens
         )
         # scalar powers: numpy's vectorised power may differ from them in the last bit
         rows.append((radius2, h2, cfg.reliability.sinr_threshold, noise_per_q,
-                     math.pi * field.omega_s, math.pi * field.omega_c,
+                     math.pi * st.omega_s, math.pi * st.omega_c,
                      u_edge, u_edge**a, h2**a))
     params = np.array(rows).T
 
@@ -429,8 +399,7 @@ def frame_coverage_probs(cfgs: Iterable[SystemConfig]) -> list[CoverageReport]:
         else:
             live.append(i)
     for batch in _batches(live, cfgs, stats):
-        kernel = _coverage_kernels([cfgs[i] for i in batch],
-                                   [stats[i].intensities for i in batch])
+        kernel = _coverage_kernels([cfgs[i] for i in batch], [stats[i] for i in batch])
         n_s = np.array([stats[i].n_singleton for i in batch])
         rows = _ranks_coverages(n_s, kernel)
         # every rank up to floor(n_s) counts fully, a fractional top rank by

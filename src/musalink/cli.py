@@ -48,6 +48,7 @@ from .config import (
     default_config,
     key_domain,
     load_config,
+    parse_whole,
     reads_key,
     serialize_config,
     with_values,
@@ -155,21 +156,11 @@ def _check_read(cfg: SystemConfig, key: str, option: str, values: list) -> None:
 
 
 def _whole(text: str) -> int:
-    """A count by the lists' rule, a finite whole number: 1e4 is 10000.
-
-    An integer literal is read exactly, however many digits it has.
-    """
+    """A count by the config file's rule (``config.parse_whole``): 1e4 is 10000."""
     try:
-        return int(text)
+        return parse_whole(text)
     except ValueError:
-        pass
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
-    return int(value)
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
 
 
 def _at_least(minimum: int):

@@ -52,7 +52,7 @@ __all__ = [
     "ensure_valid",
     "key_domain",
     "reads_key",
-    "slot_occupancy_prob",
+    "parse_whole",
 ]
 
 
@@ -118,7 +118,8 @@ class TrafficParams:
 
     The packet-count law L of an active device in a frame: one packet
     outside an emergency, Poisson(lam) inside one, with no truncated tail.
-    The analytics and the simulator read L only through the methods below.
+    The analytics and the simulator read L only through the methods below:
+    the draw, its mean and the slot-occupancy law, each stated once here.
     """
     n_active: int = 10             # devices active in the frame
     lam: float = 4.0               # mean packets per active device
@@ -137,10 +138,22 @@ class TrafficParams:
         return 1.0 if self.scenario is Scenario.NON_EMERGENCY else self.lam
 
     def slot_occupancy(self, n_slots: int) -> float:
-        """P(a device transmits in a given slot) = E[min(L, S)]/S, S = ``n_slots``."""
+        """P(a device transmits in a given slot) = E[min(L, S)]/S, S = ``n_slots``.
+
+        A device with L packets sends them in min(L, S) distinct slots of
+        the S, so it occupies a given slot with probability min(L, S)/S.
+        Outside an emergency L = 1.  For L ~ Poisson(lam) the mean over the
+        whole law has the closed form
+
+            E[min(L, S)]/S = (lam/S) * P(L <= S-1) + P(L > S),
+
+        since L*pmf(L) = lam*pmf(L-1); it is clipped to [0, 1].
+        """
         if self.scenario is Scenario.NON_EMERGENCY:
             return 1.0 / n_slots
-        return slot_occupancy_prob(self.lam, n_slots)
+        lam = self.lam
+        total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
+        return min(1.0, max(0.0, float(total)))
 
 
 @dataclass(frozen=True)
@@ -242,25 +255,6 @@ def _poisson_quantile(q: float, lam: float) -> int:
     k = math.ceil(pdtrik(q, lam))
     below = max(k - 1, 0)
     return below if pdtr(below, lam) >= q else k
-
-
-def slot_occupancy_prob(lam: float, n_slots: int) -> float:
-    """Probability that a given active device transmits in a given slot.
-
-    A device with L ~ Poisson(lam) packets occupies a given slot with
-    probability min(L, n_slots)/n_slots.  The mean of that over the whole
-    Poisson law has the closed form
-
-        E[min(L, S)]/S = (lam/S) * P(L <= S-1) + P(L > S),   S = n_slots,
-
-    since L*pmf(L) = lam*pmf(L-1).
-    """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if n_slots < 1:
-        raise ValueError("n_slots must be >= 1")
-    total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
-    return min(1.0, max(0.0, float(total)))
 
 
 def default_config() -> SystemConfig:
@@ -394,16 +388,31 @@ def _finite(raw: str) -> float:
     return value
 
 
+def parse_whole(raw: str) -> int:
+    """A finite whole number: 10, 10.0 and 1e1 are all 10.
+
+    An integer literal is read exactly, however many digits it has; any
+    other spelling is read as a float.  Raises ``ValueError`` otherwise.
+    The one rule of the config file's ``int`` keys and the command line's
+    counts.
+    """
+    try:
+        return int(raw)
+    except ValueError:
+        pass
+    value = _finite(raw)
+    if not value.is_integer():
+        raise ValueError(f"not a whole number {raw!r}")
+    return int(value)
+
+
 def _parse_value(kind: str, raw: str, key: str, lineno: int):
     raw = raw.strip()
     try:
         if kind == "float":
             return _finite(raw)
         if kind == "int":
-            value = _finite(raw)
-            if not value.is_integer():
-                raise ValueError(f"not a whole number {raw!r}")
-            return int(value)
+            return parse_whole(raw)
         if kind == "watts":
             if raw.lower().endswith("dbm"):
                 return dbm_to_watts(_finite(raw[:-3]))

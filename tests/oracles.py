@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from musalink.analytic import IntensitySet, _antiderivative
+from musalink.analytic import _antiderivative
 from musalink.config import SystemConfig
 from musalink.shortpacket import q_function
 from musalink.simulator import _check_sinr_rule
@@ -96,14 +96,12 @@ def _campbell_exponent(q, omega: float, u_lo, u_hi, alpha: float):
     )
 
 
-def laplace_singleton(
-    s: float, r_hat: float, cfg: SystemConfig, intensities: IntensitySet
-) -> float:
+def laplace_singleton(s: float, r_hat: float, cfg: SystemConfig, omega_s: float) -> float:
     """Laplace transform of the interference from weaker singleton devices.
 
-    Interfering singletons live on the annulus between the tagged device's
-    distance ``r_hat`` and the cell edge.  Equals 1 exactly at ``s = 0``
-    and for an empty annulus.
+    Interfering singletons, of intensity ``omega_s`` (devices / m^2), live
+    on the annulus between the tagged device's distance ``r_hat`` and the
+    cell edge.  Equals 1 exactly at ``s = 0`` and for an empty annulus.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -117,26 +115,27 @@ def laplace_singleton(
     q = (s * cfg.mean_packet_power()) * cfg.channel.pathloss_coeff
     h2 = cfg.geometry.uav_altitude**2
     exponent = _campbell_exponent(
-        q, intensities.omega_s, r_hat * r_hat + h2, radius * radius + h2,
+        q, omega_s, r_hat * r_hat + h2, radius * radius + h2,
         cfg.channel.pathloss_exp,
     )
     return math.exp(-exponent)
 
 
-def laplace_collided(s: float, cfg: SystemConfig, intensities: IntensitySet) -> float:
+def laplace_collided(s: float, cfg: SystemConfig, omega_c: float) -> float:
     """Laplace transform of the interference from collided devices.
 
-    Collided devices interfere from anywhere in the serving disk.  Equals
-    1 exactly at ``s = 0`` or when the collided intensity vanishes.
+    Collided devices, of intensity ``omega_c`` (devices / m^2), interfere
+    from anywhere in the serving disk.  Equals 1 exactly at ``s = 0`` or
+    when the collided intensity vanishes.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if s == 0.0 or intensities.omega_c <= 0.0:
+    if s == 0.0 or omega_c <= 0.0:
         return 1.0
     q = (s * cfg.mean_packet_power()) * cfg.channel.pathloss_coeff
     h2 = cfg.geometry.uav_altitude**2
     exponent = _campbell_exponent(
-        q, intensities.omega_c, h2, cfg.geometry.cell_radius**2 + h2,
+        q, omega_c, h2, cfg.geometry.cell_radius**2 + h2,
         cfg.channel.pathloss_exp,
     )
     return math.exp(-exponent)

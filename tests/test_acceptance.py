@@ -13,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from musalink.analytic import collision_free_prob, frame_coverage_prob, slot_statistics
+from musalink.analytic import frame_coverage_prob, slot_statistics
 from musalink.cli import main
-from musalink.config import Scheme, default_config, serialize_config, slot_occupancy_prob
+from musalink.config import Scenario, Scheme, TrafficParams, default_config, serialize_config
 from musalink.optimizer import adaptive_slots, brute_force_slots, solve_n_epsilon
 from musalink.shortpacket import error_prob_ln_form, max_snr_proxy
 from musalink.simulator import estimate_coverage
@@ -32,6 +32,7 @@ from oracles import (
 )
 from simpson import adaptive_simpson
 from test_analytic import (
+    collision_config,
     collision_mc,
     interference_laplace_mc,
     occupancy_mc,
@@ -215,12 +216,14 @@ def test_criterion_4_optimizer_correctness():
 # ----------------------------------------------------------------------------
 
 def test_criterion_5_sampling_law_oracles():
-    occ = slot_occupancy_prob(2.0, 20)
+    occ = TrafficParams(lam=2.0).slot_occupancy(20)
     occ_mc = occupancy_mc(2.0, 20, 1_000_000, seed=501)
     occ_ok = abs(occ - occ_mc) <= 3e-3
 
-    cf = collision_free_prob(0.1, 10, 64)
-    cf_mc = collision_mc(0.1, 10, 64, 1_000_000, seed=502)
+    # p_lambda = 1/10 outside an emergency with 10 slots
+    quiet = slot_statistics(collision_config(10, 64, n_slots=10, scenario=Scenario.NON_EMERGENCY))
+    cf = quiet.p_cf
+    cf_mc = collision_mc(quiet.p_lambda, 10, 64, 1_000_000, seed=502)
     cf_ok = abs(cf - cf_mc) <= 3e-3
 
     norm, _ = adaptive_simpson(
@@ -240,20 +243,20 @@ def test_criterion_5_sampling_law_oracles():
     cfg = default_config()
     stats = slot_statistics(cfg)
     zero_ok = (
-        laplace_singleton(0.0, 25.0, cfg, stats.intensities) == 1.0
-        and laplace_collided(0.0, cfg, stats.intensities) == 1.0
+        laplace_singleton(0.0, 25.0, cfg, stats.omega_s) == 1.0
+        and laplace_collided(0.0, cfg, stats.omega_c) == 1.0
     )
     s = reference_s(cfg, 25.0)
-    ls = laplace_singleton(s, 25.0, cfg, stats.intensities)
+    ls = laplace_singleton(s, 25.0, cfg, stats.omega_s)
     ls_mc = interference_laplace_mc(
-        s, 25.0, 50.0, stats.intensities.omega_s, cfg, 100_000, seed=504
+        s, 25.0, 50.0, stats.omega_s, cfg, 100_000, seed=504
     )
     cfg8 = reference_config(n_active=10, lam=8.0)
     stats8 = slot_statistics(cfg8)
     s8 = reference_s(cfg8, 25.0)
-    lc = laplace_collided(s8, cfg8, stats8.intensities)
+    lc = laplace_collided(s8, cfg8, stats8.omega_c)
     lc_mc = interference_laplace_mc(
-        s8, 0.0, 50.0, stats8.intensities.omega_c, cfg8, 100_000, seed=505
+        s8, 0.0, 50.0, stats8.omega_c, cfg8, 100_000, seed=505
     )
     laplace_ok = (
         abs(ls - ls_mc) / ls_mc <= 2e-2 and abs(lc - lc_mc) / lc_mc <= 2e-2

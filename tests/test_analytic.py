@@ -10,24 +10,22 @@ from scipy.special import gammaln
 
 from musalink import analytic
 from musalink.analytic import (
-    IntensitySet,
     QuadratureError,
-    collision_free_prob,
     frame_coverage_prob,
     frame_coverage_probs,
-    singleton_count,
     slot_statistics,
 )
-from musalink.config import Scenario, slot_occupancy_prob
+from musalink.config import Scenario, TrafficParams
 
 from conftest import reference_config
 from oracles import _campbell_exponent, laplace_collided, laplace_singleton, ordered_distance_pdf
 from simpson import adaptive_simpson
 
 
-def conditional_coverage(k, cfg, n_singleton, intensities):
-    """Rank k's conditional coverage: row k of the engine's all-ranks evaluation."""
-    kernel = analytic._coverage_kernels([cfg], [intensities])
+def conditional_coverage(k, cfg, n_singleton, stats):
+    """Rank k's conditional coverage, in the interference field of ``stats``:
+    row k of the engine's all-ranks evaluation."""
+    kernel = analytic._coverage_kernels([cfg], [stats])
     return float(analytic._ranks_coverages([n_singleton], kernel)[0][0][k - 1])
 
 
@@ -54,15 +52,16 @@ def occupancy_mc(lam, n_slots, n_draws, seed):
 
 
 def test_occupancy_zero_rate():
-    assert slot_occupancy_prob(0.0, 20) == 0.0
+    assert TrafficParams(lam=0.0).slot_occupancy(20) == 0.0
 
 
 def test_occupancy_single_slot_collapses_to_activity():
-    assert slot_occupancy_prob(1.0, 1) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    value = TrafficParams(lam=1.0).slot_occupancy(1)
+    assert value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
 
 def test_occupancy_matches_slot_selection_oracle():
-    value = slot_occupancy_prob(2.0, 20)
+    value = TrafficParams(lam=2.0).slot_occupancy(20)
     oracle = occupancy_mc(2.0, 20, 1_000_000, seed=20260801)
     assert value == pytest.approx(oracle, abs=3e-3)
 
@@ -77,22 +76,17 @@ def test_occupancy_equals_untruncated_series():
         pmf = np.exp(-lam + counts * math.log(lam) - gammaln(counts + 1.0))
         short = np.cumsum(pmf) - np.cumsum(counts * pmf) / slots
         series = 1.0 - short
-        closed = [slot_occupancy_prob(float(lam), int(s)) for s in slots]
+        closed = [TrafficParams(lam=float(lam)).slot_occupancy(int(s)) for s in slots]
         np.testing.assert_allclose(closed, series, rtol=0, atol=1e-12)
-    assert all(slot_occupancy_prob(0.0, int(s)) == 0.0 for s in slots)
-
-
-def test_occupancy_rejects_negative_rate():
-    with pytest.raises(ValueError):
-        slot_occupancy_prob(-0.5, 20)
+    assert all(TrafficParams(lam=0.0).slot_occupancy(int(s)) == 0.0 for s in slots)
 
 
 def test_occupancy_monotonicity():
     lams = [0.5, 1, 2, 4, 6, 8, 10]
-    vals = [slot_occupancy_prob(l, 20) for l in lams]
+    vals = [TrafficParams(lam=l).slot_occupancy(20) for l in lams]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     slots = [1, 2, 5, 10, 20, 50]
-    vals = [slot_occupancy_prob(4.0, n) for n in slots]
+    vals = [TrafficParams(lam=4.0).slot_occupancy(n) for n in slots]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -131,41 +125,62 @@ def collision_direct_sum(p_lambda, n_active, pool_size):
     return total
 
 
+def collision_config(n_active, pool_size, lam=4.0, n_slots=20, scenario=Scenario.EMERGENCY):
+    """The reference config with its code pool and scenario set: its own
+    p_lambda is 1/n_slots outside an emergency."""
+    cfg = reference_config(n_active=n_active, lam=lam, n_slots=n_slots)
+    return replace(cfg, traffic=replace(cfg.traffic, scenario=scenario),
+                   frame=replace(cfg.frame, code_pool_size=pool_size))
+
+
 def test_collision_free_single_device():
-    assert collision_free_prob(0.37, 1, 64) == 1.0
+    assert slot_statistics(collision_config(1, 64)).p_cf == 1.0
 
 
 def test_collision_free_shared_single_code():
-    assert collision_free_prob(1.0, 3, 1) == 0.0
+    st = slot_statistics(collision_config(3, 1, n_slots=1, scenario=Scenario.NON_EMERGENCY))
+    assert st.p_lambda == 1.0
+    assert st.p_cf == 0.0
 
 
 def test_collision_free_two_oracles():
-    value = collision_free_prob(0.1, 10, 64)
-    assert value == pytest.approx(collision_direct_sum(0.1, 10, 64), abs=1e-12)
-    oracle = collision_mc(0.1, 10, 64, 1_000_000, seed=42)
+    st = slot_statistics(collision_config(10, 64, n_slots=10, scenario=Scenario.NON_EMERGENCY))
+    assert st.p_lambda == 0.1
+    value = st.p_cf
+    assert value == pytest.approx(collision_direct_sum(st.p_lambda, 10, 64), abs=1e-12)
+    oracle = collision_mc(st.p_lambda, 10, 64, 1_000_000, seed=42)
     assert value == pytest.approx(oracle, abs=3e-3)
 
 
 def test_collision_free_equals_closed_form_thinning():
-    # the binomial sum telescopes to (1 - p/pool)^(n-1); independent identity
-    for p, n, mu in [(0.3, 15, 64), (0.9, 40, 16), (0.05, 200, 64)]:
-        assert collision_free_prob(p, n, mu) == pytest.approx(
-            (1 - p / mu) ** (n - 1), rel=1e-10
-        )
+    # the binomial sum telescopes to (1 - p/pool)^(n-1), the form the
+    # engine states
+    for n, mu, lam in [(15, 64, 6.0), (40, 16, 18.0), (200, 64, 1.0)]:
+        st = slot_statistics(collision_config(n, mu, lam=lam))
+        p = st.p_lambda
+        assert st.p_cf == pytest.approx((1 - p / mu) ** (n - 1), rel=1e-10)
+        assert st.p_cf == pytest.approx(collision_direct_sum(p, n, mu), rel=1e-10)
 
 
 def test_collision_free_monotone_properties():
-    vals = [collision_free_prob(p, 10, 64) for p in np.linspace(0, 1, 11)]
+    stats = [slot_statistics(collision_config(10, 64, lam=lam))
+             for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)]
+    p_lambdas = [st.p_lambda for st in stats]
+    assert p_lambdas[0] == 0.0 and p_lambdas[-1] > 0.99
+    assert all(b > a for a, b in zip(p_lambdas, p_lambdas[1:]))
+    vals = [st.p_cf for st in stats]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-    vals = [collision_free_prob(0.2, n, 64) for n in (1, 2, 5, 10, 20, 50)]
+    vals = [slot_statistics(collision_config(n, 64)).p_cf for n in (1, 2, 5, 10, 20, 50)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-    vals = [collision_free_prob(0.2, 10, mu) for mu in (2, 4, 16, 64, 256)]
+    vals = [slot_statistics(collision_config(10, mu)).p_cf for mu in (2, 4, 16, 64, 256)]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_singleton_count_arithmetic():
-    assert singleton_count(20, 0.5, 0.8) == pytest.approx(8.0)
-    assert singleton_count(1, 1.0, 1.0) == pytest.approx(1.0)
+    st = slot_statistics(collision_config(20, 64))
+    assert st.n_singleton == pytest.approx(20 * st.p_lambda * st.p_cf)
+    lone = slot_statistics(collision_config(1, 64, n_slots=1, scenario=Scenario.NON_EMERGENCY))
+    assert (lone.p_lambda, lone.p_cf, lone.n_singleton) == (1.0, 1.0, 1.0)
 
 
 # ----------------------------------------------------------------------------
@@ -191,10 +206,10 @@ def test_distance_pdf_fractional_count_normalizes():
     # integral of the rank pdf, fractional-exponent endpoints included
     cfg = reference_config(n_active=10, lam=4.0)
     cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=1e-18))
-    intensities = slot_statistics(cfg).intensities
+    stats = slot_statistics(cfg)
     n_frac = 3.4
     for k in range(1, 5):
-        value = conditional_coverage(k, cfg, n_frac, intensities)
+        value = conditional_coverage(k, cfg, n_frac, stats)
         assert value == pytest.approx(1.0, abs=1e-6), f"k={k}"
 
 
@@ -260,28 +275,30 @@ def reference_s(cfg, r_hat):
 
 def test_laplace_at_zero_is_exactly_one(default_cfg):
     stats = slot_statistics(default_cfg)
-    assert laplace_singleton(0.0, 12.0, default_cfg, stats.intensities) == 1.0
-    assert laplace_collided(0.0, default_cfg, stats.intensities) == 1.0
+    assert laplace_singleton(0.0, 12.0, default_cfg, stats.omega_s) == 1.0
+    assert laplace_collided(0.0, default_cfg, stats.omega_c) == 1.0
 
 
 def test_laplace_singleton_empty_annulus(default_cfg):
     stats = slot_statistics(default_cfg)
     R = default_cfg.geometry.cell_radius
-    assert laplace_singleton(3.0e8, R, default_cfg, stats.intensities) == 1.0
+    assert laplace_singleton(3.0e8, R, default_cfg, stats.omega_s) == 1.0
 
 
-def test_laplace_collided_no_collisions(default_cfg):
-    no_collided = IntensitySet.from_collision_prob(default_cfg.active_intensity(), 1.0)
-    assert laplace_collided(1e9, default_cfg, no_collided) == 1.0
+def test_laplace_collided_no_collisions():
+    lone = reference_config(n_active=1)  # a lone device never collides
+    omega_c = slot_statistics(lone).omega_c
+    assert omega_c == 0.0
+    assert laplace_collided(1e9, lone, omega_c) == 1.0
 
 
 def test_laplace_singleton_matches_field_sampling(default_cfg):
     stats = slot_statistics(default_cfg)
     r_hat = 25.0
     s = reference_s(default_cfg, r_hat)
-    value = laplace_singleton(s, r_hat, default_cfg, stats.intensities)
+    value = laplace_singleton(s, r_hat, default_cfg, stats.omega_s)
     oracle = interference_laplace_mc(
-        s, r_hat, default_cfg.geometry.cell_radius, stats.intensities.omega_s,
+        s, r_hat, default_cfg.geometry.cell_radius, stats.omega_s,
         default_cfg, 100_000, seed=11,
     )
     assert value == pytest.approx(oracle, rel=2e-2)
@@ -291,9 +308,9 @@ def test_laplace_collided_matches_field_sampling():
     cfg = reference_config(n_active=10, lam=8.0, n_slots=20)
     stats = slot_statistics(cfg)
     s = reference_s(cfg, 25.0)
-    value = laplace_collided(s, cfg, stats.intensities)
+    value = laplace_collided(s, cfg, stats.omega_c)
     oracle = interference_laplace_mc(
-        s, 0.0, cfg.geometry.cell_radius, stats.intensities.omega_c, cfg,
+        s, 0.0, cfg.geometry.cell_radius, stats.omega_c, cfg,
         100_000, seed=12,
     )
     assert value == pytest.approx(oracle, rel=2e-2)
@@ -303,7 +320,7 @@ def test_laplace_nonincreasing_in_s(default_cfg):
     stats = slot_statistics(default_cfg)
     s0 = reference_s(default_cfg, 25.0)
     values = [
-        laplace_singleton(s, 25.0, default_cfg, stats.intensities)
+        laplace_singleton(s, 25.0, default_cfg, stats.omega_s)
         for s in np.linspace(0.0, 2 * s0, 9)
     ]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
@@ -318,11 +335,11 @@ def test_laplace_power_scaling_invariance(default_cfg):
     for r_hat in (5.0, 25.0, 45.0):
         s1 = reference_s(cfg1, r_hat)
         s2 = reference_s(cfg2, r_hat)
-        l1 = laplace_singleton(s1, r_hat, cfg1, stats.intensities)
-        l2 = laplace_singleton(s2, r_hat, cfg2, stats.intensities)
+        l1 = laplace_singleton(s1, r_hat, cfg1, stats.omega_s)
+        l2 = laplace_singleton(s2, r_hat, cfg2, stats.omega_s)
         assert l2 == pytest.approx(l1, rel=1e-14)
-        c1 = laplace_collided(s1, cfg1, stats.intensities)
-        c2 = laplace_collided(s2, cfg2, stats.intensities)
+        c1 = laplace_collided(s1, cfg1, stats.omega_c)
+        c2 = laplace_collided(s2, cfg2, stats.omega_c)
         assert c2 == pytest.approx(c1, rel=1e-14)
 
 
@@ -334,14 +351,14 @@ def test_conditional_coverage_tends_to_one_as_threshold_vanishes():
     cfg = reference_config(n_active=10, lam=4.0)
     cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=1e-12))
     stats = slot_statistics(cfg)
-    value = conditional_coverage(1, cfg, stats.n_singleton, stats.intensities)
+    value = conditional_coverage(1, cfg, stats.n_singleton, stats)
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_conditional_coverage_no_interference_no_noise():
     cfg = reference_config(n_active=10, lam=4.0)
     cfg = replace(cfg, channel=replace(cfg.channel, noise_power=1e-300))
-    silent = IntensitySet(0.0, 0.0, 0.0)
+    silent = replace(slot_statistics(cfg), omega_s=0.0, omega_c=0.0)
     value = conditional_coverage(1, cfg, 1.0, silent)
     assert value == pytest.approx(1.0, abs=1e-9)
 
@@ -365,8 +382,8 @@ def conditional_coverage_mc(cfg, n_fields, seed):
     r_hat = R * np.sqrt(t)
     covered = 0
     for rh in r_hat:
-        n_sing = rng.poisson(stats.intensities.omega_s * math.pi * (R**2 - rh**2))
-        n_col = rng.poisson(stats.intensities.omega_c * math.pi * R**2)
+        n_sing = rng.poisson(stats.omega_s * math.pi * (R**2 - rh**2))
+        n_col = rng.poisson(stats.omega_c * math.pi * R**2)
         interference = 0.0
         if n_sing:
             r2 = rh**2 + (R**2 - rh**2) * rng.random(n_sing)
@@ -387,7 +404,7 @@ def conditional_coverage_mc(cfg, n_fields, seed):
 def test_conditional_coverage_matches_composition_sampling():
     cfg = reference_config(n_active=20, lam=4.0, n_slots=20)
     stats = slot_statistics(cfg)
-    value = conditional_coverage(1, cfg, stats.n_singleton, stats.intensities)
+    value = conditional_coverage(1, cfg, stats.n_singleton, stats)
     oracle = conditional_coverage_mc(cfg, 150_000, seed=5)
     assert value == pytest.approx(oracle, abs=3e-2)
 
@@ -418,7 +435,8 @@ def test_frame_coverage_report_recombines(default_cfg, scenario, load):
         total += weight * product
     expected = cfg.frame.n_slots / (cfg.traffic.n_active * load) * total
     assert report.p_succ_raw == pytest.approx(expected, abs=1e-9)
-    p_lambda = slot_occupancy_prob(4.0, 20) if scenario is Scenario.EMERGENCY else 1.0 / 20
+    emergency = scenario is Scenario.EMERGENCY
+    p_lambda = TrafficParams(lam=4.0).slot_occupancy(20) if emergency else 1.0 / 20
     assert slot_statistics(cfg).p_lambda == report.p_lambda == p_lambda
     assert len(report.conditional_terms) == math.ceil(n_s)
     assert -1e-9 <= report.p_succ_raw <= 1 + 1e-9
@@ -439,7 +457,7 @@ def test_frame_coverage_zero_rate():
         tiny = replace(cfg, traffic=replace(cfg.traffic, lam=lam))
         report = frame_coverage_prob(tiny)
         assert 0.0 < report.n_singleton < 2.0**-54
-        kernel = analytic._coverage_kernels([tiny], [slot_statistics(tiny).intensities])
+        kernel = analytic._coverage_kernels([tiny], [slot_statistics(tiny)])
         assert report.p_succ == pytest.approx(kernel(np.array([1.0]), 0)[0], abs=1e-12)
 
 
@@ -454,9 +472,9 @@ def test_frame_coverage_quick_monotonicity_spots():
 
 def test_intensity_set_partition(default_cfg):
     stats = slot_statistics(default_cfg)
-    i = stats.intensities
-    assert i.omega_s + i.omega_c == pytest.approx(i.omega_o, rel=1e-12)
-    assert i.omega_s >= 0 and i.omega_c >= 0
+    omega = default_cfg.active_intensity()
+    assert stats.omega_s + stats.omega_c == pytest.approx(omega, rel=1e-12)
+    assert stats.omega_s >= 0 and stats.omega_c >= 0
 
 
 # ----------------------------------------------------------------------------
@@ -504,8 +522,7 @@ def test_campbell_exponent_broadcasts_over_distances(default_cfg):
 
 
 def test_laplace_transforms_match_quadrature(default_cfg):
-    stats = slot_statistics(default_cfg)
-    i = stats.intensities
+    i = slot_statistics(default_cfg)
     R = default_cfg.geometry.cell_radius
     h2 = default_cfg.geometry.uav_altitude**2
     alpha = default_cfg.channel.pathloss_exp
@@ -514,11 +531,12 @@ def test_laplace_transforms_match_quadrature(default_cfg):
         q = s * default_cfg.mean_packet_power() * default_cfg.channel.pathloss_coeff
         sing = math.exp(-2 * math.pi * i.omega_s * campbell_simpson(q, h2, alpha, r_hat, R))
         coll = math.exp(-2 * math.pi * i.omega_c * campbell_simpson(q, h2, alpha, 0.0, R))
-        assert laplace_singleton(s, r_hat, default_cfg, i) == pytest.approx(sing, rel=1e-12)
-        assert laplace_collided(s, default_cfg, i) == pytest.approx(coll, rel=1e-12)
+        single = laplace_singleton(s, r_hat, default_cfg, i.omega_s)
+        assert single == pytest.approx(sing, rel=1e-12)
+        assert laplace_collided(s, default_cfg, i.omega_c) == pytest.approx(coll, rel=1e-12)
 
 
-def conditional_coverage_simpson(k, cfg, n_singleton, intensities):
+def conditional_coverage_simpson(k, cfg, n_singleton, stats):
     """Oracle for one rank: the k-th order-statistic average of the scalar
     coverage kernel by adaptive Simpson.  The substitution t = 1 - v^m with
     m * (beta + 1) >= 5 turns (1-t)^beta dt into a smooth power of v, so
@@ -531,8 +549,8 @@ def conditional_coverage_simpson(k, cfg, n_singleton, intensities):
         s = reference_s(cfg, r_hat)
         return (
             math.exp(-s * sigma2)
-            * laplace_singleton(s, r_hat, cfg, intensities)
-            * laplace_collided(s, cfg, intensities)
+            * laplace_singleton(s, r_hat, cfg, stats.omega_s)
+            * laplace_collided(s, cfg, stats.omega_c)
         )
 
     beta = n_singleton - k
@@ -563,9 +581,9 @@ def conditional_coverage_simpson(k, cfg, n_singleton, intensities):
 def test_conditional_coverage_matches_quadrature(n_singleton, k):
     cfg = reference_config(n_active=10, lam=2.0, n_slots=20)
     cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=0.2))
-    intensities = slot_statistics(cfg).intensities
-    value = conditional_coverage(k, cfg, n_singleton, intensities)
-    oracle = conditional_coverage_simpson(k, cfg, n_singleton, intensities)
+    stats = slot_statistics(cfg)
+    value = conditional_coverage(k, cfg, n_singleton, stats)
+    oracle = conditional_coverage_simpson(k, cfg, n_singleton, stats)
     assert 0.01 < oracle < 0.99  # a kernel that is neither flat 0 nor flat 1
     assert value == pytest.approx(oracle, abs=1e-10)
 
@@ -723,7 +741,7 @@ def test_ranks_continuous_above_integer_counts(k):
     # last node tends to 1; the first k ranks still tend to the k ranks at
     # n_singleton = k, at a slope below 1 (~0.26 here)
     cfg = reference_config()
-    kernel = analytic._coverage_kernels([cfg], [slot_statistics(cfg).intensities])
+    kernel = analytic._coverage_kernels([cfg], [slot_statistics(cfg)])
     [(at_k, _)] = analytic._ranks_coverages([float(k)], kernel)
     for eps in (1e-6, 1e-9, 1e-12, 1e-14, math.nextafter(k, math.inf) - k):
         [(above, _)] = analytic._ranks_coverages([k + eps], kernel)
@@ -737,8 +755,8 @@ def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
     calls = {"kernel": 0, "dsterf": 0}
     make_kernel, dsterf = analytic._coverage_kernels, scipy.linalg.lapack.dsterf
 
-    def spy_kernel(cfgs, intensities):
-        g = make_kernel(cfgs, intensities)
+    def spy_kernel(cfgs, stats):
+        g = make_kernel(cfgs, stats)
 
         def counted(t, point):
             calls["kernel"] += 1
@@ -769,10 +787,10 @@ def test_batched_ranks_equal_per_rank_values(n_active, lam, n_slots):
     stats = slot_statistics(cfg)
     report = frame_coverage_prob(cfg)
     for k, value in enumerate(report.conditional_terms, start=1):
-        oracle = conditional_coverage_simpson(k, cfg, stats.n_singleton, stats.intensities)
+        oracle = conditional_coverage_simpson(k, cfg, stats.n_singleton, stats)
         assert value == pytest.approx(oracle, abs=1e-10), f"k={k}"
-        assert value == conditional_coverage(k, cfg, stats.n_singleton, stats.intensities), f"k={k}"
-    kernel = analytic._coverage_kernels([cfg], [stats.intensities])
+        assert value == conditional_coverage(k, cfg, stats.n_singleton, stats), f"k={k}"
+    kernel = analytic._coverage_kernels([cfg], [stats])
     [(_, errs)] = analytic._ranks_coverages([stats.n_singleton], kernel)
     assert report.quadrature_error_estimate == pytest.approx(
         sum(errs.tolist()), rel=1e-12, abs=1e-300
@@ -868,8 +886,8 @@ def test_one_kernel_call_and_rule_pair_per_point_of_a_batch(monkeypatch):
     calls = {"kernel": 0, "dsterf": 0}
     make_kernel, dsterf = analytic._coverage_kernels, scipy.linalg.lapack.dsterf
 
-    def spy_kernel(cfgs, intensities):
-        g = make_kernel(cfgs, intensities)
+    def spy_kernel(cfgs, stats):
+        g = make_kernel(cfgs, stats)
 
         def counted(t, point):
             calls["kernel"] += 1

@@ -683,8 +683,8 @@ def test_numerical_failure_exit_code(cfg_file, capsys, monkeypatch):
 def test_numerical_failure_inside_a_sweep_batch_exit_code(cfg_file, capsys, monkeypatch):
     make_kernel = analytic._coverage_kernels
 
-    def poisoned(cfgs, intensities):
-        g = make_kernel(cfgs, intensities)
+    def poisoned(cfgs, stats):
+        g = make_kernel(cfgs, stats)
 
         def kernel(t, point):
             # the second point of the sweep's batch is non-finite everywhere

@@ -25,7 +25,6 @@ from musalink.config import (
     default_config,
     load_config,
     serialize_config,
-    slot_occupancy_prob,
     validate_config,
 )
 
@@ -224,6 +223,11 @@ def test_serialize_round_trip_is_identity():
         delta_slack=1.5e-7,
     )
     assert load_config(serialize_config(varied)) == varied
+    # every integer key beyond 2^53, the first integer a float cannot hold
+    ints = {key: 2**53 + 1 for key in config._KEY_TABLE if config.key_domain(key)[0] == "int"}
+    assert len(ints) == 5
+    huge = config.with_values(cfg, ints)
+    assert load_config(serialize_config(huge)) == huge
 
 
 def test_readme_config_block_loads_to_defaults():
@@ -255,8 +259,11 @@ def test_packet_count_law_by_scenario():
     emergency = replace(default_config().traffic, n_active=6, lam=3.0)
     quiet = replace(emergency, scenario=Scenario.NON_EMERGENCY)
     assert (emergency.mean_packets(), quiet.mean_packets()) == (3.0, 1.0)
+    counts = np.arange(200)
     for n_slots in (1, 2, 20):
-        assert emergency.slot_occupancy(n_slots) == slot_occupancy_prob(3.0, n_slots)
+        # E[min(L, S)]/S summed over the Poisson law
+        mean_min = np.minimum(counts, n_slots).dot(stats.poisson.pmf(counts, 3.0)) / n_slots
+        assert emergency.slot_occupancy(n_slots) == pytest.approx(mean_min, abs=1e-12)
         assert quiet.slot_occupancy(n_slots) == 1.0 / n_slots
     counts = emergency.packet_counts(np.random.default_rng(5))
     assert counts.tolist() == np.random.default_rng(5).poisson(3.0, 6).tolist()

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from musalink.analytic import collision_free_prob
+from musalink.analytic import slot_statistics
 from musalink import simulator
-from musalink.config import Scenario, Scheme, SystemConfig, default_config, slot_occupancy_prob
+from musalink.config import Scenario, Scheme, SystemConfig, TrafficParams, default_config
 from musalink.optimizer import adaptive_slots, scheme_slots
 from musalink.simulator import (
     _decode_block,
@@ -139,7 +139,7 @@ def test_assign_occupancy_matches_analytic():
     assignments, _ = assign_slots_codes(counts, 20, 64, rng)
     hits = sum(1 for _, slot, _ in assignments if slot == 0)
     empirical = hits / n_dev
-    assert empirical == pytest.approx(slot_occupancy_prob(4.0, 20), abs=3e-3)
+    assert empirical == pytest.approx(TrafficParams(lam=4.0).slot_occupancy(20), abs=3e-3)
 
 
 # ----------------------------------------------------------------------------
@@ -425,8 +425,7 @@ def test_collision_rate_matches_analytic():
             transmitted += len(codes)
             unique, cnt = np.unique(codes, return_counts=True)
             collided += int(cnt[cnt > 1].sum())
-    p_lam = slot_occupancy_prob(4.0, 20)
-    expected_cf = collision_free_prob(p_lam, 10, 64)
+    expected_cf = slot_statistics(cfg).p_cf
     assert 1.0 - collided / transmitted == pytest.approx(expected_cf, abs=3e-3)
 
 
