@@ -34,6 +34,9 @@ the rank weights run once over all the batch's nodes.  Every point
 keeps its own rule and its own reduction shapes, so its report is the
 same bits whatever batch it is evaluated in.
 
+``scipy.special`` (and ``scipy.linalg``) load on the first evaluation,
+not with the module, so importing the package costs only numpy.
+
 All functions are pure.  :func:`slot_statistics` states the per-slot
 law once: the occupancy p_lambda, the collision-free probability p_cf,
 the mean singleton count, and the singleton and collided thinnings of
@@ -50,7 +53,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import eval_jacobi, hyp2f1
 
 from .config import SystemConfig
 
@@ -161,6 +163,8 @@ def _antiderivative(u, u_a, q, a: float):
     """
     if a == 1.0:
         return q * np.log1p(u / q)
+    from scipy.special import hyp2f1  # scipy.special is slow to import
+
     b = 1.0 / a
     return u * hyp2f1(1.0, b, 1.0 + b, -u_a / q)
 
@@ -237,8 +241,9 @@ def _gauss_jacobi(a, n):
     on the scale of the node's rounding.  Only the eigenvalue solves run
     once per rule; every other step runs once over all entries.
     """
-    # scipy.linalg is slow to import, so only analyses load it
+    # scipy.linalg and scipy.special are slow to import, so only analyses load them
     from scipy.linalg.lapack import dsterf
+    from scipy.special import eval_jacobi
 
     a = np.atleast_1d(np.asarray(a, dtype=float))
     n = np.atleast_1d(n)

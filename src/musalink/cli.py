@@ -97,21 +97,34 @@ def _read_config(path: str | None) -> SystemConfig:
     return load_config(data)
 
 
-def _numbers(minimum: float, integer: bool = False):
+def _exact(raw: str):
+    """``raw`` as an exact int when it is a whole number (``config.parse_whole``),
+    else as a float."""
+    try:
+        return parse_whole(raw)
+    except ValueError:
+        return float(raw)
+
+
+def _numbers(minimum: float, integer: bool = False, maximum: float | None = None):
     """Argument type: comma-separated numbers and ``start:stop:step`` ranges.
 
     A bare number x is the range x:x:1.  A range holds start + i*step for
     i = 0, 1, ... up to stop, to within 1e-9 of a step; its values are
     counted before any is built, and a list of more than
     ``_MAX_RANGE_POINTS`` values in all is refused.  Every value must be
-    finite, at least ``minimum`` and, when ``integer`` is set, integral.
+    finite, at least ``minimum``, at most ``maximum`` when one is given
+    and, when ``integer`` is set, integral.  An integral range is read
+    with ``config.parse_whole`` and built in integer arithmetic, so a
+    value beyond 2^53 is not rounded.
     """
     def parse(text: str) -> list:
         values = []
         for item in text.split(","):
             parts = item.split(":")
+            parts = parts if len(parts) > 1 else parts * 2 + ["1"]
             try:
-                start, stop, step = map(float, parts if len(parts) > 1 else parts * 2 + ["1"])
+                start, stop, step = map(float, parts)
             except ValueError:
                 raise argparse.ArgumentTypeError(
                     f"expected a number or start:stop:step, got {item!r}"
@@ -120,9 +133,14 @@ def _numbers(minimum: float, integer: bool = False):
                 raise argparse.ArgumentTypeError(f"must be finite, got {item!r}")
             if step <= 0:
                 raise argparse.ArgumentTypeError(f"step must be > 0, got {item!r}")
+            if integer:
+                start, stop, step = map(_exact, parts)
             # the range holds floor(span) + 1 values; the quotient of two
-            # finite values may overflow to inf, so span meets the cap unfloored
-            span = (stop - start) / step + 1e-9
+            # finite values may overflow, so span meets the cap unfloored
+            try:
+                span = (stop - start) / step + 1e-9
+            except OverflowError:  # an exact integer quotient beyond any float
+                span = math.copysign(math.inf, stop - start)
             if span < 0:
                 raise argparse.ArgumentTypeError(f"range is empty, got {item!r}")
             if span >= _MAX_RANGE_POINTS - len(values):
@@ -132,7 +150,9 @@ def _numbers(minimum: float, integer: bool = False):
             built = [start + i * step for i in range(int(span) + 1)]
             if any(v < minimum for v in built):
                 raise argparse.ArgumentTypeError(f"must be >= {minimum:g}, got {item!r}")
-            if integer and not all(v.is_integer() for v in built):
+            if maximum is not None and any(v > maximum for v in built):
+                raise argparse.ArgumentTypeError(f"must be <= {maximum:g}, got {item!r}")
+            if integer and not all(v == int(v) for v in built):
                 raise argparse.ArgumentTypeError(f"must be an integer, got {item!r}")
             values += map(int, built) if integer else built
         return values
@@ -141,8 +161,8 @@ def _numbers(minimum: float, integer: bool = False):
 
 def _values_of(key: str):
     """Argument type: numbers for config ``key``, typed and bounded by its table row."""
-    kind, (_, minimum) = key_domain(key)
-    return _numbers(minimum, integer=kind == "int")
+    kind, (_, minimum), maximum = key_domain(key)
+    return _numbers(minimum, integer=kind == "int", maximum=maximum)
 
 
 def _check_read(cfg: SystemConfig, key: str, option: str, values: list) -> None:

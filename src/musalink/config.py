@@ -15,9 +15,12 @@ Feasibility constraints checked by :func:`validate_config`:
   C5  lambda <= lambda_max          (emergency scenario only)
   C6  min_radius <= cell_radius
 
-plus the lower bound that each key's row of the config-key table states
-(the same bound limits the command-line lists that set the key), an
+plus the bounds that each key's row of the config-key table states
+(the same bounds limit the command-line lists that set the key), an
 epsilon_max below 0.5 and a code pool of at most 4^n_subcarriers codes.
+
+Only numpy is imported; the Poisson law's distribution function, which
+only the analytics read, loads ``scipy.special`` on its first call.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import pdtr, pdtrc, pdtrik
 
 __all__ = [
     "Scenario",
@@ -151,6 +153,8 @@ class TrafficParams:
         """
         if self.scenario is Scenario.NON_EMERGENCY:
             return 1.0 / n_slots
+        from scipy.special import pdtr, pdtrc  # only the analytics read the law
+
         lam = self.lam
         total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
         return min(1.0, max(0.0, float(total)))
@@ -249,12 +253,31 @@ class SystemConfig:
 def _poisson_quantile(q: float, lam: float) -> int:
     """Smallest k with P(Poisson(lam) <= k) >= q, for 0 < q < 1.
 
-    Inverts the Poisson CDF through its continuous (incomplete-gamma)
-    inverse and corrects the rounding by one CDF evaluation.
+    Sums the pmf over the window lo..hi with lo = max(0, floor(lam - t)),
+    hi = ceil(lam + t) and t = 10*sqrt(lam) + 10: the pmf relative to
+    pmf(lo) is the running product of lam/k, and the CDF its running sum
+    over the window's own total.  Starting at pmf(lo) rather than
+    exp(-lam) = pmf(0) avoids the underflow past lam ~ 745, and the cost
+    is O(sqrt(lam)), not O(lam).  The window is exact to double precision:
+    with h(u) = (1+u) log(1+u) - u, the tails P(L >= lam + t) <=
+    exp(-lam*h(t/lam)) and P(L <= lam - t) <= exp(-t^2/(2 lam)) hold at
+    most exp(-42.7) < 3e-19 of the mass at every lam, far below the
+    rounding of the sums.  ``lam`` must lie in the domain of
+    ``traffic.lambda``, [0, 1e8], and ``ValueError`` is raised outside it
+    (NaN included): an array of ~20*sqrt(lam) doubles is built per call.
     """
-    k = math.ceil(pdtrik(q, lam))
-    below = max(k - 1, 0)
-    return below if pdtr(below, lam) >= q else k
+    top = key_domain("traffic.lambda")[2]
+    if not 0.0 <= lam <= top:
+        raise ValueError(f"Poisson quantile needs 0 <= lambda <= {top:g}, got {lam!r}")
+    if lam == 0.0:
+        return 0
+    spread = 10.0 * math.sqrt(lam) + 10.0
+    lo = max(0, math.floor(lam - spread))
+    w = np.arange(lo, math.ceil(lam + spread) + 1.0)
+    w[0] = lam  # pmf(lo)/pmf(lo) = 1 heads the running product
+    # the ufuncs' own accumulate: np.cumsum/np.cumprod add microseconds of dispatch
+    cdf = np.add.accumulate(np.multiply.accumulate(np.divide(lam, w, out=w), out=w), out=w)
+    return lo + int(cdf.searchsorted(q * cdf.item(-1)))
 
 
 def default_config() -> SystemConfig:
@@ -266,34 +289,37 @@ def default_config() -> SystemConfig:
 #  Config keys and validation
 # ----------------------------------------------------------------------------
 
-# key -> (section attr, field attr, value kind, lower bound); the one
-# statement of each key, read by the file parser, the serializer,
+# key -> (section attr, field attr, value kind, lower bound, upper bound);
+# the one statement of each key, read by the file parser, the serializer,
 # validate_config and the command-line lists.
 # kinds: float, int (a finite whole number: 10, 10.0 and 1e1 are all 10),
 # watts (dBm suffix accepted), ratio (dB suffix accepted), scenario.
 # lower bound: (">", x) or (">=", x) on the value in base units, or None.
-_KEY_TABLE: dict[str, tuple[str | None, str, str, tuple[str, float] | None]] = {
-    "geometry.cell_radius": ("geometry", "cell_radius", "float", (">", 0.0)),
-    "geometry.uav_altitude": ("geometry", "uav_altitude", "float", (">", 0.0)),
-    "geometry.min_radius": ("geometry", "min_radius", "float", None),
-    "channel.pathloss_coeff": ("channel", "pathloss_coeff", "ratio", (">", 0.0)),
-    "channel.pathloss_exp": ("channel", "pathloss_exp", "float", (">=", 2.0)),
-    "channel.noise_power": ("channel", "noise_power", "watts", (">", 0.0)),
-    "channel.bandwidth": ("channel", "bandwidth", "float", (">", 0.0)),
-    "traffic.n_active": ("traffic", "n_active", "int", (">=", 1)),
-    "traffic.lambda": ("traffic", "lam", "float", (">=", 0.0)),
-    "traffic.lambda_min": ("traffic", "lambda_min", "float", None),
-    "traffic.lambda_max": ("traffic", "lambda_max", "float", None),
-    "traffic.scenario": ("traffic", "scenario", "scenario", None),
-    "frame.frame_duration": ("frame", "frame_duration", "float", (">", 0.0)),
-    "frame.n_slots": ("frame", "n_slots", "int", (">=", 1)),
-    "frame.packet_bits": ("frame", "packet_bits", "int", (">=", 1)),
-    "frame.n_subcarriers": ("frame", "n_subcarriers", "int", (">=", 1)),
-    "frame.code_pool_size": ("frame", "code_pool_size", "int", (">=", 2)),
-    "power.p_max": ("power", "p_max", "watts", (">", 0.0)),
-    "reliability.sinr_threshold": ("reliability", "sinr_threshold", "ratio", (">", 0.0)),
-    "reliability.epsilon_max": ("reliability", "epsilon_max", "float", (">", 0.0)),
-    "delta_slack": (None, "delta_slack", "float", (">=", 0.0)),
+# upper bound: x for "<= x", or None.  Only lambda has one, the domain of
+# the Poisson quantile, whose cost grows as sqrt(lambda).
+_Bound = tuple[str, float] | None
+_KEY_TABLE: dict[str, tuple[str | None, str, str, _Bound, float | None]] = {
+    "geometry.cell_radius": ("geometry", "cell_radius", "float", (">", 0.0), None),
+    "geometry.uav_altitude": ("geometry", "uav_altitude", "float", (">", 0.0), None),
+    "geometry.min_radius": ("geometry", "min_radius", "float", None, None),
+    "channel.pathloss_coeff": ("channel", "pathloss_coeff", "ratio", (">", 0.0), None),
+    "channel.pathloss_exp": ("channel", "pathloss_exp", "float", (">=", 2.0), None),
+    "channel.noise_power": ("channel", "noise_power", "watts", (">", 0.0), None),
+    "channel.bandwidth": ("channel", "bandwidth", "float", (">", 0.0), None),
+    "traffic.n_active": ("traffic", "n_active", "int", (">=", 1), None),
+    "traffic.lambda": ("traffic", "lam", "float", (">=", 0.0), 1e8),
+    "traffic.lambda_min": ("traffic", "lambda_min", "float", None, None),
+    "traffic.lambda_max": ("traffic", "lambda_max", "float", None, None),
+    "traffic.scenario": ("traffic", "scenario", "scenario", None, None),
+    "frame.frame_duration": ("frame", "frame_duration", "float", (">", 0.0), None),
+    "frame.n_slots": ("frame", "n_slots", "int", (">=", 1), None),
+    "frame.packet_bits": ("frame", "packet_bits", "int", (">=", 1), None),
+    "frame.n_subcarriers": ("frame", "n_subcarriers", "int", (">=", 1), None),
+    "frame.code_pool_size": ("frame", "code_pool_size", "int", (">=", 2), None),
+    "power.p_max": ("power", "p_max", "watts", (">", 0.0), None),
+    "reliability.sinr_threshold": ("reliability", "sinr_threshold", "ratio", (">", 0.0), None),
+    "reliability.epsilon_max": ("reliability", "epsilon_max", "float", (">", 0.0), None),
+    "delta_slack": (None, "delta_slack", "float", (">=", 0.0), None),
 }
 
 
@@ -309,8 +335,9 @@ _IGNORED_KEYS: dict[Scenario, frozenset[str]] = {
 }
 
 
-def key_domain(key: str) -> tuple[str, tuple[str, float] | None]:
-    """Config ``key``'s value kind and lower bound, as its table row states them."""
+def key_domain(key: str) -> tuple[str, _Bound, float | None]:
+    """Config ``key``'s value kind, lower bound and upper bound, as its table
+    row states them."""
     return _KEY_TABLE[key][2:]
 
 
@@ -324,17 +351,17 @@ def _field(cfg: SystemConfig, section: str | None, attr: str):
 
 
 def validate_config(cfg: SystemConfig) -> list[str]:
-    """Collect every violated lower bound and feasibility constraint.
+    """Collect every violated bound and feasibility constraint.
 
     The per-key checks of ``_KEY_TABLE`` come first, in table order: an
     ``int`` key must hold a Python or numpy integer (not 10.0), and NaN
-    breaks every lower bound.  Then come the checks that span fields or
-    bound from above: at most 4^n_subcarriers codes, epsilon_max below
-    0.5, and C4-C6 (C4/C5 in the emergency scenario only).  Returns an
+    breaks every bound.  Then come the checks that span fields or that
+    the table cannot state: at most 4^n_subcarriers codes, epsilon_max
+    below 0.5, and C4-C6 (C4/C5 in the emergency scenario only).  Returns an
     empty list iff the configuration is feasible.
     """
     issues = []
-    for key, (section, attr, kind, bound) in _KEY_TABLE.items():
+    for key, (section, attr, kind, bound, most) in _KEY_TABLE.items():
         value = _field(cfg, section, attr)
         name = key.replace(".", ": ")
         if kind == "int" and not isinstance(value, numbers.Integral):
@@ -343,6 +370,8 @@ def validate_config(cfg: SystemConfig) -> list[str]:
             op, least = bound
             if not (value > least if op == ">" else value >= least):
                 issues.append(f"{name} must be {op} {least:g}")
+        if most is not None and not value <= most:
+            issues.append(f"{name} must be <= {most:g}")
     j, pool = cfg.frame.n_subcarriers, cfg.frame.code_pool_size
     # 4^j < pool as pool - 1 >= 2^(2j); a non-integer is reported above
     if (isinstance(j, numbers.Integral) and isinstance(pool, numbers.Integral)
@@ -493,6 +522,6 @@ def serialize_config(cfg: SystemConfig) -> str:
     Base units only (watts, linear ratios) with full float precision.
     """
     lines = ["# musalink configuration (SI base units)"]
-    for key, (section, attr, kind, _) in _KEY_TABLE.items():
+    for key, (section, attr, kind, *_) in _KEY_TABLE.items():
         lines.append(f"{key} = {_format_value(kind, _field(cfg, section, attr))}")
     return "\n".join(lines) + "\n"

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Iterable
-
-from scipy.special import ndtri
 
 from .analytic import frame_coverage_probs
 from .config import Scenario, Scheme, SystemConfig, validate_config
@@ -74,7 +73,9 @@ def solve_n_epsilon(
     the equation error(n) = epsilon_max reads D*ln2*s^2 + z*sqrt(bt)*s
     - bt*L = 0, whose one positive root is taken without cancellation:
     n = (2*L*sqrt(bt) / (z + sqrt(z^2 + 4*D*ln2*L)))^2.  At epsilon_max = 0.5
-    (z = 0) this is n_up = bt*log2(1+gamma)/D.
+    (z = 0) this is n_up = bt*log2(1+gamma)/D.  z is the standard normal
+    quantile of the standard library (``statistics.NormalDist``), within an
+    ulp of scipy's ``ndtri``.
 
     Raises :class:`InfeasibleError` when the root falls below one slot.
     """
@@ -82,7 +83,7 @@ def solve_n_epsilon(
         raise ValueError("gamma must be > 0")
     if not 0 < epsilon_max <= 0.5:
         raise ValueError("epsilon_max must lie in (0, 0.5]")
-    z = -float(ndtri(epsilon_max))
+    z = -NormalDist().inv_cdf(epsilon_max)
     log_gain = math.log1p(gamma)
     n_eps = (
         2.0 * log_gain * math.sqrt(bandwidth * frame_duration)

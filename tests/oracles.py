@@ -17,7 +17,10 @@ against the form here, written the direct way:
   ``assign_slots_codes``, the oracle of ``simulator._draw_block``;
 - the base-2 form of the short-packet error probability
   (``packet_error_prob``), the oracle of
-  ``shortpacket.error_prob_ln_form``.
+  ``shortpacket.error_prob_ln_form``;
+- the Poisson quantile through scipy's inverse incomplete gamma function
+  (``poisson_quantile``), the oracle of the windowed pmf sum of
+  ``config._poisson_quantile``.
 
 It is a test helper, not part of the package; tests import it as
 ``oracles``, as they import ``simpson`` and ``conftest``.
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import pdtr, pdtrik
 
 from musalink.analytic import _antiderivative
 from musalink.config import SystemConfig
@@ -50,6 +54,7 @@ __all__ = [
     "DISPERSION",
     "BlocklengthPoint",
     "packet_error_prob",
+    "poisson_quantile",
 ]
 
 
@@ -336,3 +341,20 @@ def packet_error_prob(pt: BlocklengthPoint) -> float:
         math.log2(1.0 + pt.sinr) - rate
     )
     return q_function(arg)
+
+
+# ============================================================================
+#  Poisson quantile (the oracle of config._poisson_quantile)
+# ============================================================================
+
+def poisson_quantile(q: float, lam: float) -> int:
+    """Smallest k with P(Poisson(lam) <= k) >= q, for 0 < q < 1.
+
+    Inverts the Poisson CDF through its continuous (incomplete-gamma)
+    inverse and corrects the rounding by one CDF evaluation.  ``pdtrik``
+    returns NaN at scattered lam above ~1e18, far beyond the package's
+    domain of lambda.
+    """
+    k = math.ceil(pdtrik(q, lam))
+    below = max(k - 1, 0)
+    return below if pdtr(below, lam) >= q else k

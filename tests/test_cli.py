@@ -351,7 +351,7 @@ def test_list_bounds_agree_with_the_config_key(capsys):
         return not any(issue.startswith(key.replace(".", ": ") + " must be") for issue in issues)
 
     for option, key in options:
-        kind, (_, minimum) = key_domain(key)
+        kind, (_, minimum), maximum = key_domain(key)
         below = math.nextafter(minimum, -math.inf)
         assert accepted(option, minimum) and config_accepts(key, minimum), option
         assert not accepted(option, below) and not config_accepts(key, below), option
@@ -359,6 +359,12 @@ def test_list_bounds_agree_with_the_config_key(capsys):
         if kind == "int":
             assert not accepted(option, minimum + 0.5), option
             assert "must be an integer" in capsys.readouterr().err
+        if maximum is not None:
+            above = math.nextafter(maximum, math.inf)
+            assert accepted(option, maximum) and config_accepts(key, maximum), option
+            assert not accepted(option, above) and not config_accepts(key, above), option
+            assert "must be <=" in capsys.readouterr().err
+    assert key_domain("traffic.lambda")[2] == 1e8
 
 
 def test_huge_slot_count_sweep_prints_one_row(capsys):
@@ -366,6 +372,55 @@ def test_huge_slot_count_sweep_prints_one_row(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("100000000000000000,")
+
+
+def test_integer_list_values_beyond_two_to_the_53_are_exact(capsys):
+    # a float holds no odd integer above 2^53: 2^53 + 1 would read as 2^53
+    top = 2**53 + 1
+    assert _parse_sweep(f"n_slots={top}") == ("n_slots", [top])
+    assert _parse_sweep(f"n_slots={top}:{top + 2}:1") == ("n_slots", [top, top + 1, top + 2])
+    assert _numbers(1, integer=True)(f"{top}:{top + 4}:2,1e17") == [top, top + 2, top + 4, 10**17]
+    assert all(type(v) is int for v in _numbers(1, integer=True)(f"{top},2.0,3:4:1"))
+    assert main(["analytic", "--sweep", f"n_slots={top}"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith(f"{top},")
+    # a stop or step beyond any float is counted, not looped over
+    huge = "9" * 300
+    for item in (f"1:{huge}:1", f"-{huge}:{huge}:1"):
+        with pytest.raises(argparse.ArgumentTypeError, match="at most 100000 values"):
+            _numbers(-math.inf, integer=True)(item)
+    with pytest.raises(argparse.ArgumentTypeError, match="range is empty"):
+        _numbers(-math.inf, integer=True)(f"{huge}:-{huge}:1")
+
+
+def test_lambda_above_its_bound_is_refused_and_at_it_runs(tmp_path, capsys):
+    # the Poisson quantile's domain ends at 1e8; at 1e19 it used to end in a
+    # traceback (NaN quantile, or numpy refusing the Poisson draw)
+    for argv, flag, item in ((["analytic", "--sweep", "lambda=1e19"], "--sweep", "1e19"),
+                             (["validate", "--trials", "2", "--lambdas", "2e19"], "--lambdas",
+                              "2e19")):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"musalink {argv[0]}: error: argument {flag}: must be <= 1e+08, got {item!r}"
+        )
+    raised = tmp_path / "raised.cfg"
+    raised.write_text("traffic.lambda = 2e19\ntraffic.lambda_max = 1e20\n")
+    assert main(["simulate", "--config", str(raised), "--trials", "2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: traffic: lambda must be <= 1e+08\n"
+    # at the bound every engine runs
+    top = tmp_path / "top.cfg"
+    top.write_text("traffic.lambda = 1e8\ntraffic.lambda_max = 1e8\n")
+    out = tmp_path / "top.csv"
+    assert main(["simulate", "--config", str(top), "--trials", "2", "--out", str(out)]) == 0
+    assert out.read_text().startswith("scheme,")
+    assert main(["analytic", "--sweep", "lambda=1e8", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1].startswith("100000000,")
+    assert main(["validate", "--trials", "2", "--n-active", "2", "--lambdas", "1e8",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[2].startswith("2,100000000,")
 
 
 def test_optimize_infeasible_config_exit_code(tmp_path):
@@ -599,6 +654,8 @@ def test_validate_bad_list_usage_error(cfg_file, capsys, flag, value):
     (["compare", "--seed", "nan"], "--seed", "must be an integer, got 'nan'"),
     (["optimize", "--brute-points", "6.5"], "--brute-points", "must be an integer, got '6.5'"),
     (["optimize", "--brute-points", "inf"], "--brute-points", "must be an integer, got 'inf'"),
+    (["compare", "--lambdas", "2,1e8:2e8:5e7"], "--lambdas",
+     "must be <= 1e+08, got '1e8:2e8:5e7'"),
 ])
 def test_out_of_range_option_usage_error(cfg_file, capsys, argv, flag, message):
     with pytest.raises(SystemExit) as info:

@@ -28,6 +28,8 @@ from musalink.config import (
     validate_config,
 )
 
+from oracles import poisson_quantile
+
 from conftest import fresh_interpreter_env
 
 REFERENCE_DOC = """
@@ -235,13 +237,16 @@ def test_readme_config_block_loads_to_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     assert load_config(block) == default_config()
-    # and each key's lower bound as its table row states it
+    # and each key's bounds as its table row states them: [>= 0], [>= 0, <= 1e+08]
     for line in block.splitlines():
-        bound = config.key_domain(line.split(" = ", 1)[0])[1]
-        if bound:
-            assert line.endswith(f"[{bound[0]} {bound[1]:g}]"), line
+        _, bound, most = config.key_domain(line.split(" = ", 1)[0])
+        stated = [f"{bound[0]} {bound[1]:g}"] if bound else []
+        stated += [f"<= {most:g}"] if most is not None else []
+        if stated:
+            assert line.endswith(f"[{', '.join(stated)}]"), line
         else:
             assert "[" not in line, line
+    assert "[>= 0, <= 1e+08]" in block
 
 
 def test_rho_max_proxy_quantile():
@@ -293,6 +298,32 @@ def test_poisson_helpers_equal_scipy_stats():
         assert varied.rho_max_proxy() == max(1, int(sps.poisson.ppf(0.99, lam))), lam
 
 
+def test_poisson_quantile_equals_the_incomplete_gamma_oracle():
+    # the windowed pmf sum against scipy's pdtrik form, on a log-uniform grid
+    # over lambda's whole domain [0, 1e8]; the grid and seed are fixed
+    lams = np.concatenate([[0.0, 1e8], 10.0 ** np.random.default_rng(26).uniform(-3, 8, 1000)])
+    for lam in lams.tolist():
+        for q in (0.01, 0.5, 0.9, 0.99, 0.999):
+            assert config._poisson_quantile(q, lam) == poisson_quantile(q, lam), (q, lam)
+
+
+def test_poisson_quantile_refuses_lambda_outside_its_domain():
+    top = config.key_domain("traffic.lambda")[2]
+    assert config._poisson_quantile(0.99, top) == poisson_quantile(0.99, top)
+    for lam in (-1e-300, math.nextafter(top, math.inf), 1e19, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lambda"):
+            config._poisson_quantile(0.99, lam)
+    # validate_config and load_config refuse such a lambda, so no valid config reaches it
+    assert validate_config(config.with_values(default_config(), {"traffic.lambda": 2e8})) == [
+        "traffic: lambda must be <= 1e+08", "C5: lambda (2e+08) exceeds lambda_max (10)"
+    ]
+    with pytest.raises(ConfigError, match=r"traffic: lambda must be <= 1e\+08"):
+        load_config("traffic.lambda = 1e19\ntraffic.lambda_max = 1e20\n")
+    assert load_config("traffic.lambda = 1e8\ntraffic.lambda_max = 1e8\n").rho_max_proxy() == (
+        poisson_quantile(config.RHO_MAX_QUANTILE, 1e8)
+    )
+
+
 def run_fresh_interpreter(code: str) -> str:
     """Stdout of ``code`` run by a new interpreter importing this musalink."""
     out = subprocess.run(
@@ -317,6 +348,49 @@ def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg takes tens of ms to import; only an analysis loads it
     code = "import sys\nimport musalink\nprint('scipy.linalg' in sys.modules)\n"
     assert run_fresh_interpreter(code) == "False"
+
+
+def simulate_and_compare_code(out_dir: Path, block_scipy: bool) -> str:
+    """Code that runs ``simulate`` for every scheme and ``compare`` into
+    ``out_dir``, printing the scipy modules loaded after each import and
+    after the runs; with ``block_scipy`` scipy cannot be imported."""
+    loaded = ("print(sorted(name for name, module in sys.modules.items()"
+              " if name.partition('.')[0] == 'scipy' and module is not None))\n")
+    runs = "".join(
+        f"assert cli.main(['simulate', '--scheme', {s.value!r}, '--trials', '3',"
+        f" '--out', {str(out_dir / s.value)!r}]) == 0\n"
+        for s in config.Scheme
+    )
+    return (
+        "import sys\n"
+        + ("sys.modules['scipy'] = None\n" if block_scipy else "")
+        + "import musalink\n" + loaded
+        + "import musalink.cli as cli\n" + loaded
+        + runs
+        + f"assert cli.main(['compare', '--trials', '3', '--lambdas', '2:10:4',"
+          f" '--out', {str(out_dir / 'compare')!r}]) == 0\n"
+        + loaded
+    )
+
+
+def test_import_simulate_and_compare_leave_scipy_unloaded(tmp_path):
+    # scipy.special is half the start-up of a command; only the analytics load it
+    assert run_fresh_interpreter(simulate_and_compare_code(tmp_path, False)) == "[]\n[]\n[]"
+
+
+def test_simulate_and_compare_run_without_scipy(tmp_path):
+    with_scipy, without = tmp_path / "with", tmp_path / "without"
+    with_scipy.mkdir()
+    without.mkdir()
+    run_fresh_interpreter(simulate_and_compare_code(with_scipy, False))
+    assert run_fresh_interpreter(simulate_and_compare_code(without, True)) == "[]\n[]\n[]"
+    # and write the same bytes as with scipy importable, bar the manifests' wall times
+    def written(out_dir):
+        return {path.name: [line for line in path.read_text().splitlines()
+                            if "wall_clock_s" not in line] for path in out_dir.iterdir()}
+
+    assert written(with_scipy) == written(without)
+    assert len(written(without)) == 9  # 4 simulate CSVs, their manifests, 1 compare CSV
 
 
 def test_public_names_are_listed_and_exist():
