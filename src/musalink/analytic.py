@@ -25,14 +25,15 @@ the package, in ``tests/simpson.py``.
 
 A sweep is evaluated in batches (:func:`frame_coverage_probs`; a single
 point is the one-point batch, :func:`frame_coverage_prob`).  A batch is
-a run of consecutive points that share a pathloss exponent, bounded by
-``_BATCH_WEIGHTS`` rank weights so its arrays stay small whatever the
-sweep's length.  The slot statistics, the two eigenvalue solves, each
-rule's weighted sums and the report run per point; the recurrence
-coefficients, the Newton step, the log weights, the coverage kernel and
-the rank weights run once over all the batch's nodes.  Every point
-keeps its own rule and its own reduction shapes, so its report is the
-same bits whatever batch it is evaluated in.
+a run of consecutive points that share a pathloss exponent and hold at
+most ``_RANK_WEIGHTS`` rank weights, the budget that also cuts a lone
+point's ranks into blocks, so no array grows with the sweep's length.
+The slot statistics, the two eigenvalue solves, each rule's weighted
+sums and the report run per point; the recurrence coefficients, the
+Newton step, the log weights, the coverage kernel and the rank weights
+run once over all the batch's nodes.  Every point keeps its own rule
+and its own reduction shapes, so its report is the same bits whatever
+batch it is evaluated in.
 
 ``scipy.special`` (and ``scipy.linalg``) load on the first evaluation,
 not with the module, so importing the package costs only numpy.
@@ -71,13 +72,11 @@ __all__ = [
 # its error estimate.
 _OUTER_NODES = 16
 
-# Rank weights (largest rank count x nodes) that one batch of
-# frame_coverage_probs holds, so a long sweep's arrays stay at a few MB; a
-# point with more is evaluated alone, its weights built _RANK_WEIGHTS at a
-# time.  That is far above _BATCH_WEIGHTS, so every batch of two or more
-# points is one block: a dot over fewer rows can differ in the last bit.
-_BATCH_WEIGHTS = 1 << 16
-_RANK_WEIGHTS = 1 << 20
+# Rank weights (largest rank count x nodes) held at once, so a long sweep's
+# arrays stay at a few MB.  A batch of points holds at most this many, one
+# block of rows as _ranks_coverages' slices assume; a point with more is
+# evaluated alone, its weights built this many at a time.
+_RANK_WEIGHTS = 1 << 16
 
 
 class QuadratureError(RuntimeError):
@@ -342,7 +341,7 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
         # each rule's weighted sums over its own K x m block: the same sums
         # over rows padded to the batch's largest K can differ in the last bit
         for (r, f, c), num_r, den_r in zip(rules, num, den):
-            w_k = w[: max(r - lo, 0), f: f + c]
+            w_k = w[: r - lo, f: f + c]
             num_r.append(w_k.dot(g[f: f + c]))
             den_r.append(np.add.reduce(w_k, axis=1))
     coarse, value = (np.concatenate([p for rule in num[i::2] for p in rule])  # n, 2n nodes
@@ -365,7 +364,7 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
 def _batches(points: list[int], cfgs: list[SystemConfig], stats: list[SlotStatistics]):
     """Split ``points``, indices into ``cfgs``, into the runs evaluated together.
 
-    A run shares one pathloss exponent and holds at most ``_BATCH_WEIGHTS``
+    A run shares one pathloss exponent and holds at most ``_RANK_WEIGHTS``
     rank weights, its largest rank count times its nodes; a point with more
     forms a run of its own.
     """
@@ -373,7 +372,7 @@ def _batches(points: list[int], cfgs: list[SystemConfig], stats: list[SlotStatis
     batch, ranks, nodes = [], 0, 0
     for i, k, m in zip(points, n_ranks.tolist(), (3 * n).tolist()):
         alpha = cfgs[i].channel.pathloss_exp
-        if batch and (max(ranks, k) * (nodes + m) > _BATCH_WEIGHTS
+        if batch and (max(ranks, k) * (nodes + m) > _RANK_WEIGHTS
                       or alpha != cfgs[batch[0]].channel.pathloss_exp):
             yield batch
             batch, ranks, nodes = [], 0, 0
@@ -389,9 +388,10 @@ def frame_coverage_probs(cfgs: Iterable[SystemConfig]) -> list[CoverageReport]:
     Entry i equals ``frame_coverage_prob(cfgs[i])`` bit for bit, whatever
     the other configurations are.  Consecutive configurations that share a
     pathloss exponent are evaluated as one batch of at most
-    ``_BATCH_WEIGHTS`` rank weights.  The slot statistics, the eigenvalue
-    solves, each rule's weighted sums and the report run per point; every
-    other step of :func:`_ranks_coverages` runs once per batch.
+    ``_RANK_WEIGHTS`` rank weights, one block of rows; a point with more
+    is a batch of its own.  The slot statistics, the eigenvalue solves,
+    each rule's weighted sums and the report run per point; every other
+    step of :func:`_ranks_coverages` runs once per batch.
     """
     cfgs = list(cfgs)
     stats = [slot_statistics(cfg) for cfg in cfgs]

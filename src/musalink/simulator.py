@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Scheme, SystemConfig
+from .config import ConfigError, Scheme, SystemConfig
 from .optimizer import scheme_slots
 
 __all__ = [
@@ -125,28 +125,31 @@ def code_pool(n_subcarriers: int, pool_size: int) -> np.ndarray:
 #  Batched lockstep receiver
 # ============================================================================
 
-# Frames drawn and decoded together by estimate_coverage: at most
-# _BLOCK_FRAMES, and fewer where a block's F·n_active·(1 + n_slots) radii
-# and slot keys would pass _BLOCK_DRAWS (8 MB of doubles).  The block's
-# other arrays (the keys' argsort, the normals, the padded slot rows) grow
-# at most in proportion to its keys, so this bounds its memory.  Draws are
-# per frame stream and decisions per slot, so the estimate does not depend
-# on the block size.
+# Frames drawn and decoded together by estimate_coverage.  _BLOCK_DRAWS
+# bounds a block's F·n_active·(1 + n_slots) radii and slot keys (8 MB of
+# doubles) and with them the keys' argsort and mask.  _BLOCK_FRAMES bounds
+# what grows with the block's slots times its deepest slot, the padded
+# slot rows of _decode_block and _sweep_sinr; it is the cap that binds at
+# the usual configs.  A block holds at least one frame, so _FRAME_DRAWS
+# refuses a frame whose keys, argsort and mask alone pass ~1.1 GiB.  Draws
+# are per frame stream and decisions per slot, so the estimate does not
+# depend on the block size.
 _BLOCK_FRAMES = 256
 _BLOCK_DRAWS = 1 << 20
+_FRAME_DRAWS = 64 * _BLOCK_DRAWS
 
 
 class _Block(NamedTuple):
     """The random draws of a block of F frames and the powers they imply.
 
-    Device rows are frame-major; packets are device-major, and
-    ``device`` indexes the block's F·n_active device rows.
+    Device rows and slots are frame-major, packets device-major:
+    ``device`` indexes the F·n_active device rows, ``slot`` the F·n_slots slots.
     """
     counts: np.ndarray    # (F, n_active) packets generated per device
     radii: np.ndarray     # (F, n_active) m
     powers: np.ndarray    # (F, n_active) W per packet
     device: np.ndarray    # (N,) device row of each packet
-    slot: np.ndarray      # (N,) slot within its frame
+    slot: np.ndarray      # (N,) slot id, frame·n_slots + slot within the frame
     code: np.ndarray      # (N,) code index
     fading: np.ndarray    # (N, J) complex CN(0, 1) per packet and subcarrier
 
@@ -180,13 +183,14 @@ def _draw_block(
     fading.imag = z[1]
     fading /= math.sqrt(2.0)
     keys = u[:, n:].reshape(-1, n_slots)
+    device = np.repeat(np.arange(counts.size), tx.ravel())
     slot = np.argsort(keys, axis=1)[np.arange(n_slots) < tx.reshape(-1, 1)]
     return _Block(
         counts=counts,
         radii=cfg.geometry.cell_radius * np.sqrt(u[:, :n]),
         powers=cfg.packet_power(scheme, counts),
-        device=np.repeat(np.arange(counts.size), tx.ravel()),
-        slot=slot,
+        device=device,
+        slot=slot + device // n * n_slots,
         code=np.concatenate(codes),
         fading=fading,
     )
@@ -255,9 +259,7 @@ def _sweep_sinr(
     return sinr
 
 
-def _decode_block(
-    cfg: SystemConfig, block: _Block, n_slots: int, sinr_rule: str
-) -> np.ndarray:
+def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarray:
     """Run the cancellation receiver on every slot of a block of frames.
 
     Returns the (F, 4) per-frame counts of packets decoded,
@@ -282,7 +284,7 @@ def _decode_block(
     channel = block.fading * pool[code]
     channel *= np.sqrt(cfg.path_gain(radius))[:, None]
 
-    slot = frame_of * n_slots + block.slot
+    slot = block.slot
     _, inverse, multiplicity = np.unique(
         slot * len(pool) + code, return_inverse=True, return_counts=True
     )
@@ -293,7 +295,7 @@ def _decode_block(
     depth = np.bincount(slot)[slot]
     nearness = np.empty(block.radii.size, dtype=np.int64)
     nearness[np.argsort(block.radii, axis=None, kind="stable")] = np.arange(block.radii.size)
-    key = (slot - depth * (n_frames * n_slots)) * 2 + collided
+    key = (slot - depth * (int(slot.max()) + 1)) * 2 + collided
     order = np.argsort(key * block.radii.size + nearness[block.device])
     ends = np.r_[np.flatnonzero(np.r_[True, np.diff(slot[order]) != 0]), len(order)]
     first = ends[:-1]
@@ -351,20 +353,18 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
 
 
 def _coverage_worker(args) -> tuple[int, ...]:
-    """Frame sums over frames [start, stop), drawn and decoded block by block.
+    """Frame sums over frames [start, stop), drawn and decoded ``size`` at a time.
 
     Returns (Σg, Σd, dropped, Σg², Σd², Σgd, collided, below threshold,
     blocked) with g and d the packets generated and decoded per frame,
     all exact integers.
     """
-    cfg, scheme, seed, start, stop, n_slots, sinr_rule = args
-    frame_draws = cfg.traffic.n_active * (1 + n_slots)
-    size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // frame_draws))
+    cfg, scheme, seed, start, stop, n_slots, size, sinr_rule = args
     sums = [0] * 9
     for lo in range(start, stop, size):
         rngs = [_frame_rng(seed, i) for i in range(lo, min(lo + size, stop))]
         block = _draw_block(cfg, scheme, rngs, n_slots)
-        outcomes = _decode_block(cfg, block, n_slots, sinr_rule)
+        outcomes = _decode_block(cfg, block, sinr_rule)
         g = block.counts.sum(axis=1)
         d = outcomes[:, 0]
         values = (g.sum(), d.sum(), g.sum() - len(block.device), g @ g, d @ d, g @ d,
@@ -404,15 +404,23 @@ def estimate_coverage(
     the halfwidth is NaN for a single frame too.  The scheme's slot count
     is derived once per estimate and reported as ``n_slots``; each block
     reads the per-packet power and the code pool from ``cfg`` itself.
+    A frame of more than ``_FRAME_DRAWS`` draws raises ``ConfigError``.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     _check_sinr_rule(sinr_rule)
     n_slots = scheme_slots(cfg, scheme)
+    frame_draws = cfg.traffic.n_active * (1 + n_slots)
+    if frame_draws > _FRAME_DRAWS:
+        raise ConfigError(
+            f"one frame draws n_active * (1 + n_slots) = {frame_draws} values,"
+            f" above the {_FRAME_DRAWS} a frame may hold"
+        )
+    size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // frame_draws))
 
     chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
     tasks = [
-        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, sinr_rule)
+        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, size, sinr_rule)
         for start in range(0, n_frames, chunk)
     ]
     workers = min(n_workers, len(tasks))

@@ -833,15 +833,16 @@ def mixed_batch():
     ]
 
 
-@pytest.mark.parametrize("budget", [analytic._BATCH_WEIGHTS, 1, 2000])
+@pytest.mark.parametrize("budget", [analytic._RANK_WEIGHTS, 1, 2000])
 def test_batched_reports_equal_single_point_reports(monkeypatch, budget):
     # the whole report, bit for bit, whatever batch a point lands in: the
-    # default budget takes one batch, 1 one point per batch, 2000 a few
+    # default budget takes one batch, 1 one point per batch, 2000 a few;
+    # a lone point above the budget is cut into the same row blocks either way
+    monkeypatch.setattr(analytic, "_RANK_WEIGHTS", budget)
     cfgs = mixed_batch()
     singles = [frame_coverage_prob(cfg) for cfg in cfgs]
     assert singles[2].conditional_terms == () and singles[2].p_succ == 0.0
     assert [len(singles[i].conditional_terms) for i in (5, 6)] == [1, 24]
-    monkeypatch.setattr(analytic, "_BATCH_WEIGHTS", budget)
     assert frame_coverage_probs([]) == []
     for order in (slice(None), slice(None, None, -1), slice(3, 9)):
         assert frame_coverage_probs(cfgs[order]) == singles[order]
@@ -854,7 +855,8 @@ def test_batched_reports_equal_single_point_reports(monkeypatch, budget):
 
 @pytest.mark.parametrize("rank_weights", [1, 2000])
 def test_rank_weights_in_row_blocks_agree_with_one_block(monkeypatch, rank_weights):
-    # a dot over fewer rows can differ in the last bit: agreement to rounding
+    # the one budget cuts batches and a lone point's ranks alike; a dot over
+    # fewer rows can differ in the last bit: agreement to rounding
     cfgs = [mixed_batch()[6], reference_config(20, 8.0, 20), reference_config(5, 2.0, 20)]
     defaults = [frame_coverage_prob(cfg) for cfg in cfgs]
     assert len(defaults[0].conditional_terms) == 24
@@ -878,6 +880,21 @@ def test_lone_point_rank_weights_bounded_in_memory():
         tracemalloc.stop()
     assert len(report.conditional_terms) == math.ceil(report.n_singleton) > 2900
     assert peak < 64 * 2**20
+
+
+def test_sweep_batches_bounded_in_memory():
+    # 5000 points of up to 9 ranks: the budget keeps each batch's rank
+    # weights small (13 MB peak; one 16x larger budget peaks at 32 MB)
+    cfg = reference_config()
+    cfgs = [replace(cfg, frame=replace(cfg.frame, n_slots=s)) for s in range(1, 5001)]
+    tracemalloc.start()
+    try:
+        reports = frame_coverage_probs(cfgs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 5000 and all(r.conditional_terms for r in reports)
+    assert peak < 24 * 2**20
 
 
 def test_one_kernel_call_and_rule_pair_per_point_of_a_batch(monkeypatch):

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 import musalink
-from musalink import analytic, cli, optimizer
+from musalink import analytic, cli, optimizer, simulator
 from musalink.analytic import frame_coverage_prob
 from musalink.cli import (
     EXIT_CONFIG,
@@ -421,6 +421,21 @@ def test_lambda_above_its_bound_is_refused_and_at_it_runs(tmp_path, capsys):
     assert main(["validate", "--trials", "2", "--n-active", "2", "--lambdas", "1e8",
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[2].startswith("2,100000000,")
+
+
+def test_frame_too_large_to_draw_exit_code(tmp_path, monkeypatch, capsys):
+    # refused before any draw or worker: no command asks for the frame's ~156 GiB
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a frame was drawn or a worker started")
+
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_draw)
+    huge = tmp_path / "huge.cfg"
+    huge.write_text("traffic.n_active = 1000000000\n")
+    for argv in (["simulate"], ["compare", "--lambdas", "2"],
+                 ["validate", "--n-active", "1e9", "--lambdas", "2"]):
+        assert main(argv + ["--config", str(huge), "--trials", "1"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: one frame draws n_active")
 
 
 def test_optimize_infeasible_config_exit_code(tmp_path):

@@ -1,6 +1,7 @@
 """Link-level simulator: sampling laws, receiver micro-oracles, determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ from scipy import stats as sps
 
 from musalink.analytic import slot_statistics
 from musalink import simulator
-from musalink.config import Scenario, Scheme, SystemConfig, TrafficParams, default_config
+from musalink.config import (
+    ConfigError, Scenario, Scheme, SystemConfig, TrafficParams, default_config,
+)
 from musalink.optimizer import adaptive_slots, scheme_slots
 from musalink.simulator import (
     _decode_block,
@@ -355,9 +358,8 @@ def decode_frame(cfg, scheme, rng, sinr_rule="conservative"):
     """One frame's block drawn from ``rng`` at the scheme's slot count, and
     its [decoded, collided, below threshold, blocked] packet counts.
     """
-    n_slots = scheme_slots(cfg, scheme)
-    block = _draw_block(cfg, scheme, [rng], n_slots)
-    return block, _decode_block(cfg, block, n_slots, sinr_rule)[0]
+    block = _draw_block(cfg, scheme, [rng], scheme_slots(cfg, scheme))
+    return block, _decode_block(cfg, block, sinr_rule)[0]
 
 
 def test_vacuous_frame():
@@ -727,8 +729,8 @@ def test_decode_block_independent_of_block_composition():
     n_slots = scheme_slots(cfg, scheme)
     frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)], n_slots) for i in range(20)]
     block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)], n_slots)
-    together = _decode_block(cfg, block, n_slots, "conservative")
-    alone = np.vstack([_decode_block(cfg, f, n_slots, "conservative") for f in frames])
+    together = _decode_block(cfg, block, "conservative")
+    alone = np.vstack([_decode_block(cfg, f, "conservative") for f in frames])
     assert together.shape == (20, 4)
     assert np.array_equal(together, alone)
 
@@ -786,7 +788,7 @@ def test_block_draw_matches_per_frame_oracle(case, n_frames):
             assert block.powers[f].tobytes() == powers.tobytes()
             assert block.counts[f].sum() - sel.sum() == dropped
             assert np.array_equal(block.device[sel] - f * n, packets[:, 0])
-            assert np.array_equal(block.slot[sel], packets[:, 1])
+            assert np.array_equal(block.slot[sel] - f * n_slots, packets[:, 1])
             assert np.array_equal(block.code[sel], packets[:, 2])
             assert block.fading[sel].tobytes() == fading.tobytes()
             # the block read exactly as far into the frame's stream
@@ -820,6 +822,37 @@ def test_estimate_coverage_invariant_to_block_size(monkeypatch):
     assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
     assert sizes == [1] * 45
     assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
+
+
+def no_draw(*args, **kwargs):
+    raise AssertionError("a frame was drawn or a worker started")
+
+
+def test_frame_too_large_to_draw_is_refused(monkeypatch):
+    # 10^9 devices x (1 + 20) doubles is ~156 GiB: refused before any draw
+    # or worker, in the memory of the check alone
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_draw)
+    cfg = reference_config(n_active=10**9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"n_active \* \(1 \+ n_slots\) = 21000000000 "):
+            estimate_coverage(cfg, Scheme.BASELINE, 4, seed=1, n_workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_frame_draw_cap_admits_a_frame_at_the_cap(monkeypatch):
+    cfg = reference_config(n_active=10, lam=4.0)
+    reference = estimate_coverage(cfg, Scheme.BASELINE, 5, seed=9)
+    monkeypatch.setattr(simulator, "_FRAME_DRAWS", 10 * (1 + 20))
+    assert estimate_coverage(cfg, Scheme.BASELINE, 5, seed=9) == reference
+    monkeypatch.setattr(simulator, "_FRAME_DRAWS", 10 * (1 + 20) - 1)
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    with pytest.raises(ConfigError, match="= 210 values, above the 209 "):
+        estimate_coverage(cfg, Scheme.BASELINE, 5, seed=9)
 
 
 # ----------------------------------------------------------------------------
