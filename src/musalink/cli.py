@@ -340,11 +340,11 @@ def cmd_validate(args) -> int:
     grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
     cfgs = [with_values(cfg, {"traffic.n_active": na, "traffic.lambda": lam})
             for na, lam in grid]
+    # the simulator refuses a frame too large to draw before the analytics run
+    ests = [estimate_coverage(c, Scheme.BASELINE, args.trials, args.seed, n_workers=workers)
+            for c in cfgs]
     rows = []
-    for (na, lam), cfg_point, report in zip(grid, cfgs, frame_coverage_probs(cfgs)):
-        est = estimate_coverage(
-            cfg_point, Scheme.BASELINE, args.trials, args.seed, n_workers=workers
-        )
+    for (na, lam), est, report in zip(grid, ests, frame_coverage_probs(cfgs)):
         rows.append({
             "n_active": na,
             "lambda": lam,

@@ -19,8 +19,7 @@ plus the bounds that each key's row of the config-key table states
 (the same bounds limit the command-line lists that set the key), an
 epsilon_max below 0.5 and a code pool of at most 4^n_subcarriers codes.
 
-Only numpy is imported; the Poisson law's distribution function, which
-only the analytics read, loads ``scipy.special`` on its first call.
+The module imports only numpy.
 """
 
 from __future__ import annotations
@@ -121,7 +120,8 @@ class TrafficParams:
     The packet-count law L of an active device in a frame: one packet
     outside an emergency, Poisson(lam) inside one, with no truncated tail.
     The analytics and the simulator read L only through the methods below:
-    the draw, its mean and the slot-occupancy law, each stated once here.
+    the draw and its mean, and the slot occupancy and quantile, which both
+    read the one pmf of :meth:`_law`.
     """
     n_active: int = 10             # devices active in the frame
     lam: float = 4.0               # mean packets per active device
@@ -139,25 +139,32 @@ class TrafficParams:
         """E[L], the mean packet load of an active device."""
         return 1.0 if self.scenario is Scenario.NON_EMERGENCY else self.lam
 
+    def _law(self) -> tuple[int, np.ndarray]:
+        """L's pmf on a finite window, as (lo, w) with P(L = lo + i) = w[i]/sum(w);
+        w is a fresh array that the caller may overwrite."""
+        if self.scenario is Scenario.NON_EMERGENCY:
+            return 1, np.ones(1)
+        return _poisson_window(self.lam)
+
     def slot_occupancy(self, n_slots: int) -> float:
         """P(a device transmits in a given slot) = E[min(L, S)]/S, S = ``n_slots``.
 
         A device with L packets sends them in min(L, S) distinct slots of
         the S, so it occupies a given slot with probability min(L, S)/S.
-        Outside an emergency L = 1.  For L ~ Poisson(lam) the mean over the
-        whole law has the closed form
-
-            E[min(L, S)]/S = (lam/S) * P(L <= S-1) + P(L > S),
-
-        since L*pmf(L) = lam*pmf(L-1); it is clipped to [0, 1].
+        The mean is summed over L's law, clipped to 1.  The counts are
+        floats, so an S beyond int64 is read, and S divides last: 1/S
+        exactly outside an emergency.
         """
-        if self.scenario is Scenario.NON_EMERGENCY:
-            return 1.0 / n_slots
-        from scipy.special import pdtr, pdtrc  # only the analytics read the law
+        lo, w = self._law()
+        mins = np.minimum(np.arange(lo, lo + w.size, dtype=float), float(n_slots))
+        return min(1.0, float((mins * w).sum()) / float(w.sum()) / n_slots)
 
-        lam = self.lam
-        total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
-        return min(1.0, max(0.0, float(total)))
+    def quantile(self, q: float) -> int:
+        """Smallest l with P(L <= l) >= q, for 0 < q < 1."""
+        lo, w = self._law()
+        # the ufunc's own accumulate: np.cumsum adds microseconds of dispatch
+        cdf = np.add.accumulate(w, out=w)
+        return lo + int(cdf.searchsorted(q * cdf.item(-1)))
 
 
 @dataclass(frozen=True)
@@ -170,8 +177,8 @@ class FrameParams:
     code_pool_size: int = 64       # number of distinct spreading codes
 
 
-# Poisson quantile of lambda that stands in for the per-frame maximum
-# packet count rho_max in the equal power split
+# quantile of the packet-count law L that stands in for the per-frame
+# maximum packet count rho_max in the equal power split
 RHO_MAX_QUANTILE = 0.99
 
 
@@ -182,7 +189,7 @@ class PowerPolicy:
     Which rule splits the budget over a device's packets is fixed by the
     transmission scheme (:meth:`SystemConfig.packet_power`).  The equal
     split of :meth:`SystemConfig.mean_packet_power` divides it by the
-    :data:`RHO_MAX_QUANTILE` Poisson quantile of the traffic rate.
+    :data:`RHO_MAX_QUANTILE` quantile of the packet-count law.
     """
     p_max: float = 0.01            # W (10 dBm), per-device power budget
 
@@ -217,15 +224,9 @@ class SystemConfig:
         return self.channel.pathloss_coeff * (radii**2 + h2) ** exponent
 
     def rho_max_proxy(self) -> int:
-        """Deterministic stand-in for the per-frame maximum packet count.
-
-        The :data:`RHO_MAX_QUANTILE` Poisson quantile of the traffic rate
-        in the emergency scenario, 1 in the non-emergency scenario, never
-        below 1.
-        """
-        if self.traffic.scenario is Scenario.NON_EMERGENCY:
-            return 1
-        return max(1, _poisson_quantile(RHO_MAX_QUANTILE, self.traffic.lam))
+        """Deterministic stand-in for the per-frame maximum packet count:
+        the :data:`RHO_MAX_QUANTILE` quantile of L, never below 1."""
+        return max(1, self.traffic.quantile(RHO_MAX_QUANTILE))
 
     def mean_packet_power(self) -> float:
         """Equal-split per-packet power: the budget over the rho_max proxy (W).
@@ -250,34 +251,33 @@ class SystemConfig:
         return self.traffic.n_active * self.traffic.lam + self.delta_slack
 
 
-def _poisson_quantile(q: float, lam: float) -> int:
-    """Smallest k with P(Poisson(lam) <= k) >= q, for 0 < q < 1.
+def _poisson_window(lam: float) -> tuple[int, np.ndarray]:
+    """The Poisson(lam) pmf over the window lo..hi, up to one factor, as (lo, w).
 
-    Sums the pmf over the window lo..hi with lo = max(0, floor(lam - t)),
-    hi = ceil(lam + t) and t = 10*sqrt(lam) + 10: the pmf relative to
-    pmf(lo) is the running product of lam/k, and the CDF its running sum
-    over the window's own total.  Starting at pmf(lo) rather than
-    exp(-lam) = pmf(0) avoids the underflow past lam ~ 745, and the cost
-    is O(sqrt(lam)), not O(lam).  The window is exact to double precision:
-    with h(u) = (1+u) log(1+u) - u, the tails P(L >= lam + t) <=
+    The window is lo = max(0, floor(lam - t)), hi = ceil(lam + t) with
+    t = 10*sqrt(lam) + 10, and w the pmf relative to pmf(lo): the running
+    product of lam/k.  Starting at pmf(lo) rather than exp(-lam) = pmf(0)
+    avoids the underflow past lam ~ 745, and the cost is O(sqrt(lam)),
+    not O(lam).  The window is exact to double precision: with
+    h(u) = (1+u) log(1+u) - u, the tails P(L >= lam + t) <=
     exp(-lam*h(t/lam)) and P(L <= lam - t) <= exp(-t^2/(2 lam)) hold at
     most exp(-42.7) < 3e-19 of the mass at every lam, far below the
-    rounding of the sums.  ``lam`` must lie in the domain of
-    ``traffic.lambda``, [0, 1e8], and ``ValueError`` is raised outside it
-    (NaN included): an array of ~20*sqrt(lam) doubles is built per call.
+    rounding of any sum over w.  At lam = 0 it is the point mass at 0.
+    ``lam`` must lie in the domain of ``traffic.lambda``, [0, 1e8], and
+    ``ValueError`` is raised outside it (NaN included): an array of
+    ~20*sqrt(lam) doubles is built per call.
     """
     top = key_domain("traffic.lambda")[2]
     if not 0.0 <= lam <= top:
-        raise ValueError(f"Poisson quantile needs 0 <= lambda <= {top:g}, got {lam!r}")
+        raise ValueError(f"Poisson window needs 0 <= lambda <= {top:g}, got {lam!r}")
     if lam == 0.0:
-        return 0
+        return 0, np.ones(1)
     spread = 10.0 * math.sqrt(lam) + 10.0
     lo = max(0, math.floor(lam - spread))
     w = np.arange(lo, math.ceil(lam + spread) + 1.0)
     w[0] = lam  # pmf(lo)/pmf(lo) = 1 heads the running product
-    # the ufuncs' own accumulate: np.cumsum/np.cumprod add microseconds of dispatch
-    cdf = np.add.accumulate(np.multiply.accumulate(np.divide(lam, w, out=w), out=w), out=w)
-    return lo + int(cdf.searchsorted(q * cdf.item(-1)))
+    # the ufunc's own accumulate: np.cumprod adds microseconds of dispatch
+    return lo, np.multiply.accumulate(np.divide(lam, w, out=w), out=w)
 
 
 def default_config() -> SystemConfig:
@@ -296,7 +296,7 @@ def default_config() -> SystemConfig:
 # watts (dBm suffix accepted), ratio (dB suffix accepted), scenario.
 # lower bound: (">", x) or (">=", x) on the value in base units, or None.
 # upper bound: x for "<= x", or None.  Only lambda has one, the domain of
-# the Poisson quantile, whose cost grows as sqrt(lambda).
+# the Poisson window, whose cost grows as sqrt(lambda).
 _Bound = tuple[str, float] | None
 _KEY_TABLE: dict[str, tuple[str | None, str, str, _Bound, float | None]] = {
     "geometry.cell_radius": ("geometry", "cell_radius", "float", (">", 0.0), None),

@@ -125,13 +125,16 @@ def code_pool(n_subcarriers: int, pool_size: int) -> np.ndarray:
 #  Batched lockstep receiver
 # ============================================================================
 
-# Frames drawn and decoded together by estimate_coverage.  _BLOCK_DRAWS
-# bounds a block's F·n_active·(1 + n_slots) radii and slot keys (8 MB of
-# doubles) and with them the keys' argsort and mask.  _BLOCK_FRAMES bounds
-# what grows with the block's slots times its deepest slot, the padded
-# slot rows of _decode_block and _sweep_sinr; it is the cap that binds at
-# the usual configs.  A block holds at least one frame, so _FRAME_DRAWS
-# refuses a frame whose keys, argsort and mask alone pass ~1.1 GiB.  Draws
+# Frames drawn and decoded together by estimate_coverage.  A frame costs
+# the doubles it holds at most: its n_active·(1 + n_slots) radii and slot
+# keys (with them the keys' argsort and mask), two complex J-vectors, the
+# fading and the channel, for each of its at most n_active·n_slots
+# packets, and the receiver's complex J x J inverse for each slot row.
+# _BLOCK_DRAWS bounds a block's cost (8 MB of doubles).  _BLOCK_FRAMES
+# bounds what grows with the block's slots times its deepest slot, the
+# padded slot rows of _decode_block and _sweep_sinr; it is the cap that
+# binds at the usual configs.  A block holds at least one frame, so
+# _FRAME_DRAWS refuses a frame that alone costs more than 512 MiB.  Draws
 # are per frame stream and decisions per slot, so the estimate does not
 # depend on the block size.
 _BLOCK_FRAMES = 256
@@ -404,19 +407,23 @@ def estimate_coverage(
     the halfwidth is NaN for a single frame too.  The scheme's slot count
     is derived once per estimate and reported as ``n_slots``; each block
     reads the per-packet power and the code pool from ``cfg`` itself.
-    A frame of more than ``_FRAME_DRAWS`` draws raises ``ConfigError``.
+    A frame that costs more than ``_FRAME_DRAWS`` doubles raises
+    ``ConfigError`` before any draw.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     _check_sinr_rule(sinr_rule)
     n_slots = scheme_slots(cfg, scheme)
-    frame_draws = cfg.traffic.n_active * (1 + n_slots)
-    if frame_draws > _FRAME_DRAWS:
+    n, j = cfg.traffic.n_active, cfg.frame.n_subcarriers
+    draws = n * (1 + n_slots)
+    cost = draws + 2 * j * n_slots * (2 * n + j)
+    if cost > _FRAME_DRAWS:
         raise ConfigError(
-            f"one frame draws n_active * (1 + n_slots) = {frame_draws} values,"
+            f"one frame draws n_active * (1 + n_slots) = {draws} values and holds"
+            f" {cost - draws} more for its {j} subcarriers, {cost} in all,"
             f" above the {_FRAME_DRAWS} a frame may hold"
         )
-    size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // frame_draws))
+    size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // cost))
 
     chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
     tasks = [

@@ -19,8 +19,10 @@ against the form here, written the direct way:
   (``packet_error_prob``), the oracle of
   ``shortpacket.error_prob_ln_form``;
 - the Poisson quantile through scipy's inverse incomplete gamma function
-  (``poisson_quantile``), the oracle of the windowed pmf sum of
-  ``config._poisson_quantile``.
+  (``poisson_quantile``), the oracle of ``TrafficParams.quantile``;
+- the closed form of the Poisson slot occupancy through scipy's ``pdtr``
+  and ``pdtrc`` (``poisson_slot_occupancy``), the oracle of
+  ``TrafficParams.slot_occupancy``.
 
 It is a test helper, not part of the package; tests import it as
 ``oracles``, as they import ``simpson`` and ``conftest``.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import pdtr, pdtrik
+from scipy.special import pdtr, pdtrc, pdtrik
 
 from musalink.analytic import _antiderivative
 from musalink.config import SystemConfig
@@ -344,7 +346,7 @@ def packet_error_prob(pt: BlocklengthPoint) -> float:
 
 
 # ============================================================================
-#  Poisson quantile (the oracle of config._poisson_quantile)
+#  Poisson quantile and slot occupancy (the oracles of config.TrafficParams)
 # ============================================================================
 
 def poisson_quantile(q: float, lam: float) -> int:
@@ -358,3 +360,16 @@ def poisson_quantile(q: float, lam: float) -> int:
     k = math.ceil(pdtrik(q, lam))
     below = max(k - 1, 0)
     return below if pdtr(below, lam) >= q else k
+
+
+def poisson_slot_occupancy(lam: float, n_slots: int) -> float:
+    """E[min(L, S)]/S for L ~ Poisson(lam) and S = ``n_slots``, in closed form.
+
+    Since L*pmf(L) = lam*pmf(L-1),
+
+        E[min(L, S)]/S = (lam/S) * P(L <= S-1) + P(L > S),
+
+    clipped to [0, 1].
+    """
+    total = lam / n_slots * pdtr(n_slots - 1, lam) + pdtrc(n_slots, lam)
+    return min(1.0, max(0.0, float(total)))

@@ -18,7 +18,13 @@ from musalink.analytic import (
 from musalink.config import Scenario, TrafficParams
 
 from conftest import reference_config
-from oracles import _campbell_exponent, laplace_collided, laplace_singleton, ordered_distance_pdf
+from oracles import (
+    _campbell_exponent,
+    laplace_collided,
+    laplace_singleton,
+    ordered_distance_pdf,
+    poisson_slot_occupancy,
+)
 from simpson import adaptive_simpson
 
 
@@ -79,6 +85,19 @@ def test_occupancy_equals_untruncated_series():
         closed = [TrafficParams(lam=float(lam)).slot_occupancy(int(s)) for s in slots]
         np.testing.assert_allclose(closed, series, rtol=0, atol=1e-12)
     assert all(TrafficParams(lam=0.0).slot_occupancy(int(s)) == 0.0 for s in slots)
+
+
+def test_occupancy_equals_the_closed_form_oracle():
+    # the sum over L's window against scipy's pdtr/pdtrc closed form, relative,
+    # from a rate far below any slot's share to one far above the slot count
+    lams = [1e-300] + [10.0**e for e in range(-3, 9)]
+    slots = [1, 2, 3, 5, 7, 10, 20, 64, 100, 10**3, 10**4, 10**6, 10**9, 10**17]
+    for lam in lams:
+        for n_slots in slots:
+            value = TrafficParams(lam=lam).slot_occupancy(n_slots)
+            assert value <= 1.0
+            assert value == pytest.approx(poisson_slot_occupancy(lam, n_slots), rel=4e-15, abs=0), (
+                lam, n_slots)
 
 
 def test_occupancy_monotonicity():

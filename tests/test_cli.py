@@ -424,17 +424,24 @@ def test_lambda_above_its_bound_is_refused_and_at_it_runs(tmp_path, capsys):
 
 
 def test_frame_too_large_to_draw_exit_code(tmp_path, monkeypatch, capsys):
-    # refused before any draw or worker: no command asks for the frame's ~156 GiB
+    # refused before any draw or worker: no command asks for the frame's
+    # ~156 GiB of keys or its 10^7 x 10^7 inverses, and validate runs no
+    # analytics first
     def no_draw(*args, **kwargs):
-        raise AssertionError("a frame was drawn or a worker started")
+        raise AssertionError("a frame was drawn, a worker started or an analysis run")
 
     monkeypatch.setattr(simulator, "_draw_block", no_draw)
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_draw)
+    monkeypatch.setattr(cli, "frame_coverage_probs", no_draw)
     huge = tmp_path / "huge.cfg"
     huge.write_text("traffic.n_active = 1000000000\n")
-    for argv in (["simulate"], ["compare", "--lambdas", "2"],
-                 ["validate", "--n-active", "1e9", "--lambdas", "2"]):
-        assert main(argv + ["--config", str(huge), "--trials", "1"]) == EXIT_CONFIG
+    wide = tmp_path / "wide.cfg"
+    wide.write_text("frame.n_subcarriers = 10000000\n")
+    for path, argv in ((huge, ["simulate"]), (huge, ["compare", "--lambdas", "2"]),
+                       (huge, ["validate", "--n-active", "1e9", "--lambdas", "2"]),
+                       (wide, ["simulate"]), (wide, ["compare", "--lambdas", "2"]),
+                       (wide, ["validate"])):
+        assert main(argv + ["--config", str(path), "--trials", "1"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: one frame draws n_active")
 
 

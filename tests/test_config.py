@@ -20,6 +20,7 @@ from musalink import config
 from musalink.config import (
     ConfigError,
     Scenario,
+    TrafficParams,
     db_to_linear,
     dbm_to_watts,
     default_config,
@@ -293,7 +294,7 @@ def test_poisson_helpers_equal_scipy_stats():
     for lam in lams:
         for q in quantiles:
             expected = int(sps.poisson.ppf(q, lam))
-            assert config._poisson_quantile(q, float(lam)) == expected, (lam, q)
+            assert TrafficParams(lam=float(lam)).quantile(q) == expected, (lam, q)
         varied = replace(cfg, traffic=replace(cfg.traffic, lam=float(lam)))
         assert varied.rho_max_proxy() == max(1, int(sps.poisson.ppf(0.99, lam))), lam
 
@@ -304,15 +305,15 @@ def test_poisson_quantile_equals_the_incomplete_gamma_oracle():
     lams = np.concatenate([[0.0, 1e8], 10.0 ** np.random.default_rng(26).uniform(-3, 8, 1000)])
     for lam in lams.tolist():
         for q in (0.01, 0.5, 0.9, 0.99, 0.999):
-            assert config._poisson_quantile(q, lam) == poisson_quantile(q, lam), (q, lam)
+            assert TrafficParams(lam=lam).quantile(q) == poisson_quantile(q, lam), (q, lam)
 
 
 def test_poisson_quantile_refuses_lambda_outside_its_domain():
     top = config.key_domain("traffic.lambda")[2]
-    assert config._poisson_quantile(0.99, top) == poisson_quantile(0.99, top)
+    assert TrafficParams(lam=top).quantile(0.99) == poisson_quantile(0.99, top)
     for lam in (-1e-300, math.nextafter(top, math.inf), 1e19, math.inf, math.nan):
         with pytest.raises(ValueError, match="lambda"):
-            config._poisson_quantile(0.99, lam)
+            TrafficParams(lam=lam).quantile(0.99)
     # validate_config and load_config refuse such a lambda, so no valid config reaches it
     assert validate_config(config.with_values(default_config(), {"traffic.lambda": 2e8})) == [
         "traffic: lambda must be <= 1e+08", "C5: lambda (2e+08) exceeds lambda_max (10)"
@@ -348,6 +349,22 @@ def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg takes tens of ms to import; only an analysis loads it
     code = "import sys\nimport musalink\nprint('scipy.linalg' in sys.modules)\n"
     assert run_fresh_interpreter(code) == "False"
+
+
+def test_packet_count_law_runs_without_scipy():
+    # the slot occupancy, the rho_max proxy and the slot statistics built on
+    # them are the same doubles with scipy unimportable
+    code = (
+        "from musalink.analytic import slot_statistics\n"
+        "from musalink.config import Scenario, default_config, with_values\n"
+        "cfgs = [with_values(default_config(), {'traffic.lambda': lam, 'frame.n_slots': s,"
+        " 'traffic.lambda_max': 1e8, 'traffic.scenario': sc}) for sc in Scenario"
+        " for lam in (0.0, 1e-300, 1e-3, 2.0, 4.0, 10.0, 1e8) for s in (1, 20, 10**17)]\n"
+        "print(repr([(slot_statistics(c), c.traffic.slot_occupancy(c.frame.n_slots),"
+        " c.rho_max_proxy()) for c in cfgs]))\n"
+    )
+    with_scipy = run_fresh_interpreter(code)
+    assert run_fresh_interpreter("import sys\nsys.modules['scipy'] = None\n" + code) == with_scipy
 
 
 def simulate_and_compare_code(out_dir: Path, block_scipy: bool) -> str:

@@ -806,11 +806,11 @@ def test_estimate_coverage_invariant_to_block_size(monkeypatch):
         monkeypatch.setattr(simulator, "_BLOCK_FRAMES", block)
         assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
         assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
-    # a draw budget just short of two frames' n_active·(1 + n_slots) forces
-    # one-frame blocks whatever the frame cap
-    frame_draws = 10 * (1 + adaptive_slots(cfg).n_practical)
+    # a budget just short of two frames' cost forces one-frame blocks
+    # whatever the frame cap
+    n_slots = adaptive_slots(cfg).n_practical
     monkeypatch.setattr(simulator, "_BLOCK_FRAMES", 256)
-    monkeypatch.setattr(simulator, "_BLOCK_DRAWS", 2 * frame_draws - 1)
+    monkeypatch.setattr(simulator, "_BLOCK_DRAWS", 2 * frame_cost(10, 4, n_slots) - 1)
     sizes = []
     draw_block = simulator._draw_block
 
@@ -824,35 +824,63 @@ def test_estimate_coverage_invariant_to_block_size(monkeypatch):
     assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
 
 
+def frame_cost(n_active, n_subcarriers, n_slots):
+    """Doubles a frame holds at most: radii and slot keys, a complex fading
+    and channel J-vector per packet, a complex J x J inverse per slot row."""
+    j = n_subcarriers
+    return n_active * (1 + n_slots) + 4 * j * n_active * n_slots + 2 * j * j * n_slots
+
+
 def no_draw(*args, **kwargs):
     raise AssertionError("a frame was drawn or a worker started")
 
 
 def test_frame_too_large_to_draw_is_refused(monkeypatch):
-    # 10^9 devices x (1 + 20) doubles is ~156 GiB: refused before any draw
-    # or worker, in the memory of the check alone
+    # 10^9 devices x (1 + 20) doubles is ~156 GiB, and 10^7 subcarriers ask
+    # for ~30 PB of J x J inverses: refused before any draw or worker, in the
+    # memory of the check alone
     monkeypatch.setattr(simulator, "_draw_block", no_draw)
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_draw)
-    cfg = reference_config(n_active=10**9)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ConfigError, match=r"n_active \* \(1 \+ n_slots\) = 21000000000 "):
-            estimate_coverage(cfg, Scheme.BASELINE, 4, seed=1, n_workers=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    wide = default_config()
+    wide = replace(wide, frame=replace(wide.frame, n_subcarriers=10**7))
+    for cfg, stated in ((reference_config(n_active=10**9), r"\(1 \+ n_slots\) = 21000000000 "),
+                        (wide, f" {frame_cost(10, 10**7, 20)} in all, ")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=stated):
+                estimate_coverage(cfg, Scheme.BASELINE, 4, seed=1, n_workers=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_frame_draw_cap_admits_a_frame_at_the_cap(monkeypatch):
     cfg = reference_config(n_active=10, lam=4.0)
     reference = estimate_coverage(cfg, Scheme.BASELINE, 5, seed=9)
-    monkeypatch.setattr(simulator, "_FRAME_DRAWS", 10 * (1 + 20))
+    cost = frame_cost(10, 4, 20)
+    monkeypatch.setattr(simulator, "_FRAME_DRAWS", cost)
     assert estimate_coverage(cfg, Scheme.BASELINE, 5, seed=9) == reference
-    monkeypatch.setattr(simulator, "_FRAME_DRAWS", 10 * (1 + 20) - 1)
+    monkeypatch.setattr(simulator, "_FRAME_DRAWS", cost - 1)
     monkeypatch.setattr(simulator, "_draw_block", no_draw)
-    with pytest.raises(ConfigError, match="= 210 values, above the 209 "):
+    with pytest.raises(ConfigError, match=f"= 210 values and holds {cost - 210} more for its"
+                                          f" 4 subcarriers, {cost} in all, above the {cost - 1} "):
         estimate_coverage(cfg, Scheme.BASELINE, 5, seed=9)
+
+
+def test_block_of_many_subcarriers_is_bounded_in_memory():
+    # a block is sized by the receiver's J-sized arrays as well as the draws:
+    # at J = 32 the 256-frame block of 20 devices at lambda = 8 held ~270 MB
+    cfg = reference_config(n_active=20, lam=8.0)
+    cfg = replace(cfg, frame=replace(cfg.frame, n_subcarriers=32))
+    code_pool(32, cfg.frame.code_pool_size)  # cached: not the block's memory
+    tracemalloc.start()
+    try:
+        estimate_coverage(cfg, Scheme.BASELINE, 256, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ----------------------------------------------------------------------------
