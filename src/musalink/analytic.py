@@ -28,11 +28,11 @@ point is the one-point batch, :func:`frame_coverage_prob`).  A batch is
 a run of consecutive points that share a pathloss exponent and hold at
 most ``_RANK_WEIGHTS`` rank weights, the budget that also cuts a lone
 point's ranks into blocks, so no array grows with the sweep's length.
-The slot statistics, the two eigenvalue solves, each rule's weighted
-sums and the report run per point; the recurrence coefficients, the
-Newton step, the log weights, the coverage kernel and the rank weights
-run once over all the batch's nodes.  Every point keeps its own rule
-and its own reduction shapes, so its report is the same bits whatever
+The slot statistics, the two eigenvalue solves and the report run per
+point; the recurrence coefficients, the Newton step, the log weights,
+the coverage kernel, the rank weights and their sums run once over all
+the batch's nodes.  Every point keeps its own rule, and each rule's
+sums reduce its own nodes only, so its report is the same bits whatever
 batch it is evaluated in.
 
 ``scipy.special`` (and ``scipy.linalg``) load on the first evaluation,
@@ -73,9 +73,8 @@ __all__ = [
 _OUTER_NODES = 16
 
 # Rank weights (largest rank count x nodes) held at once, so a long sweep's
-# arrays stay at a few MB.  A batch of points holds at most this many, one
-# block of rows as _ranks_coverages' slices assume; a point with more is
-# evaluated alone, its weights built this many at a time.
+# arrays stay at a few MB.  A batch of points holds at most this many; a
+# point with more is evaluated alone, its weights built this many at a time.
 _RANK_WEIGHTS = 1 << 16
 
 
@@ -246,26 +245,21 @@ def _gauss_jacobi(a, n):
 
     a = np.atleast_1d(np.asarray(a, dtype=float))
     n = np.atleast_1d(n)
-    # recurrence coefficients of the Jacobi polynomials P^(a, 0): per entry
-    # the diagonal holds 2n terms and the off-diagonal the 2n - 1 of j = 1 .. 2n-1
-    n_off = 2 * n - 1
-    off_start = np.cumsum(n_off) - n_off
-    entry = np.repeat(np.arange(n.size), n_off)
-    j = np.arange(n_off.sum()) - off_start[entry] + 1
-    a_j = a[entry]
+    # recurrence coefficients of the Jacobi polynomials P^(a, 0), one row per
+    # entry: the diagonal terms of j = 0 .. 2n-1 and the off-diagonal ones of
+    # j = 1 .. 2n-1, each row padded to the largest n
+    a_j = a[:, None]
+    j = np.arange(1, 2 * n.max())
     s = 2.0 * j + a_j
-    diag_start = off_start + np.arange(n.size)
-    diag = np.empty(n_off.sum() + n.size)
-    diag[diag_start] = -a / (a + 2.0)
-    diag[np.arange(j.size) + entry + 1] = -a_j * a_j / (s * (s + 2.0))
+    diag = np.column_stack((-a / (a + 2.0), -a_j * a_j / (s * (s + 2.0))))
     off = 2.0 * j * (j + a_j) / (s * np.sqrt(s * s - 1.0))
 
     sizes = np.column_stack((n, 2 * n)).ravel()  # nodes of each rule
     x = np.empty(sizes.sum())
     start = 0
-    for d, o, base in zip(diag_start.tolist(), off_start.tolist(), n.tolist()):
+    for d, o, base in zip(diag, off, n.tolist()):
         for m in (base, 2 * base):
-            x[start: start + m], info = dsterf(diag[d: d + m], off[o: o + m - 1])
+            x[start: start + m], info = dsterf(d[:m], o[: m - 1])
             if info:
                 raise QuadratureError(
                     f"Gauss-Jacobi nodes: dsterf did not converge (info={info})",
@@ -314,9 +308,9 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
     floor(K/2) growth keeps the n-node rule exact for kernels of degree
     2n - K >= 2 * ``_OUTER_NODES`` - 1 whatever K is.
 
-    The rules, the kernel and the rank weights of all points are evaluated
-    together; each rule's weighted sum runs on its point's own K x m block,
-    so a point's values do not depend on the other points.
+    The rules, the kernel, the rank weights and their sums of all points
+    are evaluated together; each rule's sums reduce its own nodes only, so
+    a point's values do not depend on the other points.
     """
     n_s = np.asarray(n_singletons, dtype=float)
     n_ranks, n = _rule_size(n_s)
@@ -327,38 +321,31 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
     g = kernel(0.5 * (1.0 + x), np.repeat(np.arange(n.size), 3 * n))
 
     # the weights of every rank up to the batch's largest K at every node, one
-    # row per rank, _RANK_WEIGHTS at a time; each point reads its own first K rows
+    # row per rank, _RANK_WEIGHTS at a time, and each row's sums per rule:
+    # reduceat sums each rule over its own nodes, whatever the other rules are
     cols = np.column_stack((n, 2 * n)).ravel()  # nodes of each rule
     first = np.cumsum(cols) - cols  # first node of each rule
-    rules = list(zip(np.repeat(n_ranks, 2).tolist(), first.tolist(), cols.tolist()))
     top, log_lo, log_hi = np.repeat(n_ranks, 3 * n) - 1, np.log1p(-x), np.log1p(x)
-    num, den = [[] for _ in rules], [[] for _ in rules]
     step = max(1, _RANK_WEIGHTS // x.size)
+    sums = []
     for lo in range(0, int(n_ranks.max()), step):
         k = np.arange(lo, min(lo + step, n_ranks.max()))[:, None]  # rank - 1
         log_wk = log_w + (top - k) * log_lo + k * log_hi
         w = np.exp(log_wk - np.repeat(np.maximum.reduceat(log_wk, first, axis=1), cols, axis=1))
-        # each rule's weighted sums over its own K x m block: the same sums
-        # over rows padded to the batch's largest K can differ in the last bit
-        for (r, f, c), num_r, den_r in zip(rules, num, den):
-            w_k = w[: r - lo, f: f + c]
-            num_r.append(w_k.dot(g[f: f + c]))
-            den_r.append(np.add.reduce(w_k, axis=1))
-    coarse, value = (np.concatenate([p for rule in num[i::2] for p in rule])  # n, 2n nodes
-                     / np.concatenate([p for rule in den[i::2] for p in rule]) for i in (0, 1))
+        sums.append(np.add.reduceat(w * g, first, axis=1) / np.add.reduceat(w, first, axis=1))
+    sums = np.concatenate(sums).T  # (rule, rank); each point reads its first K ranks
+    coarse, value = sums[0::2], sums[1::2]  # n, 2n nodes
     err = np.abs(value - coarse)
-    bad = ~(np.isfinite(value) & np.isfinite(err))
-    rank_start = np.cumsum(n_ranks) - n_ranks
+    live = np.arange(sums.shape[1]) < n_ranks[:, None]  # each point's first K ranks
+    bad = live & ~(np.isfinite(value) & np.isfinite(err))
     if bad.any():
-        i = int(np.argmax(bad))
-        rank = i - int(rank_start[np.searchsorted(rank_start, i, side="right") - 1]) + 1
+        p, k = np.unravel_index(np.argmax(bad), bad.shape)
         raise QuadratureError(
-            f"conditional coverage rank k={rank}: non-finite Gauss-Jacobi sum",
-            float(value[i]), float(err[i]),
+            f"conditional coverage rank k={k + 1}: non-finite Gauss-Jacobi sum",
+            float(value[p, k]), float(err[p, k]),
         )
     value = np.clip(value, 0.0, 1.0)
-    return [(value[o: o + r], err[o: o + r])
-            for o, r in zip(rank_start.tolist(), n_ranks.tolist())]
+    return [(value[p, :r], err[p, :r]) for p, r in enumerate(n_ranks.tolist())]
 
 
 def _batches(points: list[int], cfgs: list[SystemConfig], stats: list[SlotStatistics]):
@@ -388,10 +375,10 @@ def frame_coverage_probs(cfgs: Iterable[SystemConfig]) -> list[CoverageReport]:
     Entry i equals ``frame_coverage_prob(cfgs[i])`` bit for bit, whatever
     the other configurations are.  Consecutive configurations that share a
     pathloss exponent are evaluated as one batch of at most
-    ``_RANK_WEIGHTS`` rank weights, one block of rows; a point with more
-    is a batch of its own.  The slot statistics, the eigenvalue solves,
-    each rule's weighted sums and the report run per point; every other
-    step of :func:`_ranks_coverages` runs once per batch.
+    ``_RANK_WEIGHTS`` rank weights; a point with more is a batch of its
+    own.  The slot statistics, the eigenvalue solves and the report run
+    per point; every other step of :func:`_ranks_coverages` runs once per
+    batch.
     """
     cfgs = list(cfgs)
     stats = [slot_statistics(cfg) for cfg in cfgs]

@@ -295,8 +295,9 @@ def default_config() -> SystemConfig:
 # kinds: float, int (a finite whole number: 10, 10.0 and 1e1 are all 10),
 # watts (dBm suffix accepted), ratio (dB suffix accepted), scenario.
 # lower bound: (">", x) or (">=", x) on the value in base units, or None.
-# upper bound: x for "<= x", or None.  Only lambda has one, the domain of
-# the Poisson window, whose cost grows as sqrt(lambda).
+# upper bound: x for "<= x", or None.  Lambda's is the domain of the
+# Poisson window, whose cost grows as sqrt(lambda); an int key's is the
+# range of the simulator's int64 arrays, stated as an exact int.
 _Bound = tuple[str, float] | None
 _KEY_TABLE: dict[str, tuple[str | None, str, str, _Bound, float | None]] = {
     "geometry.cell_radius": ("geometry", "cell_radius", "float", (">", 0.0), None),
@@ -306,16 +307,16 @@ _KEY_TABLE: dict[str, tuple[str | None, str, str, _Bound, float | None]] = {
     "channel.pathloss_exp": ("channel", "pathloss_exp", "float", (">=", 2.0), None),
     "channel.noise_power": ("channel", "noise_power", "watts", (">", 0.0), None),
     "channel.bandwidth": ("channel", "bandwidth", "float", (">", 0.0), None),
-    "traffic.n_active": ("traffic", "n_active", "int", (">=", 1), None),
+    "traffic.n_active": ("traffic", "n_active", "int", (">=", 1), 2**63 - 1),
     "traffic.lambda": ("traffic", "lam", "float", (">=", 0.0), 1e8),
     "traffic.lambda_min": ("traffic", "lambda_min", "float", None, None),
     "traffic.lambda_max": ("traffic", "lambda_max", "float", None, None),
     "traffic.scenario": ("traffic", "scenario", "scenario", None, None),
     "frame.frame_duration": ("frame", "frame_duration", "float", (">", 0.0), None),
-    "frame.n_slots": ("frame", "n_slots", "int", (">=", 1), None),
-    "frame.packet_bits": ("frame", "packet_bits", "int", (">=", 1), None),
-    "frame.n_subcarriers": ("frame", "n_subcarriers", "int", (">=", 1), None),
-    "frame.code_pool_size": ("frame", "code_pool_size", "int", (">=", 2), None),
+    "frame.n_slots": ("frame", "n_slots", "int", (">=", 1), 2**63 - 1),
+    "frame.packet_bits": ("frame", "packet_bits", "int", (">=", 1), 2**63 - 1),
+    "frame.n_subcarriers": ("frame", "n_subcarriers", "int", (">=", 1), 2**63 - 1),
+    "frame.code_pool_size": ("frame", "code_pool_size", "int", (">=", 2), 2**63 - 1),
     "power.p_max": ("power", "p_max", "watts", (">", 0.0), None),
     "reliability.sinr_threshold": ("reliability", "sinr_threshold", "ratio", (">", 0.0), None),
     "reliability.epsilon_max": ("reliability", "epsilon_max", "float", (">", 0.0), None),

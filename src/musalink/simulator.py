@@ -407,8 +407,8 @@ def estimate_coverage(
     the halfwidth is NaN for a single frame too.  The scheme's slot count
     is derived once per estimate and reported as ``n_slots``; each block
     reads the per-packet power and the code pool from ``cfg`` itself.
-    A frame that costs more than ``_FRAME_DRAWS`` doubles raises
-    ``ConfigError`` before any draw.
+    A frame that costs more than ``_FRAME_DRAWS`` doubles, or a code pool
+    that holds more, raises ``ConfigError`` before any draw.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -421,6 +421,14 @@ def estimate_coverage(
         raise ConfigError(
             f"one frame draws n_active * (1 + n_slots) = {draws} values and holds"
             f" {cost - draws} more for its {j} subcarriers, {cost} in all,"
+            f" above the {_FRAME_DRAWS} a frame may hold"
+        )
+    # the code pool is built whole before any block, a complex J-vector per
+    # code (one code at a time above 4^8 codes); no frame's cost counts it
+    pool = 2 * j * cfg.frame.code_pool_size
+    if pool > _FRAME_DRAWS:
+        raise ConfigError(
+            f"the code pool holds 2 * n_subcarriers * code_pool_size = {pool} values,"
             f" above the {_FRAME_DRAWS} a frame may hold"
         )
     size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // cost))

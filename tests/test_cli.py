@@ -445,6 +445,18 @@ def test_frame_too_large_to_draw_exit_code(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("config error: one frame draws n_active")
 
 
+@pytest.mark.parametrize("key", ["traffic.n_active", "frame.n_slots", "frame.code_pool_size"])
+def test_int_key_beyond_int64_exit_code(tmp_path, capsys, key):
+    # a 401-digit value is beyond float range: refused on load, not by an
+    # OverflowError deep in a command
+    path = tmp_path / "digits.cfg"
+    path.write_text(f"{key} = {'9' * 401}\n")
+    for argv in (["analytic"], ["optimize"], ["simulate", "--scheme", "proposed", "--trials", "1"],
+                 ["compare", "--lambdas", "2", "--trials", "1"]):
+        assert main(argv + ["--config", str(path)]) == EXIT_CONFIG, argv
+        assert f"{key.replace('.', ': ')} must be <= 9.22337e+18" in capsys.readouterr().err
+
+
 def test_optimize_infeasible_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("traffic.lambda = 1\ntraffic.lambda_min = 2\n")

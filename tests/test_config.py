@@ -214,6 +214,18 @@ def test_int_key_must_hold_an_integer(key):
         assert validate_config(config.with_values(default_config(), {key: value})) == []
 
 
+@pytest.mark.parametrize("key", INT_KEYS)
+def test_int_key_loads_up_to_int64_max(key):
+    # the simulator's int64 arrays hold 2^63 - 1, stated as an exact int
+    top = config.key_domain(key)[2]
+    assert type(top) is int and top == 2**63 - 1
+    # 4^32 = 2^64 codes leave room for any pool below 2^63
+    wide = "frame.n_subcarriers = 32\n" if key == "frame.code_pool_size" else ""
+    assert config._field(load_config(f"{key} = {top}\n" + wide), *config._KEY_TABLE[key][:2]) == top
+    with pytest.raises(ConfigError, match=rf"^{key.replace('.', ': ')} must be <= 9\.22337e\+18$"):
+        load_config(f"{key} = {top + 1}\n" + wide)
+
+
 def test_serialize_round_trip_is_identity():
     cfg = default_config()
     assert load_config(serialize_config(cfg)) == cfg

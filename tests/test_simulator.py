@@ -868,6 +868,39 @@ def test_frame_draw_cap_admits_a_frame_at_the_cap(monkeypatch):
         estimate_coverage(cfg, Scheme.BASELINE, 5, seed=9)
 
 
+def test_code_pool_too_large_to_build_is_refused(monkeypatch):
+    # 10^8 codes of 16 chips hold 3.2e9 doubles, built one rejection-sampled
+    # code at a time: refused before the pool, any draw or any worker
+    monkeypatch.setattr(simulator, "code_pool", no_draw)
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_draw)
+    cfg = default_config()
+    cfg = replace(cfg, frame=replace(cfg.frame, n_subcarriers=16, code_pool_size=10**8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r" = 3200000000 values, above the 67108864 "):
+            estimate_coverage(cfg, Scheme.BASELINE, 4, seed=1, n_workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_code_pool_cap_admits_a_pool_at_the_cap(monkeypatch):
+    # the pool is its own comparison, not part of the frame cost that sizes blocks
+    cfg = reference_config(n_active=10, lam=4.0)
+    cfg = replace(cfg, frame=replace(cfg.frame, n_subcarriers=8, code_pool_size=4**8))
+    reference = estimate_coverage(cfg, Scheme.BASELINE, 2, seed=9)
+    pool = 2 * 8 * 4**8
+    assert frame_cost(10, 8, 20) < pool
+    monkeypatch.setattr(simulator, "_FRAME_DRAWS", pool)
+    assert estimate_coverage(cfg, Scheme.BASELINE, 2, seed=9) == reference
+    monkeypatch.setattr(simulator, "_FRAME_DRAWS", pool - 1)
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    with pytest.raises(ConfigError, match=f"code_pool_size = {pool} values, above the {pool - 1} "):
+        estimate_coverage(cfg, Scheme.BASELINE, 2, seed=9)
+
+
 def test_block_of_many_subcarriers_is_bounded_in_memory():
     # a block is sized by the receiver's J-sized arrays as well as the draws:
     # at J = 32 the 256-frame block of 20 devices at lambda = 8 held ~270 MB
