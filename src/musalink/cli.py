@@ -25,8 +25,9 @@ config key the scenario ignores (``lambda`` outside an emergency, see
 ``config.reads_key``) is a usage error.  ``--trials``
 and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
 compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
-4 infeasibility, 5 numerical failure.  MUSALINK_WORKERS, a positive
-integer, overrides the worker count.
+4 infeasibility, 5 numerical failure (a quadrature that failed, or an
+``ArithmeticError`` from a config whose numbers leave double range).
+MUSALINK_WORKERS, a positive integer, overrides the worker count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import os
 import stat
 import sys
 import time
+
+import numpy as np
 
 from .analytic import QuadratureError, frame_coverage_probs
 from .config import (
@@ -299,8 +302,6 @@ def cmd_optimize(args) -> int:
     report = {"config_sha256": _sha256(serialize_config(cfg)), **vars(out)}
     del report["n_min"]
     if args.brute_points > 0:
-        import numpy as np
-
         # more points than feasible slot counts would only repeat them
         points = min(args.brute_points, out.n_practical - out.n_min + 1)
         grid = {int(round(v)) for v in np.linspace(out.n_min, out.n_practical, points)}
@@ -420,7 +421,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a numpy overflow raises FloatingPointError, an ArithmeticError like
+        # Python's own OverflowError, instead of warning and going on with inf
+        with np.errstate(over="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -429,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:  # a config whose numbers leave double range
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))  # exits with EXIT_USAGE

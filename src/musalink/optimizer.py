@@ -75,17 +75,18 @@ def solve_n_epsilon(
     n = (2*L*sqrt(bt) / (z + sqrt(z^2 + 4*D*ln2*L)))^2.  At epsilon_max = 0.5
     (z = 0) this is n_up = bt*log2(1+gamma)/D.  z is the standard normal
     quantile of the standard library (``statistics.NormalDist``), within an
-    ulp of scipy's ``ndtri``.
+    ulp of scipy's ``ndtri``.  At gamma = 0 no slot carries a bit: the root
+    is 0, without the 0/0 the closed form reads at z = 0.
 
     Raises :class:`InfeasibleError` when the root falls below one slot.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be > 0")
+    if not gamma >= 0:
+        raise ValueError("gamma must be >= 0")
     if not 0 < epsilon_max <= 0.5:
         raise ValueError("epsilon_max must lie in (0, 0.5]")
     z = -NormalDist().inv_cdf(epsilon_max)
     log_gain = math.log1p(gamma)
-    n_eps = (
+    n_eps = log_gain and (
         2.0 * log_gain * math.sqrt(bandwidth * frame_duration)
         / (z + math.sqrt(z * z + 4.0 * packet_bits * LN2 * log_gain))
     ) ** 2

@@ -54,6 +54,10 @@ def max_snr_proxy(cfg: SystemConfig) -> float:
     """Best-case SINR: the lone active device directly beneath the UAV.
 
     Noise-limited link at horizontal distance zero, with the equal-split
-    per-packet power :meth:`SystemConfig.mean_packet_power`.
+    per-packet power :meth:`SystemConfig.mean_packet_power`.  Raises
+    ``OverflowError`` when it leaves double range.
     """
-    return cfg.mean_packet_power() * cfg.path_gain(0.0) / cfg.channel.noise_power
+    gamma = cfg.mean_packet_power() * cfg.path_gain(0.0) / cfg.channel.noise_power
+    if math.isinf(gamma):
+        raise OverflowError("the best-case SNR exceeds double range")
+    return gamma

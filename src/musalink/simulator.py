@@ -21,22 +21,24 @@ The receiver is batched: ``estimate_coverage`` decodes a block of frames
 at once.  Collisions are found with one ``unique`` over (slot, code)
 keys; each occupied slot becomes a row of packets, singletons nearest
 first and collided packets last, and iteration t of a slot tests its
-column t against the undecoded set of columns t..K-1.  By the
-push-through identity W = P^½Gᴴ(GPGᴴ + σ²I)⁻¹ a set needs the inverse of
-one J x J matrix, and the sets of a row grow by one column as t falls,
-so one backward sweep over t, a Sherman-Morrison update per step run
-over all rows at once, gives the SINR of every iteration of every slot
-without a linear solve.  This is the one receiver the package ships;
-the scalar one-slot receiver it is tested against, an m x m solve per
-cancellation step (``mmse_weights`` and ``sic_decode``), is in
-``tests/oracles.py``.
+column t against the undecoded set of columns t..K-1.  The receiver
+works in units of the noise: an MMSE SINR depends on the powers and the
+noise only through each packet's SNR, so every channel is scaled once
+to h = √(p/σ²)·g.  By the push-through identity W = Hᴴ(HHᴴ + I)⁻¹ a
+set needs the inverse of one J x J matrix, and the sets of a row grow
+by one column as t falls, so one backward sweep over t from R⁻¹ = I, a
+Sherman-Morrison update per step run over all rows at once, gives the
+SINR of every iteration of every slot without a linear solve.  This is
+the one receiver the package ships; the scalar one-slot receiver it is
+tested against, an m x m solve per cancellation step in watts
+(``mmse_weights`` and ``sic_decode``), is in ``tests/oracles.py``.
 
 Two SINR bookkeeping rules are available for the cancellation receiver:
 
 ``conservative`` (default)
     Signal and noise are the target's MMSE output; the interference is
     the sum of every other undecoded device's own MMSE output power
-    (its diagonal term of W·G) in place of its leakage into the
+    (its diagonal term of W·H) in place of its leakage into the
     target's output.  It bounds the exact post-MMSE SINR of
     ``post_mmse`` neither way: with one subcarrier and a pool of 4 codes
     it decodes more packets (0.085 against 0.069 at (n_active, lambda,
@@ -199,66 +201,57 @@ def _draw_block(
     )
 
 
-def _energy(x: np.ndarray) -> np.ndarray:
-    return np.sum(x.real**2 + x.imag**2, axis=-1)
-
-
-def _sweep_sinr(
-    g: np.ndarray, p: np.ndarray, depth: np.ndarray, noise_power: float, sinr_rule: str
-) -> np.ndarray:
+def _sweep_sinr(h: np.ndarray, depth: np.ndarray, sinr_rule: str) -> np.ndarray:
     """SINR of every cancellation iteration of B slot rows, in one sweep.
 
-    Row b holds the effective channels ``g[b]`` (D, J) and powers
-    ``p[b]`` of its K_b = ``depth[b]`` packets in decoding order, zero
-    past K_b; rows are sorted deepest first.  Entry (b, t) of the (B, D)
-    result is the SINR of column t against the undecoded set t..K_b-1 by
-    the arithmetic of the scalar receiver in ``tests/oracles.py``;
-    entries past K_b are 0.
+    Row b holds the channels ``h[b]`` (D, J) of its K_b = ``depth[b]``
+    packets in decoding order, zero past K_b, each in units of the noise:
+    h = √(p/σ²)·g for a packet of power p and effective channel g.  Rows
+    are sorted deepest first.  Entry (b, t) of the (B, D) result is the
+    SINR of column t against the undecoded set t..K_b-1 by the arithmetic
+    of the scalar receiver in ``tests/oracles.py``; entries past K_b are 0.
 
-    By the push-through identity the MMSE weight rows of a set are
-    W = P^½Gᴴ R⁻¹ with R = GPGᴴ + σ²I_J, so a set needs the inverse of
-    one J x J matrix, not an m x m solve.  The set of iteration t adds
-    column t to that of t + 1, so sweeping t from D-1 down to 0 takes one
-    Sherman-Morrison update of R⁻¹ per step, an update never a downdate:
-    its denominator δ = 1 + p_t·s is at least 1.  With u = R_{t+1}⁻¹g_t
-    and s = g_tᴴu:
+    An MMSE SINR depends on the powers and the noise only through h, and
+    by the push-through identity the weight rows of a set are
+    W = Hᴴ R⁻¹ with R = HHᴴ + I_J, so a set needs the inverse of one
+    J x J matrix, not an m x m solve.  The set of iteration t adds
+    column t to that of t + 1, so sweeping t from D-1 down to 0 from
+    R⁻¹ = I takes one Sherman-Morrison update of R⁻¹ per step, an update
+    never a downdate: its denominator δ = 1 + s is at least 1.  With
+    u = R_{t+1}⁻¹h_t and s = h_tᴴu:
 
     ``conservative``
-        p_t²s² / (δ²·Σ_{i>t} p_i²q_i² + σ²p_t‖u‖²), where
-        q_i = g_iᴴR_t⁻¹g_i is kept by q_i -= (p_t/δ)|uᴴg_i|²;
+        s² / (δ²·Σ_{i>t} q_i² + ‖u‖²), where q_i = h_iᴴR_t⁻¹h_i is kept
+        by q_i -= |uᴴh_i|²/δ;
     ``post_mmse``
-        p_t·s² / (Σ_{i>t} p_i|uᴴg_i|² + σ²‖u‖²).
+        s² / (Σ_{i>t} |uᴴh_i|² + ‖u‖²).
 
     Step t touches only the rows deeper than t, a prefix of the rows.
     """
-    n_rows, d, j = g.shape
+    n_rows, d, j = h.shape
     r_inv = np.zeros((n_rows, j, j), dtype=complex)
-    r_inv[:, np.arange(j), np.arange(j)] = 1.0 / noise_power
+    r_inv[:, np.arange(j), np.arange(j)] = 1.0
     q = np.zeros((n_rows, d))
     sinr = np.zeros((n_rows, d))
     width = np.searchsorted(-depth, -np.arange(d))
     for t in range(d - 1, -1, -1):
         b = width[t]
-        g_t, p_t, p_rest = g[:b, t], p[:b, t], p[:b, t + 1:]
-        u = np.einsum("bij,bj->bi", r_inv[:b], g_t)
+        u = np.einsum("bij,bj->bi", r_inv[:b], h[:b, t])
         u_h = u.conj()
-        proj = np.einsum("bj,bkj->bk", u_h, g[:b, t:])  # u^H g_i for i >= t
+        proj = np.einsum("bj,bkj->bk", u_h, h[:b, t:])  # u^H h_i for i >= t
         s = proj[:, 0].real
         cross = proj.real[:, 1:] ** 2 + proj.imag[:, 1:] ** 2
-        noise = noise_power * np.einsum("bj,bj->b", u_h, u).real
-        delta = 1.0 + p_t * s
-        step = p_t / delta
+        noise = np.einsum("bj,bj->b", u_h, u).real
+        delta = 1.0 + s
         if sinr_rule == "conservative":
             q_rest = q[:b, t + 1:]
-            q_rest -= step[:, None] * cross
-            q[:b, t] = s / delta  # g_t^H R_t^-1 g_t
-            pq = p_rest * q_rest
-            interference = delta**2 * np.einsum("bk,bk->b", pq, pq)
-            sinr[:b, t] = (p_t * s) ** 2 / (interference + p_t * noise)
+            q_rest -= cross / delta[:, None]
+            q[:b, t] = s / delta  # h_t^H R_t^-1 h_t
+            interference = delta**2 * np.einsum("bk,bk->b", q_rest, q_rest)
         else:
-            interference = np.einsum("bk,bk->b", p_rest, cross)
-            sinr[:b, t] = p_t * s * s / (interference + noise)
-        r_inv[:b] -= (step[:, None] * u)[:, :, None] * u_h[:, None, :]
+            interference = cross.sum(axis=1)
+        sinr[:b, t] = s * s / (interference + noise)
+        r_inv[:b] -= (u / delta[:, None])[:, :, None] * u_h[:, None, :]
     return sinr
 
 
@@ -266,12 +259,15 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     """Run the cancellation receiver on every slot of a block of frames.
 
     Returns the (F, 4) per-frame counts of packets decoded,
-    collided, below threshold and blocked by a stronger user.  Each
-    occupied slot is a row [singletons nearest first, then collided],
-    rows sorted deepest first.  One backward ``_sweep_sinr`` over the
-    rows of two or more packets gives the SINR of every iteration t
-    against the undecoded set row[t:K]; a lone packet keeps the matched
-    filter against noise.  A slot passes the leading run of its
+    collided, below threshold and blocked by a stronger user.  The
+    receiver works in units of the noise: each packet's channel is its
+    fading times its code scaled by √snr, the received SNR
+    path_gain·power/σ² of its device row.  Each occupied slot is a row
+    [singletons nearest first, then collided], rows sorted deepest
+    first.  One backward ``_sweep_sinr`` over the rows of two or more
+    packets gives the SINR of every iteration t against the undecoded
+    set row[t:K]; a lone packet keeps the matched filter against noise,
+    its SINR ‖h‖².  A slot passes the leading run of its
     singletons whose SINR reaches the threshold; a failure blocks the
     slot's remaining singletons.
     """
@@ -282,10 +278,9 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
         return out
     frame_of = block.device // n_active
     code = block.code
-    radius = block.radii.ravel()[block.device]
-    power = block.powers.ravel()[block.device]
-    channel = block.fading * pool[code]
-    channel *= np.sqrt(cfg.path_gain(radius))[:, None]
+    snr = cfg.path_gain(block.radii) * block.powers / cfg.channel.noise_power
+    channel = block.fading * pool[code]  # in units of the noise: √snr · fading · code
+    channel *= np.sqrt(snr).ravel()[block.device][:, None]
 
     slot = block.slot
     _, inverse, multiplicity = np.unique(
@@ -306,21 +301,18 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     singles = np.add.reduceat((~collided[order]).astype(np.int64), first)
 
     theta = cfg.reliability.sinr_threshold
-    sigma2 = cfg.channel.noise_power
     n_multi = np.count_nonzero(k > 1)
     cut = ends[n_multi]  # packets of the rows of two or more
     row = np.repeat(np.arange(n_multi), k[:n_multi])
     col = np.arange(cut) - first[row]
-    g = np.zeros((n_multi, k[0], channel.shape[1]), dtype=complex)
-    p = np.zeros((n_multi, k[0]))
-    g[row, col] = channel[order[:cut]]
-    p[row, col] = power[order[:cut]]
-    sinr = _sweep_sinr(g, p, k[:n_multi], sigma2, sinr_rule)
+    h = np.zeros((n_multi, k[0], channel.shape[1]), dtype=complex)
+    h[row, col] = channel[order[:cut]]
+    sinr = _sweep_sinr(h, k[:n_multi], sinr_rule)
     ok = (sinr >= theta) & (np.arange(k[0]) < singles[:n_multi, None])
-    lone = order[cut:]
+    lone = channel[order[cut:]]
     passed = np.r_[
         np.logical_and.accumulate(ok, axis=1).sum(axis=1),
-        power[lone] * _energy(channel[lone]) / sigma2 >= theta,
+        np.sum(lone.real**2 + lone.imag**2, axis=1) >= theta,
     ]
     failed = passed < singles
 

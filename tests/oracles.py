@@ -11,8 +11,9 @@ against the form here, written the direct way:
   density ``ordered_distance_pdf``, the law the engine's Gauss-Jacobi
   rank averages integrate;
 - the scalar one-slot receiver (``mmse_weights`` and ``sic_decode``, an
-  m x m linear solve per cancellation step), the oracle of the batched
-  ``simulator._sweep_sinr`` / ``_decode_block`` receiver;
+  m x m linear solve per cancellation step, in watts), the oracle of the
+  batched ``simulator._sweep_sinr`` / ``_decode_block`` receiver, which
+  works in units of the noise;
 - the per-frame draw laws ``sample_deployment`` and
   ``assign_slots_codes``, the oracle of ``simulator._draw_block``;
 - the base-2 form of the short-packet error probability

@@ -793,6 +793,57 @@ def test_numerical_failure_inside_a_sweep_batch_exit_code(cfg_file, capsys, monk
     ]
 
 
+# configs that load but whose numbers leave double range: the overflow or
+# division by zero is a numerical failure, not a traceback
+_FAR = {
+    "altitude_1e200": "geometry.uav_altitude = 1e200\n",
+    "radius_1e200": "geometry.cell_radius = 1e200\n",
+    "radius_1e-300": "geometry.cell_radius = 1e-300\ngeometry.min_radius = 0\n",
+    "altitude_1e-300": "geometry.uav_altitude = 1e-300\n",
+    "pathloss_exp_150": "channel.pathloss_exp = 150\n",
+    "noise_1e-320": "channel.noise_power = 1e-320\n",
+}
+_SIMULATE = ["simulate", "--trials", "1"]
+_PROPOSED = ["simulate", "--scheme", "proposed", "--trials", "1"]
+_COMPARE = ["compare", "--lambdas", "2", "--trials", "1"]
+_VALIDATE = ["validate", "--n-active", "10", "--lambdas", "2", "--trials", "1"]
+
+
+def _argv_id(value):
+    return value if isinstance(value, str) else "_".join(w.lstrip("-") for w in value)
+
+
+@pytest.mark.parametrize("name, argv", [
+    *[("altitude_1e200", argv) for argv in (["analytic"], ["optimize"], _SIMULATE, _COMPARE,
+                                            _VALIDATE)],
+    *[("radius_1e200", argv) for argv in (["analytic"], ["optimize"], _VALIDATE)],
+    *[("radius_1e-300", argv) for argv in (["analytic"], ["optimize"], _VALIDATE)],
+    *[("altitude_1e-300", argv) for argv in (["optimize"], _PROPOSED, _COMPARE)],
+    *[("pathloss_exp_150", argv) for argv in (["analytic"], _VALIDATE)],
+    *[("noise_1e-320", argv) for argv in (["optimize"], _PROPOSED)],
+], ids=_argv_id)
+def test_config_beyond_double_range_exit_code(tmp_path, capsys, name, argv):
+    path = tmp_path / "far.cfg"
+    path.write_text(_FAR[name])
+    assert main(argv + ["--config", str(path)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numerical failure: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("power.p_max", "1e-320"), ("channel.pathloss_coeff", "1e-320"), ("channel.pathloss_exp", "1e6"),
+])
+def test_zero_best_case_snr_exits_infeasible(tmp_path, capsys, key, value):
+    # the SNR proxy underflows to 0: C3 admits no slot count
+    path = tmp_path / "faint.cfg"
+    path.write_text(f"{key} = {value}\n")
+    for argv in (["optimize"], _PROPOSED, _COMPARE):
+        assert main(argv + ["--config", str(path)]) == EXIT_INFEASIBLE, argv
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("infeasible: C3: "), argv
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     broken = tmp_path / "broken.cfg"
     broken.write_text("frame.n_slots = zero\n")

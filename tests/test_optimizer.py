@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from musalink.config import Scenario
+from musalink.config import Scenario, with_values
 from musalink.optimizer import (
     InfeasibleError,
     adaptive_slots,
@@ -69,6 +69,25 @@ def test_root_residual_and_monotone_bracket():
 def test_root_infeasible_at_low_sinr():
     with pytest.raises(InfeasibleError, match="C3"):
         solve_n_epsilon(0.01, 1e-5, B, T_F, D)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("power.p_max", 1e-320), ("channel.pathloss_coeff", 1e-320), ("channel.pathloss_exp", 1e6),
+])
+def test_zero_best_case_snr_is_c3(key, value):
+    # the SNR proxy underflows to 0: no slot count meets the target
+    cfg = with_values(reference_config(), {key: value})
+    assert max_snr_proxy(cfg) == 0.0
+    with pytest.raises(InfeasibleError, match="^C3: ") as info:
+        adaptive_slots(cfg)
+    assert info.value.constraint == "C3"
+    # at epsilon_max = 0.5 (z = 0) the closed form would read 0/0
+    for eps in (1e-5, 0.5):
+        with pytest.raises(InfeasibleError, match="^C3: slot count bound 0 "):
+            solve_n_epsilon(0.0, eps, B, T_F, D)
+    for gamma in (-1e-300, -1.0, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            solve_n_epsilon(gamma, 1e-5, B, T_F, D)
 
 
 def test_closed_form_relative_residual_and_half_target_c3():

@@ -704,7 +704,7 @@ def test_sweep_sinr_matches_scalar_oracle(n_subcarriers, sinr_rule):
         p[row, :depth[row]] = slot.powers[order]
         assert [device for device, _ in trace] == order[:len(trace)].tolist()
         expected.append([value for _, value in trace])
-    sinr = simulator._sweep_sinr(g, p, depth, sigma2, sinr_rule)
+    sinr = simulator._sweep_sinr(g * np.sqrt(p / sigma2)[:, :, None], depth, sinr_rule)
     assert sinr.shape == (len(slots), depth[0])
     assert not sinr[np.arange(depth[0]) >= depth[:, None]].any()  # zero past each row
     assert any(len(e) < d for e, d in zip(expected, depth))  # collided tails seen
