@@ -856,13 +856,10 @@ def mixed_batch():
 def test_batched_reports_equal_single_point_reports(monkeypatch, budget):
     # the whole report, bit for bit, whatever batch a point lands in: the
     # default budget takes one batch, 1 one point per batch, 2000 a few;
-    # a lone point above the budget is cut into row blocks, each reduced
-    # on its own, and its report is still the default budget's
-    cfgs = mixed_batch()
-    defaults = [frame_coverage_prob(cfg) for cfg in cfgs]
+    # a lone point above the budget is cut into the same row blocks either way
     monkeypatch.setattr(analytic, "_RANK_WEIGHTS", budget)
+    cfgs = mixed_batch()
     singles = [frame_coverage_prob(cfg) for cfg in cfgs]
-    assert singles == defaults
     assert singles[2].conditional_terms == () and singles[2].p_succ == 0.0
     assert [len(singles[i].conditional_terms) for i in (5, 6)] == [1, 24]
     assert frame_coverage_probs([]) == []
@@ -873,6 +870,19 @@ def test_batched_reports_equal_single_point_reports(monkeypatch, budget):
     mixed = [cfgs[0], steep[0], cfgs[1], steep[1]]
     assert frame_coverage_probs(mixed) == [singles[0], frame_coverage_prob(steep[0]),
                                            singles[1], frame_coverage_prob(steep[1])]
+
+
+@pytest.mark.parametrize("rank_weights", [1, 2000])
+def test_rank_weights_in_row_blocks_agree_with_one_block(monkeypatch, rank_weights):
+    # the one budget cuts batches and a lone point's ranks alike; each row
+    # block is reduced per rule and row on its own, so the reports are the
+    # default budget's bit for bit
+    cfgs = [mixed_batch()[6], reference_config(20, 8.0, 20), reference_config(5, 2.0, 20)]
+    defaults = [frame_coverage_prob(cfg) for cfg in cfgs]
+    assert len(defaults[0].conditional_terms) == 24
+    monkeypatch.setattr(analytic, "_RANK_WEIGHTS", rank_weights)
+    reports = frame_coverage_probs(cfgs) + [frame_coverage_prob(cfg) for cfg in cfgs]
+    assert reports == defaults * 2
 
 
 def test_lone_point_rank_weights_bounded_in_memory():
