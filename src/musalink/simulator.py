@@ -11,11 +11,12 @@ gives each device's slots, one ``integers`` call for the codes of its k
 packets sent, and one ``standard_normal`` call for their fading, the
 (2, k, J) real and imaginary parts.  A block of frames is drawn in one
 pass over its frames, each making only these calls; the argsort, radii
-and powers run once on the stacked block.  Estimates are therefore
-reproducible bit for bit regardless of how frames are distributed over
-workers or blocks.  ``_draw_block`` is the one draw the package ships;
-the per-frame laws it is tested against, ``sample_deployment`` and
-``assign_slots_codes``, are in ``tests/oracles.py``.
+and powers run once on the stacked block.  A worker returns its frames'
+exact integer sums as a ``FrameSums``, and the estimate is computed from
+that record alone, so it is the same bit for bit however frames are
+distributed over workers or blocks.  ``_draw_block`` is the one draw
+the package ships; the per-frame laws it is tested against,
+``sample_deployment`` and ``assign_slots_codes``, are in ``tests/oracles.py``.
 
 The receiver is batched: ``estimate_coverage`` decodes a block of frames
 at once.  Collisions are found with one ``unique`` over (slot, code)
@@ -39,12 +40,10 @@ Two SINR bookkeeping rules are available for the cancellation receiver:
     Signal and noise are the target's MMSE output; the interference is
     the sum of every other undecoded device's own MMSE output power
     (its diagonal term of W·H) in place of its leakage into the
-    target's output.  It bounds the exact post-MMSE SINR of
-    ``post_mmse`` neither way: with one subcarrier and a pool of 4 codes
-    it decodes more packets (0.085 against 0.069 at (n_active, lambda,
-    n_slots) = (20, 4, 20), 10 000 frames, seed 100), with the default
-    four subcarriers far fewer (0.507 against 0.985 at (10, 2, 20), 4000
-    frames).
+    target's output.  As the SNR γ grows, the first of m ≤ J
+    well-separated undecoded packets tends to a SINR of 1/(m - 1), where
+    ``post_mmse``'s grows with γ: at the default θ = 1 a remainder of 3
+    or 4 packets fails, and one of 2 is decided by an O(1/γ) term.
 
 ``post_mmse``
     Textbook post-detection SINR using the cross projections of the
@@ -201,6 +200,8 @@ def _draw_block(
     )
 
 
+# ‖u‖² = 0 only when h_t = 0, a packet that reaches no θ > 0: its 0/0 SINR fails
+@np.errstate(invalid="ignore")
 def _sweep_sinr(h: np.ndarray, depth: np.ndarray, sinr_rule: str) -> np.ndarray:
     """SINR of every cancellation iteration of B slot rows, in one sweep.
 
@@ -222,7 +223,8 @@ def _sweep_sinr(h: np.ndarray, depth: np.ndarray, sinr_rule: str) -> np.ndarray:
 
     ``conservative``
         s² / (δ²·Σ_{i>t} q_i² + ‖u‖²), where q_i = h_iᴴR_t⁻¹h_i is kept
-        by q_i -= |uᴴh_i|²/δ;
+        by q_i -= |uᴴh_i|²/δ; as γ grows, column 0 of m separable
+        packets tends to 1/(m - 1), each q_i to 1;
     ``post_mmse``
         s² / (Σ_{i>t} |uᴴh_i|² + ‖u‖²).
 
@@ -341,44 +343,64 @@ class CoverageEstimate:
     n_slots: int          # slots per frame the scheme ran (optimizer.scheme_slots)
 
 
+class FrameSums(NamedTuple):
+    """Exact integer sums over frames, g and d the packets generated and decoded per frame."""
+    frames: int = 0
+    generated: int = 0    # Σg
+    decoded: int = 0      # Σd
+    dropped: int = 0
+    gg: int = 0           # Σg²
+    dd: int = 0           # Σd²
+    gd: int = 0           # Σgd
+    collided: int = 0
+    below: int = 0
+    blocked: int = 0
+
+    def __add__(self, other: FrameSums) -> FrameSums:
+        return FrameSums(*(a + int(b) for a, b in zip(self, other)))  # numpy ints become exact ints
+
+    def estimate(self, n_slots: int) -> CoverageEstimate:
+        """The ratio D/G and its 95% halfwidth with frames as the iid unit.
+
+        Var = n/(n-1) * Σ(d_i - p g_i)² / G² with p = D/G; the residual sum
+        scaled by G², G²Σd² - 2GDΣgd + D²Σg², is exact in integers.  Both
+        are NaN without a packet, the halfwidth for one frame too.
+        """
+        n, g, d = self.frames, self.generated, self.decoded
+        p_hat = d / g if g else math.nan
+        ci = math.nan
+        if g and n > 1:
+            residual = g * g * self.dd - 2 * g * d * self.gd + d * d * self.gg
+            ci = 1.96 * math.sqrt(n / (n - 1) * residual) / (g * g)
+        return CoverageEstimate(
+            p_hat=p_hat, ci_halfwidth=ci, packets_generated=g, packets_decoded=d,
+            packets_dropped=self.dropped, collision_failures=self.collided,
+            threshold_failures=self.below, blocked_failures=self.blocked, n_slots=n_slots)
+
+
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(frame_index,))
     )
 
 
-def _coverage_worker(args) -> tuple[int, ...]:
-    """Frame sums over frames [start, stop), drawn and decoded ``size`` at a time.
-
-    Returns (Σg, Σd, dropped, Σg², Σd², Σgd, collided, below threshold,
-    blocked) with g and d the packets generated and decoded per frame,
-    all exact integers.
-    """
-    cfg, scheme, seed, start, stop, n_slots, size, sinr_rule = args
-    sums = [0] * 9
-    for lo in range(start, stop, size):
-        rngs = [_frame_rng(seed, i) for i in range(lo, min(lo + size, stop))]
-        block = _draw_block(cfg, scheme, rngs, n_slots)
-        outcomes = _decode_block(cfg, block, sinr_rule)
-        g = block.counts.sum(axis=1)
-        d = outcomes[:, 0]
-        values = (g.sum(), d.sum(), g.sum() - len(block.device), g @ g, d @ d, g @ d,
-                  *outcomes[:, 1:].sum(axis=0))
-        for i, v in enumerate(values):
-            sums[i] += int(v)
-    return tuple(sums)
-
-
-def _clustered_ci(n: int, g: int, d: int, gg: int, dd: int, gd: int) -> float:
-    """95% halfwidth of the ratio estimator d/g over n iid frames.
-
-    Var = n/(n-1) * Σ(d_i - p g_i)² / G² with p = D/G; the residual sum
-    scaled by G², G²Σd² - 2GDΣgd + D²Σg², is exact in integers.
-    """
-    if n < 2:
-        return math.nan
-    residual = g * g * dd - 2 * g * d * gd + d * d * gg
-    return 1.96 * math.sqrt(n / (n - 1) * residual) / (g * g)
+def _coverage_worker(cfg, scheme, seed, n_slots, size, sinr_rule, errors,
+                     frames: range) -> FrameSums:
+    """Sums over ``frames``, ``size`` a block, under the caller's ``np.geterr()``
+    ``errors``: a spawned or forkserver worker starts at numpy's defaults."""
+    sums = FrameSums()
+    with np.errstate(**errors):
+        for lo in range(0, len(frames), size):
+            rngs = [_frame_rng(seed, i) for i in frames[lo:lo + size]]
+            block = _draw_block(cfg, scheme, rngs, n_slots)
+            outcomes = _decode_block(cfg, block, sinr_rule)
+            g = block.counts.sum(axis=1)
+            d, collided, below, blocked = outcomes.T
+            sums += FrameSums(
+                frames=len(rngs), generated=g.sum(), decoded=d.sum(),
+                dropped=g.sum() - len(block.device), gg=g @ g, dd=d @ d, gd=g @ d,
+                collided=collided.sum(), below=below.sum(), blocked=blocked.sum())
+    return sums
 
 
 def estimate_coverage(
@@ -391,16 +413,14 @@ def estimate_coverage(
 ) -> CoverageEstimate:
     """Empirical coverage over independent frames.
 
-    Frame i draws its stream from (seed, i), so the result is identical
-    for any worker count or chunking.  The confidence halfwidth is the
-    95% normal approximation of the ratio estimator with frames as the
-    iid unit (packets of one frame share its deployment and traffic).
-    The estimate and its halfwidth are NaN when no packet was generated;
-    the halfwidth is NaN for a single frame too.  The scheme's slot count
-    is derived once per estimate and reported as ``n_slots``; each block
-    reads the per-packet power and the code pool from ``cfg`` itself.
-    A frame that costs more than ``_FRAME_DRAWS`` doubles, or a code pool
-    that holds more, raises ``ConfigError`` before any draw.
+    Frame i draws its stream from (seed, i), and each worker returns the
+    exact ``FrameSums`` of its frames, so the result, computed by
+    ``FrameSums.estimate`` from their sum, is identical for any worker
+    count or chunking.  The scheme's slot count is derived once per
+    estimate and reported as ``n_slots``; each block reads the
+    per-packet power and the code pool from ``cfg`` itself.  A frame
+    that costs more than ``_FRAME_DRAWS`` doubles, or a code pool that
+    holds more, raises ``ConfigError`` before any draw.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
@@ -426,33 +446,13 @@ def estimate_coverage(
     size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // cost))
 
     chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
-    tasks = [
-        (cfg, scheme, seed, start, min(start + chunk, n_frames), n_slots, size, sinr_rule)
-        for start in range(0, n_frames, chunk)
-    ]
+    tasks = [range(n_frames)[lo:lo + chunk] for lo in range(0, n_frames, chunk)]
+    work = functools.partial(_coverage_worker, cfg, scheme, seed, n_slots, size, sinr_rule,
+                             np.geterr())
     workers = min(n_workers, len(tasks))
     if workers <= 1:
-        parts = [_coverage_worker(task) for task in tasks]
+        parts = map(work, tasks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            parts = list(pool_exec.map(_coverage_worker, tasks))
-    generated, decoded, dropped, gg, dd, gd, collided, below, blocked = (
-        sum(col) for col in zip(*parts)
-    )
-
-    if generated == 0:
-        p_hat = ci = math.nan
-    else:
-        p_hat = decoded / generated
-        ci = _clustered_ci(n_frames, generated, decoded, gg, dd, gd)
-    return CoverageEstimate(
-        p_hat=p_hat,
-        ci_halfwidth=ci,
-        packets_generated=generated,
-        packets_decoded=decoded,
-        packets_dropped=dropped,
-        collision_failures=collided,
-        threshold_failures=below,
-        blocked_failures=blocked,
-        n_slots=n_slots,
-    )
+            parts = list(pool_exec.map(work, tasks))
+    return sum(parts, FrameSums()).estimate(n_slots)

@@ -844,6 +844,21 @@ def test_zero_best_case_snr_exits_infeasible(tmp_path, capsys, key, value):
         assert len(err.splitlines()) == 1 and err.startswith("infeasible: C3: "), argv
 
 
+@pytest.mark.parametrize("key, value", [
+    ("power.p_max", "1e-320"), ("channel.pathloss_coeff", "1e-320"), ("channel.pathloss_exp", "1e6"),
+])
+def test_zero_snr_packets_fail_without_a_warning(tmp_path, capsys, key, value):
+    # every SNR is 0: a slot of two or more packets reads a 0/0 SINR, which
+    # fails the threshold as a packet with h = 0 must, with no warning
+    path = tmp_path / "faint.cfg"
+    path.write_text(f"{key} = {value}\n")
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--config", str(path), "--trials", "20", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().splitlines()[1] == "baseline,20,1,0,0,794,0,0,16,355,423,20"
+    assert capsys.readouterr().err == ""
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     broken = tmp_path / "broken.cfg"
     broken.write_text("frame.n_slots = zero\n")

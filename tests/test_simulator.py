@@ -1,7 +1,10 @@
 """Link-level simulator: sampling laws, receiver micro-oracles, determinism."""
 
+import functools
 import math
+import multiprocessing
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -479,6 +482,20 @@ def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
     assert three == estimate_coverage(cfg, Scheme.BASELINE, 3, seed=9)
 
 
+def test_workers_keep_the_callers_floating_point_rules(monkeypatch):
+    # a spawned worker starts at numpy's default rules, where an overflow only
+    # warns: the caller's rules reach it with its arguments, not by fork
+    spawn = functools.partial(ProcessPoolExecutor,
+                              mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", spawn)
+    cfg = default_config()
+    cfg = replace(cfg, power=replace(cfg.power, p_max=1e300),
+                  channel=replace(cfg.channel, noise_power=1e-300))
+    for workers in (1, 2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            estimate_coverage(cfg, Scheme.BASELINE, 4, seed=1, n_workers=workers)
+
+
 def test_schemes_coincide_outside_an_emergency():
     # one packet per device: PROPOSED keeps the configured slots, and
     # p_max / 1 (TPDS), p_max (NAS) and p_max / rho_max_proxy() agree
@@ -710,6 +727,28 @@ def test_sweep_sinr_matches_scalar_oracle(n_subcarriers, sinr_rule):
     assert any(len(e) < d for e, d in zip(expected, depth))  # collided tails seen
     for row, want in enumerate(expected):
         np.testing.assert_allclose(sinr[row, :len(want)], want, rtol=1e-9, atol=1e-21)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_conservative_sinr_tends_to_one_over_m_minus_one(m):
+    """At high SNR the first of m separable packets reads 1/(m - 1) under ``conservative``.
+
+    Each packet's own MMSE output tends to 1 and its noise term to 0, and
+    the rule charges every other undecoded packet's own output as
+    interference, whatever the geometry; ``post_mmse`` gives orthogonal
+    channels their SNR.  So at θ = 1 a remainder of 3 or 4 packets fails
+    and one of 2 ties, decided by an O(1/γ) term.
+    """
+    gamma = 1e8
+    orthogonal = math.sqrt(gamma) * np.eye(4, dtype=complex)[:m]
+    z = np.random.default_rng(1).standard_normal((2, m, 4))
+    drawn = math.sqrt(gamma / 2) * (z[0] + 1j * z[1])  # CN(0, γ) per entry
+    depth = np.array([m])
+    for h in (orthogonal, drawn):
+        sinr = simulator._sweep_sinr(h[None], depth, "conservative")
+        assert sinr[0, 0] == pytest.approx(1 / (m - 1), rel=1e-6)
+    post = simulator._sweep_sinr(orthogonal[None], depth, "post_mmse")
+    assert post[0, 0] == pytest.approx(gamma, rel=1e-6)
 
 
 def test_estimate_coverage_makes_no_linear_solve(monkeypatch):
