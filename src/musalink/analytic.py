@@ -19,9 +19,12 @@ one pair of rules for that weight, with n = 16 + floor(K/2) and 2n
 nodes (:func:`_gauss_jacobi`: one tridiagonal eigenvalue solve per rule
 and one Newton step), serves all ranks, and the coverage kernel is
 evaluated once on its nodes (:func:`_ranks_coverages`).  The difference
-between the n- and 2n-node sums is the reported quadrature error.
+between the n- and 2n-node sums is reported as the quadrature error
+estimate: an estimate, not a bound, which can understate the error.
 The tests check both against an adaptive Simpson oracle kept outside
-the package, in ``tests/simpson.py``.
+the package, in ``tests/simpson.py``.  A point of more than
+``_POINT_WEIGHTS`` rank weights is refused with ``ConfigError`` before
+any rule is built.
 
 A sweep is evaluated in batches (:func:`frame_coverage_probs`; a single
 point is the one-point batch, :func:`frame_coverage_prob`).  A batch is
@@ -55,7 +58,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import ConfigError, SystemConfig
 
 __all__ = [
     "QuadratureError",
@@ -76,6 +79,11 @@ _OUTER_NODES = 16
 # arrays stay at a few MB.  A batch of points holds at most this many; a
 # point with more is evaluated alone, its weights built this many at a time.
 _RANK_WEIGHTS = 1 << 16
+# Rank weights K·3n one point may need in all: a point with more is refused
+# (ConfigError) before any rule is built.  2^28 admits J = 8 with a pool of
+# 65 536 codes at n_active = 1e6 (9 456 ranks, 1.35e8 weights); J = 10 with
+# 1e6 codes at n_active = 1e7 would need 1.1e11.
+_POINT_WEIGHTS = 1 << 28
 
 
 class QuadratureError(RuntimeError):
@@ -110,7 +118,9 @@ class CoverageReport:
     p_lambda: float
     p_cf: float
     conditional_terms: tuple[float, ...]  # per-rank conditional coverage
-    quadrature_error_estimate: float  # sum over ranks of |2n-node - n-node| sums
+    # sum over ranks of |2n-node - n-node| sums: an estimate that can
+    # understate the error, not a bound
+    quadrature_error_estimate: float
 
 
 # ----------------------------------------------------------------------------
@@ -281,8 +291,21 @@ def _gauss_jacobi(a, n):
 
 
 def _rule_size(n_singleton: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rank counts K = ceil(n_singleton) and base node counts n of the rule pairs."""
-    n_ranks = np.ceil(n_singleton).astype(np.int64)
+    """Rank counts K = ceil(n_singleton) and base node counts n of the rule pairs.
+
+    Raises ``ConfigError`` for a point of more than ``_POINT_WEIGHTS`` rank
+    weights K·3n, counted in floats, which do not overflow.
+    """
+    n_ranks = np.ceil(n_singleton)
+    weights = n_ranks * 3 * (_OUTER_NODES + n_ranks // 2)
+    if weights.size and weights.max() > _POINT_WEIGHTS:
+        p = int(np.argmax(weights))
+        raise ConfigError(
+            f"an analytic point of n_singleton = {n_singleton[p]:.6g} needs"
+            f" K * 3n = {weights[p]:.6g} rank weights,"
+            f" above the {_POINT_WEIGHTS} a point may hold"
+        )
+    n_ranks = n_ranks.astype(np.int64)
     return n_ranks, _OUTER_NODES + n_ranks // 2
 
 

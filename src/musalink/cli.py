@@ -81,7 +81,7 @@ _MANIFEST_FIELDS = (
     "n_slots",
 )
 
-# the most values a numeric list on the command line may hold
+# the most values a numeric list on the command line, or validate's grid, may hold
 _MAX_RANGE_POINTS = 100_000
 
 
@@ -337,6 +337,12 @@ def cmd_compare(args) -> int:
 def cmd_validate(args) -> int:
     cfg = _read_config(args.config)
     _check_read(cfg, "traffic.lambda", "--lambdas", args.lambdas)
+    cells = len(args.n_active) * len(args.lambdas)
+    if cells > _MAX_RANGE_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"--n-active and --lambdas make a grid of {cells} points,"
+            f" more than the {_MAX_RANGE_POINTS} a grid may hold"
+        )
     workers = _workers()
     grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
     cfgs = [with_values(cfg, {"traffic.n_active": na, "traffic.lambda": lam})

@@ -14,12 +14,12 @@ scheme takes its slot count from the configured rate (``scheme_slots``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable
 
 from .analytic import frame_coverage_probs
-from .config import Scenario, Scheme, SystemConfig, validate_config
+from .config import Scenario, Scheme, SystemConfig, validate_config, with_values
 from .shortpacket import LN2, error_prob_ln_form, max_snr_proxy
 
 __all__ = [
@@ -181,9 +181,7 @@ def brute_force_slots(
         raise InfeasibleError(
             "C2", f"no requested slot count falls in the feasible range [{lo}, {hi}]"
         )
-    reports = frame_coverage_probs(
-        replace(cfg, frame=replace(cfg.frame, n_slots=n)) for n in candidates
-    )
+    reports = frame_coverage_probs(with_values(cfg, {"frame.n_slots": n}) for n in candidates)
     curve = [(n, report.p_succ) for n, report in zip(candidates, reports)]
     best_n, best_p = max(curve, key=lambda item: (item[1], -item[0]))
     return BruteForceResult(best_n=best_n, best_p=best_p, curve=tuple(curve))

@@ -2,7 +2,10 @@
 
 Samples device deployments, bursty traffic, slot and spreading-code
 choices and per-subcarrier Rayleigh fading, then runs the successive
-interference cancellation receiver on every occupied slot.
+interference cancellation receiver on every occupied slot.  A run's
+config carries the slots its scheme runs: ``estimate_coverage`` resolves
+the scheme's slot rule (``optimizer.scheme_slots``) into
+``frame.n_slots`` once, and every step after reads it there.
 
 Frame i draws from its own stream, seeded by (seed, i), in a fixed
 order: packet counts (emergency only), then one ``random`` call holding
@@ -55,13 +58,14 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import ConfigError, Scheme, SystemConfig
+from .config import ConfigError, Scheme, SystemConfig, with_values
 from .optimizer import scheme_slots
 
 __all__ = [
@@ -158,10 +162,8 @@ class _Block(NamedTuple):
     fading: np.ndarray    # (N, J) complex CN(0, 1) per packet and subcarrier
 
 
-def _draw_block(
-    cfg: SystemConfig, scheme: Scheme, rngs: list[np.random.Generator], n_slots: int
-) -> _Block:
-    """Draw a block of frames, frame f from ``rngs[f]``.
+def _draw_block(cfg: SystemConfig, scheme: Scheme, rngs: list[np.random.Generator]) -> _Block:
+    """Draw a block of frames, frame f from ``rngs[f]``, S = ``cfg.frame.n_slots`` slots each.
 
     Each frame makes its generator calls in the order the module
     docstring states, sized by its own k = Σ min(count, S) packets.
@@ -169,7 +171,7 @@ def _draw_block(
     per-frame laws in ``tests/oracles.py`` (``sample_deployment`` then
     ``assign_slots_codes``) read the same doubles in the same order.
     """
-    n, j = cfg.traffic.n_active, cfg.frame.n_subcarriers
+    n, j, n_slots = cfg.traffic.n_active, cfg.frame.n_subcarriers, cfg.frame.n_slots
     counts = np.empty((len(rngs), n), dtype=np.int64)
     u = np.empty((len(rngs), n * (1 + n_slots)))  # per frame: radii, then (n, S) keys
     codes, normals = [], []
@@ -384,15 +386,21 @@ def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
     )
 
 
-def _coverage_worker(cfg, scheme, seed, n_slots, size, sinr_rule, errors,
-                     frames: range) -> FrameSums:
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _coverage_worker(cfg, scheme, seed, size, sinr_rule, errors, frames: range) -> FrameSums:
     """Sums over ``frames``, ``size`` a block, under the caller's ``np.geterr()``
     ``errors``: a spawned or forkserver worker starts at numpy's defaults."""
     sums = FrameSums()
     with np.errstate(**errors):
         for lo in range(0, len(frames), size):
             rngs = [_frame_rng(seed, i) for i in frames[lo:lo + size]]
-            block = _draw_block(cfg, scheme, rngs, n_slots)
+            block = _draw_block(cfg, scheme, rngs)
             outcomes = _decode_block(cfg, block, sinr_rule)
             g = block.counts.sum(axis=1)
             d, collided, below, blocked = outcomes.T
@@ -413,11 +421,13 @@ def estimate_coverage(
 ) -> CoverageEstimate:
     """Empirical coverage over independent frames.
 
-    Frame i draws its stream from (seed, i), and each worker returns the
+    The scheme's slot rule is resolved once into the run's config, whose
+    ``frame.n_slots`` the frame cost, the block size, the draws and the
+    reported ``n_slots`` all read.  Frame i draws its stream from (seed, i), and each worker returns the
     exact ``FrameSums`` of its frames, so the result, computed by
     ``FrameSums.estimate`` from their sum, is identical for any worker
-    count or chunking.  The scheme's slot count is derived once per
-    estimate and reported as ``n_slots``; each block reads the
+    count or chunking.  At most as many workers start as this process
+    may use CPUs, and as there are tasks.  Each block reads the
     per-packet power and the code pool from ``cfg`` itself.  A frame
     that costs more than ``_FRAME_DRAWS`` doubles, or a code pool that
     holds more, raises ``ConfigError`` before any draw.
@@ -425,8 +435,8 @@ def estimate_coverage(
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     _check_sinr_rule(sinr_rule)
-    n_slots = scheme_slots(cfg, scheme)
-    n, j = cfg.traffic.n_active, cfg.frame.n_subcarriers
+    cfg = with_values(cfg, {"frame.n_slots": scheme_slots(cfg, scheme)})
+    n, j, n_slots = cfg.traffic.n_active, cfg.frame.n_subcarriers, cfg.frame.n_slots
     draws = n * (1 + n_slots)
     cost = draws + 2 * j * n_slots * (2 * n + j)
     if cost > _FRAME_DRAWS:
@@ -445,10 +455,11 @@ def estimate_coverage(
         )
     size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // cost))
 
+    if n_workers > 1:  # a pool starts all its processes at the first task
+        n_workers = min(n_workers, _usable_cpus())
     chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
     tasks = [range(n_frames)[lo:lo + chunk] for lo in range(0, n_frames, chunk)]
-    work = functools.partial(_coverage_worker, cfg, scheme, seed, n_slots, size, sinr_rule,
-                             np.geterr())
+    work = functools.partial(_coverage_worker, cfg, scheme, seed, size, sinr_rule, np.geterr())
     workers = min(n_workers, len(tasks))
     if workers <= 1:
         parts = map(work, tasks)

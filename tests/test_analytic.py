@@ -15,7 +15,7 @@ from musalink.analytic import (
     frame_coverage_probs,
     slot_statistics,
 )
-from musalink.config import Scenario, TrafficParams
+from musalink.config import ConfigError, Scenario, TrafficParams
 
 from conftest import reference_config
 from oracles import (
@@ -897,6 +897,38 @@ def test_lone_point_rank_weights_bounded_in_memory():
         tracemalloc.stop()
     assert len(report.conditional_terms) == math.ceil(report.n_singleton) > 2900
     assert peak < 64 * 2**20
+
+
+def rank_weights(report):
+    """Rank weights K·3n of a report's point: K ranks, n = 16 + floor(K/2)."""
+    k = len(report.conditional_terms)
+    return k * 3 * (analytic._OUTER_NODES + k // 2)
+
+
+def no_rule(*args, **kwargs):
+    raise AssertionError("a rule was built")
+
+
+def test_point_weight_cap_admits_a_point_at_the_cap(monkeypatch):
+    cfg = mixed_batch()[6]
+    reference = frame_coverage_prob(cfg)
+    monkeypatch.setattr(analytic, "_POINT_WEIGHTS", rank_weights(reference))
+    assert frame_coverage_prob(cfg) == reference
+
+
+def test_point_above_the_weight_cap_is_refused(monkeypatch):
+    # refused before any point's rule is built, the sweep's earlier points too
+    cfgs = mixed_batch()
+    reference = frame_coverage_prob(cfgs[6])
+    weights = rank_weights(reference)
+    assert max(rank_weights(frame_coverage_prob(cfg)) for cfg in cfgs[:6]) < weights
+    monkeypatch.setattr(analytic, "_POINT_WEIGHTS", weights - 1)
+    monkeypatch.setattr(analytic, "_gauss_jacobi", no_rule)
+    stated = (f"n_singleton = {reference.n_singleton:.6g} needs K \\* 3n = {weights} rank"
+              f" weights, above the {weights - 1} a point may hold")
+    for points in ([cfgs[6]], cfgs[:7]):
+        with pytest.raises(ConfigError, match=stated):
+            frame_coverage_probs(points)
 
 
 def test_sweep_batches_bounded_in_memory():

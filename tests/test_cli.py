@@ -445,6 +445,36 @@ def test_frame_too_large_to_draw_exit_code(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("config error: one frame draws n_active")
 
 
+def test_validate_grid_above_the_cap_usage_error(monkeypatch, capsys):
+    # each list holds at most 100 000 values, and so does their product:
+    # 400 x 251 cells are refused before any config, estimate or analytic
+    def no_run(*args, **kwargs):
+        raise AssertionError("a grid point was run")
+
+    monkeypatch.setattr(cli, "estimate_coverage", no_run)
+    monkeypatch.setattr(cli, "frame_coverage_probs", no_run)
+    monkeypatch.setattr(cli, "with_values", no_run)
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--n-active", "1:400:1", "--lambdas", "2:10:0.032", "--trials", "1"])
+    assert info.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == ("musalink: error: --n-active and --lambdas make a grid"
+                                    " of 100400 points, more than the 100000 a grid may hold")
+
+
+def test_analytic_point_of_too_many_rank_weights_exit_code(tmp_path, capsys):
+    # 270 671 singleton ranks need 1.1e11 rank weights: refused at once,
+    # where the evaluation ran on past 15 s
+    wide = tmp_path / "widepool.cfg"
+    wide.write_text("frame.n_subcarriers = 10\nframe.code_pool_size = 1000000\n"
+                    "traffic.n_active = 10000000\n")
+    assert main(["analytic", "--config", str(wide)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: an analytic point of n_singleton = 270671 needs K * 3n ="
+        " 1.09907e+11 rank weights, above the 268435456 a point may hold\n"
+    )
+
+
 @pytest.mark.parametrize("key", ["traffic.n_active", "frame.n_slots", "frame.code_pool_size"])
 def test_int_key_beyond_int64_exit_code(tmp_path, capsys, key):
     # a 401-digit value is beyond float range: refused on load, not by an

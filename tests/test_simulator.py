@@ -3,6 +3,7 @@
 import functools
 import math
 import multiprocessing
+import os
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -14,7 +15,7 @@ from scipy import stats as sps
 from musalink.analytic import slot_statistics
 from musalink import simulator
 from musalink.config import (
-    ConfigError, Scenario, Scheme, SystemConfig, TrafficParams, default_config,
+    ConfigError, Scenario, Scheme, SystemConfig, TrafficParams, default_config, with_values,
 )
 from musalink.optimizer import adaptive_slots, scheme_slots
 from musalink.simulator import (
@@ -357,12 +358,18 @@ def test_sic_post_mmse_rule_is_more_permissive():
 #  Frames and schemes
 # ----------------------------------------------------------------------------
 
+def run_config(cfg, scheme):
+    """``cfg`` carrying the scheme's slot count, as ``estimate_coverage`` runs it."""
+    return with_values(cfg, {"frame.n_slots": scheme_slots(cfg, scheme)})
+
+
 def decode_frame(cfg, scheme, rng, sinr_rule="conservative"):
     """One frame's block drawn from ``rng`` at the scheme's slot count, and
     its [decoded, collided, below threshold, blocked] packet counts.
     """
-    block = _draw_block(cfg, scheme, [rng], scheme_slots(cfg, scheme))
-    return block, _decode_block(cfg, block, sinr_rule)[0]
+    run = run_config(cfg, scheme)
+    block = _draw_block(run, scheme, [rng])
+    return block, _decode_block(run, block, sinr_rule)[0]
 
 
 def test_vacuous_frame():
@@ -454,12 +461,10 @@ def test_estimate_coverage_worker_invariance():
     assert serial == parallel
 
 
-def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
-    made = []
+def recording_pool(made):
+    """A pool that records its worker count in ``made`` and maps in-process."""
 
     class RecordingPool:
-        """Records its worker count and maps in-process."""
-
         def __init__(self, max_workers):
             made.append(max_workers)
 
@@ -472,7 +477,13 @@ def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
+    made = []
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording_pool(made))
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 8)
     cfg = reference_config(n_active=10, lam=4.0)
     one = estimate_coverage(cfg, Scheme.BASELINE, 1, seed=9, n_workers=4)
     assert made == []
@@ -482,12 +493,31 @@ def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
     assert three == estimate_coverage(cfg, Scheme.BASELINE, 3, seed=9)
 
 
+def test_estimate_coverage_forks_no_more_workers_than_cpus(monkeypatch):
+    # a pool starts all its workers at the first task, one per task once the
+    # count passes a quarter of the frames: capped at the CPUs before chunking
+    made = []
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording_pool(made))
+    probes = []
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: probes.append(1) or 3)
+    cfg = reference_config(n_active=10, lam=4.0)
+    serial = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9)
+    assert probes == []  # one worker asked for: no probe
+    assert estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9, n_workers=10**6) == serial
+    assert made == [3] and probes == [1]
+
+
+def test_usable_cpus_is_a_positive_count():
+    assert 1 <= simulator._usable_cpus() <= (os.cpu_count() or 1)
+
+
 def test_workers_keep_the_callers_floating_point_rules(monkeypatch):
     # a spawned worker starts at numpy's default rules, where an overflow only
     # warns: the caller's rules reach it with its arguments, not by fork
     spawn = functools.partial(ProcessPoolExecutor,
                               mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", spawn)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)  # spawns on a 1-CPU host too
     cfg = default_config()
     cfg = replace(cfg, power=replace(cfg.power, p_max=1e300),
                   channel=replace(cfg.channel, noise_power=1e-300))
@@ -765,9 +795,9 @@ def test_estimate_coverage_makes_no_linear_solve(monkeypatch):
 
 def test_decode_block_independent_of_block_composition():
     cfg, scheme = parity_cases()[0]
-    n_slots = scheme_slots(cfg, scheme)
-    frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)], n_slots) for i in range(20)]
-    block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)], n_slots)
+    cfg = run_config(cfg, scheme)
+    frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)]) for i in range(20)]
+    block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)])
     together = _decode_block(cfg, block, "conservative")
     alone = np.vstack([_decode_block(cfg, f, "conservative") for f in frames])
     assert together.shape == (20, 4)
@@ -808,13 +838,14 @@ def block_draw_cases():
 @pytest.mark.parametrize("case", range(5))
 def test_block_draw_matches_per_frame_oracle(case, n_frames):
     cfg, scheme, must_see = block_draw_cases()[case]
-    n_slots = scheme_slots(cfg, scheme)
+    run = run_config(cfg, scheme)
+    n_slots = run.frame.n_slots
     n = cfg.traffic.n_active
     seen = dict(dropped=0, empty_frames=0, silent_devices=0)
     for first in range(0, 21, n_frames):
         frames = range(first, first + n_frames)
         block_rngs = [_frame_rng(17, i) for i in frames]
-        block = _draw_block(cfg, scheme, block_rngs, n_slots)
+        block = _draw_block(run, scheme, block_rngs)
         frame_of = block.device // n
         for f, i in enumerate(frames):
             rng = _frame_rng(17, i)
@@ -853,9 +884,9 @@ def test_estimate_coverage_invariant_to_block_size(monkeypatch):
     sizes = []
     draw_block = simulator._draw_block
 
-    def recording(cfg, scheme, rngs, n_slots):
+    def recording(cfg, scheme, rngs):
         sizes.append(len(rngs))
-        return draw_block(cfg, scheme, rngs, n_slots)
+        return draw_block(cfg, scheme, rngs)
 
     monkeypatch.setattr(simulator, "_draw_block", recording)
     assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
