@@ -65,6 +65,7 @@ __all__ = [
     "SlotStatistics",
     "CoverageReport",
     "slot_statistics",
+    "check_point_budget",
     "frame_coverage_prob",
     "frame_coverage_probs",
 ]
@@ -307,6 +308,13 @@ def _rule_size(n_singleton: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     n_ranks = n_ranks.astype(np.int64)
     return n_ranks, _OUTER_NODES + n_ranks // 2
+
+
+def check_point_budget(cfgs: Iterable[SystemConfig]) -> None:
+    """Raise the ``ConfigError`` :func:`frame_coverage_probs` raises for a
+    point of more than ``_POINT_WEIGHTS`` rank weights, from the slot
+    statistics alone, before anything is evaluated."""
+    _rule_size(np.array([slot_statistics(cfg).n_singleton for cfg in cfgs]))
 
 
 def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]]:

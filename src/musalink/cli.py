@@ -43,7 +43,7 @@ import time
 
 import numpy as np
 
-from .analytic import QuadratureError, frame_coverage_probs
+from .analytic import QuadratureError, check_point_budget, frame_coverage_probs
 from .config import (
     ConfigError,
     Scheme,
@@ -347,7 +347,10 @@ def cmd_validate(args) -> int:
     grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
     cfgs = [with_values(cfg, {"traffic.n_active": na, "traffic.lambda": lam})
             for na, lam in grid]
-    # the simulator refuses a frame too large to draw before the analytics run
+    # a point the analytics would refuse is refused before anything is
+    # simulated; the simulator refuses a frame too large to draw before the
+    # analytics run
+    check_point_budget(cfgs)
     ests = [estimate_coverage(c, Scheme.BASELINE, args.trials, args.seed, n_workers=workers)
             for c in cfgs]
     rows = []

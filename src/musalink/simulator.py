@@ -7,32 +7,42 @@ config carries the slots its scheme runs: ``estimate_coverage`` resolves
 the scheme's slot rule (``optimizer.scheme_slots``) into
 ``frame.n_slots`` once, and every step after reads it there.
 
-Frame i draws from its own stream, seeded by (seed, i), in a fixed
-order: packet counts (emergency only), then one ``random`` call holding
-the radii and the (n_devices, n_slots) slot keys whose row-wise argsort
-gives each device's slots, one ``integers`` call for the codes of its k
-packets sent, and one ``standard_normal`` call for their fading, the
-(2, k, J) real and imaginary parts.  A block of frames is drawn in one
-pass over its frames, each making only these calls; the argsort, radii
-and powers run once on the stacked block.  A worker returns its frames'
-exact integer sums as a ``FrameSums``, and the estimate is computed from
-that record alone, so it is the same bit for bit however frames are
-distributed over workers or blocks.  ``_draw_block`` is the one draw
-the package ships; the per-frame laws it is tested against,
-``sample_deployment`` and ``assign_slots_codes``, are in ``tests/oracles.py``.
+Frame i draws from its own stream, the one
+``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``
+starts, in a fixed order: packet counts (emergency only), then one
+``random`` call holding the radii and the (n_devices, n_slots) slot keys
+whose row-wise argsort gives each device's slots, one ``integers`` call
+for the codes of its k packets sent, and one ``standard_normal`` call
+for their fading, the (2, k, J) real and imaginary parts.  A worker
+builds no generator per frame: ``_FrameStreams`` keeps one ``PCG64``
+and sets it to each frame's start state, computed from the run's
+SeedSequence pool by the arithmetic of SeedSequence and PCG64 seeding
+(``frame_rng`` in ``tests/oracles.py`` states the stream the direct
+way).  A block of frames is drawn in one pass over its frames, each
+making only these calls; the argsort, radii and powers run once on the
+stacked block.  A worker returns its frames' exact integer sums as a
+``FrameSums``, and the estimate is computed from that record alone, so
+it is the same bit for bit however frames are distributed over workers
+or blocks.  ``_draw_block`` is the one draw the package ships; the
+per-frame laws it is tested against, ``sample_deployment`` and
+``assign_slots_codes``, are in ``tests/oracles.py``.
 
 The receiver is batched: ``estimate_coverage`` decodes a block of frames
-at once.  Collisions are found with one ``unique`` over (slot, code)
-keys; each occupied slot becomes a row of packets, singletons nearest
-first and collided packets last, and iteration t of a slot tests its
-column t against the undecoded set of columns t..K-1.  The receiver
-works in units of the noise: an MMSE SINR depends on the powers and the
-noise only through each packet's SNR, so every channel is scaled once
-to h = √(p/σ²)·g.  By the push-through identity W = Hᴴ(HHᴴ + I)⁻¹ a
-set needs the inverse of one J x J matrix, and the sets of a row grow
-by one column as t falls, so one backward sweep over t from R⁻¹ = I, a
+at once.  Collisions are found with one stable argsort of the (slot,
+code) keys; each occupied slot becomes a row of packets, singletons
+nearest first and collided packets last, and iteration t of a slot
+tests its column t against the undecoded set of columns t..K-1.  The
+rows are laid out batch-last, (depth, J, rows), so every step of the
+sweep below runs over contiguous runs of rows, and each row's counts
+are summed into its frame by ``bincount``.  The receiver works in units
+of the noise: an MMSE SINR depends on the powers and the noise only
+through each packet's SNR, so every channel is scaled once to
+h = √(p/σ²)·g.  By the push-through identity W = Hᴴ(HHᴴ + I)⁻¹ a set
+needs the inverse of one J x J matrix, and the sets of a row grow by
+one column as t falls, so one backward sweep over t from R⁻¹ = I, a
 Sherman-Morrison update per step run over all rows at once, gives the
-SINR of every iteration of every slot without a linear solve.  This is
+SINR of every iteration of every slot without a linear solve.  The
+sweep takes one step per packet of the block's deepest slot.  This is
 the one receiver the package ships; the scalar one-slot receiver it is
 tested against, an m x m solve per cancellation step in watts
 (``mmse_weights`` and ``sic_decode``), is in ``tests/oracles.py``.
@@ -58,10 +68,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 import numpy as np
 
@@ -162,8 +173,9 @@ class _Block(NamedTuple):
     fading: np.ndarray    # (N, J) complex CN(0, 1) per packet and subcarrier
 
 
-def _draw_block(cfg: SystemConfig, scheme: Scheme, rngs: list[np.random.Generator]) -> _Block:
-    """Draw a block of frames, frame f from ``rngs[f]``, S = ``cfg.frame.n_slots`` slots each.
+def _draw_block(cfg: SystemConfig, scheme: Scheme, rngs: Collection[np.random.Generator]) -> _Block:
+    """Draw a block of frames, S = ``cfg.frame.n_slots`` slots each, frame f
+    from the f-th generator ``rngs`` yields, used in order.
 
     Each frame makes its generator calls in the order the module
     docstring states, sized by its own k = Σ min(count, S) packets.
@@ -207,12 +219,13 @@ def _draw_block(cfg: SystemConfig, scheme: Scheme, rngs: list[np.random.Generato
 def _sweep_sinr(h: np.ndarray, depth: np.ndarray, sinr_rule: str) -> np.ndarray:
     """SINR of every cancellation iteration of B slot rows, in one sweep.
 
-    Row b holds the channels ``h[b]`` (D, J) of its K_b = ``depth[b]``
-    packets in decoding order, zero past K_b, each in units of the noise:
-    h = √(p/σ²)·g for a packet of power p and effective channel g.  Rows
-    are sorted deepest first.  Entry (b, t) of the (B, D) result is the
-    SINR of column t against the undecoded set t..K_b-1 by the arithmetic
-    of the scalar receiver in ``tests/oracles.py``; entries past K_b are 0.
+    The rows are batch-last: ``h[:, :, b]`` (D, J) holds the channels of
+    row b's K_b = ``depth[b]`` packets in decoding order, zero past K_b,
+    each in units of the noise: h = √(p/σ²)·g for a packet of power p and
+    effective channel g.  Rows are sorted deepest first.  Entry (t, b) of
+    the (D, B) result is the SINR of column t of row b against the
+    undecoded set t..K_b-1 by the arithmetic of the scalar receiver in
+    ``tests/oracles.py``; entries past K_b are 0.
 
     An MMSE SINR depends on the powers and the noise only through h, and
     by the push-through identity the weight rows of a set are
@@ -230,32 +243,33 @@ def _sweep_sinr(h: np.ndarray, depth: np.ndarray, sinr_rule: str) -> np.ndarray:
     ``post_mmse``
         s² / (Σ_{i>t} |uᴴh_i|² + ‖u‖²).
 
-    Step t touches only the rows deeper than t, a prefix of the rows.
+    Step t touches only the rows deeper than t, a prefix of the rows, so
+    each of its products runs over contiguous runs of those rows.
     """
-    n_rows, d, j = h.shape
-    r_inv = np.zeros((n_rows, j, j), dtype=complex)
-    r_inv[:, np.arange(j), np.arange(j)] = 1.0
-    q = np.zeros((n_rows, d))
-    sinr = np.zeros((n_rows, d))
+    d, j, n_rows = h.shape
+    r_inv = np.zeros((j, j, n_rows), dtype=complex)
+    r_inv[np.arange(j), np.arange(j)] = 1.0
+    q = np.zeros((d, n_rows))
+    sinr = np.zeros((d, n_rows))
     width = np.searchsorted(-depth, -np.arange(d))
     for t in range(d - 1, -1, -1):
         b = width[t]
-        u = np.einsum("bij,bj->bi", r_inv[:b], h[:b, t])
+        u = np.einsum("ijb,jb->ib", r_inv[:, :, :b], h[t, :, :b])
         u_h = u.conj()
-        proj = np.einsum("bj,bkj->bk", u_h, h[:b, t:])  # u^H h_i for i >= t
-        s = proj[:, 0].real
-        cross = proj.real[:, 1:] ** 2 + proj.imag[:, 1:] ** 2
-        noise = np.einsum("bj,bj->b", u_h, u).real
+        proj = np.einsum("jb,kjb->kb", u_h, h[t:, :, :b])  # u^H h_i for i >= t
+        s = proj[0].real
+        cross = proj.real[1:] ** 2 + proj.imag[1:] ** 2
+        noise = np.einsum("jb,jb->b", u_h, u).real
         delta = 1.0 + s
         if sinr_rule == "conservative":
-            q_rest = q[:b, t + 1:]
-            q_rest -= cross / delta[:, None]
-            q[:b, t] = s / delta  # h_t^H R_t^-1 h_t
-            interference = delta**2 * np.einsum("bk,bk->b", q_rest, q_rest)
+            q_rest = q[t + 1:, :b]
+            q_rest -= cross / delta
+            q[t, :b] = s / delta  # h_t^H R_t^-1 h_t
+            interference = delta**2 * np.einsum("kb,kb->b", q_rest, q_rest)
         else:
-            interference = cross.sum(axis=1)
-        sinr[:b, t] = s * s / (interference + noise)
-        r_inv[:b] -= (u / delta[:, None])[:, :, None] * u_h[:, None, :]
+            interference = cross.sum(axis=0)
+        sinr[t, :b] = s * s / (interference + noise)
+        r_inv[:, :, :b] -= (u / delta)[:, None] * u_h
     return sinr
 
 
@@ -266,31 +280,35 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     collided, below threshold and blocked by a stronger user.  The
     receiver works in units of the noise: each packet's channel is its
     fading times its code scaled by √snr, the received SNR
-    path_gain·power/σ² of its device row.  Each occupied slot is a row
-    [singletons nearest first, then collided], rows sorted deepest
-    first.  One backward ``_sweep_sinr`` over the rows of two or more
-    packets gives the SINR of every iteration t against the undecoded
-    set row[t:K]; a lone packet keeps the matched filter against noise,
-    its SINR ‖h‖².  A slot passes the leading run of its
-    singletons whose SINR reaches the threshold; a failure blocks the
-    slot's remaining singletons.
+    path_gain·power/σ² of its device row.  A packet collides when
+    another of its slot has its code: one stable argsort of the (slot,
+    code) keys puts such packets next to each other.  Each occupied slot
+    is a row [singletons nearest first, then collided], rows sorted
+    deepest first and laid out batch-last for ``_sweep_sinr``.  One
+    backward sweep over the rows of two or more packets gives the SINR of
+    every iteration t against the undecoded set row[t:K]; a lone packet
+    keeps the matched filter against noise, its SINR ‖h‖².  A slot passes
+    the leading run of its singletons whose SINR reaches the threshold; a
+    failure blocks the slot's remaining singletons.  Each row's counts
+    are summed into its frame by ``bincount``.
     """
     pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     n_frames, n_active = block.counts.shape
-    out = np.zeros((n_frames, 4), dtype=np.int64)
     if len(block.device) == 0:
-        return out
-    frame_of = block.device // n_active
+        return np.zeros((n_frames, 4), dtype=np.int64)
     code = block.code
     snr = cfg.path_gain(block.radii) * block.powers / cfg.channel.noise_power
     channel = block.fading * pool[code]  # in units of the noise: √snr · fading · code
     channel *= np.sqrt(snr).ravel()[block.device][:, None]
 
     slot = block.slot
-    _, inverse, multiplicity = np.unique(
-        slot * len(pool) + code, return_inverse=True, return_counts=True
-    )
-    collided = multiplicity[inverse] > 1
+    pair = slot * len(pool) + code
+    by_pair = np.argsort(pair, kind="stable")
+    sorted_pair = pair[by_pair]
+    shared = np.zeros(len(pair) + 1, dtype=bool)  # sorted entries i - 1 and i share a key
+    shared[1:-1] = sorted_pair[1:] == sorted_pair[:-1]
+    collided = np.empty(len(pair), dtype=bool)
+    collided[by_pair] = shared[:-1] | shared[1:]
     # one integer key sorts packets by (-depth, slot, collided, radius):
     # rows deepest first; in a row singletons nearest first, ties between
     # equal radii going to the lower device row
@@ -299,8 +317,9 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     nearness[np.argsort(block.radii, axis=None, kind="stable")] = np.arange(block.radii.size)
     key = (slot - depth * (int(slot.max()) + 1)) * 2 + collided
     order = np.argsort(key * block.radii.size + nearness[block.device])
-    ends = np.r_[np.flatnonzero(np.r_[True, np.diff(slot[order]) != 0]), len(order)]
-    first = ends[:-1]
+    row_slot = slot[order]
+    first = np.flatnonzero(np.concatenate(([True], row_slot[1:] != row_slot[:-1])))
+    ends = np.append(first, len(order))
     k = np.diff(ends)
     singles = np.add.reduceat((~collided[order]).astype(np.int64), first)
 
@@ -309,21 +328,24 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     cut = ends[n_multi]  # packets of the rows of two or more
     row = np.repeat(np.arange(n_multi), k[:n_multi])
     col = np.arange(cut) - first[row]
-    h = np.zeros((n_multi, k[0], channel.shape[1]), dtype=complex)
-    h[row, col] = channel[order[:cut]]
+    h = np.zeros((k[0], channel.shape[1], n_multi), dtype=complex)
+    h[col, :, row] = channel[order[:cut]]
     sinr = _sweep_sinr(h, k[:n_multi], sinr_rule)
-    ok = (sinr >= theta) & (np.arange(k[0]) < singles[:n_multi, None])
+    ok = (sinr >= theta) & (np.arange(k[0])[:, None] < singles[:n_multi])
     lone = channel[order[cut:]]
-    passed = np.r_[
-        np.logical_and.accumulate(ok, axis=1).sum(axis=1),
+    passed = np.concatenate((
+        np.logical_and.accumulate(ok, axis=0).sum(axis=0),
         np.sum(lone.real**2 + lone.imag**2, axis=1) >= theta,
-    ]
+    ))
     failed = passed < singles
 
     blocked = np.where(failed, singles - passed - 1, 0)
-    per_row = np.column_stack((passed, k - singles, failed, blocked))
-    np.add.at(out, frame_of[order[first]], per_row)
-    return out
+    frame = block.device[order[first]] // n_active
+    per_row = (passed, k - singles, failed, blocked)
+    # float sums of counts below 2^53 are exact
+    return np.column_stack(
+        [np.bincount(frame, weights=count, minlength=n_frames) for count in per_row]
+    ).astype(np.int64)
 
 
 # ============================================================================
@@ -380,10 +402,92 @@ class FrameSums(NamedTuple):
             threshold_failures=self.below, blocked_failures=self.blocked, n_slots=n_slots)
 
 
-def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(frame_index,))
-    )
+# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hash_steps(h: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """n steps of a SeedSequence hash constant h, each the (value xored in,
+    value multiplied by) pair of one hashed word."""
+    steps = []
+    for _ in range(n):
+        steps.append((h, h * mult & _M32))
+        h = steps[-1][1]
+    return steps
+
+
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state's eight words
+
+
+def _words(n: int) -> int:
+    """32-bit words SeedSequence splits a non-negative integer into, one for 0."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+class _FrameStreams:
+    """The generators of a run's frames: one ``PCG64`` re-seeded in place.
+
+    Iterating yields one generator per frame of ``frames``, the range the
+    caller points at each block in turn, set for frame i to the state ``np.random.default_rng(SeedSequence(entropy=seed,
+    spawn_key=(i,)))`` starts in (``frame_rng`` in ``tests/oracles.py``),
+    without building those three objects.  The seed's entropy is mixed
+    into the root pool once; each frame copies the pool, mixes in the
+    32-bit words of i, low word first, as SeedSequence mixes entropy past
+    its pool, draws ``generate_state(4, uint64)`` and runs PCG64's
+    seeding step.  A frame's draws end before the next frame's state is
+    set, so the iterable stands in for a list of per-frame generators.
+    """
+
+    def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)  # a numpy integer too; its words count below
+        root = np.random.SeedSequence(seed)
+        self._pool = [int(w) for w in root.pool]
+        # the spawn words follow the entropy padded to the 4-word pool: the
+        # hash constant has run 4 steps per pool word, 12 to mix the pool
+        # and 4 per entropy word past the pool
+        h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, _words(seed) - 4), 1 << 32) & _M32
+        self._steps = _hash_steps(h, _MULT_A, 8)  # two words of i; more on demand
+        self._bits = np.random.PCG64(root)  # any state: each frame sets its own
+        self.rng = np.random.Generator(self._bits)
+        self.frames = range(0)
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def __iter__(self):
+        for i in self.frames:
+            self._seek(i)
+            yield self.rng
+
+    def _seek(self, i: int) -> None:
+        words = _words(i)
+        if len(self._steps) < 4 * words:
+            self._steps = _hash_steps(self._steps[0][0], _MULT_A, 4 * words)
+        pool = self._pool.copy()
+        for n in range(words):
+            w = i >> 32 * n & _M32
+            for d, (hx, hm) in enumerate(self._steps[4 * n:4 * n + 4]):
+                v = (w ^ hx) * hm & _M32
+                r = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
+                pool[d] = r ^ r >> 16
+        x = []
+        for k, (hx, hm) in enumerate(_STATE_STEPS):
+            v = (pool[k & 3] ^ hx) * hm & _M32
+            x.append(v ^ v >> 16)
+        # generate_state pairs the words low first into four uint64s
+        # u0..u3; PCG64 seeds with init = u0:u1 and sequence u2:u3
+        init = x[1] << 96 | x[0] << 64 | x[3] << 32 | x[2]
+        inc = ((x[5] << 96 | x[4] << 64 | x[7] << 32 | x[6]) << 1 | 1) & _M128
+        self._bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 def _usable_cpus() -> int:
@@ -397,15 +501,16 @@ def _coverage_worker(cfg, scheme, seed, size, sinr_rule, errors, frames: range) 
     """Sums over ``frames``, ``size`` a block, under the caller's ``np.geterr()``
     ``errors``: a spawned or forkserver worker starts at numpy's defaults."""
     sums = FrameSums()
+    streams = _FrameStreams(seed)
     with np.errstate(**errors):
         for lo in range(0, len(frames), size):
-            rngs = [_frame_rng(seed, i) for i in frames[lo:lo + size]]
-            block = _draw_block(cfg, scheme, rngs)
+            streams.frames = frames[lo:lo + size]
+            block = _draw_block(cfg, scheme, streams)
             outcomes = _decode_block(cfg, block, sinr_rule)
             g = block.counts.sum(axis=1)
             d, collided, below, blocked = outcomes.T
             sums += FrameSums(
-                frames=len(rngs), generated=g.sum(), decoded=d.sum(),
+                frames=len(streams), generated=g.sum(), decoded=d.sum(),
                 dropped=g.sum() - len(block.device), gg=g @ g, dd=d @ d, gd=g @ d,
                 collided=collided.sum(), below=below.sum(), blocked=blocked.sum())
     return sums
@@ -423,10 +528,12 @@ def estimate_coverage(
 
     The scheme's slot rule is resolved once into the run's config, whose
     ``frame.n_slots`` the frame cost, the block size, the draws and the
-    reported ``n_slots`` all read.  Frame i draws its stream from (seed, i), and each worker returns the
-    exact ``FrameSums`` of its frames, so the result, computed by
-    ``FrameSums.estimate`` from their sum, is identical for any worker
-    count or chunking.  At most as many workers start as this process
+    reported ``n_slots`` all read.  Frame i draws the stream of
+    ``SeedSequence(entropy=seed, spawn_key=(i,))``, set up by re-seeding
+    one generator per worker (``_FrameStreams``), and each worker
+    returns the exact ``FrameSums`` of its frames, so the result,
+    computed by ``FrameSums.estimate`` from their sum, is identical for
+    any worker count or chunking.  At most as many workers start as this process
     may use CPUs, and as there are tasks.  Each block reads the
     per-packet power and the code pool from ``cfg`` itself.  A frame
     that costs more than ``_FRAME_DRAWS`` doubles, or a code pool that

@@ -15,7 +15,9 @@ against the form here, written the direct way:
   batched ``simulator._sweep_sinr`` / ``_decode_block`` receiver, which
   works in units of the noise;
 - the per-frame draw laws ``sample_deployment`` and
-  ``assign_slots_codes``, the oracle of ``simulator._draw_block``;
+  ``assign_slots_codes``, the oracle of ``simulator._draw_block``, and
+  frame i's stream ``frame_rng``, the oracle of the generator
+  ``simulator._FrameStreams`` re-seeds in place;
 - the base-2 form of the short-packet error probability
   (``packet_error_prob``), the oracle of
   ``shortpacket.error_prob_ln_form``;
@@ -52,6 +54,7 @@ __all__ = [
     "DecodingOutcome",
     "mmse_weights",
     "sic_decode",
+    "frame_rng",
     "sample_deployment",
     "assign_slots_codes",
     "DISPERSION",
@@ -152,6 +155,13 @@ def laplace_collided(s: float, cfg: SystemConfig, omega_c: float) -> float:
 # ============================================================================
 #  Per-frame draw laws (the oracle of simulator._draw_block)
 # ============================================================================
+
+def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
+    """Frame ``frame_index``'s generator in a run seeded by ``seed``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(frame_index,))
+    )
+
 
 def sample_deployment(n_active: int, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Horizontal distances of devices uniform over the serving disk."""

@@ -475,6 +475,25 @@ def test_analytic_point_of_too_many_rank_weights_exit_code(tmp_path, capsys):
     )
 
 
+def test_validate_refuses_an_analytic_point_before_it_simulates(tmp_path, monkeypatch, capsys):
+    # one slot of 40 000 devices: the point's 6.25e8 rank weights are
+    # refused before its one frame, which took 15 s to simulate, is drawn
+    def no_run(*args, **kwargs):
+        raise AssertionError("a grid point was simulated")
+
+    budget = tmp_path / "budget.cfg"
+    budget.write_text("frame.n_subcarriers = 8\nframe.code_pool_size = 65536\nframe.n_slots = 1\n")
+    point = tmp_path / "point.cfg"
+    point.write_text(budget.read_text() + "traffic.n_active = 40000\ntraffic.lambda = 2\n")
+    assert main(["analytic", "--config", str(point)]) == EXIT_CONFIG
+    refusal = capsys.readouterr().err
+    assert " rank weights, above the 268435456 a point may hold" in refusal
+    monkeypatch.setattr(cli, "estimate_coverage", no_run)
+    assert main(["validate", "--config", str(budget), "--n-active", "40000", "--lambdas", "2",
+                 "--trials", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == refusal
+
+
 @pytest.mark.parametrize("key", ["traffic.n_active", "frame.n_slots", "frame.code_pool_size"])
 def test_int_key_beyond_int64_exit_code(tmp_path, capsys, key):
     # a 401-digit value is beyond float range: refused on load, not by an

@@ -19,9 +19,9 @@ from musalink.config import (
 )
 from musalink.optimizer import adaptive_slots, scheme_slots
 from musalink.simulator import (
+    _Block,
     _decode_block,
     _draw_block,
-    _frame_rng,
     code_pool,
     estimate_coverage,
 )
@@ -31,6 +31,7 @@ from oracles import (
     FailureCause,
     SlotRealization,
     assign_slots_codes,
+    frame_rng,
     mmse_weights,
     sample_deployment,
     sic_decode,
@@ -445,6 +446,29 @@ def test_collision_rate_matches_analytic():
 #  Coverage estimation
 # ----------------------------------------------------------------------------
 
+STREAM_SEEDS = [0, 1, 7, 2**31 - 2, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**127,
+                2**128 + 9, 2**200 + 12345]
+STREAM_FRAMES = [0, 1, 2, 19, 255, 1000, 2**32 - 1, 2**32, 2**40 + 7]
+
+
+def stream_draws(rng):
+    """The first draws of each kind a frame makes, and the state they leave."""
+    # an odd count of 32-bit integers leaves half a 64-bit word buffered
+    draws = (rng.poisson(4.0, 3), rng.random(3), rng.integers(0, 64, 3), rng.standard_normal(3))
+    return [d.tolist() for d in draws], rng.bit_generator.state
+
+
+def test_frame_streams_match_the_seed_sequence_oracle():
+    # seeds of one to seven 32-bit words, frame indices of one and two
+    for seed in STREAM_SEEDS:
+        streams = simulator._FrameStreams(seed)
+        streams.frames = STREAM_FRAMES
+        assert len(streams) == len(STREAM_FRAMES)
+        assert [stream_draws(rng) for rng in streams] == [
+            stream_draws(frame_rng(seed, i)) for i in STREAM_FRAMES
+        ]
+
+
 def test_estimate_coverage_reproducible():
     cfg = reference_config(n_active=10, lam=4.0)
     a = estimate_coverage(cfg, Scheme.BASELINE, 30, seed=5)
@@ -549,7 +573,7 @@ def test_failure_causes_account_for_transmitted_packets():
     cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=0.1))
     est = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=14)
     decoded, collided, below, blocked = sum(
-        decode_frame(cfg, Scheme.BASELINE, _frame_rng(14, i))[1] for i in range(40)
+        decode_frame(cfg, Scheme.BASELINE, frame_rng(14, i))[1] for i in range(40)
     )
     failures = (est.collision_failures, est.threshold_failures, est.blocked_failures)
     assert all(type(c) is int and c > 0 for c in failures)
@@ -672,7 +696,7 @@ def test_batched_receiver_matches_scalar_oracle(sinr_rule):
     for cfg, scheme in parity_cases():
         pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
         for i in range(12):
-            block, counts = decode_frame(cfg, scheme, _frame_rng(40, i), sinr_rule)
+            block, counts = decode_frame(cfg, scheme, frame_rng(40, i), sinr_rule)
             want = oracle_frame(cfg, block, pool, sinr_rule)
             assert counts.tolist() == [
                 want["decoded"], want["collision"], want["below"], want["blocked"]
@@ -716,6 +740,11 @@ def sweep_oracle_slots(cfg, pool, rng, n_slots):
     return slots
 
 
+def sweep_rows(h, depth, sinr_rule):
+    """``_sweep_sinr`` of row-major slot rows ``h`` (B, D, J), as its (B, D) SINRs."""
+    return simulator._sweep_sinr(np.ascontiguousarray(h.transpose(1, 2, 0)), depth, sinr_rule).T
+
+
 @pytest.mark.parametrize("sinr_rule", ["conservative", "post_mmse"])
 @pytest.mark.parametrize("n_subcarriers", [1, 2, 4, 8])
 def test_sweep_sinr_matches_scalar_oracle(n_subcarriers, sinr_rule):
@@ -751,7 +780,7 @@ def test_sweep_sinr_matches_scalar_oracle(n_subcarriers, sinr_rule):
         p[row, :depth[row]] = slot.powers[order]
         assert [device for device, _ in trace] == order[:len(trace)].tolist()
         expected.append([value for _, value in trace])
-    sinr = simulator._sweep_sinr(g * np.sqrt(p / sigma2)[:, :, None], depth, sinr_rule)
+    sinr = sweep_rows(g * np.sqrt(p / sigma2)[:, :, None], depth, sinr_rule)
     assert sinr.shape == (len(slots), depth[0])
     assert not sinr[np.arange(depth[0]) >= depth[:, None]].any()  # zero past each row
     assert any(len(e) < d for e, d in zip(expected, depth))  # collided tails seen
@@ -775,9 +804,9 @@ def test_conservative_sinr_tends_to_one_over_m_minus_one(m):
     drawn = math.sqrt(gamma / 2) * (z[0] + 1j * z[1])  # CN(0, γ) per entry
     depth = np.array([m])
     for h in (orthogonal, drawn):
-        sinr = simulator._sweep_sinr(h[None], depth, "conservative")
+        sinr = sweep_rows(h[None], depth, "conservative")
         assert sinr[0, 0] == pytest.approx(1 / (m - 1), rel=1e-6)
-    post = simulator._sweep_sinr(orthogonal[None], depth, "post_mmse")
+    post = sweep_rows(orthogonal[None], depth, "post_mmse")
     assert post[0, 0] == pytest.approx(gamma, rel=1e-6)
 
 
@@ -793,15 +822,46 @@ def test_estimate_coverage_makes_no_linear_solve(monkeypatch):
     assert est.packets_decoded > 0 and est.threshold_failures > 0
 
 
+def stack_frames(cfg, frames):
+    """One block holding the one-frame blocks ``frames``, in order."""
+    n, n_slots = cfg.traffic.n_active, cfg.frame.n_slots
+    return _Block(
+        counts=np.vstack([f.counts for f in frames]),
+        radii=np.vstack([f.radii for f in frames]),
+        powers=np.vstack([f.powers for f in frames]),
+        device=np.concatenate([f.device + i * n for i, f in enumerate(frames)]),
+        slot=np.concatenate([f.slot + i * n_slots for i, f in enumerate(frames)]),
+        code=np.concatenate([f.code for f in frames]),
+        fading=np.concatenate([f.fading for f in frames]),
+    )
+
+
 def test_decode_block_independent_of_block_composition():
     cfg, scheme = parity_cases()[0]
     cfg = run_config(cfg, scheme)
-    frames = [_draw_block(cfg, scheme, [_frame_rng(3, i)]) for i in range(20)]
-    block = _draw_block(cfg, scheme, [_frame_rng(3, i) for i in range(20)])
-    together = _decode_block(cfg, block, "conservative")
+    frames = [_draw_block(cfg, scheme, [frame_rng(3, i)]) for i in range(20)]
+    block = _draw_block(cfg, scheme, [frame_rng(3, i) for i in range(20)])
+    assert all(np.array_equal(a, b) for a, b in zip(stack_frames(cfg, frames), block))
+    # frames the draws rarely make: lone packets only (no row for the
+    # sweep), a slot whose packets all share one code, and, last, no packet
+    # at all, a frame only the tally's length accounts for
+    drawn = frames[0]
+    _, head = np.unique(drawn.slot, return_index=True)
+    lone = drawn._replace(device=drawn.device[head], slot=drawn.slot[head],
+                          code=drawn.code[head], fading=drawn.fading[head])
+    busiest = drawn.slot == np.bincount(drawn.slot).argmax()
+    assert busiest.sum() > 1
+    shared = drawn._replace(code=np.where(busiest, drawn.code[busiest][0], drawn.code))
+    empty = lone._replace(counts=0 * drawn.counts, device=drawn.device[:0],
+                          slot=drawn.slot[:0], code=drawn.code[:0], fading=drawn.fading[:0])
+    frames += [lone, shared, empty]
+    together = _decode_block(cfg, stack_frames(cfg, frames), "conservative")
     alone = np.vstack([_decode_block(cfg, f, "conservative") for f in frames])
-    assert together.shape == (20, 4)
+    assert together.shape == (23, 4)
     assert np.array_equal(together, alone)
+    assert alone[20, 0] == len(head) and alone[20, 1:].sum() == 0
+    assert alone[21, 1] >= busiest.sum()
+    assert alone[22].tolist() == [0, 0, 0, 0]
 
 
 # ----------------------------------------------------------------------------
@@ -844,11 +904,11 @@ def test_block_draw_matches_per_frame_oracle(case, n_frames):
     seen = dict(dropped=0, empty_frames=0, silent_devices=0)
     for first in range(0, 21, n_frames):
         frames = range(first, first + n_frames)
-        block_rngs = [_frame_rng(17, i) for i in frames]
+        block_rngs = [frame_rng(17, i) for i in frames]
         block = _draw_block(run, scheme, block_rngs)
         frame_of = block.device // n
         for f, i in enumerate(frames):
-            rng = _frame_rng(17, i)
+            rng = frame_rng(17, i)
             counts, radii, powers, packets, dropped, fading = oracle_draws(
                 cfg, scheme, rng, n_slots
             )
@@ -994,7 +1054,7 @@ def test_clustered_ci_matches_per_frame_computation():
     cfg = reference_config(n_active=10, lam=2.0)
     n = 300
     est = estimate_coverage(cfg, Scheme.BASELINE, n, seed=21)
-    frames = [decode_frame(cfg, Scheme.BASELINE, _frame_rng(21, i)) for i in range(n)]
+    frames = [decode_frame(cfg, Scheme.BASELINE, frame_rng(21, i)) for i in range(n)]
     g = np.array([block.counts.sum() for block, _ in frames], dtype=float)
     d = np.array([counts[0] for _, counts in frames], dtype=float)
     p = d.sum() / g.sum()
