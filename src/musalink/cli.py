@@ -20,7 +20,9 @@ with every symlink resolved, and only when that is a regular file: a
 symlinked ``--out`` gets it beside the link's target, ``/dev/stdout``
 redirected to ``run.csv`` gets ``run.csv.manifest``, and a device or
 pipe gets none.  A write cut off before that final truncate can leave
-the old file's tail past the new bytes.  More than one value of a
+the old file's tail past the new bytes.  A ``--manifest`` naming the
+regular file, or the path not yet there, that ``--out`` names is a usage
+error: the manifest would overwrite the CSV.  More than one value of a
 config key the scenario ignores (``lambda`` outside an emergency, see
 ``config.reads_key``) is a usage error.  ``--trials``
 and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
@@ -243,6 +245,16 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
         raise argparse.ArgumentTypeError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one regular file, or one path not yet
+    there, symlinks followed: a second write there would replace the first."""
+    try:
+        sa, sb = os.stat(a), os.stat(b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
+
+
 def _workers() -> int:
     env = os.environ.get("MUSALINK_WORKERS")
     try:
@@ -267,6 +279,10 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.out and args.manifest and _same_file(args.out, args.manifest):
+        raise argparse.ArgumentTypeError(
+            f"--out {args.out} and --manifest {args.manifest} name the same file"
+        )
     cfg = _read_config(args.config)
     scheme = Scheme(args.scheme)
     t0 = time.perf_counter()

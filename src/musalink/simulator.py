@@ -7,25 +7,22 @@ config carries the slots its scheme runs: ``estimate_coverage`` resolves
 the scheme's slot rule (``optimizer.scheme_slots``) into
 ``frame.n_slots`` once, and every step after reads it there.
 
-Frame i draws from its own stream, the one
-``np.random.default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``
-starts, in a fixed order: packet counts (emergency only), then one
-``random`` call holding the radii and the (n_devices, n_slots) slot keys
-whose row-wise argsort gives each device's slots, one ``integers`` call
-for the codes of its k packets sent, and one ``standard_normal`` call
-for their fading, the (2, k, J) real and imaginary parts.  A worker
-builds no generator per frame: ``_FrameStreams`` keeps one ``PCG64``
-and sets it to each frame's start state, computed from the run's
-SeedSequence pool by the arithmetic of SeedSequence and PCG64 seeding
-(``frame_rng`` in ``tests/oracles.py`` states the stream the direct
-way).  A block of frames is drawn in one pass over its frames, each
-making only these calls; the argsort, radii and powers run once on the
-stacked block.  A worker returns its frames' exact integer sums as a
-``FrameSums``, and the estimate is computed from that record alone, so
-it is the same bit for bit however frames are distributed over workers
-or blocks.  ``_draw_block`` is the one draw the package ships; the
-per-frame laws it is tested against, ``sample_deployment`` and
-``assign_slots_codes``, are in ``tests/oracles.py``.
+Frame i draws from its own generator,
+``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))``,
+built for that frame alone (``frame_rng`` in ``tests/oracles.py``), in
+a fixed order: packet counts (emergency only), then one ``random`` call
+holding the radii and the (n_devices, n_slots) slot keys whose row-wise
+argsort gives each device's slots, one ``integers`` call for the codes
+of its k packets sent, and one ``standard_normal`` call for their
+fading, the (2, k, J) real and imaginary parts.  A block of frames is
+drawn in one pass over its frames, each making only these calls; the
+argsort, radii and powers run once on the stacked block.  A worker
+returns its frames' exact integer sums as a ``FrameSums``, and the
+estimate is computed from that record alone, so it is the same bit for
+bit however frames are distributed over workers or blocks.
+``_draw_block`` is the one draw the package ships; the per-frame laws it
+is tested against, ``sample_deployment`` and ``assign_slots_codes``, are
+in ``tests/oracles.py``.
 
 The receiver is batched: ``estimate_coverage`` decodes a block of frames
 at once.  Collisions are found with one stable argsort of the (slot,
@@ -68,7 +65,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -402,94 +398,6 @@ class FrameSums(NamedTuple):
             threshold_failures=self.below, blocked_failures=self.blocked, n_slots=n_slots)
 
 
-# numpy's SeedSequence hash and mix constants, and PCG64's 128-bit multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-def _hash_steps(h: int, mult: int, n: int) -> list[tuple[int, int]]:
-    """n steps of a SeedSequence hash constant h, each the (value xored in,
-    value multiplied by) pair of one hashed word."""
-    steps = []
-    for _ in range(n):
-        steps.append((h, h * mult & _M32))
-        h = steps[-1][1]
-    return steps
-
-
-_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state's eight words
-
-
-def _words(n: int) -> int:
-    """32-bit words SeedSequence splits a non-negative integer into, one for 0."""
-    return max(1, -(-n.bit_length() // 32))
-
-
-class _FrameStreams:
-    """The generators of a run's frames: one ``PCG64`` re-seeded in place.
-
-    Iterating yields one generator per frame of ``frames``, the range the
-    caller points at each block in turn, set for frame i to the state ``np.random.default_rng(SeedSequence(entropy=seed,
-    spawn_key=(i,)))`` starts in (``frame_rng`` in ``tests/oracles.py``),
-    without building those three objects.  The seed's entropy is mixed
-    into the root pool once; each frame copies the pool, mixes in the
-    32-bit words of i, low word first, as SeedSequence mixes entropy past
-    its pool, draws ``generate_state(4, uint64)`` and runs PCG64's
-    seeding step.  A frame's draws end before the next frame's state is
-    set, so the iterable stands in for a list of per-frame generators.
-    """
-
-    def __init__(self, seed: int) -> None:
-        seed = operator.index(seed)  # a numpy integer too; its words count below
-        root = np.random.SeedSequence(seed)
-        self._pool = [int(w) for w in root.pool]
-        # the spawn words follow the entropy padded to the 4-word pool: the
-        # hash constant has run 4 steps per pool word, 12 to mix the pool
-        # and 4 per entropy word past the pool
-        h = _INIT_A * pow(_MULT_A, 16 + 4 * max(0, _words(seed) - 4), 1 << 32) & _M32
-        self._steps = _hash_steps(h, _MULT_A, 8)  # two words of i; more on demand
-        self._bits = np.random.PCG64(root)  # any state: each frame sets its own
-        self.rng = np.random.Generator(self._bits)
-        self.frames = range(0)
-
-    def __len__(self) -> int:
-        return len(self.frames)
-
-    def __iter__(self):
-        for i in self.frames:
-            self._seek(i)
-            yield self.rng
-
-    def _seek(self, i: int) -> None:
-        words = _words(i)
-        if len(self._steps) < 4 * words:
-            self._steps = _hash_steps(self._steps[0][0], _MULT_A, 4 * words)
-        pool = self._pool.copy()
-        for n in range(words):
-            w = i >> 32 * n & _M32
-            for d, (hx, hm) in enumerate(self._steps[4 * n:4 * n + 4]):
-                v = (w ^ hx) * hm & _M32
-                r = (_MIX_L * pool[d] - _MIX_R * (v ^ v >> 16)) & _M32
-                pool[d] = r ^ r >> 16
-        x = []
-        for k, (hx, hm) in enumerate(_STATE_STEPS):
-            v = (pool[k & 3] ^ hx) * hm & _M32
-            x.append(v ^ v >> 16)
-        # generate_state pairs the words low first into four uint64s
-        # u0..u3; PCG64 seeds with init = u0:u1 and sequence u2:u3
-        init = x[1] << 96 | x[0] << 64 | x[3] << 32 | x[2]
-        inc = ((x[5] << 96 | x[4] << 64 | x[7] << 32 | x[6]) << 1 | 1) & _M128
-        self._bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + init) * _PCG_MULT + inc) & _M128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -499,18 +407,20 @@ def _usable_cpus() -> int:
 
 def _coverage_worker(cfg, scheme, seed, size, sinr_rule, errors, frames: range) -> FrameSums:
     """Sums over ``frames``, ``size`` a block, under the caller's ``np.geterr()``
-    ``errors``: a spawned or forkserver worker starts at numpy's defaults."""
+    ``errors``: a spawned or forkserver worker starts at numpy's defaults.
+    Frame i draws from its own generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, built as its block is."""
     sums = FrameSums()
-    streams = _FrameStreams(seed)
     with np.errstate(**errors):
         for lo in range(0, len(frames), size):
-            streams.frames = frames[lo:lo + size]
-            block = _draw_block(cfg, scheme, streams)
+            rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                    for i in frames[lo:lo + size]]
+            block = _draw_block(cfg, scheme, rngs)
             outcomes = _decode_block(cfg, block, sinr_rule)
             g = block.counts.sum(axis=1)
             d, collided, below, blocked = outcomes.T
             sums += FrameSums(
-                frames=len(streams), generated=g.sum(), decoded=d.sum(),
+                frames=len(rngs), generated=g.sum(), decoded=d.sum(),
                 dropped=g.sum() - len(block.device), gg=g @ g, dd=d @ d, gd=g @ d,
                 collided=collided.sum(), below=below.sum(), blocked=blocked.sum())
     return sums
@@ -528,12 +438,11 @@ def estimate_coverage(
 
     The scheme's slot rule is resolved once into the run's config, whose
     ``frame.n_slots`` the frame cost, the block size, the draws and the
-    reported ``n_slots`` all read.  Frame i draws the stream of
-    ``SeedSequence(entropy=seed, spawn_key=(i,))``, set up by re-seeding
-    one generator per worker (``_FrameStreams``), and each worker
-    returns the exact ``FrameSums`` of its frames, so the result,
-    computed by ``FrameSums.estimate`` from their sum, is identical for
-    any worker count or chunking.  At most as many workers start as this process
+    reported ``n_slots`` all read.  Frame i draws from its own generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, built for that
+    frame alone, and each worker returns the exact ``FrameSums`` of its
+    frames, so the result, computed by ``FrameSums.estimate`` from their
+    sum, is identical for any worker count or chunking.  At most as many workers start as this process
     may use CPUs, and as there are tasks.  Each block reads the
     per-packet power and the code pool from ``cfg`` itself.  A frame
     that costs more than ``_FRAME_DRAWS`` doubles, or a code pool that

@@ -16,8 +16,8 @@ against the form here, written the direct way:
   works in units of the noise;
 - the per-frame draw laws ``sample_deployment`` and
   ``assign_slots_codes``, the oracle of ``simulator._draw_block``, and
-  frame i's stream ``frame_rng``, the oracle of the generator
-  ``simulator._FrameStreams`` re-seeds in place;
+  frame i's stream ``frame_rng``, the generator
+  ``simulator._coverage_worker`` builds for each frame;
 - the base-2 form of the short-packet error probability
   (``packet_error_prob``), the oracle of
   ``shortpacket.error_prob_ln_form``;

@@ -1017,6 +1017,49 @@ def test_implied_manifest_sits_beside_the_file_written(tmp_path, cfg_file):
     assert "manifest.seed = 7" in (target_dir / "run.csv.manifest").read_text().splitlines()
 
 
+def test_out_and_manifest_naming_one_file_usage_error(tmp_path, cfg_file, monkeypatch, capsys):
+    # the manifest would overwrite the CSV: refused before any frame is drawn
+    def no_run(*args, **kwargs):
+        raise AssertionError("a frame was simulated")
+
+    def refused(out, manifest):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--config", cfg_file, "--trials", "2",
+                  "--out", str(out), "--manifest", str(manifest)])
+        assert info.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"musalink: error: --out {out} and --manifest {manifest} name the same file"
+        )
+
+    monkeypatch.setattr(cli, "estimate_coverage", no_run)
+    target, link = tmp_path / "run.csv", tmp_path / "link.csv"
+    refused(target, target)  # a path not yet there
+    link.symlink_to(target)
+    refused(link, target)    # through a symlink to it
+    assert not target.exists()
+    target.write_text("old\n")
+    for out, manifest in ((target, target), (link, target), (target, link)):
+        refused(out, manifest)
+        assert target.read_text() == "old\n"
+
+
+def test_out_and_manifest_on_the_stdout_device_write_both(tmp_path, cfg_file):
+    args = ["simulate", "--config", cfg_file, "--trials", "2", "--seed", "7"]
+    out, manifest = tmp_path / "run.csv", tmp_path / "run.manifest"
+    assert main(args + ["--out", str(out), "--manifest", str(manifest)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "musalink.cli", *args,
+         "--out", "/dev/stdout", "--manifest", "/dev/stdout"],
+        env=fresh_interpreter_env(), stdout=subprocess.PIPE, check=True, timeout=120,
+    )
+    lines = proc.stdout.decode().splitlines()
+    assert lines[:2] == out.read_text().splitlines()
+    wall = "point.0.wall_clock_s = "
+    assert [line for line in lines[2:] if not line.startswith(wall)] == [
+        line for line in manifest.read_text().splitlines() if not line.startswith(wall)
+    ]
+
+
 def test_non_finite_config_value_exit_code(tmp_path, capsys):
     broken = tmp_path / "nan.cfg"
     broken.write_text("traffic.lambda = nan\n")

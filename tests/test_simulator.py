@@ -446,29 +446,6 @@ def test_collision_rate_matches_analytic():
 #  Coverage estimation
 # ----------------------------------------------------------------------------
 
-STREAM_SEEDS = [0, 1, 7, 2**31 - 2, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**127,
-                2**128 + 9, 2**200 + 12345]
-STREAM_FRAMES = [0, 1, 2, 19, 255, 1000, 2**32 - 1, 2**32, 2**40 + 7]
-
-
-def stream_draws(rng):
-    """The first draws of each kind a frame makes, and the state they leave."""
-    # an odd count of 32-bit integers leaves half a 64-bit word buffered
-    draws = (rng.poisson(4.0, 3), rng.random(3), rng.integers(0, 64, 3), rng.standard_normal(3))
-    return [d.tolist() for d in draws], rng.bit_generator.state
-
-
-def test_frame_streams_match_the_seed_sequence_oracle():
-    # seeds of one to seven 32-bit words, frame indices of one and two
-    for seed in STREAM_SEEDS:
-        streams = simulator._FrameStreams(seed)
-        streams.frames = STREAM_FRAMES
-        assert len(streams) == len(STREAM_FRAMES)
-        assert [stream_draws(rng) for rng in streams] == [
-            stream_draws(frame_rng(seed, i)) for i in STREAM_FRAMES
-        ]
-
-
 def test_estimate_coverage_reproducible():
     cfg = reference_config(n_active=10, lam=4.0)
     a = estimate_coverage(cfg, Scheme.BASELINE, 30, seed=5)
@@ -1052,18 +1029,19 @@ def test_block_of_many_subcarriers_is_bounded_in_memory():
 
 def test_clustered_ci_matches_per_frame_computation():
     cfg = reference_config(n_active=10, lam=2.0)
-    n = 300
-    est = estimate_coverage(cfg, Scheme.BASELINE, n, seed=21)
-    frames = [decode_frame(cfg, Scheme.BASELINE, frame_rng(21, i)) for i in range(n)]
-    g = np.array([block.counts.sum() for block, _ in frames], dtype=float)
-    d = np.array([counts[0] for _, counts in frames], dtype=float)
-    p = d.sum() / g.sum()
-    var = n / (n - 1) * np.sum((d - p * g) ** 2) / g.sum() ** 2
-    assert est.p_hat == p
-    assert est.ci_halfwidth == pytest.approx(1.96 * math.sqrt(var), rel=1e-12)
-    # packets of a frame are correlated: the packet-binomial interval is too narrow
-    binomial = 1.96 * math.sqrt(p * (1 - p) / g.sum())
-    assert est.ci_halfwidth > 1.2 * binomial
+    # seeds of one, five and seven 32-bit words, and a numpy integer
+    for seed, n in ((21, 300), (2**128 + 9, 40), (2**200 + 12345, 40), (np.uint64(2**64 - 1), 40)):
+        est = estimate_coverage(cfg, Scheme.BASELINE, n, seed=seed)
+        frames = [decode_frame(cfg, Scheme.BASELINE, frame_rng(seed, i)) for i in range(n)]
+        g = np.array([block.counts.sum() for block, _ in frames], dtype=float)
+        d = np.array([counts[0] for _, counts in frames], dtype=float)
+        p = d.sum() / g.sum()
+        var = n / (n - 1) * np.sum((d - p * g) ** 2) / g.sum() ** 2
+        assert est.p_hat == p
+        assert est.ci_halfwidth == pytest.approx(1.96 * math.sqrt(var), rel=1e-12)
+        # packets of a frame are correlated: the packet-binomial interval is too narrow
+        binomial = 1.96 * math.sqrt(p * (1 - p) / g.sum())
+        assert est.ci_halfwidth > 1.2 * binomial
 
 
 def test_coverage_undefined_without_traffic():
