@@ -59,7 +59,7 @@ from .config import (
     with_values,
 )
 from .optimizer import InfeasibleError, adaptive_slots, brute_force_slots
-from .simulator import estimate_coverage
+from .simulator import check_frame_budget, estimate_coverage
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -337,11 +337,16 @@ def cmd_compare(args) -> int:
     cfg = _read_config(args.config)
     _check_read(cfg, "traffic.lambda", "--lambdas", args.lambdas)
     workers = _workers()
+    schemes = (Scheme.PROPOSED, Scheme.TPDS, Scheme.NAS)
+    cfgs = [with_values(cfg, {"traffic.lambda": lam}) for lam in args.lambdas]
+    # every point is checked, in the order it would run, before any frame is drawn
+    for cfg_l in cfgs:
+        for scheme in schemes:
+            check_frame_budget(cfg_l, scheme)
     rows = []
-    for lam in args.lambdas:
-        cfg_l = with_values(cfg, {"traffic.lambda": lam})
+    for lam, cfg_l in zip(args.lambdas, cfgs):
         row = {"lambda": lam}
-        for scheme in (Scheme.PROPOSED, Scheme.TPDS, Scheme.NAS):
+        for scheme in schemes:
             est = estimate_coverage(cfg_l, scheme, args.trials, args.seed, n_workers=workers)
             row[f"{scheme.value}_p_hat"] = est.p_hat
             row[f"{scheme.value}_ci"] = est.ci_halfwidth
@@ -363,10 +368,13 @@ def cmd_validate(args) -> int:
     grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
     cfgs = [with_values(cfg, {"traffic.n_active": na, "traffic.lambda": lam})
             for na, lam in grid]
-    # a point the analytics would refuse is refused before anything is
-    # simulated; the simulator refuses a frame too large to draw before the
-    # analytics run
+    # every point is checked before any frame is drawn or any analytic
+    # runs: first against the analytics' rank-weight budget, whose refusal
+    # wins for a point both would refuse, then against the simulator's
+    # frame budget
     check_point_budget(cfgs)
+    for c in cfgs:
+        check_frame_budget(c, Scheme.BASELINE)
     ests = [estimate_coverage(c, Scheme.BASELINE, args.trials, args.seed, n_workers=workers)
             for c in cfgs]
     rows = []

@@ -16,10 +16,11 @@ argsort gives each device's slots, one ``integers`` call for the codes
 of its k packets sent, and one ``standard_normal`` call for their
 fading, the (2, k, J) real and imaginary parts.  A block of frames is
 drawn in one pass over its frames, each making only these calls; the
-argsort, radii and powers run once on the stacked block.  A worker
+argsort, radii and powers run once on the stacked block.  Each block
 returns its frames' exact integer sums as a ``FrameSums``, and the
-estimate is computed from that record alone, so it is the same bit for
-bit however frames are distributed over workers or blocks.
+estimate is computed from their sum alone, so it is the same bit for
+bit however the frames are split into blocks or the blocks spread over
+workers.
 ``_draw_block`` is the one draw the package ships; the per-frame laws it
 is tested against, ``sample_deployment`` and ``assign_slots_codes``, are
 in ``tests/oracles.py``.
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -77,6 +79,7 @@ from .optimizer import scheme_slots
 
 __all__ = [
     "CoverageEstimate",
+    "check_frame_budget",
     "code_pool",
     "estimate_coverage",
 ]
@@ -405,52 +408,33 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _coverage_worker(cfg, scheme, seed, size, sinr_rule, errors, frames: range) -> FrameSums:
-    """Sums over ``frames``, ``size`` a block, under the caller's ``np.geterr()``
-    ``errors``: a spawned or forkserver worker starts at numpy's defaults.
-    Frame i draws from its own generator,
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, built as its block is."""
-    sums = FrameSums()
+def _coverage_worker(cfg, scheme, seed, sinr_rule, errors, frames: range) -> FrameSums:
+    """Sums over the block ``frames``, drawn and decoded at once, under the
+    caller's ``np.geterr()`` ``errors``: a spawned or forkserver worker
+    starts at numpy's defaults.  Frame i draws from its own generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``."""
     with np.errstate(**errors):
-        for lo in range(0, len(frames), size):
-            rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-                    for i in frames[lo:lo + size]]
-            block = _draw_block(cfg, scheme, rngs)
-            outcomes = _decode_block(cfg, block, sinr_rule)
-            g = block.counts.sum(axis=1)
-            d, collided, below, blocked = outcomes.T
-            sums += FrameSums(
-                frames=len(rngs), generated=g.sum(), decoded=d.sum(),
-                dropped=g.sum() - len(block.device), gg=g @ g, dd=d @ d, gd=g @ d,
-                collided=collided.sum(), below=below.sum(), blocked=blocked.sum())
-    return sums
+        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+                for i in frames]
+        block = _draw_block(cfg, scheme, rngs)
+        outcomes = _decode_block(cfg, block, sinr_rule)
+    g = block.counts.sum(axis=1)
+    d, collided, below, blocked = outcomes.T
+    return FrameSums(
+        frames=len(rngs), generated=g.sum(), decoded=d.sum(),
+        dropped=g.sum() - len(block.device), gg=g @ g, dd=d @ d, gd=g @ d,
+        collided=collided.sum(), below=below.sum(), blocked=blocked.sum())
 
 
-def estimate_coverage(
-    cfg: SystemConfig,
-    scheme: Scheme,
-    n_frames: int,
-    seed: int,
-    n_workers: int = 1,
-    sinr_rule: str = "conservative",
-) -> CoverageEstimate:
-    """Empirical coverage over independent frames.
+def check_frame_budget(cfg: SystemConfig, scheme: Scheme) -> tuple[SystemConfig, int]:
+    """The run's config, ``scheme``'s slot rule (``optimizer.scheme_slots``)
+    resolved into its ``frame.n_slots``, and the frames a block may hold
+    within its budget, from the config alone, before anything is drawn.
 
-    The scheme's slot rule is resolved once into the run's config, whose
-    ``frame.n_slots`` the frame cost, the block size, the draws and the
-    reported ``n_slots`` all read.  Frame i draws from its own generator,
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, built for that
-    frame alone, and each worker returns the exact ``FrameSums`` of its
-    frames, so the result, computed by ``FrameSums.estimate`` from their
-    sum, is identical for any worker count or chunking.  At most as many workers start as this process
-    may use CPUs, and as there are tasks.  Each block reads the
-    per-packet power and the code pool from ``cfg`` itself.  A frame
-    that costs more than ``_FRAME_DRAWS`` doubles, or a code pool that
-    holds more, raises ``ConfigError`` before any draw.
+    Raises the ``ConfigError`` :func:`estimate_coverage` raises for a frame
+    that costs more than ``_FRAME_DRAWS`` doubles or a code pool that holds
+    more, and the ``InfeasibleError`` of a slot rule that has no slot count.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    _check_sinr_rule(sinr_rule)
     cfg = with_values(cfg, {"frame.n_slots": scheme_slots(cfg, scheme)})
     n, j, n_slots = cfg.traffic.n_active, cfg.frame.n_subcarriers, cfg.frame.n_slots
     draws = n * (1 + n_slots)
@@ -469,17 +453,47 @@ def estimate_coverage(
             f"the code pool holds 2 * n_subcarriers * code_pool_size = {pool} values,"
             f" above the {_FRAME_DRAWS} a frame may hold"
         )
-    size = max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // cost))
+    return cfg, max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // cost))
+
+
+def estimate_coverage(
+    cfg: SystemConfig,
+    scheme: Scheme,
+    n_frames: int,
+    seed: int,
+    n_workers: int = 1,
+    sinr_rule: str = "conservative",
+) -> CoverageEstimate:
+    """Empirical coverage over independent frames.
+
+    ``check_frame_budget`` resolves the scheme's slot rule into the run's
+    config, whose ``frame.n_slots`` the draws and the reported ``n_slots``
+    read, and sizes a block, before anything is drawn.  The frames are
+    split once, into blocks; with w > 1 workers a block holds at most
+    ⌈n_frames/w⌉ frames, so a short run still reaches every worker.  Frame
+    i draws from its own generator, ``default_rng(SeedSequence(seed,
+    spawn_key=(i,)))``, and each block returns the exact ``FrameSums`` of
+    its frames, so the result, ``FrameSums.estimate`` of their sum, is
+    identical for any worker count or block size.  At most as many workers
+    start as this process may use CPUs, and as there are blocks.  A seed
+    that is not an integer raises ``TypeError``, a negative one
+    ``ValueError``, before any draw.
+    """
+    seed = operator.index(seed)
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    _check_sinr_rule(sinr_rule)
+    cfg, size = check_frame_budget(cfg, scheme)
 
     if n_workers > 1:  # a pool starts all its processes at the first task
         n_workers = min(n_workers, _usable_cpus())
-    chunk = n_frames if n_workers <= 1 else max(1, math.ceil(n_frames / (4 * n_workers)))
-    tasks = [range(n_frames)[lo:lo + chunk] for lo in range(0, n_frames, chunk)]
-    work = functools.partial(_coverage_worker, cfg, scheme, seed, size, sinr_rule, np.geterr())
-    workers = min(n_workers, len(tasks))
+        size = min(size, math.ceil(n_frames / n_workers))
+    blocks = [range(n_frames)[lo:lo + size] for lo in range(0, n_frames, size)]
+    work = functools.partial(_coverage_worker, cfg, scheme, seed, sinr_rule, np.geterr())
+    workers = min(n_workers, len(blocks))
     if workers <= 1:
-        parts = map(work, tasks)
+        parts = map(work, blocks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            parts = list(pool_exec.map(work, tasks))
-    return sum(parts, FrameSums()).estimate(n_slots)
+            parts = list(pool_exec.map(work, blocks))
+    return sum(parts, FrameSums()).estimate(cfg.frame.n_slots)

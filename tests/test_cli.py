@@ -445,6 +445,28 @@ def test_frame_too_large_to_draw_exit_code(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err.startswith("config error: one frame draws n_active")
 
 
+def no_draw(*args, **kwargs):
+    raise AssertionError("a frame was drawn or an analysis run")
+
+
+def test_compare_refuses_a_later_lambda_before_any_draw(monkeypatch, capsys):
+    # lambda = 12 is past lambda_max for the proposed scheme: refused before
+    # lambda = 2 is simulated
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    assert main(["compare", "--lambdas", "2,12", "--trials", "5"]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err == "infeasible: C5: lambda (12) exceeds lambda_max (10)\n"
+
+
+def test_validate_refuses_a_later_point_before_any_draw(monkeypatch, capsys):
+    # n_active = 1e9 makes a frame too large to draw: refused before the
+    # n_active = 10 point is simulated or any analytic runs
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    monkeypatch.setattr(cli, "frame_coverage_probs", no_draw)
+    argv = ["validate", "--n-active", "10,1e9", "--lambdas", "2", "--trials", "5"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: one frame draws n_active")
+
+
 def test_validate_grid_above_the_cap_usage_error(monkeypatch, capsys):
     # each list holds at most 100 000 values, and so does their product:
     # 400 x 251 cells are refused before any config, estimate or analytic

@@ -462,8 +462,9 @@ def test_estimate_coverage_worker_invariance():
     assert serial == parallel
 
 
-def recording_pool(made):
-    """A pool that records its worker count in ``made`` and maps in-process."""
+def recording_pool(made, sent=None):
+    """A pool that records its worker count in ``made``, and each task's
+    frame range in ``sent`` when given, and maps in-process."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -476,9 +477,35 @@ def recording_pool(made):
             return False
 
         def map(self, fn, tasks):
+            if sent is not None:
+                sent.extend(tasks)
             return map(fn, tasks)
 
     return RecordingPool
+
+
+def test_estimate_coverage_splits_frames_once_into_blocks(monkeypatch):
+    # each task is one block: the budgeted size, cut to reach every worker
+    made, sent = [], []
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording_pool(made, sent))
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    cfg = reference_config(n_active=10, lam=4.0)
+    budget = min(simulator._BLOCK_FRAMES, simulator._BLOCK_DRAWS // frame_cost(10, 4, 20))
+    assert budget >= 150
+    parallel = estimate_coverage(cfg, Scheme.BASELINE, 300, seed=9, n_workers=2)
+    assert made == [2] and sent == [range(0, 150), range(150, 300)]
+    blocks = []
+    worker = simulator._coverage_worker
+
+    def recording(*args):
+        blocks.append(args[-1])
+        return worker(*args)
+
+    monkeypatch.setattr(simulator, "_coverage_worker", recording)
+    serial = estimate_coverage(cfg, Scheme.BASELINE, 300, seed=9)
+    assert [i for block in blocks for i in block] == list(range(300))
+    assert all(len(block) <= budget for block in blocks)
+    assert serial == parallel
 
 
 def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
@@ -506,6 +533,24 @@ def test_estimate_coverage_forks_no_more_workers_than_cpus(monkeypatch):
     assert probes == []  # one worker asked for: no probe
     assert estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9, n_workers=10**6) == serial
     assert made == [3] and probes == [1]
+
+
+def test_estimate_coverage_takes_only_an_integer_seed(monkeypatch):
+    # a sequence would be taken as seed entropy, (3,) as the seed 3
+    cfg = reference_config(n_active=10, lam=4.0)
+    reference = estimate_coverage(cfg, Scheme.BASELINE, 5, seed=3)
+    assert estimate_coverage(cfg, Scheme.BASELINE, 5, seed=np.int64(3)) == reference
+    assert (estimate_coverage(cfg, Scheme.BASELINE, 5, seed=np.uint64(2**64 - 1))
+            == estimate_coverage(cfg, Scheme.BASELINE, 5, seed=2**64 - 1))
+    estimate_coverage(cfg, Scheme.BASELINE, 5, seed=2**128 + 1)
+    monkeypatch.setattr(simulator, "_draw_block", no_draw)
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_draw)
+    for seed in ([1, 2], (3,), 3.0, "3"):
+        for workers in (1, 2):
+            with pytest.raises(TypeError):
+                estimate_coverage(cfg, Scheme.BASELINE, 5, seed=seed, n_workers=workers)
+    with pytest.raises(ValueError):
+        estimate_coverage(cfg, Scheme.BASELINE, 5, seed=-1)
 
 
 def test_usable_cpus_is_a_positive_count():
