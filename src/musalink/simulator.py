@@ -26,21 +26,27 @@ is tested against, ``sample_deployment`` and ``assign_slots_codes``, are
 in ``tests/oracles.py``.
 
 The receiver is batched: ``estimate_coverage`` decodes a block of frames
-at once.  Collisions are found with one stable argsort of the (slot,
-code) keys; each occupied slot becomes a row of packets, singletons
-nearest first and collided packets last, and iteration t of a slot
-tests its column t against the undecoded set of columns t..K-1.  The
-rows are laid out batch-last, (depth, J, rows), so every step of the
-sweep below runs over contiguous runs of rows, and each row's counts
-are summed into its frame by ``bincount``.  The receiver works in units
-of the noise: an MMSE SINR depends on the powers and the noise only
-through each packet's SNR, so every channel is scaled once to
+at once.  Collisions are found with one argsort of the (slot, code)
+keys; it need not be stable, since every packet of a run of equal keys
+is flagged, in whatever order the run comes.  Each occupied slot
+becomes a row of packets, singletons nearest first and collided packets
+last, and iteration t of a slot tests its column t against the
+undecoded set of columns t..K-1.  The rows are laid out batch-last,
+(depth, J, rows), and right-aligned: column t of a row of depth K sits
+at position t + (D - K) of the block's deepest depth D, so the undecoded
+set of every row still in play at position p is exactly positions
+p..D-1, and no step of the sweep below touches the padding.  Each row's
+counts are summed into its frame by ``bincount``.  The receiver works in
+units of the noise: an MMSE SINR depends on the powers and the noise
+only through each packet's SNR, so every channel is scaled once to
 h = √(p/σ²)·g.  By the push-through identity W = Hᴴ(HHᴴ + I)⁻¹ a set
 needs the inverse of one J x J matrix, and the sets of a row grow by
-one column as t falls, so one backward sweep over t from R⁻¹ = I, a
+one column as the position falls, so one backward sweep from R⁻¹ = I, a
 Sherman-Morrison update per step run over all rows at once, gives the
 SINR of every iteration of every slot without a linear solve.  The
-sweep takes one step per packet of the block's deepest slot.  This is
+sweep takes one step per packet of the block's deepest slot, and its
+projections run over real packets only: Σ K_b(K_b + 1)/2 per block
+over its rows b.  This is
 the one receiver the package ships; the scalar one-slot receiver it is
 tested against, an m x m solve per cancellation step in watts
 (``mmse_weights`` and ``sic_decode``), is in ``tests/oracles.py``.
@@ -218,57 +224,66 @@ def _draw_block(cfg: SystemConfig, scheme: Scheme, rngs: Collection[np.random.Ge
 def _sweep_sinr(h: np.ndarray, depth: np.ndarray, sinr_rule: str) -> np.ndarray:
     """SINR of every cancellation iteration of B slot rows, in one sweep.
 
-    The rows are batch-last: ``h[:, :, b]`` (D, J) holds the channels of
-    row b's K_b = ``depth[b]`` packets in decoding order, zero past K_b,
-    each in units of the noise: h = √(p/σ²)·g for a packet of power p and
-    effective channel g.  Rows are sorted deepest first.  Entry (t, b) of
-    the (D, B) result is the SINR of column t of row b against the
-    undecoded set t..K_b-1 by the arithmetic of the scalar receiver in
-    ``tests/oracles.py``; entries past K_b are 0.
+    The rows are batch-last and right-aligned: ``h[:, :, b]`` (D, J) holds
+    the channels of row b's K_b = ``depth[b]`` packets in decoding order
+    at positions D-K_b..D-1, zero before them, each in units of the
+    noise: h = √(p/σ²)·g for a packet of power p and effective channel
+    g.  Rows are sorted deepest first.  Entry (p, b) of the (D, B) result
+    is the SINR of the packet at position p of row b, its column
+    t = p - (D - K_b), against the undecoded set t..K_b-1, positions
+    p..D-1, by the arithmetic of the scalar receiver in
+    ``tests/oracles.py``; entries before D-K_b are 0.
 
     An MMSE SINR depends on the powers and the noise only through h, and
     by the push-through identity the weight rows of a set are
     W = Hᴴ R⁻¹ with R = HHᴴ + I_J, so a set needs the inverse of one
-    J x J matrix, not an m x m solve.  The set of iteration t adds
-    column t to that of t + 1, so sweeping t from D-1 down to 0 from
+    J x J matrix, not an m x m solve.  The set at position p adds that
+    position to the set at p + 1, so sweeping p from D-1 down to 0 from
     R⁻¹ = I takes one Sherman-Morrison update of R⁻¹ per step, an update
     never a downdate: its denominator δ = 1 + s is at least 1.  With
-    u = R_{t+1}⁻¹h_t and s = h_tᴴu:
+    u = R_{p+1}⁻¹h_p and s = h_pᴴu:
 
     ``conservative``
-        s² / (δ²·Σ_{i>t} q_i² + ‖u‖²), where q_i = h_iᴴR_t⁻¹h_i is kept
+        s² / (δ²·Σ_{i>p} q_i² + ‖u‖²), where q_i = h_iᴴR_p⁻¹h_i is kept
         by q_i -= |uᴴh_i|²/δ; as γ grows, column 0 of m separable
         packets tends to 1/(m - 1), each q_i to 1;
     ``post_mmse``
-        s² / (Σ_{i>t} |uᴴh_i|² + ‖u‖²).
+        s² / (Σ_{i>p} |uᴴh_i|² + ‖u‖²).
 
-    Step t touches only the rows deeper than t, a prefix of the rows, so
-    each of its products runs over contiguous runs of those rows.
+    Step p touches only the rows with K_b >= D - p, a prefix of the
+    rows, whose undecoded sets are all of positions p..D-1: each of its
+    products runs over contiguous runs of those rows and over their real
+    packets only, Σ K_b(K_b + 1)/2 projections in all.  A row runs the same
+    rank-1 updates in the same order whatever the other rows, and no
+    update follows the last step.
     """
     d, j, n_rows = h.shape
     r_inv = np.zeros((j, j, n_rows), dtype=complex)
     r_inv[np.arange(j), np.arange(j)] = 1.0
     q = np.zeros((d, n_rows))
     sinr = np.zeros((d, n_rows))
-    width = np.searchsorted(-depth, -np.arange(d))
-    for t in range(d - 1, -1, -1):
-        b = width[t]
-        u = np.einsum("ijb,jb->ib", r_inv[:, :, :b], h[t, :, :b])
+    width = np.searchsorted(-depth, np.arange(1 - d, 1))  # rows with K_b >= D - p
+    for p in range(d - 1, -1, -1):
+        b = width[p]
+        u = np.einsum("ijb,jb->ib", r_inv[:, :, :b], h[p, :, :b])
         u_h = u.conj()
-        proj = np.einsum("jb,kjb->kb", u_h, h[t:, :, :b])  # u^H h_i for i >= t
+        proj = np.einsum("jb,kjb->kb", u_h, h[p:, :, :b])  # u^H h_i for i >= p
         s = proj[0].real
         cross = proj.real[1:] ** 2 + proj.imag[1:] ** 2
         noise = np.einsum("jb,jb->b", u_h, u).real
         delta = 1.0 + s
         if sinr_rule == "conservative":
-            q_rest = q[t + 1:, :b]
+            q_rest = q[p + 1:, :b]
             q_rest -= cross / delta
-            q[t, :b] = s / delta  # h_t^H R_t^-1 h_t
+            q[p, :b] = s / delta  # h_p^H R_p^-1 h_p
             interference = delta**2 * np.einsum("kb,kb->b", q_rest, q_rest)
         else:
-            interference = cross.sum(axis=0)
-        sinr[t, :b] = s * s / (interference + noise)
-        r_inv[:, :, :b] -= (u / delta)[:, None] * u_h
+            # in column order at any width, as a step of many rows adds it:
+            # sum() adds a step of one row pairwise, other last digits
+            interference = np.cumsum(cross, axis=0)[-1] if len(cross) else 0.0
+        sinr[p, :b] = s * s / (interference + noise)
+        if p:
+            r_inv[:, :, :b] -= (u / delta)[:, None] * u_h
     return sinr
 
 
@@ -280,29 +295,28 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     receiver works in units of the noise: each packet's channel is its
     fading times its code scaled by √snr, the received SNR
     path_gain·power/σ² of its device row.  A packet collides when
-    another of its slot has its code: one stable argsort of the (slot,
-    code) keys puts such packets next to each other.  Each occupied slot
-    is a row [singletons nearest first, then collided], rows sorted
-    deepest first and laid out batch-last for ``_sweep_sinr``.  One
-    backward sweep over the rows of two or more packets gives the SINR of
-    every iteration t against the undecoded set row[t:K]; a lone packet
-    keeps the matched filter against noise, its SINR ‖h‖².  A slot passes
-    the leading run of its singletons whose SINR reaches the threshold; a
-    failure blocks the slot's remaining singletons.  Each row's counts
+    another of its slot has its code: one argsort of the (slot, code)
+    keys puts such packets next to each other, and flags every packet of
+    a run of equal keys, so the sort need not be stable.  Each occupied
+    slot is a row [singletons nearest first, then collided], rows sorted
+    deepest first; the channels are built in that row order and laid out
+    batch-last and right-aligned for ``_sweep_sinr``, row b's column t at
+    position t + pad_b with pad_b = D - K_b.  One backward sweep over the
+    rows of two or more packets gives the SINR of every iteration t
+    against the undecoded set row[t:K]; a lone packet keeps the matched
+    filter against noise, its SINR ‖h‖².  A slot passes the leading run
+    of its singletons whose SINR reaches the threshold, counted over the
+    positions with the padding taken as passed and then pad_b taken off;
+    a failure blocks the slot's remaining singletons.  Each row's counts
     are summed into its frame by ``bincount``.
     """
     pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
     n_frames, n_active = block.counts.shape
     if len(block.device) == 0:
         return np.zeros((n_frames, 4), dtype=np.int64)
-    code = block.code
-    snr = cfg.path_gain(block.radii) * block.powers / cfg.channel.noise_power
-    channel = block.fading * pool[code]  # in units of the noise: √snr · fading · code
-    channel *= np.sqrt(snr).ravel()[block.device][:, None]
-
-    slot = block.slot
+    code, slot = block.code, block.slot
     pair = slot * len(pool) + code
-    by_pair = np.argsort(pair, kind="stable")
+    by_pair = np.argsort(pair)  # a run of equal keys is flagged whole in any order
     sorted_pair = pair[by_pair]
     shared = np.zeros(len(pair) + 1, dtype=bool)  # sorted entries i - 1 and i share a key
     shared[1:-1] = sorted_pair[1:] == sorted_pair[:-1]
@@ -316,6 +330,10 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     nearness[np.argsort(block.radii, axis=None, kind="stable")] = np.arange(block.radii.size)
     key = (slot - depth * (int(slot.max()) + 1)) * 2 + collided
     order = np.argsort(key * block.radii.size + nearness[block.device])
+    device = block.device[order]
+    snr = cfg.path_gain(block.radii) * block.powers / cfg.channel.noise_power
+    channel = block.fading[order] * pool[code[order]]  # in units of the noise, in row order
+    channel *= np.sqrt(snr).ravel()[device][:, None]
     row_slot = slot[order]
     first = np.flatnonzero(np.concatenate(([True], row_slot[1:] != row_slot[:-1])))
     ends = np.append(first, len(order))
@@ -326,20 +344,23 @@ def _decode_block(cfg: SystemConfig, block: _Block, sinr_rule: str) -> np.ndarra
     n_multi = np.count_nonzero(k > 1)
     cut = ends[n_multi]  # packets of the rows of two or more
     row = np.repeat(np.arange(n_multi), k[:n_multi])
-    col = np.arange(cut) - first[row]
+    pad = k[0] - k[:n_multi]
+    # right-aligned: column t of a row of depth K at position t + (D - K)
     h = np.zeros((k[0], channel.shape[1], n_multi), dtype=complex)
-    h[col, :, row] = channel[order[:cut]]
+    h[np.arange(cut) - first[row] + pad[row], :, row] = channel[:cut]
     sinr = _sweep_sinr(h, k[:n_multi], sinr_rule)
-    ok = (sinr >= theta) & (np.arange(k[0])[:, None] < singles[:n_multi])
-    lone = channel[order[cut:]]
+    position = np.arange(k[0])[:, None]
+    # the padding passes, then a row's singletons must reach the threshold
+    ok = (position < pad) | ((sinr >= theta) & (position < pad + singles[:n_multi]))
+    lone = channel[cut:]
     passed = np.concatenate((
-        np.logical_and.accumulate(ok, axis=0).sum(axis=0),
+        np.logical_and.accumulate(ok, axis=0).sum(axis=0) - pad,
         np.sum(lone.real**2 + lone.imag**2, axis=1) >= theta,
     ))
     failed = passed < singles
 
     blocked = np.where(failed, singles - passed - 1, 0)
-    frame = block.device[order[first]] // n_active
+    frame = device[first] // n_active
     per_row = (passed, k - singles, failed, blocked)
     # float sums of counts below 2^53 are exact
     return np.column_stack(
@@ -494,6 +515,8 @@ def estimate_coverage(
     if workers <= 1:
         parts = map(work, blocks)
     else:
+        # about four tasks per worker: a task per block costs its round trip
+        chunk = math.ceil(len(blocks) / (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            parts = list(pool_exec.map(work, blocks))
+            parts = list(pool_exec.map(work, blocks, chunksize=chunk))
     return sum(parts, FrameSums()).estimate(cfg.frame.n_slots)
