@@ -8,8 +8,12 @@ devices into the frame SINR coverage probability.
 No integral is evaluated adaptively.  The coverage kernel
 (:func:`_coverage_kernels`) multiplies the noise factor by the two
 interference Laplace transforms, each the exponential of a Campbell
-exponent with a closed form in the Gauss hypergeometric function
-(:func:`_antiderivative`), vectorised over distances, and the
+exponent, vectorised over distances.  Each exponent is an integral in
+ln v by a fixed Gauss-Legendre rule (:func:`_campbell_integrals`),
+whose size each point takes from its own pathloss exponent and
+ln(u_edge/h^2) by the Bernstein-ellipse bound
+(:func:`_campbell_rule_size`), and whose lower end is cut near v = 0,
+where the integrand is 1 to rounding, so h -> 0 stays finite.  The
 average of the coverage kernel over the k-th ordered distance is a
 fixed-order Gauss-Jacobi sum: in t = (r/R)^2 the k-th of n_singleton
 uniform devices has the Beta(k, n_singleton - k + 1) law.  With
@@ -34,25 +38,30 @@ point's ranks into blocks, so no array grows with the sweep's length.
 The slot statistics, the two eigenvalue solves and the report run per
 point; the recurrence coefficients, the Newton step, the log weights,
 the coverage kernel, the rank weights and their sums run once over all
-the batch's nodes.  Every point keeps its own rule, and each rule's
+the batch's nodes.  Every point keeps its own rules, and each rule's
 sums reduce its own nodes only, so its report is the same bits whatever
-batch it is evaluated in.
+batch it is evaluated in.  The kernel groups a batch's nodes by their
+points' Gauss-Legendre sizes and holds at most ``_RANK_WEIGHTS``
+(node, rule node) entries at once.
 
-``scipy.special`` (and ``scipy.linalg``) load on the first evaluation,
-not with the module, so importing the package costs only numpy.
+The Gauss-Legendre rules are built with numpy alone, once per size and
+process.  Only the Gauss-Jacobi rules need ``scipy.special`` (and
+``scipy.linalg``), which load on the first evaluation, not with the
+module, so importing the package costs only numpy.
 
 All functions are pure.  :func:`slot_statistics` states the per-slot
 law once: the occupancy p_lambda, the collision-free probability p_cf,
 the mean singleton count, and the singleton and collided thinnings of
 the active field, the only figures of the field the kernel reads.  The
 per-point form of the field, the two Laplace transforms, the Campbell
-exponent over an annulus and the ordered-distance density, is kept as
-test oracles in ``tests/oracles.py``.
+exponent over an annulus in its Gauss hypergeometric closed form and the
+ordered-distance density, is kept as test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -85,6 +94,11 @@ _RANK_WEIGHTS = 1 << 16
 # 65 536 codes at n_active = 1e6 (9 456 ranks, 1.35e8 weights); J = 10 with
 # 1e6 codes at n_active = 1e7 would need 1.1e11.
 _POINT_WEIGHTS = 1 << 28
+
+# Error target of the Campbell integrals' Gauss-Legendre rules, relative
+# to the cell edge's u = R^2 + h^2: the rule sizes and the lower cut of the
+# integrals (:func:`_campbell_integrals`) hold the error near it.
+_CAMPBELL_TOL = 2.0**-53
 
 
 class QuadratureError(RuntimeError):
@@ -152,30 +166,163 @@ def slot_statistics(cfg: SystemConfig) -> SlotStatistics:
                           omega * p_cf, omega * (1.0 - p_cf))
 
 
-def _antiderivative(u, u_a, q, a: float):
-    """F(u) of the Campbell exponent of a Rayleigh-faded Poisson field, given
-    ``u_a = u**a``.
+@functools.cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule mapped to [0, 1], as ``(c, w)``.
 
-    The exponent ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 +
-    h^2)^(-alpha/2)`` over an annulus, written in ``u = r^2 + h^2``, is
-    ``pi*omega * [F(u_hi) - F(u_lo)]`` in closed form (Andrews, Baccelli &
-    Ganti 2011): with ``a = alpha/2``,
-
-        F(u) = u * 2F1(1, 1/a; 1 + 1/a; -u^a/q),
-
-    and ``F(u) = q * log(1 + u/q)`` at ``a = 1``, where the hypergeometric
-    form is degenerate.  The absolute error of the difference is of the
-    order of the rounding error of ``pi * omega * u_hi``, so a very thin
-    annulus loses relative accuracy but not absolute accuracy, and the
-    transform exp(-exponent) neither.  ``u``, ``u_a`` and ``q`` may be
-    arrays; ``a`` is one exponent.
+    ``c`` are the nodes (1 - x)/2 of the rule's nodes x on [-1, 1] and
+    ``w`` the weights halved, so that sum(w) = 1.  The nodes are the roots
+    of P_n, found by Newton's method on the three-term recurrence from
+    Tricomi's estimates (Numerical Recipes' ``gauleg``), and the weights
+    are 2/((1 - x^2) P_n'(x)^2).  Built once per n and process with
+    numpy's elementwise arithmetic only: the first call into numpy's
+    LAPACK (Golub & Welsch's eigenvalue form) adds ~0.8 MB to the resident
+    set.  The arrays returned are read-only, shared by every caller.
     """
-    if a == 1.0:
-        return q * np.log1p(u / q)
-    from scipy.special import hyp2f1  # scipy.special is slow to import
+    k = np.arange(1, n + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
 
-    b = 1.0 / a
-    return u * hyp2f1(1.0, b, 1.0 + b, -u_a / q)
+    def derivative(x):  # P_n(x) and P_n'(x), by the three-term recurrence
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    for _ in range(100):
+        p, dp = derivative(x)
+        step = p / dp
+        x = x - step
+        if np.abs(step).max() <= 1e-15:
+            break
+    x = 0.5 * (x - x[::-1])  # the rule is symmetric about 0
+    w = 1.0 / ((1.0 - x * x) * derivative(x)[1] ** 2)
+    w = 0.5 * (w + w[::-1])
+    c, w = 0.5 * (1.0 - x), w / np.add.reduce(w)
+    c.flags.writeable = w.flags.writeable = False
+    return c, w
+
+
+def _campbell_rule_size(a: float, span: float) -> int:
+    """Nodes of the Gauss-Legendre rule of a Campbell integral ``span`` long in ln v.
+
+    In w = ln v the integrand q e^w/(q + e^(a w)) has its poles where
+    e^(a w) = -q, so it is analytic in the strip |Im w| < pi/a.  Mapped
+    to [-1, 1], an interval of length L = ``span`` sees the strip as the
+    Bernstein ellipse of semi-minor axis d = 2 pi/(a L), whose sum of
+    semi-axes is rho = d + sqrt(1 + d^2), and the error of the N-node
+    rule decays like rho^(-2N) (Trefethen, SIAM Review 50(1), 2008).  N is
+    the least with rho^(-2N) <= ``_CAMPBELL_TOL``: 5 at the default
+    geometry (a = 1.1, L = 0.148), 58 at h = 2 m, R = 50 m, a = 3
+    (L = 6.44), and at most 323 at a = 3 when the lower end is cut
+    (L <= ln(1/``_CAMPBELL_TOL``) = 36.7).
+    """
+    if span <= 0.0:
+        return 1
+    log_rho = math.asinh(2.0 * math.pi / (a * span))
+    return max(1, math.ceil(-math.log(_CAMPBELL_TOL) / (2.0 * log_rho)))
+
+
+def _rule_sum(terms: np.ndarray) -> np.ndarray:
+    """The sums of the columns of ``terms`` over its rows, in row order.
+
+    Each column is summed alone, in the same order whatever the other
+    columns are; numpy's reduce over the rows of a one-column array would
+    switch to its pairwise order and move the last digit.
+    """
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
+
+
+def _campbell_integrals(a: float, u_edge, h2):
+    """Return ``f(u, q, point) -> (singleton, collided)``: the two Campbell
+    integrals of a device at ``u`` with parameter ``q`` in point ``point``,
+    elementwise over 1-d ``u`` and ``q``.
+
+    The Campbell exponent of a Rayleigh-faded Poisson field of intensity
+    omega, ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 +
+    h^2)^(-alpha/2)`` over an annulus, is in ``u = r^2 + h^2`` and
+    ``a = alpha/2`` the integral ``pi*omega * int q/(q + v^a) dv`` between
+    the annulus's two values of u.  The kernel's parameter is
+    ``q = theta * u^a``, with u the tagged device's, and its two
+    integrals end at the cell edge ``u_edge`` = R^2 + h^2: the singleton
+    integral starts at u, the collided one at h^2.
+
+    Each is evaluated as ``int q v/(q + v^a) d(ln v)`` by a fixed
+    Gauss-Legendre rule in ln v (:func:`_legendre_rule`), of
+    :func:`_campbell_rule_size` nodes for the point's span
+    L = ln(u_edge/h^2), which bounds the singleton span too.  Below
+    ``cut = _CAMPBELL_TOL * u_edge`` the integrand q/(q + v^a) in v is at
+    most 1 and the integral over [0, cut] at most ``cut``, so the lower
+    end is cut there and the piece below it is added as its length: the
+    error is at most ``_CAMPBELL_TOL * u_edge``, the order of the rounding
+    of u_edge, and L stays finite as h -> 0.  Written about the edge,
+    w = ln(v/u_edge) <= 0, the integrand is u_edge e^w/(1 + r e^(a w))
+    with ``r = u_edge^a/q`` per device.  The collided nodes depend on the
+    point only, so their exponentials are taken once per point and rule
+    node.
+
+    ``u_edge`` and ``h2`` are per point; ``a`` is one exponent.  Each
+    device's sums run over its own point's rule nodes, in rule-node order
+    (:func:`_rule_sum`), in arrays of at most ``_RANK_WEIGHTS`` entries, so
+    its values do not depend on the other points or devices of a call.
+    """
+    u_edge = np.asarray(u_edge, dtype=float)
+    cuts = _CAMPBELL_TOL * u_edge
+    lo_c = np.maximum(h2, cuts)
+    spans = np.log(u_edge / lo_c)  # the collided span, the longest of the point's
+    sizes = [_campbell_rule_size(a, s) for s in spans.tolist()]
+    # per point: u_edge, u_edge^a, the cut, the collided span and the collided
+    # piece below the cut (0 unless h^2 < cut); scalar powers: numpy's
+    # vectorised power may differ from them in the last bit
+    table = np.array([u_edge, [edge**a for edge in u_edge.tolist()], cuts, spans, lo_c - h2])
+    # per rule size: the rule's negated nodes and its weights as (n, 1)
+    # columns, then its points' collided numerators w_k e^(w_k) and
+    # e^(a w_k) at w_k = -c_k L, one column per point
+    rules = {}
+    for n in sorted(set(sizes)):
+        c, w = _legendre_rule(n)
+        c, w = -c[:, None], w[:, None]
+        pts = np.flatnonzero(np.equal(sizes, n))
+        column = np.zeros(len(sizes), dtype=np.int64)
+        column[pts] = np.arange(pts.size)
+        log_v = c * spans[pts]
+        rules[n] = (c, w, column, w * np.exp(log_v), np.exp(a * log_v))
+    sizes = np.array(sizes)
+
+    def f(u, q, point):
+        point = np.broadcast_to(point, u.shape)
+        edge, edge_a, cut, span, piece = np.take(table, point, axis=1)
+        lo_s = np.maximum(u, cut)
+        span_s = np.log(edge / lo_s)
+        ratio = edge_a / q  # r = u_edge^a / q
+        singleton, collided = np.empty(u.size), np.empty(u.size)
+        for n, (c, w, column, num_c, exp_c) in rules.items():
+            sel = np.flatnonzero(sizes[point] == n)
+            # (n, nodes) arrays of at most _RANK_WEIGHTS entries
+            step = max(1, _RANK_WEIGHTS // n)
+            for lo in range(0, sel.size, step):
+                i = sel[lo: lo + step]
+                r = ratio[i]
+                log_v = c * span_s[i]
+                terms = w * np.exp(log_v)
+                log_v *= a
+                den = np.exp(log_v, out=log_v)
+                den *= r
+                den += 1.0
+                terms /= den
+                singleton[i] = _rule_sum(terms)
+                k = column[point[i]]
+                den = np.take(exp_c, k, axis=1)
+                den *= r
+                den += 1.0
+                terms = np.take(num_c, k, axis=1)
+                terms /= den
+                collided[i] = _rule_sum(terms)
+        return edge * (span_s * singleton) + (lo_s - u), edge * (span * collided) + piece
+
+    return f
 
 
 # ----------------------------------------------------------------------------
@@ -192,10 +339,11 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], stats: Sequence[SlotStatisti
     independent of the order-statistic rank.  With u = r_hat^2 + h^2 the
     transform argument is ``s = theta * u^(alpha/2) / (p_bar * beta)``, so
     the Campbell parameter ``q = s * p_bar * beta`` is ``theta *
-    u^(alpha/2)``, and the antiderivative at the cell edge serves both
-    transforms.  The configurations share one pathloss exponent: numpy's
-    power at a scalar exponent (with its fast paths at 1/2, 1 and 2) can
-    differ in the last bit from the same power at an array of exponents.
+    u^(alpha/2)``, and :func:`_campbell_integrals` gives both transforms'
+    exponents over pi*omega, by a Gauss-Legendre rule of each point's own
+    size.  The configurations share one pathloss exponent: numpy's power
+    at a scalar exponent (with its fast paths at 1/2, 1 and 2) can differ
+    in the last bit from the same power at an array of exponents.
     """
     alpha = cfgs[0].channel.pathloss_exp
     a = 0.5 * alpha
@@ -205,31 +353,22 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], stats: Sequence[SlotStatisti
             raise ValueError("a batch of coverage kernels needs one pathloss exponent")
         radius2 = cfg.geometry.cell_radius**2
         h2 = cfg.geometry.uav_altitude**2
-        u_edge = radius2 + h2
         noise_per_q = cfg.channel.noise_power / (
             cfg.mean_packet_power() * cfg.channel.pathloss_coeff
         )
-        # scalar powers: numpy's vectorised power may differ from them in the last bit
         rows.append((radius2, h2, cfg.reliability.sinr_threshold, noise_per_q,
-                     math.pi * st.omega_s, math.pi * st.omega_c,
-                     u_edge, u_edge**a, h2**a))
+                     math.pi * st.omega_s, math.pi * st.omega_c))
     params = np.array(rows).T
+    campbell = _campbell_integrals(a, params[0] + params[1], params[1])
 
     def g(t, point):
-        radius2, h2, theta, noise_per_q, pi_omega_s, pi_omega_c, u_edge, u_edge_a, h2_a = (
-            params[:, point]
-        )
+        radius2, h2, theta, noise_per_q, pi_omega_s, pi_omega_c = np.take(params, point, axis=1)
         u = radius2 * t + h2
-        u_a = u**a
-        q = theta * u_a
-        f_edge = _antiderivative(u_edge, u_edge_a, q, a)
-        # the Campbell exponents of the weaker singletons, from u to the
+        q = theta * u**a
+        # the Campbell integrals of the weaker singletons, from u to the
         # edge, and of the collided devices, over the whole disk
-        exponent = (
-            q * noise_per_q
-            + pi_omega_s * (f_edge - _antiderivative(u, u_a, q, a))
-            + pi_omega_c * (f_edge - _antiderivative(h2, h2_a, q, a))
-        )
+        singleton, collided = campbell(u, q, point)
+        exponent = q * noise_per_q + pi_omega_s * singleton + pi_omega_c * collided
         return np.exp(-exponent)
 
     return g

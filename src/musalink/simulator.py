@@ -255,12 +255,16 @@ def _sweep_sinr(h: np.ndarray, depth: np.ndarray, sinr_rule: str) -> np.ndarray:
     products runs over contiguous runs of those rows and over their real
     packets only, Σ K_b(K_b + 1)/2 projections in all.  A row runs the same
     rank-1 updates in the same order whatever the other rows, and no
-    update follows the last step.
+    update follows the last step.  ``q`` has at least two columns, so
+    the Σq² of a step with one row in play is a strided column, summed
+    in the same order as a wider step sums it: a contiguous (k, 1)
+    column would take numpy's dot path and move the last digits.  A
+    row's SINRs under either rule are thus the same bits in any block.
     """
     d, j, n_rows = h.shape
     r_inv = np.zeros((j, j, n_rows), dtype=complex)
     r_inv[np.arange(j), np.arange(j)] = 1.0
-    q = np.zeros((d, n_rows))
+    q = np.zeros((d, max(n_rows, 2)))
     sinr = np.zeros((d, n_rows))
     width = np.searchsorted(-depth, np.arange(1 - d, 1))  # rows with K_b >= D - p
     for p in range(d - 1, -1, -1):

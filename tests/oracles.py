@@ -6,8 +6,10 @@ against the form here, written the direct way:
 - the interference field one point at a time: ``laplace_singleton`` and
   ``laplace_collided``, the Laplace transforms of the singleton and
   collided interference at one distance through the Campbell exponent
-  over an annulus (``_campbell_exponent``), the oracles of the
-  vectorised ``analytic._coverage_kernels``; and the ordered-distance
+  over an annulus (``_campbell_exponent``, in the Gauss hypergeometric
+  closed form ``_antiderivative``), the oracles of the vectorised
+  ``analytic._coverage_kernels`` and its Gauss-Legendre rule
+  ``analytic._campbell_integrals``; and the ordered-distance
   density ``ordered_distance_pdf``, the law the engine's Gauss-Jacobi
   rank averages integrate;
 - the scalar one-slot receiver (``mmse_weights`` and ``sic_decode``, an
@@ -38,9 +40,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import pdtr, pdtrc, pdtrik
+from scipy.special import hyp2f1, pdtr, pdtrc, pdtrik
 
-from musalink.analytic import _antiderivative
 from musalink.config import SystemConfig
 from musalink.shortpacket import q_function
 from musalink.simulator import _check_sinr_rule
@@ -92,14 +93,39 @@ def ordered_distance_pdf(k: int, n_singleton: int, radius: float, x: float) -> f
     return coeff * (2.0 * x / radius**2) * t ** (k - 1) * (1.0 - t) ** (n - k)
 
 
+def _antiderivative(u, u_a, q, a: float):
+    """F(u) of the Campbell exponent of a Rayleigh-faded Poisson field, given
+    ``u_a = u**a``.
+
+    The exponent ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 +
+    h^2)^(-alpha/2)`` over an annulus, written in ``u = r^2 + h^2``, is
+    ``pi*omega * [F(u_hi) - F(u_lo)]`` in closed form (Andrews, Baccelli &
+    Ganti 2011): with ``a = alpha/2``,
+
+        F(u) = u * 2F1(1, 1/a; 1 + 1/a; -u^a/q),
+
+    and ``F(u) = q * log(1 + u/q)`` at ``a = 1``, where the hypergeometric
+    form is degenerate.  The absolute error of the difference is of the
+    order of the rounding error of ``pi * omega * u_hi``, so a very thin
+    annulus loses relative accuracy but not absolute accuracy, and the
+    transform exp(-exponent) neither.  ``u``, ``u_a`` and ``q`` may be
+    arrays; ``a`` is one exponent.  The oracle of the package's
+    Gauss-Legendre rule, ``analytic._campbell_integrals``.
+    """
+    if a == 1.0:
+        return q * np.log1p(u / q)
+    b = 1.0 / a
+    return u * hyp2f1(1.0, b, 1.0 + b, -u_a / q)
+
+
 def _campbell_exponent(q, omega: float, u_lo, u_hi, alpha: float):
     """Campbell exponent of a Rayleigh-faded Poisson interference field.
 
     ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 + h^2)^(-alpha/2)``
     over an annulus, written in ``u = r^2 + h^2`` between ``u_lo`` and
-    ``u_hi`` as ``pi*omega * [F(u_hi) - F(u_lo)]`` with the package's
-    closed form F (``analytic._antiderivative``, which states it and its
-    accuracy).  ``q``, ``u_lo`` and ``u_hi`` may be arrays.
+    ``u_hi`` as ``pi*omega * [F(u_hi) - F(u_lo)]`` with the closed form F
+    (:func:`_antiderivative`, which states it and its accuracy).  ``q``,
+    ``u_lo`` and ``u_hi`` may be arrays.
     """
     a = 0.5 * alpha
     return math.pi * omega * (

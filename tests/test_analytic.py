@@ -1,6 +1,9 @@
 """Coverage analysis against brute-force sampling and quadrature oracles."""
 
+import functools
+import itertools
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -15,10 +18,11 @@ from musalink.analytic import (
     frame_coverage_probs,
     slot_statistics,
 )
-from musalink.config import ConfigError, Scenario, TrafficParams
+from musalink.config import ConfigError, Scenario, TrafficParams, default_config
 
 from conftest import reference_config
 from oracles import (
+    _antiderivative,
     _campbell_exponent,
     laplace_collided,
     laplace_singleton,
@@ -500,15 +504,15 @@ def test_intensity_set_partition(default_cfg):
 #  Closed forms against the adaptive-Simpson oracle
 # ----------------------------------------------------------------------------
 
-def campbell_simpson(q, h2, alpha, lo, hi):
+def campbell_simpson(q, h2, alpha, lo, hi, tol=1e-12):
     """Oracle: int (x/(1+x)) r dr over [lo, hi] by adaptive Simpson, so that
-    2*pi*omega times it is the Campbell exponent."""
+    2*pi*omega times it is the Campbell exponent.  x/(1+x) is written
+    q/(q + (r^2 + h^2)^(alpha/2)), finite at r = h = 0."""
 
     def integrand(r):
-        x = q * (r * r + h2) ** (-alpha / 2)
-        return x / (1.0 + x) * r
+        return q / (q + (r * r + h2) ** (alpha / 2)) * r
 
-    return adaptive_simpson(integrand, lo, hi, tol=1e-12).value
+    return adaptive_simpson(integrand, lo, hi, tol=tol).value
 
 
 @pytest.mark.parametrize("alpha", [2.0, 2.2, 3.0, 4.0])
@@ -538,6 +542,99 @@ def test_campbell_exponent_broadcasts_over_distances(default_cfg):
     assert batch.shape == u.shape
     assert batch == pytest.approx(singles, rel=1e-15, abs=0.0)
     assert batch[-1] == 0.0
+
+
+# ----------------------------------------------------------------------------
+#  The Gauss-Legendre rule of the Campbell integrals
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 58, 119, 323])
+def test_legendre_rule_is_exact_to_degree_2n_minus_1(n):
+    from numpy.polynomial.legendre import leggauss
+
+    c, w = analytic._legendre_rule(n)
+    assert c.shape == w.shape == (n,) and not (c.flags.writeable or w.flags.writeable)
+    degrees = np.arange(min(2 * n, 40))
+    moments = [np.add.reduce(w * c**j) for j in degrees]
+    np.testing.assert_allclose(moments, 1.0 / (degrees + 1), rtol=0, atol=2e-15)
+    x, weights = leggauss(n)  # ascending in x, so descending in c = (1 - x)/2
+    np.testing.assert_allclose(1.0 - 2.0 * c[::-1], x, rtol=0, atol=4e-16)
+    np.testing.assert_allclose(2.0 * w[::-1], weights, rtol=0, atol=1e-12 * weights.max())
+    assert analytic._legendre_rule(n)[0] is c  # built once per process
+
+
+def test_campbell_rule_size_from_the_bernstein_bound():
+    # 5 nodes at the default geometry; the low-altitude sizes grow with
+    # alpha and ln(u_edge/h^2); the cut keeps h -> 0 finite
+    def size(alpha, h, radius=50.0):
+        u_edge = radius * radius + h * h
+        span = math.log(u_edge / max(h * h, analytic._CAMPBELL_TOL * u_edge))
+        return analytic._campbell_rule_size(0.5 * alpha, span)
+
+    assert size(2.2, 125.0) == 5
+    assert size(6.0, 2.0) == 58
+    assert [size(2.2, h) for h in (20.0, 5.0, 2.0, 1.0, 1e-3)] == [11, 18, 23, 28, 71]
+    assert size(2.2, 1e-300) == size(2.2, 1e-100) == 119
+    assert size(6.0, 1e-300) == 323
+    assert analytic._campbell_rule_size(1.1, 0.0) == 1
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.2, 3.0, 4.0, 6.0])
+def test_campbell_integrals_match_closed_form_and_quadrature(alpha):
+    """The package's Gauss-Legendre Campbell integrals over the grid of
+    altitudes (down to 1e-300 m, where h^2 underflows to 0), radii and
+    thresholds, against the hypergeometric closed form to 1e-13 u_edge
+    absolute, the order of its own cancellation, and against adaptive
+    Simpson to the relative 1e-9 of ``test_campbell_exponent_matches_quadrature``.
+    """
+    a = 0.5 * alpha
+    t = np.array([1e-6, 0.01, 0.3, 1.0])
+    grid = itertools.product((1e-300, 1e-3, 1.0, 2.0, 5.0, 20.0, 125.0), (50.0, 500.0),
+                             (0.01, 1.0, 100.0))
+    for h, radius, theta in grid:
+        h2 = h * h
+        u_edge = radius * radius + h2
+        u = radius * radius * t + h2
+        q = theta * u**a
+        singleton, collided = analytic._campbell_integrals(a, [u_edge], [h2])(u, q, 0)
+        f_edge = _antiderivative(u_edge, u_edge**a, q, a)
+        np.testing.assert_allclose(singleton, f_edge - _antiderivative(u, u**a, q, a),
+                                   rtol=0, atol=1e-13 * u_edge, err_msg=str((h, radius, theta)))
+        np.testing.assert_allclose(collided, f_edge - _antiderivative(h2, h2**a, q, a),
+                                   rtol=0, atol=1e-13 * u_edge, err_msg=str((h, radius, theta)))
+        assert singleton[-1] == 0.0
+        for i in (1, 2):
+            r_hat = radius * math.sqrt(t[i])
+            tol = 1e-16 * u_edge
+            assert singleton[i] == pytest.approx(
+                2.0 * campbell_simpson(q[i], h2, alpha, r_hat, radius, tol), rel=1e-9)
+            assert collided[i] == pytest.approx(
+                2.0 * campbell_simpson(q[i], h2, alpha, 0.0, radius, tol), rel=1e-9)
+
+
+def test_coverage_kernel_runs_without_scipy_special(monkeypatch):
+    # only the Gauss-Jacobi rules need scipy; the kernel and its
+    # Gauss-Legendre rules, built afresh here, are numpy alone
+    cfgs = [low_altitude_config(2.0, 1.0), low_altitude_config(1e-300, 1.0), reference_config()]
+    stats = [slot_statistics(cfg) for cfg in cfgs]
+    t = np.tile(np.linspace(0.001, 1.0, 50), 3)
+    point = np.repeat(np.arange(3), 50)
+    expected = analytic._coverage_kernels(cfgs, stats)(t, point)
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    monkeypatch.setattr(analytic, "_legendre_rule",
+                        functools.cache(analytic._legendre_rule.__wrapped__))
+    with pytest.raises(ImportError):
+        import scipy.special  # noqa: F401
+    values = analytic._coverage_kernels(cfgs, stats)(t, point)
+    assert np.array_equal(values, expected) and np.isfinite(values).all()
+
+
+def test_frame_coverage_finite_as_the_altitude_vanishes():
+    # h^2 underflows to 0 at h = 1e-300: the cut keeps the collided span, and
+    # so the rule, finite; the hypergeometric closed form gave the same value
+    cfg = default_config()
+    low = replace(cfg, geometry=replace(cfg.geometry, uav_altitude=1e-300))
+    assert frame_coverage_prob(low).p_succ == pytest.approx(0.13590788596581202, abs=1e-12)
 
 
 def test_laplace_transforms_match_quadrature(default_cfg):

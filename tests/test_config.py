@@ -363,6 +363,26 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert run_fresh_interpreter(code) == "False"
 
 
+def test_import_and_coverage_kernel_leave_numpy_polynomial_unloaded():
+    # numpy 2 loads numpy.polynomial on first use, for ~0.5 MB and ~2.5 ms:
+    # neither the package nor its Gauss-Legendre rules load it
+    code = (
+        "import sys\nimport numpy\n"
+        "before = 'numpy.polynomial' in sys.modules\n"
+        "import musalink\n"
+        "print(before, 'numpy.polynomial' in sys.modules)\n"
+        "from musalink import analytic, config\n"
+        "cfgs = [config.default_config(), config.with_values(config.default_config(),"
+        " {'geometry.uav_altitude': 1e-300})]\n"
+        "g = analytic._coverage_kernels(cfgs, [analytic.slot_statistics(c) for c in cfgs])\n"
+        "g(numpy.linspace(0.01, 1.0, 10), numpy.arange(10) % 2)\n"
+        "print(before, 'numpy.polynomial' in sys.modules)\n"
+    )
+    # numpy 1 loads it with numpy itself: "True" four times
+    before, after_import, _, after_kernel = run_fresh_interpreter(code).split()
+    assert after_import == after_kernel == before
+
+
 def test_packet_count_law_runs_without_scipy():
     # the slot occupancy, the rho_max proxy and the slot statistics built on
     # them are the same doubles with scipy unimportable

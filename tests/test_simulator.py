@@ -819,22 +819,24 @@ def test_sweep_sinr_matches_scalar_oracle(n_subcarriers, sinr_rule):
         np.testing.assert_allclose(sinr[row, :len(want)], want, rtol=1e-9, atol=1e-21)
 
 
-def test_post_mmse_sweep_row_independent_of_the_rows_beside_it():
-    """A row's ``post_mmse`` SINRs are bit for bit those of the row swept alone.
+@pytest.mark.parametrize("sinr_rule", ["conservative", "post_mmse"])
+def test_sweep_row_independent_of_the_rows_beside_it(sinr_rule):
+    """A row's SINRs are bit for bit those of the row swept alone, under both rules.
 
     Rows of 2 to 20 packets with gains over 8 decades: a deep row swept
     alone runs every step one row wide, beside the others many rows
-    wide.  ``conservative`` lacks this: its Σq² einsum takes numpy's
-    contiguous dot when one row is in play, which moves the last digits.
+    wide.  ``conservative``'s Σq² einsum would take numpy's contiguous
+    dot path on a lone row's (k, 1) column and move the last digits;
+    ``_sweep_sinr`` keeps at least two columns of q, so it does not.
     """
     rng = np.random.default_rng(12)
     depth = np.sort(rng.integers(2, 21, 40))[::-1]
     z = rng.standard_normal((2, len(depth), depth[0], 4))
     h = (z[0] + 1j * z[1]) * 10.0 ** rng.uniform(0, 4, (len(depth), depth[0], 1))
     h[np.arange(depth[0]) >= depth[:, None]] = 0
-    together = sweep_rows(h, depth, "post_mmse")
+    together = sweep_rows(h, depth, sinr_rule)
     for row, k in enumerate(depth):
-        alone = sweep_rows(h[row:row + 1, :k], depth[row:row + 1], "post_mmse")
+        alone = sweep_rows(h[row:row + 1, :k], depth[row:row + 1], sinr_rule)
         assert np.array_equal(together[row, :k], alone[0])
 
 
