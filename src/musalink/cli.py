@@ -29,7 +29,10 @@ and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
 compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
 4 infeasibility, 5 numerical failure (a quadrature that failed, or an
 ``ArithmeticError`` from a config whose numbers leave double range).
-MUSALINK_WORKERS, a positive integer, overrides the worker count.
+The three Monte Carlo commands print one ``warning:`` line to stderr,
+exit status unchanged, when a point's best-case SNR is above the range
+where the receiver keeps its precision.  MUSALINK_WORKERS, a positive
+integer, overrides the worker count.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .config import (
     with_values,
 )
 from .optimizer import InfeasibleError, adaptive_slots, brute_force_slots
+from .shortpacket import max_snr_proxy
 from .simulator import check_frame_budget, estimate_coverage
 
 EXIT_OK = 0
@@ -85,6 +89,11 @@ _MANIFEST_FIELDS = (
 
 # the most values a numeric list on the command line, or validate's grid, may hold
 _MAX_RANGE_POINTS = 100_000
+
+# the best-case SNR (shortpacket.max_snr_proxy) above which the receiver's
+# cancellation sweep loses digits: at the default config p_hat is the same
+# from gamma ~ 2.7e5 to 2.7e11 and moves at 2.7e13
+_MAX_PRECISE_SNR = 1e12
 
 
 def _sha256(text: str) -> str:
@@ -255,6 +264,19 @@ def _same_file(a: str, b: str) -> bool:
     return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
 
 
+def _warn_high_snr(cfgs: list[SystemConfig]) -> None:
+    """Print one ``warning:`` line to stderr when a Monte Carlo point's
+    best-case SNR passes ``_MAX_PRECISE_SNR``."""
+    try:
+        gamma = max(map(max_snr_proxy, cfgs))
+    except ArithmeticError:  # beyond double range
+        gamma = math.inf
+    if gamma > _MAX_PRECISE_SNR:
+        print(f"warning: best-case SNR {gamma:.3g} is above {_MAX_PRECISE_SNR:.0e}, where"
+              " the receiver loses precision: simulated coverage may be wrong",
+              file=sys.stderr)
+
+
 def _workers() -> int:
     env = os.environ.get("MUSALINK_WORKERS")
     try:
@@ -289,6 +311,7 @@ def cmd_simulate(args) -> int:
     est = estimate_coverage(cfg, scheme, args.trials, args.seed, n_workers=_workers())
     elapsed = time.perf_counter() - t0
     row = {"scheme": scheme.value, "trials": args.trials, "seed": args.seed, **vars(est)}
+    _warn_high_snr([cfg])
     _write_lines(args.out, _table(list(row), [row]))
     # a manifest is implied beside the regular file written, not a device or pipe
     written = os.path.realpath(args.out) if args.out else None
@@ -351,6 +374,7 @@ def cmd_compare(args) -> int:
             row[f"{scheme.value}_p_hat"] = est.p_hat
             row[f"{scheme.value}_ci"] = est.ci_halfwidth
         rows.append(row)
+    _warn_high_snr(cfgs)
     _write_lines(args.out, _table(list(rows[0]), rows))
     return EXIT_OK
 
@@ -387,6 +411,7 @@ def cmd_validate(args) -> int:
             "ci_halfwidth": est.ci_halfwidth,
             "gap": abs(report.p_succ - est.p_hat),
         })
+    _warn_high_snr(cfgs)
     comment = _report({"config_sha256": _sha256(serialize_config(cfg))})
     _write_lines(args.out, [f"# {line}" for line in comment] + _table(list(rows[0]), rows))
     return EXIT_OK

@@ -129,11 +129,13 @@ class TrafficParams:
     lambda_max: float = 10.0       # C5 upper bound on lam (emergency)
     scenario: Scenario = Scenario.EMERGENCY
 
-    def packet_counts(self, rng: np.random.Generator) -> np.ndarray:
-        """Each active device's L, drawn from ``rng``; no draw outside an emergency."""
+    def packet_counts(self, rng: np.random.Generator, n_frames: int) -> np.ndarray:
+        """Each active device's L in ``n_frames`` frames, an (n_frames, n_active)
+        array drawn from ``rng`` in one call; no draw outside an emergency."""
+        shape = (n_frames, self.n_active)
         if self.scenario is Scenario.NON_EMERGENCY:
-            return np.ones(self.n_active, dtype=np.int64)
-        return rng.poisson(self.lam, self.n_active)
+            return np.ones(shape, dtype=np.int64)
+        return rng.poisson(self.lam, shape)
 
     def mean_packets(self) -> float:
         """E[L], the mean packet load of an active device."""

@@ -7,23 +7,26 @@ config carries the slots its scheme runs: ``estimate_coverage`` resolves
 the scheme's slot rule (``optimizer.scheme_slots``) into
 ``frame.n_slots`` once, and every step after reads it there.
 
-Frame i draws from its own generator,
-``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))``,
-built for that frame alone (``frame_rng`` in ``tests/oracles.py``), in
-a fixed order: packet counts (emergency only), then one ``random`` call
-holding the radii and the (n_devices, n_slots) slot keys whose row-wise
-argsort gives each device's slots, one ``integers`` call for the codes
-of its k packets sent, and one ``standard_normal`` call for their
-fading, the (2, k, J) real and imaginary parts.  A block of frames is
-drawn in one pass over its frames, each making only these calls; the
-argsort, radii and powers run once on the stacked block.  Each block
-returns its frames' exact integer sums as a ``FrameSums``, and the
-estimate is computed from their sum alone, so it is the same bit for
-bit however the frames are split into blocks or the blocks spread over
-workers.
-``_draw_block`` is the one draw the package ships; the per-frame laws it
-is tested against, ``sample_deployment`` and ``assign_slots_codes``, are
-in ``tests/oracles.py``.
+A run's frames are split into blocks of B frames, B the size
+``check_frame_budget`` returns from the config alone: block b holds
+frames [b·B, (b+1)·B), the last block what is left.  Block b draws from
+its own generator, ``np.random.default_rng(np.random.SeedSequence(seed,
+spawn_key=(b,)))`` (``block_rng`` in ``tests/oracles.py``), in four
+bulk calls: the (F, n_active) packet counts (emergency only), one
+``random`` call of F rows, each a frame's radii and its (n_active,
+n_slots) slot keys, whose row-wise argsort gives each device's slots,
+one ``integers`` call for the codes of the block's K packets sent,
+frame-major, and one ``standard_normal`` call for their fading, the (2,
+K, J) real and imaginary parts.  The argsort, radii and powers run once
+on the block.  Each block returns its frames' exact integer sums as a
+``FrameSums``, and the estimate is computed from their sum alone, so it
+is the same bit for bit however the blocks spread over workers.  B is
+part of the stream definition: a change of the block budget moves every
+simulated number.
+``_draw_block`` is the one draw the package ships; the block oracle it
+is tested against, ``block_draws``, which applies the per-frame laws
+``sample_deployment`` and ``assign_slots_codes`` to each frame's rows of
+the same four calls, is in ``tests/oracles.py``.
 
 The receiver is batched: ``estimate_coverage`` decodes a block of frames
 at once.  Collisions are found with one argsort of the (slot, code)
@@ -76,7 +79,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Collection, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,9 +158,10 @@ def code_pool(n_subcarriers: int, pool_size: int) -> np.ndarray:
 # bounds what grows with the block's slots times its deepest slot, the
 # padded slot rows of _decode_block and _sweep_sinr; it is the cap that
 # binds at the usual configs.  A block holds at least one frame, so
-# _FRAME_DRAWS refuses a frame that alone costs more than 512 MiB.  Draws
-# are per frame stream and decisions per slot, so the estimate does not
-# depend on the block size.
+# _FRAME_DRAWS refuses a frame that alone costs more than 512 MiB.  The
+# block size these give, B, is part of the stream definition: block b of
+# a run draws frames [b·B, (b+1)·B) from the generator of (seed, b), so
+# changing either budget moves every simulated number.
 _BLOCK_FRAMES = 256
 _BLOCK_DRAWS = 1 << 20
 _FRAME_DRAWS = 64 * _BLOCK_DRAWS
@@ -178,35 +182,32 @@ class _Block(NamedTuple):
     fading: np.ndarray    # (N, J) complex CN(0, 1) per packet and subcarrier
 
 
-def _draw_block(cfg: SystemConfig, scheme: Scheme, rngs: Collection[np.random.Generator]) -> _Block:
-    """Draw a block of frames, S = ``cfg.frame.n_slots`` slots each, frame f
-    from the f-th generator ``rngs`` yields, used in order.
+def _draw_block(cfg: SystemConfig, scheme: Scheme, rng: np.random.Generator,
+                n_frames: int) -> _Block:
+    """Draw a block of ``n_frames`` frames, S = ``cfg.frame.n_slots`` slots
+    each, from the block's generator ``rng``.
 
-    Each frame makes its generator calls in the order the module
-    docstring states, sized by its own k = Σ min(count, S) packets.
-    Sorting, indexing and powers run once on the stacked block.  The
-    per-frame laws in ``tests/oracles.py`` (``sample_deployment`` then
-    ``assign_slots_codes``) read the same doubles in the same order.
+    Four bulk calls, in the order the module docstring states; every
+    random call precedes ``packet_power``, so schemes at one slot count
+    draw the same arrays but the powers.  Sorting, indexing and powers
+    run once on the block.  The block oracle in ``tests/oracles.py``
+    makes the same four calls and applies the per-frame laws
+    (``sample_deployment`` then ``assign_slots_codes``) to each frame's
+    rows.
     """
     n, j, n_slots = cfg.traffic.n_active, cfg.frame.n_subcarriers, cfg.frame.n_slots
-    counts = np.empty((len(rngs), n), dtype=np.int64)
-    u = np.empty((len(rngs), n * (1 + n_slots)))  # per frame: radii, then (n, S) keys
-    codes, normals = [], []
-    for f, rng in enumerate(rngs):
-        counts[f] = cfg.traffic.packet_counts(rng)
-        rng.random(out=u[f])
-        k = int(np.minimum(counts[f], n_slots).sum())
-        codes.append(rng.integers(0, cfg.frame.code_pool_size, size=k))
-        normals.append(rng.standard_normal((2, k, j)))
+    counts = cfg.traffic.packet_counts(rng, n_frames)
+    u = rng.random((n_frames, n * (1 + n_slots)))  # per frame: radii, then (n, S) keys
     tx = np.minimum(counts, n_slots)
-    z = np.concatenate(normals, axis=1)  # (2, N, J) real and imaginary parts
+    device = np.repeat(np.arange(counts.size), tx.ravel())
+    code = rng.integers(0, cfg.frame.code_pool_size, size=len(device))
+    z = rng.standard_normal((2, len(device), j))  # real and imaginary parts
     # bit for bit (re + 1j*im) / sqrt(2), without the complex temporaries
     fading = np.empty(z.shape[1:], dtype=complex)
     fading.real = z[0]
     fading.imag = z[1]
     fading /= math.sqrt(2.0)
     keys = u[:, n:].reshape(-1, n_slots)
-    device = np.repeat(np.arange(counts.size), tx.ravel())
     slot = np.argsort(keys, axis=1)[np.arange(n_slots) < tx.reshape(-1, 1)]
     return _Block(
         counts=counts,
@@ -214,7 +215,7 @@ def _draw_block(cfg: SystemConfig, scheme: Scheme, rngs: Collection[np.random.Ge
         powers=cfg.packet_power(scheme, counts),
         device=device,
         slot=slot + device // n * n_slots,
-        code=np.concatenate(codes),
+        code=code,
         fading=fading,
     )
 
@@ -433,28 +434,29 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _coverage_worker(cfg, scheme, seed, sinr_rule, errors, frames: range) -> FrameSums:
-    """Sums over the block ``frames``, drawn and decoded at once, under the
-    caller's ``np.geterr()`` ``errors``: a spawned or forkserver worker
-    starts at numpy's defaults.  Frame i draws from its own generator,
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``."""
+def _coverage_worker(cfg, scheme, seed, sinr_rule, errors, size, n_frames, b) -> FrameSums:
+    """Sums over block ``b`` of a run of ``n_frames`` frames in blocks of
+    ``size``, drawn from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``
+    and decoded at once, under the caller's ``np.geterr()`` ``errors``: a
+    spawned or forkserver worker starts at numpy's defaults."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
     with np.errstate(**errors):
-        rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-                for i in frames]
-        block = _draw_block(cfg, scheme, rngs)
+        block = _draw_block(cfg, scheme, rng, min(size, n_frames - b * size))
         outcomes = _decode_block(cfg, block, sinr_rule)
     g = block.counts.sum(axis=1)
     d, collided, below, blocked = outcomes.T
     return FrameSums(
-        frames=len(rngs), generated=g.sum(), decoded=d.sum(),
+        frames=len(g), generated=g.sum(), decoded=d.sum(),
         dropped=g.sum() - len(block.device), gg=g @ g, dd=d @ d, gd=g @ d,
         collided=collided.sum(), below=below.sum(), blocked=blocked.sum())
 
 
 def check_frame_budget(cfg: SystemConfig, scheme: Scheme) -> tuple[SystemConfig, int]:
     """The run's config, ``scheme``'s slot rule (``optimizer.scheme_slots``)
-    resolved into its ``frame.n_slots``, and the frames a block may hold
+    resolved into its ``frame.n_slots``, and the frames B a block holds
     within its budget, from the config alone, before anything is drawn.
+    B is part of the run's stream definition: block b holds frames
+    [b·B, (b+1)·B).
 
     Raises the ``ConfigError`` :func:`estimate_coverage` raises for a frame
     that costs more than ``_FRAME_DRAWS`` doubles or a code pool that holds
@@ -493,16 +495,16 @@ def estimate_coverage(
 
     ``check_frame_budget`` resolves the scheme's slot rule into the run's
     config, whose ``frame.n_slots`` the draws and the reported ``n_slots``
-    read, and sizes a block, before anything is drawn.  The frames are
-    split once, into blocks; with w > 1 workers a block holds at most
-    ⌈n_frames/w⌉ frames, so a short run still reaches every worker.  Frame
-    i draws from its own generator, ``default_rng(SeedSequence(seed,
-    spawn_key=(i,)))``, and each block returns the exact ``FrameSums`` of
-    its frames, so the result, ``FrameSums.estimate`` of their sum, is
-    identical for any worker count or block size.  At most as many workers
-    start as this process may use CPUs, and as there are blocks.  A seed
-    that is not an integer raises ``TypeError``, a negative one
-    ``ValueError``, before any draw.
+    read, and gives the block size B, before anything is drawn.  The
+    frames are split once, into blocks of B, the last one partial; block
+    b draws from its own generator, ``default_rng(SeedSequence(seed,
+    spawn_key=(b,)))``, and returns the exact ``FrameSums`` of its
+    frames.  The result, ``FrameSums.estimate`` of their sum, is thus
+    identical for any worker count or chunking of the blocks; B depends
+    on the config alone, so a run shorter than two blocks uses one
+    worker.  At most as many workers start as this process may use CPUs,
+    and as there are blocks.  A seed that is not an integer raises
+    ``TypeError``, a negative one ``ValueError``, before any draw.
     """
     seed = operator.index(seed)
     if n_frames < 1:
@@ -510,12 +512,12 @@ def estimate_coverage(
     _check_sinr_rule(sinr_rule)
     cfg, size = check_frame_budget(cfg, scheme)
 
-    if n_workers > 1:  # a pool starts all its processes at the first task
-        n_workers = min(n_workers, _usable_cpus())
-        size = min(size, math.ceil(n_frames / n_workers))
-    blocks = [range(n_frames)[lo:lo + size] for lo in range(0, n_frames, size)]
-    work = functools.partial(_coverage_worker, cfg, scheme, seed, sinr_rule, np.geterr())
+    blocks = range(-(-n_frames // size))
+    work = functools.partial(
+        _coverage_worker, cfg, scheme, seed, sinr_rule, np.geterr(), size, n_frames)
     workers = min(n_workers, len(blocks))
+    if workers > 1:  # a pool starts all its processes at the first task
+        workers = min(workers, _usable_cpus())
     if workers <= 1:
         parts = map(work, blocks)
     else:

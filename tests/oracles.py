@@ -17,9 +17,10 @@ against the form here, written the direct way:
   batched ``simulator._sweep_sinr`` / ``_decode_block`` receiver, which
   works in units of the noise;
 - the per-frame draw laws ``sample_deployment`` and
-  ``assign_slots_codes``, the oracle of ``simulator._draw_block``, and
-  frame i's stream ``frame_rng``, the generator
-  ``simulator._coverage_worker`` builds for each frame;
+  ``assign_slots_codes``, applied frame by frame to a block's four bulk
+  draws by ``block_draws``, the oracle of ``simulator._draw_block``, and
+  block b's stream ``block_rng``, the generator
+  ``simulator._coverage_worker`` builds for each block;
 - the base-2 form of the short-packet error probability
   (``packet_error_prob``), the oracle of
   ``shortpacket.error_prob_ln_form``;
@@ -55,9 +56,11 @@ __all__ = [
     "DecodingOutcome",
     "mmse_weights",
     "sic_decode",
-    "frame_rng",
+    "block_rng",
     "sample_deployment",
     "assign_slots_codes",
+    "FrameDraws",
+    "block_draws",
     "DISPERSION",
     "BlocklengthPoint",
     "packet_error_prob",
@@ -182,10 +185,10 @@ def laplace_collided(s: float, cfg: SystemConfig, omega_c: float) -> float:
 #  Per-frame draw laws (the oracle of simulator._draw_block)
 # ============================================================================
 
-def frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    """Frame ``frame_index``'s generator in a run seeded by ``seed``."""
+def block_rng(seed: int, block_index: int) -> np.random.Generator:
+    """Block ``block_index``'s generator in a run seeded by ``seed``."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(frame_index,))
+        np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
     )
 
 
@@ -218,6 +221,76 @@ def assign_slots_codes(
     devices = np.repeat(np.arange(len(counts)), tx)
     codes = rng.integers(0, pool_size, size=len(slots))
     return np.column_stack((devices, slots, codes)), int(counts.sum() - tx.sum())
+
+
+class _FrameRows:
+    """A frame's share of a block's bulk draws, handed out as a generator
+    would: ``random`` from the frame's row of uniforms, ``integers`` from
+    its run of codes, each in order and consumed exactly."""
+
+    def __init__(self, uniforms: np.ndarray, codes: np.ndarray):
+        self._uniforms, self._codes = uniforms, codes
+
+    @staticmethod
+    def _take(values: np.ndarray, size) -> tuple[np.ndarray, np.ndarray]:
+        n = math.prod(np.atleast_1d(size))
+        if n > len(values):
+            raise AssertionError(f"asked for {n} draws, {len(values)} left")
+        return values[:n].reshape(size), values[n:]
+
+    def random(self, size) -> np.ndarray:
+        drawn, self._uniforms = self._take(self._uniforms, size)
+        return drawn
+
+    def integers(self, low: int, high: int, size) -> np.ndarray:
+        drawn, self._codes = self._take(self._codes, size)
+        if not np.all((low <= drawn) & (drawn < high)):
+            raise AssertionError(f"codes outside [{low}, {high})")
+        return drawn
+
+    def exhausted(self) -> bool:
+        return len(self._uniforms) == len(self._codes) == 0
+
+
+@dataclass(frozen=True)
+class FrameDraws:
+    """One frame of a block, drawn by the per-frame laws."""
+    counts: np.ndarray    # (n_active,) packets generated per device
+    radii: np.ndarray     # (n_active,) m
+    packets: np.ndarray   # (N, 3) device, slot, code index per packet sent
+    dropped: int
+    fading: np.ndarray    # (N, J) complex
+
+
+def block_draws(cfg: SystemConfig, rng: np.random.Generator, n_frames: int,
+                n_slots: int) -> list[FrameDraws]:
+    """A block of ``n_frames`` frames at ``n_slots`` slots from ``rng``.
+
+    The block's four bulk calls: the (F, n_active) packet counts, one
+    ``random((F, n_active·(1 + S)))``, one ``integers`` for every code
+    and one ``standard_normal((2, K, J))`` for every fading; then
+    ``sample_deployment`` and ``assign_slots_codes`` read frame f's row
+    of uniforms and its run of codes in place of a generator, and frame
+    f's fading is its run of the normals.  Each frame must consume its
+    row and its codes exactly.
+    """
+    n, j = cfg.traffic.n_active, cfg.frame.n_subcarriers
+    counts = cfg.traffic.packet_counts(rng, n_frames)
+    uniforms = rng.random((n_frames, n * (1 + n_slots)))
+    sent = np.minimum(counts, n_slots).sum(axis=1)
+    ends = np.cumsum(sent)
+    codes = rng.integers(0, cfg.frame.code_pool_size, size=int(ends[-1]))
+    z = rng.standard_normal((2, int(ends[-1]), j))
+    frames = []
+    for f, (lo, hi) in enumerate(zip(ends - sent, ends)):
+        rows = _FrameRows(uniforms[f], codes[lo:hi])
+        radii = sample_deployment(n, cfg.geometry.cell_radius, rows)
+        packets, dropped = assign_slots_codes(counts[f], n_slots, cfg.frame.code_pool_size, rows)
+        if not rows.exhausted():
+            raise AssertionError(f"frame {f} left draws unread")
+        fading = (z[0, lo:hi] + 1j * z[1, lo:hi]) / math.sqrt(2.0)
+        frames.append(FrameDraws(counts[f], radii, packets, dropped, fading))
+    return frames
 
 
 # ============================================================================

@@ -926,7 +926,23 @@ def test_zero_snr_packets_fail_without_a_warning(tmp_path, capsys, key, value):
     out = tmp_path / "sim.csv"
     argv = ["simulate", "--config", str(path), "--trials", "20", "--seed", "1", "--out", str(out)]
     assert main(argv) == 0
-    assert out.read_text().splitlines()[1] == "baseline,20,1,0,0,794,0,0,16,355,423,20"
+    assert out.read_text().splitlines()[1] == "baseline,20,1,0,0,798,0,0,16,344,438,20"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["compare", "--lambdas", "2,3"], ["validate", "--n-active", "10", "--lambdas", "2"],
+])
+def test_high_snr_warns_once(tmp_path, capsys, argv):
+    # 1e-25 W puts the best-case SNR at ~2.7e17, past the receiver's 1e12
+    path = tmp_path / "loud.cfg"
+    path.write_text("channel.noise_power = 1e-25\n")
+    common = ["--trials", "3", "--out", str(tmp_path / "out.csv")]
+    assert main(argv + common + ["--config", str(path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: best-case SNR ")
+    assert " is above 1e+12, where the receiver loses precision" in lines[0]
+    assert main(argv + common) == 0
     assert capsys.readouterr().err == ""
 
 

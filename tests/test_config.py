@@ -283,12 +283,12 @@ def test_packet_count_law_by_scenario():
         mean_min = np.minimum(counts, n_slots).dot(stats.poisson.pmf(counts, 3.0)) / n_slots
         assert emergency.slot_occupancy(n_slots) == pytest.approx(mean_min, abs=1e-12)
         assert quiet.slot_occupancy(n_slots) == 1.0 / n_slots
-    counts = emergency.packet_counts(np.random.default_rng(5))
-    assert counts.tolist() == np.random.default_rng(5).poisson(3.0, 6).tolist()
+    counts = emergency.packet_counts(np.random.default_rng(5), 4)
+    assert counts.tolist() == np.random.default_rng(5).poisson(3.0, (4, 6)).tolist()
     # one packet each, drawn without reading the stream
     rng = np.random.default_rng(5)
-    counts = quiet.packet_counts(rng)
-    assert counts.dtype == np.int64 and counts.tolist() == [1] * 6
+    counts = quiet.packet_counts(rng, 4)
+    assert counts.dtype == np.int64 and counts.tolist() == [[1] * 6] * 4
     assert rng.random() == np.random.default_rng(5).random()
 
 

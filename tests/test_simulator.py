@@ -31,7 +31,8 @@ from oracles import (
     FailureCause,
     SlotRealization,
     assign_slots_codes,
-    frame_rng,
+    block_draws,
+    block_rng,
     mmse_weights,
     sample_deployment,
     sic_decode,
@@ -99,13 +100,13 @@ def test_deployment_radial_cdf():
 def test_traffic_non_emergency_single_packet():
     cfg = default_config()
     cfg = replace(cfg, traffic=replace(cfg.traffic, scenario=Scenario.NON_EMERGENCY))
-    counts = cfg.traffic.packet_counts(np.random.default_rng(1))
-    assert np.all(counts == 1)
+    counts = cfg.traffic.packet_counts(np.random.default_rng(1), 3)
+    assert counts.shape == (3, cfg.traffic.n_active) and np.all(counts == 1)
 
 
 def test_traffic_poisson_moments():
     cfg = reference_config(n_active=1_000_000, lam=4.0)
-    counts = cfg.traffic.packet_counts(np.random.default_rng(7))
+    counts = cfg.traffic.packet_counts(np.random.default_rng(7), 1)
     n = counts.size
     mean = counts.mean()
     var = counts.var()
@@ -117,7 +118,7 @@ def test_traffic_poisson_moments():
 def test_traffic_zero_rate():
     cfg = reference_config(n_active=100, lam=0.0)
     cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0))
-    assert np.all(cfg.traffic.packet_counts(np.random.default_rng(2)) == 0)
+    assert np.all(cfg.traffic.packet_counts(np.random.default_rng(2), 3) == 0)
 
 
 def test_assign_single_packet():
@@ -316,7 +317,7 @@ def test_sic_decode_order_is_nondecreasing_distance():
     rng = np.random.default_rng(11)
     pool = code_pool(4, 64)
     for _ in range(50):
-        counts = cfg.traffic.packet_counts(rng)
+        counts = cfg.traffic.packet_counts(rng, 1)[0]
         radii = sample_deployment(cfg.traffic.n_active, 50.0, rng)
         assignments, _ = assign_slots_codes(counts, 20, 64, rng)
         per_slot = {}
@@ -346,11 +347,11 @@ def test_sic_decode_order_is_nondecreasing_distance():
 
 def test_sic_post_mmse_rule_is_more_permissive():
     cfg = reference_config(n_active=20, lam=8.0)
-    _, base = decode_frame(cfg, Scheme.BASELINE, np.random.default_rng(13))
-    _, optimistic = decode_frame(
+    _, base = decode_block(cfg, Scheme.BASELINE, np.random.default_rng(13))
+    _, optimistic = decode_block(
         cfg, Scheme.BASELINE, np.random.default_rng(13), sinr_rule="post_mmse"
     )
-    assert optimistic[0] >= base[0]
+    assert optimistic[0, 0] >= base[0, 0]
     with pytest.raises(ValueError):
         estimate_coverage(cfg, Scheme.BASELINE, 1, seed=13, sinr_rule="bogus")
 
@@ -364,21 +365,31 @@ def run_config(cfg, scheme):
     return with_values(cfg, {"frame.n_slots": scheme_slots(cfg, scheme)})
 
 
-def decode_frame(cfg, scheme, rng, sinr_rule="conservative"):
-    """One frame's block drawn from ``rng`` at the scheme's slot count, and
-    its [decoded, collided, below threshold, blocked] packet counts.
+def decode_block(cfg, scheme, rng, n_frames=1, sinr_rule="conservative"):
+    """A block of ``n_frames`` frames drawn from ``rng`` at the scheme's slot
+    count, and its (F, 4) per-frame [decoded, collided, below threshold,
+    blocked] packet counts.
     """
     run = run_config(cfg, scheme)
-    block = _draw_block(run, scheme, [rng])
-    return block, _decode_block(run, block, sinr_rule)[0]
+    block = _draw_block(run, scheme, rng, n_frames)
+    return block, _decode_block(run, block, sinr_rule)
+
+
+def run_blocks(cfg, scheme, seed, n_frames):
+    """The (block, per-frame counts) pairs of a run of ``n_frames`` frames:
+    block b holds frames [b·B, (b+1)·B) of the budget's B and draws from
+    ``block_rng(seed, b)``."""
+    _, size = simulator.check_frame_budget(cfg, scheme)
+    return [decode_block(cfg, scheme, block_rng(seed, b), min(size, n_frames - lo))
+            for b, lo in enumerate(range(0, n_frames, size))]
 
 
 def test_vacuous_frame():
     cfg = reference_config(n_active=1, lam=0.0)
     cfg = replace(cfg, traffic=replace(cfg.traffic, lambda_min=0.0))
-    block, counts = decode_frame(cfg, Scheme.NAS, np.random.default_rng(0))
+    block, counts = decode_block(cfg, Scheme.NAS, np.random.default_rng(0))
     assert block.counts.sum() == 0
-    assert counts[0] == 0
+    assert counts[0, 0] == 0
     assert len(block.device) == 0
 
 
@@ -415,7 +426,7 @@ def test_conservation_over_random_frames():
     cfg = reference_config(n_active=15, lam=6.0)
     n_slots = scheme_slots(cfg, Scheme.BASELINE)
     for seed in range(20):
-        block, counts = decode_frame(cfg, Scheme.BASELINE, np.random.default_rng(seed))
+        block, counts = decode_block(cfg, Scheme.BASELINE, np.random.default_rng(seed))
         transmitted = len(block.device)
         assert counts.sum() == transmitted
         dropped = np.maximum(block.counts - n_slots, 0).sum()
@@ -429,7 +440,7 @@ def test_collision_rate_matches_analytic():
     collided = 0
     n_frames = 10_000  # 200k slots
     for _ in range(n_frames):
-        counts = cfg.traffic.packet_counts(rng)
+        counts = cfg.traffic.packet_counts(rng, 1)[0]
         assignments, _ = assign_slots_codes(counts, 20, 64, rng)
         slot_codes: dict[int, list[int]] = {}
         for _, slot_idx, code in assignments:
@@ -455,10 +466,14 @@ def test_estimate_coverage_reproducible():
     assert c != a
 
 
-def test_estimate_coverage_worker_invariance():
+def test_estimate_coverage_worker_invariance(monkeypatch):
+    # two whole blocks and a partial one: a pool of two workers, each block
+    # drawn in whichever process, gives the one process's estimate
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
     cfg = reference_config(n_active=10, lam=4.0)
-    serial = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9, n_workers=1)
-    parallel = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9, n_workers=2)
+    _, size = simulator.check_frame_budget(cfg, Scheme.BASELINE)
+    serial = estimate_coverage(cfg, Scheme.BASELINE, 2 * size + 7, seed=9, n_workers=1)
+    parallel = estimate_coverage(cfg, Scheme.BASELINE, 2 * size + 7, seed=9, n_workers=2)
     assert serial == parallel
 
 
@@ -485,26 +500,28 @@ def recording_pool(made, sent=None):
 
 
 def test_estimate_coverage_splits_frames_once_into_blocks(monkeypatch):
-    # each task is one block: the budgeted size, cut to reach every worker
+    # block b is frames [b·B, (b+1)·B) at the budgeted B, whatever the worker
+    # count: one task per block, the last one partial
     made, sent = [], []
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording_pool(made, sent))
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
     cfg = reference_config(n_active=10, lam=4.0)
-    budget = min(simulator._BLOCK_FRAMES, simulator._BLOCK_DRAWS // frame_cost(10, 4, 20))
-    assert budget >= 150
-    parallel = estimate_coverage(cfg, Scheme.BASELINE, 300, seed=9, n_workers=2)
-    assert made == [2] and sent == [range(0, 150), range(150, 300)]
-    blocks = []
+    _, size = simulator.check_frame_budget(cfg, Scheme.BASELINE)
+    assert size == min(simulator._BLOCK_FRAMES, simulator._BLOCK_DRAWS // frame_cost(10, 4, 20))
+    frames = []
     worker = simulator._coverage_worker
 
     def recording(*args):
-        blocks.append(args[-1])
-        return worker(*args)
+        part = worker(*args)
+        frames.append(part.frames)
+        return part
 
     monkeypatch.setattr(simulator, "_coverage_worker", recording)
-    serial = estimate_coverage(cfg, Scheme.BASELINE, 300, seed=9)
-    assert [i for block in blocks for i in block] == list(range(300))
-    assert all(len(block) <= budget for block in blocks)
+    parallel = estimate_coverage(cfg, Scheme.BASELINE, 2 * size + 7, seed=9, n_workers=2)
+    assert made == [2] and list(sent) == [0, 1, 2]
+    assert frames == [size, size, 7]
+    serial = estimate_coverage(cfg, Scheme.BASELINE, 2 * size + 7, seed=9)
+    assert made == [2] and frames[3:] == [size, size, 7]
     assert serial == parallel
 
 
@@ -513,21 +530,24 @@ def test_estimate_coverage_forks_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording_pool(made))
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 8)
     cfg = reference_config(n_active=10, lam=4.0)
-    one = estimate_coverage(cfg, Scheme.BASELINE, 1, seed=9, n_workers=4)
+    # a run shorter than two blocks is one task: no pool, whatever the workers
+    estimate_coverage(cfg, Scheme.BASELINE, 1, seed=9, n_workers=4)
+    estimate_coverage(cfg, Scheme.BASELINE, 3, seed=9, n_workers=8)
     assert made == []
+    monkeypatch.setattr(simulator, "_BLOCK_FRAMES", 1)
     three = estimate_coverage(cfg, Scheme.BASELINE, 3, seed=9, n_workers=8)
     assert made == [3]
-    assert one == estimate_coverage(cfg, Scheme.BASELINE, 1, seed=9)
     assert three == estimate_coverage(cfg, Scheme.BASELINE, 3, seed=9)
 
 
 def test_estimate_coverage_forks_no_more_workers_than_cpus(monkeypatch):
-    # a pool starts all its workers at the first task, one per task once the
-    # count passes a quarter of the frames: capped at the CPUs before chunking
+    # a pool starts all its workers at the first task: capped at the CPUs
+    # before chunking
     made = []
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording_pool(made))
     probes = []
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: probes.append(1) or 3)
+    monkeypatch.setattr(simulator, "_BLOCK_FRAMES", 4)  # 40 frames are 10 blocks
     cfg = reference_config(n_active=10, lam=4.0)
     serial = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=9)
     assert probes == []  # one worker asked for: no probe
@@ -564,6 +584,7 @@ def test_workers_keep_the_callers_floating_point_rules(monkeypatch):
                               mp_context=multiprocessing.get_context("spawn"))
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", spawn)
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)  # spawns on a 1-CPU host too
+    monkeypatch.setattr(simulator, "_BLOCK_FRAMES", 2)  # 4 frames are two blocks: a pool
     cfg = default_config()
     cfg = replace(cfg, power=replace(cfg.power, p_max=1e300),
                   channel=replace(cfg.channel, noise_power=1e-300))
@@ -594,9 +615,8 @@ def test_failure_causes_account_for_transmitted_packets():
     cfg = reference_config(n_active=20, lam=8.0)
     cfg = replace(cfg, reliability=replace(cfg.reliability, sinr_threshold=0.1))
     est = estimate_coverage(cfg, Scheme.BASELINE, 40, seed=14)
-    decoded, collided, below, blocked = sum(
-        decode_frame(cfg, Scheme.BASELINE, frame_rng(14, i))[1] for i in range(40)
-    )
+    blocks = run_blocks(cfg, Scheme.BASELINE, 14, 40)
+    decoded, collided, below, blocked = sum(counts.sum(axis=0) for _, counts in blocks)
     failures = (est.collision_failures, est.threshold_failures, est.blocked_failures)
     assert all(type(c) is int and c > 0 for c in failures)
     assert est.packets_decoded + sum(failures) == est.packets_generated - est.packets_dropped
@@ -660,10 +680,12 @@ def test_power_proxy_evaluated_once_per_estimate(monkeypatch):
 #  Batched receiver against the scalar oracle
 # ----------------------------------------------------------------------------
 
-def oracle_frame(cfg, block, pool, sinr_rule):
-    """``sic_decode`` applied slot by slot to a one-frame block's draws."""
-    tally = dict(decoded=0, collision=0, below=0, blocked=0, lone=0)
-    radii, powers = block.radii[0], block.powers[0]
+def oracle_block(cfg, block, pool, sinr_rule):
+    """``sic_decode`` applied slot by slot to a block's draws: the (F, 4)
+    per-frame counts, and the slots of one packet."""
+    counts = np.zeros((len(block.counts), 4), dtype=np.int64)
+    lone = 0
+    radii, powers = block.radii.ravel(), block.powers.ravel()
     for slot_index in np.unique(block.slot):
         sel = block.slot == slot_index
         ids, codes = block.device[sel], block.code[sel]
@@ -679,12 +701,14 @@ def oracle_frame(cfg, block, pool, sinr_rule):
         outcome = sic_decode(
             slot, cfg.reliability.sinr_threshold, cfg.channel.noise_power, sinr_rule
         )
-        tally["decoded"] += int(outcome.decoded.sum())
-        tally["collision"] += outcome.failure_cause.count(FailureCause.COLLISION)
-        tally["below"] += outcome.failure_cause.count(FailureCause.BELOW_THRESHOLD)
-        tally["blocked"] += outcome.failure_cause.count(FailureCause.BLOCKED_BY_STRONGER)
-        tally["lone"] += len(ids) == 1
-    return tally
+        counts[slot_index // cfg.frame.n_slots] += [
+            outcome.decoded.sum(),
+            outcome.failure_cause.count(FailureCause.COLLISION),
+            outcome.failure_cause.count(FailureCause.BELOW_THRESHOLD),
+            outcome.failure_cause.count(FailureCause.BLOCKED_BY_STRONGER),
+        ]
+        lone += len(ids) == 1
+    return counts, lone
 
 
 def parity_cases():
@@ -714,19 +738,17 @@ def parity_cases():
 
 @pytest.mark.parametrize("sinr_rule", ["conservative", "post_mmse"])
 def test_batched_receiver_matches_scalar_oracle(sinr_rule):
-    seen = dict(decoded=0, collision=0, below=0, blocked=0, lone=0)
-    for cfg, scheme in parity_cases():
+    seen, lone = np.zeros(4, dtype=np.int64), 0
+    for case, (cfg, scheme) in enumerate(parity_cases()):
         pool = code_pool(cfg.frame.n_subcarriers, cfg.frame.code_pool_size)
-        for i in range(12):
-            block, counts = decode_frame(cfg, scheme, frame_rng(40, i), sinr_rule)
-            want = oracle_frame(cfg, block, pool, sinr_rule)
-            assert counts.tolist() == [
-                want["decoded"], want["collision"], want["below"], want["blocked"]
-            ]
-            for key in seen:
-                seen[key] += want[key]
-    # every receiver path was exercised: lone devices, shared codes, blocks
-    assert all(count > 0 for count in seen.values()), seen
+        block, counts = decode_block(cfg, scheme, block_rng(40, case), 12, sinr_rule)
+        want, lone_slots = oracle_block(run_config(cfg, scheme), block, pool, sinr_rule)
+        assert np.array_equal(counts, want)
+        seen += want.sum(axis=0)
+        lone += lone_slots
+    # every receiver path was exercised: decodes, shared codes, failures,
+    # blocks and lone devices
+    assert all(seen > 0) and lone > 0, (seen, lone)
 
 
 def sweep_oracle_slots(cfg, pool, rng, n_slots):
@@ -874,6 +896,19 @@ def test_estimate_coverage_makes_no_linear_solve(monkeypatch):
     assert est.packets_decoded > 0 and est.threshold_failures > 0
 
 
+def split_block(cfg, block):
+    """The one-frame blocks of ``block``, in order."""
+    n, n_slots = cfg.traffic.n_active, cfg.frame.n_slots
+    frame = block.device // n
+    return [
+        _Block(counts=block.counts[f:f + 1], radii=block.radii[f:f + 1],
+               powers=block.powers[f:f + 1], device=block.device[frame == f] - f * n,
+               slot=block.slot[frame == f] - f * n_slots, code=block.code[frame == f],
+               fading=block.fading[frame == f])
+        for f in range(len(block.counts))
+    ]
+
+
 def stack_frames(cfg, frames):
     """One block holding the one-frame blocks ``frames``, in order."""
     n, n_slots = cfg.traffic.n_active, cfg.frame.n_slots
@@ -891,8 +926,8 @@ def stack_frames(cfg, frames):
 def test_decode_block_independent_of_block_composition():
     cfg, scheme = parity_cases()[0]
     cfg = run_config(cfg, scheme)
-    frames = [_draw_block(cfg, scheme, [frame_rng(3, i)]) for i in range(20)]
-    block = _draw_block(cfg, scheme, [frame_rng(3, i) for i in range(20)])
+    block = _draw_block(cfg, scheme, block_rng(3, 0), 20)
+    frames = split_block(cfg, block)
     assert all(np.array_equal(a, b) for a, b in zip(stack_frames(cfg, frames), block))
     # frames the draws rarely make: lone packets only (no row for the
     # sweep), a slot whose packets all share one code, and, last, no packet
@@ -934,16 +969,6 @@ def test_decode_block_independent_of_block_composition():
 #  Block draw against the per-frame sampling laws
 # ----------------------------------------------------------------------------
 
-def oracle_draws(cfg, scheme, rng, n_slots):
-    """One frame drawn by the public sampling laws, in the simulator's order."""
-    counts = cfg.traffic.packet_counts(rng)
-    radii = sample_deployment(cfg.traffic.n_active, cfg.geometry.cell_radius, rng)
-    packets, dropped = assign_slots_codes(counts, n_slots, cfg.frame.code_pool_size, rng)
-    z = rng.standard_normal((2, len(packets), cfg.frame.n_subcarriers))
-    powers = cfg.packet_power(scheme, counts)
-    return counts, radii, powers, packets, dropped, (z[0] + 1j * z[1]) / math.sqrt(2.0)
-
-
 def block_draw_cases():
     """(config, scheme, what its frames must contain) for the block-draw test."""
     drops = reference_config(n_active=6, lam=5.0, n_slots=3)
@@ -968,40 +993,71 @@ def test_block_draw_matches_per_frame_oracle(case, n_frames):
     n_slots = run.frame.n_slots
     n = cfg.traffic.n_active
     seen = dict(dropped=0, empty_frames=0, silent_devices=0)
-    for first in range(0, 21, n_frames):
-        frames = range(first, first + n_frames)
-        block_rngs = [frame_rng(17, i) for i in frames]
-        block = _draw_block(run, scheme, block_rngs)
+    for b in range(21 // n_frames):
+        block_gen, oracle_gen = block_rng(17, b), block_rng(17, b)
+        block = _draw_block(run, scheme, block_gen, n_frames)
         frame_of = block.device // n
-        for f, i in enumerate(frames):
-            rng = frame_rng(17, i)
-            counts, radii, powers, packets, dropped, fading = oracle_draws(
-                cfg, scheme, rng, n_slots
-            )
+        for f, frame in enumerate(block_draws(cfg, oracle_gen, n_frames, n_slots)):
             sel = frame_of == f
-            assert np.array_equal(block.counts[f], counts)
-            assert block.radii[f].tobytes() == radii.tobytes()
+            powers = cfg.packet_power(scheme, frame.counts)
+            assert np.array_equal(block.counts[f], frame.counts)
+            assert block.radii[f].tobytes() == frame.radii.tobytes()
             assert block.powers[f].tobytes() == powers.tobytes()
-            assert block.counts[f].sum() - sel.sum() == dropped
-            assert np.array_equal(block.device[sel] - f * n, packets[:, 0])
-            assert np.array_equal(block.slot[sel] - f * n_slots, packets[:, 1])
-            assert np.array_equal(block.code[sel], packets[:, 2])
-            assert block.fading[sel].tobytes() == fading.tobytes()
-            # the block read exactly as far into the frame's stream
-            assert block_rngs[f].bit_generator.state == rng.bit_generator.state
-            seen["dropped"] += dropped
-            seen["empty_frames"] += len(packets) == 0
-            seen["silent_devices"] += int(np.sum(counts == 0))
+            assert block.counts[f].sum() - sel.sum() == frame.dropped
+            assert np.array_equal(block.device[sel] - f * n, frame.packets[:, 0])
+            assert np.array_equal(block.slot[sel] - f * n_slots, frame.packets[:, 1])
+            assert np.array_equal(block.code[sel], frame.packets[:, 2])
+            assert block.fading[sel].tobytes() == frame.fading.tobytes()
+            seen["dropped"] += frame.dropped
+            seen["empty_frames"] += len(frame.packets) == 0
+            seen["silent_devices"] += int(np.sum(frame.counts == 0))
+        # the block read exactly as far into its stream as the oracle
+        assert block_gen.bit_generator.state == oracle_gen.bit_generator.state
     assert all(seen[key] > 0 for key in must_see), seen
 
 
-def test_estimate_coverage_invariant_to_block_size(monkeypatch):
+def test_tpds_and_nas_blocks_share_every_draw_but_the_powers():
+    # both run the configured slot count: one block generator gives the
+    # same arrays, and the schemes differ only in the power rule
+    cfg = reference_config(n_active=10, lam=6.0)
+    tpds, nas = run_config(cfg, Scheme.TPDS), run_config(cfg, Scheme.NAS)
+    assert tpds.frame.n_slots == nas.frame.n_slots
+    a = _draw_block(tpds, Scheme.TPDS, block_rng(18, 0), 30)
+    b = _draw_block(nas, Scheme.NAS, block_rng(18, 0), 30)
+    for field in _Block._fields:
+        same = np.array_equal(getattr(a, field), getattr(b, field))
+        assert same == (field != "powers"), field
+
+
+def test_estimate_coverage_invariant_to_workers_and_chunking(monkeypatch):
+    # B is part of the stream definition: a smaller block budget is another
+    # run, the same for any worker count and any split of its blocks into
+    # pool tasks (B = 1 makes 45 blocks, sent in chunks of 6 at 2 workers
+    # and 4 at 3)
     cfg = reference_config(n_active=10, lam=4.0)
+    budgeted = estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(simulator, "_BLOCK_FRAMES", 1)
     reference = estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12)
-    for block in (1, 7):
-        monkeypatch.setattr(simulator, "_BLOCK_FRAMES", block)
-        assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
-        assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
+    assert reference != budgeted
+    for workers in (2, 3):
+        assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=workers) == reference
+
+    class ReversedPool:  # hands back the blocks' sums last to first
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return list(map(fn, tasks))[::-1]
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", ReversedPool)
+    assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
     # a budget just short of two frames' cost forces one-frame blocks
     # whatever the frame cap
     n_slots = adaptive_slots(cfg).n_practical
@@ -1010,14 +1066,39 @@ def test_estimate_coverage_invariant_to_block_size(monkeypatch):
     sizes = []
     draw_block = simulator._draw_block
 
-    def recording(cfg, scheme, rngs):
-        sizes.append(len(rngs))
-        return draw_block(cfg, scheme, rngs)
+    def recording(cfg, scheme, rng, n_frames):
+        sizes.append(n_frames)
+        return draw_block(cfg, scheme, rng, n_frames)
 
     monkeypatch.setattr(simulator, "_draw_block", recording)
     assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12) == reference
     assert sizes == [1] * 45
-    assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
+
+
+def test_complete_blocks_do_not_depend_on_the_run_length(monkeypatch):
+    # block b is a function of (seed, b) and the config's B alone: what a run
+    # that stops at a multiple of B (a checkpoint) or redraws a frame of an
+    # earlier block reads; test_estimate_coverage_worker_invariance runs the
+    # partial last block over two workers
+    cfg = reference_config(n_active=10, lam=4.0)
+    _, size = simulator.check_frame_budget(cfg, Scheme.PROPOSED)
+    partial = 2 * size + 7
+    sums = {}
+    worker = simulator._coverage_worker
+
+    def recording(*args):
+        part = worker(*args)
+        n_frames, b = args[-2:]
+        sums.setdefault(n_frames, []).append((b, part))
+        return part
+
+    monkeypatch.setattr(simulator, "_coverage_worker", recording)
+    for n_frames in (size, 2 * size, partial):
+        estimate_coverage(cfg, Scheme.PROPOSED, n_frames, seed=12)
+    assert [b for b, _ in sums[partial]] == [0, 1, 2]
+    assert [part.frames for _, part in sums[partial]] == [size, size, 7]
+    assert sums[size] == sums[2 * size][:1] == sums[partial][:1]
+    assert sums[2 * size] == sums[partial][:2]
 
 
 def frame_cost(n_active, n_subcarriers, n_slots):
@@ -1121,9 +1202,10 @@ def test_clustered_ci_matches_per_frame_computation():
     # seeds of one, five and seven 32-bit words, and a numpy integer
     for seed, n in ((21, 300), (2**128 + 9, 40), (2**200 + 12345, 40), (np.uint64(2**64 - 1), 40)):
         est = estimate_coverage(cfg, Scheme.BASELINE, n, seed=seed)
-        frames = [decode_frame(cfg, Scheme.BASELINE, frame_rng(seed, i)) for i in range(n)]
-        g = np.array([block.counts.sum() for block, _ in frames], dtype=float)
-        d = np.array([counts[0] for _, counts in frames], dtype=float)
+        blocks = run_blocks(cfg, Scheme.BASELINE, seed, n)
+        g = np.concatenate([block.counts.sum(axis=1) for block, _ in blocks]).astype(float)
+        d = np.concatenate([counts[:, 0] for _, counts in blocks]).astype(float)
+        assert len(g) == n
         p = d.sum() / g.sum()
         var = n / (n - 1) * np.sum((d - p * g) ** 2) / g.sum() ** 2
         assert est.p_hat == p
