@@ -20,9 +20,11 @@ uniform devices has the Beta(k, n_singleton - k + 1) law.  With
 K = ceil(n_singleton) every rank's density is the Jacobi weight
 (1-x)^f, f = n_singleton - K, times a polynomial of degree K - 1, so
 one pair of rules for that weight, with n = 16 + floor(K/2) and 2n
-nodes (:func:`_gauss_jacobi`: one tridiagonal eigenvalue solve per rule
-and one Newton step), serves all ranks, and the coverage kernel is
-evaluated once on its nodes (:func:`_ranks_coverages`).  The difference
+nodes (:func:`_gauss_jacobi`), serves all ranks, and the coverage kernel
+is evaluated once on its nodes (:func:`_ranks_coverages`).  Each rule is
+interpolated in f from a table of its degree's rules at 16 exponents
+(:func:`_jacobi_table`), built by Newton's method on the three-term
+recurrence once per degree and process.  The difference
 between the n- and 2n-node sums is reported as the quadrature error
 estimate: an estimate, not a bound, which can understate the error.
 The tests check both against an adaptive Simpson oracle kept outside
@@ -35,19 +37,18 @@ point is the one-point batch, :func:`frame_coverage_prob`).  A batch is
 a run of consecutive points that share a pathloss exponent and hold at
 most ``_RANK_WEIGHTS`` rank weights, the budget that also cuts a lone
 point's ranks into blocks, so no array grows with the sweep's length.
-The slot statistics, the two eigenvalue solves and the report run per
-point; the recurrence coefficients, the Newton step, the log weights,
-the coverage kernel, the rank weights and their sums run once over all
-the batch's nodes.  Every point keeps its own rules, and each rule's
-sums reduce its own nodes only, so its report is the same bits whatever
-batch it is evaluated in.  The kernel groups a batch's nodes by their
+The slot statistics and the report run per point; the interpolation of
+the rules, the coverage kernel, the rank weights and their sums run once
+over all the batch's nodes.  Every point keeps its own rules, each
+interpolated from its own exponent alone, and each rule's sums reduce
+its own nodes only, so its report is the same bits whatever batch it is
+evaluated in.  The kernel groups a batch's nodes by their
 points' Gauss-Legendre sizes and holds at most ``_RANK_WEIGHTS``
 (node, rule node) entries at once.
 
-The Gauss-Legendre rules are built with numpy alone, once per size and
-process.  Only the Gauss-Jacobi rules need ``scipy.special`` (and
-``scipy.linalg``), which load on the first evaluation, not with the
-module, so importing the package costs only numpy.
+The Gauss-Legendre rules, once per size and process, and the
+Gauss-Jacobi tables, once per degree and process, are built with numpy
+alone: no evaluation loads scipy.
 
 All functions are pure.  :func:`slot_statistics` states the per-slot
 law once: the occupancy p_lambda, the collision-free probability p_cf,
@@ -374,60 +375,201 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], stats: Sequence[SlotStatisti
     return g
 
 
+# Exponents f of the weight (1-x)^f at which every degree's Gauss-Jacobi rule
+# is tabulated: the Chebyshev points of the second kind on [-1 + 2^-52, 0],
+# from f = 0 down, so that an integer singleton count (f = 0) and the clamp
+# of :func:`_ranks_coverages` read a row as it is.  The barycentric weights
+# of those points are (-1)^j, halved at both ends (Berrut & Trefethen, SIAM
+# Review 46(3), 2004).
+_JACOBI_POINTS = 16
+_JACOBI_F = 0.5 * (-1.0 + 2.0**-52) * (1.0 - np.cos(np.pi * np.arange(_JACOBI_POINTS)
+                                                    / (_JACOBI_POINTS - 1)))
+_JACOBI_F[[0, -1]] = 0.0, -1.0 + 2.0**-52
+_JACOBI_BARY = np.where(np.arange(_JACOBI_POINTS) % 2, -1.0, 1.0)
+_JACOBI_BARY[[0, -1]] *= 0.5
+_JACOBI_F.flags.writeable = _JACOBI_BARY.flags.writeable = False
+
+# Table entries (exponents x nodes) one Newton solve of :func:`_jacobi_table`
+# holds: its working arrays then stay in cache, which halves the build of
+# degree 9 488 (16 exponents at once take 9.9 s, 3 at a time 5.0 s).
+_JACOBI_BLOCK = 1 << 15
+
+# Newton steps a table may take before :func:`_jacobi_rules` gives up; it
+# takes three from its guesses at the degrees tried from 1 to 40 and from
+# 100 to 9 488, the largest a point may need, but four at degrees 2 and 4.
+_JACOBI_ITERATIONS = 12
+
+
+def _bessel_zeros(a: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of the Bessel functions J_a, one
+    row per order of the column ``a`` in (-1, 0].
+
+    Each is s = j^2/4 at a root of the power series
+    sum_k (-s)^k (a+1) / (k! (a+1)_k) of J_a up to a factor, by Newton's
+    method from McMahon's expansion (DLMF 10.21.19), or for the first from
+    its small-(a+1) estimate: it keeps its digits as a -> -1, where j tends
+    to 0 like 2 sqrt(a+1).  For the three zeros this serves (s < 25) the
+    series' largest term is ~200, so j loses under three digits: these are
+    guesses, and the nodes they start are solved to rounding.
+    """
+    b = (np.arange(1, count + 1) + 0.5 * a - 0.25) * np.pi
+    mu = 4.0 * a * a
+    zeros = b - (mu - 1.0) / (8.0 * b) - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * b) ** 3)
+    s = 0.25 * zeros * zeros
+    s[:, :1] = (a + 1.0) * (1.0 + 0.45 * (a + 1.0) / (a + 2.0))
+    for _ in range(4):
+        term, value, slope = a + 1.0, a + 1.0, 0.0
+        for k in range(1, 40):
+            term = term * -s / (k * (a + k))
+            value, slope = value + term, slope + k * term / s
+        s = s - value / slope
+    return 2.0 * np.sqrt(s)
+
+
+def _jacobi_rules(m: int, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss-Jacobi rules for the weights (1-x)^f, one row per
+    exponent of the 1-d ``f`` in [-1 + 2^-52, 0], as ``(y, u)``.
+
+    ``y = 1 - x`` are the nodes, x increasing along a row, and
+    ``u - log(y)`` the logarithms of their weights, up to a constant per
+    row.  Both are smooth in f: as f -> -1 the top node tends to 1 like
+    f + 1, and y resolves it; ``u`` holds the weight times y, finite there.
+
+    The nodes are the roots of P_m^(f,0), found by Newton's method from
+    asymptotic guesses, without an eigenvalue solve (Hale & Townsend, SIAM
+    J. Sci. Comput. 35(2), 2013).  Each step evaluates P_m and P_(m-1) by the
+    three-term recurrence (DLMF 18.9.2), written in y so that a small y
+    keeps its digits, and scaled as Q_j = P_j / prod(beta_i/2), which tends
+    to the Chebyshev recurrence Q_j = 2x Q_(j-1) - Q_(j-2) and neither
+    overflows nor underflows; P_m' follows from the two by DLMF 18.9.16,
+    so no derivative is carried.  Once every step is below 1e-6 of the
+    node's distance to its neighbours (or to an end of [0, 2]), one more
+    step finishes: its error is below the rounding of the recurrence.
+    Raises ``QuadratureError`` when the iteration does not settle within
+    ``_JACOBI_ITERATIONS`` steps or the nodes come out unordered.
+    """
+    a = np.asarray(f, dtype=float)[:, None]
+    rho = m + 0.5 * (a + 1.0)
+    # x_k = cos(theta_k): Gatteschi & Pittaluga's estimate in the interior,
+    # Gatteschi's from the zeros j of Bessel functions for the three nodes
+    # nearest each end: theta = j_(a,k) / sqrt(rho^2 + (1 - a^2)/12) at x = 1
+    # and pi - theta with j_(0,k) and 1 - 3a^2 at x = -1
+    phi = (np.arange(1, m + 1) + 0.5 * a - 0.25) * np.pi / rho
+    theta = phi + ((0.25 - a * a) / np.tan(0.5 * phi) - 0.25 * np.tan(0.5 * phi)) / (4.0 * rho * rho)
+    ends = min(3, m // 2)
+    if ends:
+        theta[:, :ends] = _bessel_zeros(a, ends) / np.sqrt(rho * rho + (1.0 - a * a) / 12.0)
+        theta[:, -ends:] = np.pi - (_bessel_zeros(0.0 * a, ends)[:, ::-1]
+                                    / np.sqrt(rho * rho + (1.0 - 3.0 * a * a) / 12.0))
+    y = 2.0 * np.sin(0.5 * theta) ** 2
+    zero = np.zeros_like(a)
+    gap = np.minimum(np.diff(y, prepend=zero), np.diff(y, append=zero + 2.0))
+
+    # recurrence coefficients of j = 2 .. m, one (rows, 1) column each; each
+    # factor 2j - i + a adds a to an integer, so that 1 + a keeps its digits
+    j = np.arange(2, m + 1)[:, None, None]
+    c = 2 * j + a
+    shift = 2.0 + 2.0 * a * a / (c * ((2 * j - 2) + a))
+    back = (16.0 * ((j - 1) * ((j - 1) + a)) ** 2
+            / (((2 * j - 1) + a) * ((2 * j - 2) + a) ** 2 * ((2 * j - 3) + a)))
+    c = 2 * m + a
+    kappa = 8.0 * m * (m + a) ** 2 / (((2 * m - 1) + a) * c)
+    last = False
+    for _ in range(_JACOBI_ITERATIONS):
+        z = -2.0 * y
+        q0, q1 = np.ones_like(y), z + 4.0 * (a + 1.0) / (a + 2.0)  # Q_0, Q_1
+        t = np.empty_like(y)
+        for s_j, b_j in zip(shift, back):
+            np.add(z, s_j, out=t)
+            t *= q1
+            q0 *= b_j
+            t -= q0
+            q0, q1, t = q1, t, q0
+        # (1 - x^2) P_m' = m T_m d / c with T_m = prod(beta_i / 2)
+        d = (c * y - 2.0 * m) * q1 + kappa * q0
+        step = c * y * (2.0 - y) * q1 / (m * d)
+        y = y + step
+        if last:
+            break
+        last = bool(np.all(np.abs(step) <= 1e-6 * gap))
+    else:
+        raise QuadratureError(
+            f"Gauss-Jacobi nodes of degree {m}: Newton's method did not converge",
+            math.nan, math.nan,
+        )
+    if not (np.all(np.diff(y) > 0.0) and np.all(y[:, 0] > 0.0) and np.all(y[:, -1] < 2.0)):
+        raise QuadratureError(f"Gauss-Jacobi nodes of degree {m}: roots out of order",
+                              math.nan, math.nan)
+    # w = (1 - x^2) / d^2 up to a constant per row; d vanishes like y at the
+    # top node.  Reversed, so that x increases along a row.
+    u = np.log(2.0 - y) - 2.0 * np.log(np.abs(d / y))
+    return np.ascontiguousarray(y[:, ::-1]), np.ascontiguousarray(u[:, ::-1])
+
+
+@functools.cache
+def _jacobi_table(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_jacobi_rules` of degree m at the ``_JACOBI_F`` exponents f,
+    as two read-only (16, m) arrays: (m + 1 + f) y and u.
+
+    The leading coefficient of P_m^(f,0) vanishes at f = -m - 1, where a
+    node runs off to infinity; the factor m + 1 + f takes out that pole,
+    which at m = 1 would hold the interpolation in f to ~1e-12.  Built once
+    per degree and process, ``_JACOBI_BLOCK`` entries at a time.
+    """
+    rows = max(1, _JACOBI_BLOCK // m)
+    y, u = (np.concatenate(part) for part in zip(*(
+        _jacobi_rules(m, _JACOBI_F[i: i + rows]) for i in range(0, _JACOBI_POINTS, rows)
+    )))
+    y *= (m + 1) + _JACOBI_F[:, None]
+    y.flags.writeable = u.flags.writeable = False
+    return y, u
+
+
+def _jacobi_interpolate(f: np.ndarray, degrees: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rules of ``degrees[i]`` nodes for the weights (1-x)^f[i], one
+    after another, as :func:`_jacobi_rules` gives them: ``(y, u)``, flat.
+
+    Each rule is the barycentric interpolation in f of its degree's table
+    (:func:`_jacobi_table`) at its own exponent: y and u are smooth in f,
+    and the 16 Chebyshev points carry them to rounding.  An exponent on a
+    table point reads that row as it is.  Every value is its rule's 16
+    terms summed in table-row order (:func:`_rule_sum`), not a matrix
+    product, whose blocking would depend on the other rules of the call.
+    """
+    diff = f - _JACOBI_F[:, None]  # one column per rule
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        coef = _JACOBI_BARY[:, None] / diff
+    coef = np.where(hit.any(axis=0), hit, coef)
+    coef /= _rule_sum(coef)
+    coef = np.repeat(coef, degrees, axis=1)
+    tables = [_jacobi_table(m) for m in degrees]
+    y, u = (_rule_sum(coef * np.concatenate([t[i] for t in tables], axis=1)) for i in (0, 1))
+    y /= np.repeat(np.add(degrees, 1.0) + f, degrees)
+    return y, u
+
+
 def _gauss_jacobi(a, n):
     """Gauss-Jacobi rules with n and 2n nodes for the weight (1-x)^a on [-1, 1].
 
-    ``a > -1``.  ``a`` and ``n`` may also be equal-length arrays, one rule
-    pair per entry.  Returns ``(x, log_w)``, each of length 3n per entry,
-    the entries one after another: the n-node rule followed by the 2n-node
-    rule, with the logarithms of each rule's weights up to a constant per
-    rule.  The nodes are the eigenvalues of the tridiagonal Jacobi matrix
-    (Golub & Welsch, Math. Comp. 1969; the n-node matrix is the leading
-    block of the 2n-node one) polished by one Newton step.  The weights are
-    proportional to 1/((1 - x^2) P_n'(x)^2): as a -> -1 the last node tends
-    to 1, where P_{n-1} of the equivalent 1/(P_{n-1}(x) P_n'(x)) varies fast
-    on the scale of the node's rounding.  Only the eigenvalue solves run
-    once per rule; every other step runs once over all entries.
+    ``a`` in [-1 + 2^-52, 0].  ``a`` and ``n`` may also be equal-length
+    arrays, one rule pair per entry.  Returns ``(x, log_w)``, each of
+    length 3n per entry, the entries one after another: the n-node rule
+    followed by the 2n-node rule, with the logarithms of each rule's
+    weights up to a constant per rule, interpolated from the tables of
+    their degrees (:func:`_jacobi_interpolate`).
     """
-    # scipy.linalg and scipy.special are slow to import, so only analyses load them
-    from scipy.linalg.lapack import dsterf
-    from scipy.special import eval_jacobi
-
     a = np.atleast_1d(np.asarray(a, dtype=float))
     n = np.atleast_1d(n)
-    # recurrence coefficients of the Jacobi polynomials P^(a, 0), one row per
-    # entry: the diagonal terms of j = 0 .. 2n-1 and the off-diagonal ones of
-    # j = 1 .. 2n-1, each row padded to the largest n
-    a_j = a[:, None]
-    j = np.arange(1, 2 * n.max())
-    s = 2.0 * j + a_j
-    diag = np.column_stack((-a / (a + 2.0), -a_j * a_j / (s * (s + 2.0))))
-    off = 2.0 * j * (j + a_j) / (s * np.sqrt(s * s - 1.0))
-
-    sizes = np.column_stack((n, 2 * n)).ravel()  # nodes of each rule
-    x = np.empty(sizes.sum())
-    start = 0
-    for d, o, base in zip(diag, off, n.tolist()):
-        for m in (base, 2 * base):
-            x[start: start + m], info = dsterf(d[:m], o[: m - 1])
-            if info:
-                raise QuadratureError(
-                    f"Gauss-Jacobi nodes: dsterf did not converge (info={info})",
-                    math.nan, math.nan,
-                )
-            start += m
-    degree = np.repeat(sizes, sizes)
-    a_x = np.repeat(a, 3 * n)
-    dp = 0.5 * (degree + a_x + 1.0) * eval_jacobi(degree - 1, a_x + 1.0, 1.0, x)
-    x -= eval_jacobi(degree, a_x, 0.0, x) / dp
-    # Within ~1e-13 of a = -1 the last node rounds to 1, or P_n loses a + 1
-    # to the rounding of n + a and the step misplaces it.  The node then
-    # carries all but O(a + 1) of the top rank's weight and next to none of
-    # the other ranks', wherever it lies, as long as it stays below 1.
-    x = np.minimum(x, np.nextafter(1.0, 0.0))
-    # in log form: P_n' grows like binom(n + a, n)
-    log_w = -np.log1p(-x) - np.log1p(x) - 2.0 * np.log(np.abs(dp))
-    return x, log_w
+    y, u = _jacobi_interpolate(np.repeat(a, 2), np.column_stack((n, 2 * n)).ravel().tolist())
+    # Within ~1e-16 of a = -1 the top node rounds to 1.  It then carries all
+    # but O(a + 1) of the top rank's weight and next to none of the other
+    # ranks', wherever it lies, as long as it stays below 1.  The weight is
+    # divided by the 1 - x the ranks multiply it by (:func:`_ranks_coverages`),
+    # not by y: near a = -1 the rounding of x moves 1 - x by a good part of
+    # itself, and the two must cancel in the lower ranks' weights.
+    x = np.minimum(1.0 - y, np.nextafter(1.0, 0.0))
+    return x, u - np.log1p(-x)
 
 
 def _rule_size(n_singleton: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -546,9 +688,8 @@ def frame_coverage_probs(cfgs: Iterable[SystemConfig]) -> list[CoverageReport]:
     the other configurations are.  Consecutive configurations that share a
     pathloss exponent are evaluated as one batch of at most
     ``_RANK_WEIGHTS`` rank weights; a point with more is a batch of its
-    own.  The slot statistics, the eigenvalue solves and the report run
-    per point; every other step of :func:`_ranks_coverages` runs once per
-    batch.
+    own.  The slot statistics and the report run per point; every step of
+    :func:`_ranks_coverages` runs once per batch.
     """
     cfgs = list(cfgs)
     stats = [slot_statistics(cfg) for cfg in cfgs]

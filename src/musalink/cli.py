@@ -264,11 +264,18 @@ def _same_file(a: str, b: str) -> bool:
     return stat.S_ISREG(sa.st_mode) and os.path.samestat(sa, sb)
 
 
-def _warn_high_snr(cfgs: list[SystemConfig]) -> None:
+def _warn_high_snr(cfgs: list[SystemConfig], schemes) -> None:
     """Print one ``warning:`` line to stderr when a Monte Carlo point's
-    best-case SNR passes ``_MAX_PRECISE_SNR``."""
+    best-case SNR passes ``_MAX_PRECISE_SNR``: that of a lone packet from
+    beneath the UAV at the largest per-packet power any of ``schemes``
+    gives it (:meth:`SystemConfig.packet_power`): p_max under NAS and for a
+    lone TPDS packet, the equal split under PROPOSED and BASELINE."""
+    lone = np.ones(1, dtype=np.int64)
     try:
-        gamma = max(map(max_snr_proxy, cfgs))
+        gamma = max(
+            max_snr_proxy(cfg, max(float(cfg.packet_power(s, lone)[0]) for s in schemes))
+            for cfg in cfgs
+        )
     except ArithmeticError:  # beyond double range
         gamma = math.inf
     if gamma > _MAX_PRECISE_SNR:
@@ -311,7 +318,7 @@ def cmd_simulate(args) -> int:
     est = estimate_coverage(cfg, scheme, args.trials, args.seed, n_workers=_workers())
     elapsed = time.perf_counter() - t0
     row = {"scheme": scheme.value, "trials": args.trials, "seed": args.seed, **vars(est)}
-    _warn_high_snr([cfg])
+    _warn_high_snr([cfg], [scheme])
     _write_lines(args.out, _table(list(row), [row]))
     # a manifest is implied beside the regular file written, not a device or pipe
     written = os.path.realpath(args.out) if args.out else None
@@ -374,7 +381,7 @@ def cmd_compare(args) -> int:
             row[f"{scheme.value}_p_hat"] = est.p_hat
             row[f"{scheme.value}_ci"] = est.ci_halfwidth
         rows.append(row)
-    _warn_high_snr(cfgs)
+    _warn_high_snr(cfgs, schemes)
     _write_lines(args.out, _table(list(rows[0]), rows))
     return EXIT_OK
 
@@ -411,7 +418,7 @@ def cmd_validate(args) -> int:
             "ci_halfwidth": est.ci_halfwidth,
             "gap": abs(report.p_succ - est.p_hat),
         })
-    _warn_high_snr(cfgs)
+    _warn_high_snr(cfgs, [Scheme.BASELINE])
     comment = _report({"config_sha256": _sha256(serialize_config(cfg))})
     _write_lines(args.out, [f"# {line}" for line in comment] + _table(list(rows[0]), rows))
     return EXIT_OK

@@ -50,14 +50,17 @@ def error_prob_ln_form(
     return q_function(arg)
 
 
-def max_snr_proxy(cfg: SystemConfig) -> float:
+def max_snr_proxy(cfg: SystemConfig, power: float | None = None) -> float:
     """Best-case SINR: the lone active device directly beneath the UAV.
 
-    Noise-limited link at horizontal distance zero, with the equal-split
-    per-packet power :meth:`SystemConfig.mean_packet_power`.  Raises
-    ``OverflowError`` when it leaves double range.
+    Noise-limited link at horizontal distance zero, sending ``power`` (W)
+    per packet, by default the equal-split per-packet power
+    :meth:`SystemConfig.mean_packet_power`.  Raises ``OverflowError`` when
+    it leaves double range.
     """
-    gamma = cfg.mean_packet_power() * cfg.path_gain(0.0) / cfg.channel.noise_power
+    if power is None:
+        power = cfg.mean_packet_power()
+    gamma = power * cfg.path_gain(0.0) / cfg.channel.noise_power
     if math.isinf(gamma):
         raise OverflowError("the best-case SNR exceeds double range")
     return gamma

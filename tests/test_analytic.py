@@ -612,21 +612,20 @@ def test_campbell_integrals_match_closed_form_and_quadrature(alpha):
                 2.0 * campbell_simpson(q[i], h2, alpha, 0.0, radius, tol), rel=1e-9)
 
 
-def test_coverage_kernel_runs_without_scipy_special(monkeypatch):
-    # only the Gauss-Jacobi rules need scipy; the kernel and its
-    # Gauss-Legendre rules, built afresh here, are numpy alone
-    cfgs = [low_altitude_config(2.0, 1.0), low_altitude_config(1e-300, 1.0), reference_config()]
-    stats = [slot_statistics(cfg) for cfg in cfgs]
-    t = np.tile(np.linspace(0.001, 1.0, 50), 3)
-    point = np.repeat(np.arange(3), 50)
-    expected = analytic._coverage_kernels(cfgs, stats)(t, point)
-    monkeypatch.setitem(sys.modules, "scipy.special", None)
-    monkeypatch.setattr(analytic, "_legendre_rule",
-                        functools.cache(analytic._legendre_rule.__wrapped__))
+def test_frame_coverage_runs_without_scipy(monkeypatch):
+    # the Gauss-Legendre and Gauss-Jacobi rules, built afresh here, the
+    # coverage kernel and the rank sums are numpy alone
+    cfgs = [low_altitude_config(2.0, 1.0), low_altitude_config(1e-300, 1.0), *mixed_batch()]
+    expected = frame_coverage_probs(cfgs)
+    for name in [name for name in sys.modules if name.partition(".")[0] == "scipy"]:
+        monkeypatch.setitem(sys.modules, name, None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    for rule in ("_legendre_rule", "_jacobi_table"):
+        monkeypatch.setattr(analytic, rule, functools.cache(getattr(analytic, rule).__wrapped__))
     with pytest.raises(ImportError):
         import scipy.special  # noqa: F401
-    values = analytic._coverage_kernels(cfgs, stats)(t, point)
-    assert np.array_equal(values, expected) and np.isfinite(values).all()
+    assert frame_coverage_probs(cfgs) == expected
+    assert analytic._jacobi_table.cache_info().currsize > 0
 
 
 def test_frame_coverage_finite_as_the_altitude_vanishes():
@@ -865,11 +864,77 @@ def test_ranks_continuous_above_integer_counts(k):
         np.testing.assert_allclose(above[:k], at_k, rtol=0, atol=eps + 1e-14)
 
 
-def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
-    import scipy.linalg.lapack
+def count_rule_pairs(calls):
+    """A spy for ``_gauss_jacobi`` that adds its rule pairs to ``calls``."""
+    gauss_jacobi = analytic._gauss_jacobi
 
-    calls = {"kernel": 0, "dsterf": 0}
-    make_kernel, dsterf = analytic._coverage_kernels, scipy.linalg.lapack.dsterf
+    def spy(a, n):
+        calls["rule_pairs"] += np.size(n)
+        return gauss_jacobi(a, n)
+    return spy
+
+
+# Exponents between the table's points, near f = 0, and near f = -1, where
+# the top node tends to 1 like f + 1
+BETWEEN_TABLE_POINTS = np.concatenate((
+    0.5 * (analytic._JACOBI_F[1:] + analytic._JACOBI_F[:-1]),
+    [-0.999, -1.0 + 1e-9, -1.0 + 1e-12, -1e-3],
+))
+
+
+@pytest.mark.parametrize("m", [1, 2, 16, 17, 36, 64])
+def test_interpolated_rules_match_a_direct_newton_solve(m):
+    f = BETWEEN_TABLE_POINTS
+    y, u = analytic._jacobi_interpolate(f, [m] * f.size)
+    y_ref, u_ref = analytic._jacobi_rules(m, f)
+    y, u = y.reshape(f.size, m), u.reshape(f.size, m)
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-14)
+    # the top node's 1 - x to its own scale, however close to 1 it lies
+    np.testing.assert_allclose(y[:, -1], y_ref[:, -1], rtol=1e-11, atol=0)
+    w, w_ref = np.exp(u - np.log(y)), np.exp(u_ref - np.log(y_ref))
+    np.testing.assert_allclose(w / w.sum(axis=1, keepdims=True),
+                               w_ref / w_ref.sum(axis=1, keepdims=True), rtol=0, atol=1e-12)
+
+
+def test_table_points_read_the_table_rows():
+    f = analytic._JACOBI_F
+    y, u = analytic._jacobi_interpolate(f, [16] * f.size)
+    scaled_y, table_u = analytic._jacobi_table(16)
+    assert np.array_equal(y, (scaled_y / (17.0 + f[:, None])).ravel())
+    assert np.array_equal(u, table_u.ravel())
+
+
+def test_newton_failure_raises_quadrature_error(monkeypatch):
+    with pytest.raises(QuadratureError, match="degree 16: Newton's method did not converge"):
+        analytic._jacobi_rules(16, np.array([math.nan]))
+    # one step cannot also be the step that confirms convergence
+    monkeypatch.setattr(analytic, "_JACOBI_ITERATIONS", 1)
+    monkeypatch.setattr(analytic, "_jacobi_table", functools.cache(analytic._jacobi_table.__wrapped__))
+    with pytest.raises(QuadratureError, match="did not converge"):
+        frame_coverage_prob(reference_config())
+
+
+def test_one_table_build_per_degree(monkeypatch):
+    built = []
+    build = analytic._jacobi_table.__wrapped__
+
+    def spy(m):
+        built.append(m)
+        return build(m)
+
+    monkeypatch.setattr(analytic, "_jacobi_table", functools.cache(spy))
+    cfgs = mixed_batch()
+    first = frame_coverage_probs(cfgs)
+    assert frame_coverage_probs(cfgs) == first
+    assert [frame_coverage_prob(cfg) for cfg in cfgs] == first
+    ranks = {len(r.conditional_terms) for r in first} - {0}
+    degrees = {analytic._OUTER_NODES + k // 2 for k in ranks}
+    assert sorted(built) == sorted(degrees | {2 * n for n in degrees})
+
+
+def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
+    calls = {"kernel": 0, "rule_pairs": 0}
+    make_kernel = analytic._coverage_kernels
 
     def spy_kernel(cfgs, stats):
         g = make_kernel(cfgs, stats)
@@ -879,18 +944,14 @@ def test_one_rule_pair_and_kernel_call_per_point(monkeypatch):
             return g(t, point)
         return counted
 
-    def spy_dsterf(*args):
-        calls["dsterf"] += 1
-        return dsterf(*args)
-
     monkeypatch.setattr(analytic, "_coverage_kernels", spy_kernel)
-    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", spy_dsterf)
+    monkeypatch.setattr(analytic, "_gauss_jacobi", count_rule_pairs(calls))
     rank_counts = []
     for n_active, lam in ((5, 2.0), (20, 8.0), (60, 10.0)):
-        calls.update(kernel=0, dsterf=0)
+        calls.update(kernel=0, rule_pairs=0)
         report = frame_coverage_prob(reference_config(n_active=n_active, lam=lam, n_slots=10))
         rank_counts.append(len(report.conditional_terms))
-        assert calls == {"kernel": 1, "dsterf": 2}
+        assert calls == {"kernel": 1, "rule_pairs": 1}
     assert rank_counts == [1, 13, 24]
 
 
@@ -1044,10 +1105,8 @@ def test_sweep_batches_bounded_in_memory():
 
 
 def test_one_kernel_call_and_rule_pair_per_point_of_a_batch(monkeypatch):
-    import scipy.linalg.lapack
-
-    calls = {"kernel": 0, "dsterf": 0}
-    make_kernel, dsterf = analytic._coverage_kernels, scipy.linalg.lapack.dsterf
+    calls = {"kernel": 0, "rule_pairs": 0}
+    make_kernel = analytic._coverage_kernels
 
     def spy_kernel(cfgs, stats):
         g = make_kernel(cfgs, stats)
@@ -1057,16 +1116,12 @@ def test_one_kernel_call_and_rule_pair_per_point_of_a_batch(monkeypatch):
             return g(t, point)
         return counted
 
-    def spy_dsterf(*args):
-        calls["dsterf"] += 1
-        return dsterf(*args)
-
     monkeypatch.setattr(analytic, "_coverage_kernels", spy_kernel)
-    monkeypatch.setattr(scipy.linalg.lapack, "dsterf", spy_dsterf)
+    monkeypatch.setattr(analytic, "_gauss_jacobi", count_rule_pairs(calls))
     cfgs = mixed_batch()
     reports = frame_coverage_probs(cfgs)
     # the zero-rate point needs no rule
-    assert calls == {"kernel": 1, "dsterf": 2 * (len(cfgs) - 1)}
+    assert calls == {"kernel": 1, "rule_pairs": len(cfgs) - 1}
     assert sum(r.conditional_terms == () for r in reports) == 1
 
 

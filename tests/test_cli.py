@@ -29,10 +29,12 @@ from musalink.config import (
     Scheme,
     default_config,
     key_domain,
+    load_config,
     serialize_config,
     validate_config,
     with_values,
 )
+from musalink.shortpacket import max_snr_proxy
 from musalink.simulator import estimate_coverage
 
 from conftest import fresh_interpreter_env, reference_config
@@ -944,6 +946,27 @@ def test_high_snr_warns_once(tmp_path, capsys, argv):
     assert " is above 1e+12, where the receiver loses precision" in lines[0]
     assert main(argv + common) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,warns", [
+    (["compare", "--lambdas", "10"], True),
+    (["simulate", "--scheme", "nas"], True),
+    (["simulate", "--scheme", "baseline"], False),
+])
+def test_high_snr_warning_reads_the_schemes_power_rule(tmp_path, capsys, argv, warns):
+    # at lambda = 10 the equal split puts the best-case SNR at ~9.0e10, below
+    # 1e12, but NAS sends every packet, and TPDS a lone one, at p_max: ~1.6e12
+    path = tmp_path / "loud.cfg"
+    path.write_text("channel.noise_power = 1.5e-19\ntraffic.lambda = 10\n")
+    cfg = load_config(path.read_text())
+    assert max_snr_proxy(cfg) < 1e11 < 1e12 < max_snr_proxy(cfg, cfg.power.p_max)
+    common = ["--trials", "3", "--config", str(path), "--out", str(tmp_path / "out.csv")]
+    assert main(argv + common) == 0
+    lines = capsys.readouterr().err.splitlines()
+    if warns:
+        assert len(lines) == 1 and lines[0].startswith("warning: best-case SNR 1.62e+12 ")
+    else:
+        assert lines == []
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -358,7 +358,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg takes tens of ms to import; only an analysis loads it
+    # scipy.linalg takes tens of ms to import; nothing in the package loads it
     code = "import sys\nimport musalink\nprint('scipy.linalg' in sys.modules)\n"
     assert run_fresh_interpreter(code) == "False"
 
@@ -399,31 +399,57 @@ def test_packet_count_law_runs_without_scipy():
     assert run_fresh_interpreter("import sys\nsys.modules['scipy'] = None\n" + code) == with_scipy
 
 
-def simulate_and_compare_code(out_dir: Path, block_scipy: bool) -> str:
-    """Code that runs ``simulate`` for every scheme and ``compare`` into
-    ``out_dir``, printing the scipy modules loaded after each import and
-    after the runs; with ``block_scipy`` scipy cannot be imported."""
+def commands_code(runs: str, block_scipy: bool) -> str:
+    """Code that runs the ``cli.main`` calls of ``runs``, printing the scipy
+    modules loaded after each import and after the runs; with
+    ``block_scipy`` scipy cannot be imported."""
     loaded = ("print(sorted(name for name, module in sys.modules.items()"
               " if name.partition('.')[0] == 'scipy' and module is not None))\n")
-    runs = "".join(
-        f"assert cli.main(['simulate', '--scheme', {s.value!r}, '--trials', '3',"
-        f" '--out', {str(out_dir / s.value)!r}]) == 0\n"
-        for s in config.Scheme
-    )
     return (
         "import sys\n"
         + ("sys.modules['scipy'] = None\n" if block_scipy else "")
         + "import musalink\n" + loaded
         + "import musalink.cli as cli\n" + loaded
         + runs
-        + f"assert cli.main(['compare', '--trials', '3', '--lambdas', '2:10:4',"
-          f" '--out', {str(out_dir / 'compare')!r}]) == 0\n"
         + loaded
     )
 
 
+def simulate_and_compare_code(out_dir: Path, block_scipy: bool) -> str:
+    """Code that runs ``simulate`` for every scheme and ``compare`` into
+    ``out_dir`` (:func:`commands_code`)."""
+    runs = "".join(
+        f"assert cli.main(['simulate', '--scheme', {s.value!r}, '--trials', '3',"
+        f" '--out', {str(out_dir / s.value)!r}]) == 0\n"
+        for s in config.Scheme
+    )
+    runs += (f"assert cli.main(['compare', '--trials', '3', '--lambdas', '2:10:4',"
+             f" '--out', {str(out_dir / 'compare')!r}]) == 0\n")
+    return commands_code(runs, block_scipy)
+
+
+def analytics_code(out_dir: Path, block_scipy: bool) -> str:
+    """Code that runs ``analytic`` sweeps, ``optimize`` with its brute-force
+    curve and ``validate`` into ``out_dir`` (:func:`commands_code`)."""
+    argvs = {
+        "lambda": ["analytic", "--sweep", "lambda=2:10:4"],
+        "n_slots": ["analytic", "--sweep", "n_slots=2:40:19"],
+        "optimize": ["optimize", "--brute-points", "4"],
+        "validate": ["validate", "--trials", "2", "--n-active", "10,20", "--lambdas", "2,8"],
+    }
+    runs = "".join(f"assert cli.main({argv + ['--out', str(out_dir / name)]!r}) == 0\n"
+                   for name, argv in argvs.items())
+    return commands_code(runs, block_scipy)
+
+
+def written(out_dir: Path) -> dict[str, list[str]]:
+    """The lines of every file in ``out_dir``, bar the manifests' wall times."""
+    return {path.name: [line for line in path.read_text().splitlines()
+                        if "wall_clock_s" not in line] for path in out_dir.iterdir()}
+
+
 def test_import_simulate_and_compare_leave_scipy_unloaded(tmp_path):
-    # scipy.special is half the start-up of a command; only the analytics load it
+    # scipy.special is half the start-up of a command; no command loads it
     assert run_fresh_interpreter(simulate_and_compare_code(tmp_path, False)) == "[]\n[]\n[]"
 
 
@@ -434,12 +460,20 @@ def test_simulate_and_compare_run_without_scipy(tmp_path):
     run_fresh_interpreter(simulate_and_compare_code(with_scipy, False))
     assert run_fresh_interpreter(simulate_and_compare_code(without, True)) == "[]\n[]\n[]"
     # and write the same bytes as with scipy importable, bar the manifests' wall times
-    def written(out_dir):
-        return {path.name: [line for line in path.read_text().splitlines()
-                            if "wall_clock_s" not in line] for path in out_dir.iterdir()}
-
     assert written(with_scipy) == written(without)
     assert len(written(without)) == 9  # 4 simulate CSVs, their manifests, 1 compare CSV
+
+
+def test_analytic_optimize_and_validate_run_without_scipy(tmp_path):
+    # the analytics, their Gauss-Jacobi rules included, are numpy alone: no
+    # scipy module loads, and with scipy unimportable the bytes are the same
+    with_scipy, without = tmp_path / "with", tmp_path / "without"
+    with_scipy.mkdir()
+    without.mkdir()
+    assert run_fresh_interpreter(analytics_code(with_scipy, False)) == "[]\n[]\n[]"
+    assert run_fresh_interpreter(analytics_code(without, True)) == "[]\n[]\n[]"
+    assert written(with_scipy) == written(without)
+    assert sorted(written(without)) == ["lambda", "n_slots", "optimize", "validate"]
 
 
 def test_public_names_are_listed_and_exist():
