@@ -49,6 +49,7 @@ from .simulator import (
     CoverageEstimate,
     code_pool,
     estimate_coverage,
+    estimate_coverages,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,8 @@ the old file's tail past the new bytes.  A ``--manifest`` naming the
 regular file, or the path not yet there, that ``--out`` names is a usage
 error: the manifest would overwrite the CSV.  More than one value of a
 config key the scenario ignores (``lambda`` outside an emergency, see
-``config.reads_key``) is a usage error.  ``--trials``
+``config.reads_key``) is a usage error; there an omitted ``--lambdas``
+is the config's one value.  ``--trials``
 and ``--seed`` mean the same to the three Monte Carlo commands (simulate,
 compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
 4 infeasibility, 5 numerical failure (a quadrature that failed, or an
@@ -32,7 +33,8 @@ compare, validate).  Exit codes: 0 success, 2 usage, 3 configuration,
 The three Monte Carlo commands print one ``warning:`` line to stderr,
 exit status unchanged, when a point's best-case SNR is above the range
 where the receiver keeps its precision.  MUSALINK_WORKERS, a positive
-integer, overrides the worker count.
+integer, overrides the worker count; ``compare`` and ``validate`` run all
+their points as one ``simulator.estimate_coverages`` job, one pool at most.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from .config import (
 )
 from .optimizer import InfeasibleError, adaptive_slots, brute_force_slots
 from .shortpacket import max_snr_proxy
-from .simulator import check_frame_budget, estimate_coverage
+from .simulator import estimate_coverage, estimate_coverages
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -187,6 +189,21 @@ def _check_read(cfg: SystemConfig, key: str, option: str, values: list) -> None:
             f"{option}: the {cfg.traffic.scenario.value} scenario ignores {key}, "
             f"so it takes one value, got {len(values)}"
         )
+
+
+class _Default(list):
+    """A list option's default values, told apart from the same values given."""
+
+
+def _lambdas(cfg: SystemConfig, values: list) -> list:
+    """``--lambdas`` of ``compare`` and ``validate``.  Where the scenario
+    ignores traffic.lambda, an omitted ``--lambdas`` is the config's one
+    value, as ``analytic`` without ``--sweep`` evaluates the configured
+    point, and a list given holds one value (``_check_read``)."""
+    if isinstance(values, _Default) and not reads_key(cfg, "traffic.lambda"):
+        return [cfg.traffic.lam]
+    _check_read(cfg, "traffic.lambda", "--lambdas", values)
+    return values
 
 
 def _whole(text: str) -> int:
@@ -365,19 +382,17 @@ def cmd_optimize(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _read_config(args.config)
-    _check_read(cfg, "traffic.lambda", "--lambdas", args.lambdas)
+    lambdas = _lambdas(cfg, args.lambdas)
     workers = _workers()
     schemes = (Scheme.PROPOSED, Scheme.TPDS, Scheme.NAS)
-    cfgs = [with_values(cfg, {"traffic.lambda": lam}) for lam in args.lambdas]
-    # every point is checked, in the order it would run, before any frame is drawn
-    for cfg_l in cfgs:
-        for scheme in schemes:
-            check_frame_budget(cfg_l, scheme)
+    cfgs = [with_values(cfg, {"traffic.lambda": lam}) for lam in lambdas]
+    ests = iter(estimate_coverages([(c, scheme) for c in cfgs for scheme in schemes],
+                                   args.trials, args.seed, n_workers=workers))
     rows = []
-    for lam, cfg_l in zip(args.lambdas, cfgs):
+    for lam in lambdas:
         row = {"lambda": lam}
         for scheme in schemes:
-            est = estimate_coverage(cfg_l, scheme, args.trials, args.seed, n_workers=workers)
+            est = next(ests)
             row[f"{scheme.value}_p_hat"] = est.p_hat
             row[f"{scheme.value}_ci"] = est.ci_halfwidth
         rows.append(row)
@@ -388,26 +403,24 @@ def cmd_compare(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = _read_config(args.config)
-    _check_read(cfg, "traffic.lambda", "--lambdas", args.lambdas)
-    cells = len(args.n_active) * len(args.lambdas)
+    lambdas = _lambdas(cfg, args.lambdas)
+    cells = len(args.n_active) * len(lambdas)
     if cells > _MAX_RANGE_POINTS:
         raise argparse.ArgumentTypeError(
             f"--n-active and --lambdas make a grid of {cells} points,"
             f" more than the {_MAX_RANGE_POINTS} a grid may hold"
         )
     workers = _workers()
-    grid = [(na, lam) for na in args.n_active for lam in args.lambdas]
+    grid = [(na, lam) for na in args.n_active for lam in lambdas]
     cfgs = [with_values(cfg, {"traffic.n_active": na, "traffic.lambda": lam})
             for na, lam in grid]
     # every point is checked before any frame is drawn or any analytic
     # runs: first against the analytics' rank-weight budget, whose refusal
-    # wins for a point both would refuse, then against the simulator's
-    # frame budget
+    # wins for a point both would refuse, then, in estimate_coverages,
+    # against the simulator's frame budget
     check_point_budget(cfgs)
-    for c in cfgs:
-        check_frame_budget(c, Scheme.BASELINE)
-    ests = [estimate_coverage(c, Scheme.BASELINE, args.trials, args.seed, n_workers=workers)
-            for c in cfgs]
+    ests = estimate_coverages([(c, Scheme.BASELINE) for c in cfgs],
+                              args.trials, args.seed, n_workers=workers)
     rows = []
     for (na, lam), est, report in zip(grid, ests, frame_coverage_probs(cfgs)):
         rows.append({
@@ -465,8 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="proposed vs benchmark schemes")
     add_common(p)
-    p.add_argument("--lambdas", type=_values_of("traffic.lambda"), default="2:10:1",
-                   help="traffic rates: numbers and start:stop:step ranges")
+    p.add_argument("--lambdas", type=_values_of("traffic.lambda"),
+                   default=_Default(_values_of("traffic.lambda")("2:10:1")),
+                   help="traffic rates: numbers and start:stop:step ranges (default"
+                        " 2:10:1; outside an emergency, the config's traffic.lambda)")
     add_monte_carlo(p)
     p.set_defaults(func=cmd_compare)
 
@@ -474,8 +489,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--n-active", type=_values_of("traffic.n_active"), default="10,20",
                    dest="n_active", help="device counts: numbers and start:stop:step ranges")
-    p.add_argument("--lambdas", type=_values_of("traffic.lambda"), default="2,10",
-                   help="traffic rates: numbers and start:stop:step ranges")
+    p.add_argument("--lambdas", type=_values_of("traffic.lambda"),
+                   default=_Default(_values_of("traffic.lambda")("2,10")),
+                   help="traffic rates: numbers and start:stop:step ranges (default"
+                        " 2,10; outside an emergency, the config's traffic.lambda)")
     add_monte_carlo(p)
     p.set_defaults(func=cmd_validate)
 

@@ -3,9 +3,15 @@
 Samples device deployments, bursty traffic, slot and spreading-code
 choices and per-subcarrier Rayleigh fading, then runs the successive
 interference cancellation receiver on every occupied slot.  A run's
-config carries the slots its scheme runs: ``estimate_coverage`` resolves
+config carries the slots its scheme runs: ``check_frame_budget`` resolves
 the scheme's slot rule (``optimizer.scheme_slots``) into
-``frame.n_slots`` once, and every step after reads it there.
+``frame.n_slots`` once per point, and every step after reads it there.
+
+``estimate_coverages`` runs a command's points as one job: it checks
+every (config, scheme) point once, before any draw, then maps one task
+list of (point, block) pairs in this process or over at most one
+process pool, and none when the points total one block.
+``estimate_coverage`` is its one-point case.
 
 A run's frames are split into blocks of B frames, B the size
 ``check_frame_budget`` returns from the config alone: block b holds
@@ -28,10 +34,10 @@ is tested against, ``block_draws``, which applies the per-frame laws
 ``sample_deployment`` and ``assign_slots_codes`` to each frame's rows of
 the same four calls, is in ``tests/oracles.py``.
 
-The receiver is batched: ``estimate_coverage`` decodes a block of frames
-at once.  Collisions are found with one argsort of the (slot, code)
-keys; it need not be stable, since every packet of a run of equal keys
-is flagged, in whatever order the run comes.  Each occupied slot
+The receiver is batched: a task decodes its block of frames at once.
+Collisions are found with one argsort of the (slot, code) keys; it need
+not be stable, since every packet of a run of equal keys is flagged, in
+whatever order the run comes.  Each occupied slot
 becomes a row of packets, singletons nearest first and collided packets
 last, and iteration t of a slot tests its column t against the
 undecoded set of columns t..K-1.  The rows are laid out batch-last,
@@ -91,6 +97,7 @@ __all__ = [
     "check_frame_budget",
     "code_pool",
     "estimate_coverage",
+    "estimate_coverages",
 ]
 
 
@@ -149,8 +156,8 @@ def code_pool(n_subcarriers: int, pool_size: int) -> np.ndarray:
 #  Batched lockstep receiver
 # ============================================================================
 
-# Frames drawn and decoded together by estimate_coverage.  A frame costs
-# the doubles it holds at most: its n_active·(1 + n_slots) radii and slot
+# Frames drawn and decoded together by a task.  A frame costs the
+# doubles it holds at most: its n_active·(1 + n_slots) radii and slot
 # keys (with them the keys' argsort and mask), two complex J-vectors, the
 # fading and the channel, for each of its at most n_active·n_slots
 # packets, and the receiver's complex J x J inverse for each slot row.
@@ -434,18 +441,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _coverage_worker(cfg, scheme, seed, sinr_rule, errors, size, n_frames, b) -> FrameSums:
-    """Sums over block ``b`` of a run of ``n_frames`` frames in blocks of
-    ``size``, drawn from ``default_rng(SeedSequence(seed, spawn_key=(b,)))``
-    and decoded at once, under the caller's ``np.geterr()`` ``errors``: a
+def _coverage_worker(seed, sinr_rule, errors, n_frames, task) -> tuple[int, FrameSums]:
+    """Point ``i`` and the sums over block ``b`` of its run of ``n_frames``
+    frames in blocks of ``size``, ``task = (i, cfg, scheme, size, b)``,
+    drawn from ``default_rng(SeedSequence(seed, spawn_key=(b,)))`` and
+    decoded at once, under the caller's ``np.geterr()`` ``errors``: a
     spawned or forkserver worker starts at numpy's defaults."""
+    i, cfg, scheme, size, b = task
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
     with np.errstate(**errors):
         block = _draw_block(cfg, scheme, rng, min(size, n_frames - b * size))
         outcomes = _decode_block(cfg, block, sinr_rule)
     g = block.counts.sum(axis=1)
     d, collided, below, blocked = outcomes.T
-    return FrameSums(
+    return i, FrameSums(
         frames=len(g), generated=g.sum(), decoded=d.sum(),
         dropped=g.sum() - len(block.device), gg=g @ g, dd=d @ d, gd=g @ d,
         collided=collided.sum(), below=below.sum(), blocked=blocked.sum())
@@ -458,9 +467,10 @@ def check_frame_budget(cfg: SystemConfig, scheme: Scheme) -> tuple[SystemConfig,
     B is part of the run's stream definition: block b holds frames
     [b·B, (b+1)·B).
 
-    Raises the ``ConfigError`` :func:`estimate_coverage` raises for a frame
-    that costs more than ``_FRAME_DRAWS`` doubles or a code pool that holds
-    more, and the ``InfeasibleError`` of a slot rule that has no slot count.
+    Raises the ``ConfigError`` :func:`estimate_coverages` raises, before
+    any point is drawn, for a point's frame that costs more than
+    ``_FRAME_DRAWS`` doubles or its code pool that holds more, and the
+    ``InfeasibleError`` of a slot rule that has no slot count.
     """
     cfg = with_values(cfg, {"frame.n_slots": scheme_slots(cfg, scheme)})
     n, j, n_slots = cfg.traffic.n_active, cfg.frame.n_subcarriers, cfg.frame.n_slots
@@ -483,6 +493,58 @@ def check_frame_budget(cfg: SystemConfig, scheme: Scheme) -> tuple[SystemConfig,
     return cfg, max(1, min(_BLOCK_FRAMES, _BLOCK_DRAWS // cost))
 
 
+def estimate_coverages(
+    points: list[tuple[SystemConfig, Scheme]],
+    n_frames: int,
+    seed: int,
+    n_workers: int = 1,
+    sinr_rule: str = "conservative",
+) -> list[CoverageEstimate]:
+    """Empirical coverage of each ``(cfg, scheme)`` point, ``n_frames``
+    independent frames each, as one job.
+
+    ``check_frame_budget`` resolves each point's slot rule into its run's
+    config, whose ``frame.n_slots`` the draws and the reported ``n_slots``
+    read, and gives its block size B, for every point in list order before
+    anything is drawn: a later point's refusal comes before an earlier
+    point's first frame.  Each point's frames are split once, into blocks
+    of its B, the last one partial; block b draws from its own generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, and returns the
+    exact ``FrameSums`` of its frames, added to its point's sum as it
+    arrives.  An estimate, ``FrameSums.estimate`` of that sum, is thus the
+    same for any worker count, chunking or order of the blocks, and for
+    any other points in the list.  One task list, point-major, holds every
+    (point, block) pair and runs in this process or over one pool: at most
+    as many workers start as this process may use CPUs, and as there are
+    tasks, so points that total one block start none.  A seed that is not
+    an integer raises ``TypeError``, a negative one ``ValueError``, before
+    any draw.
+    """
+    seed = operator.index(seed)
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    _check_sinr_rule(sinr_rule)
+    runs = [(scheme, *check_frame_budget(cfg, scheme)) for cfg, scheme in points]
+
+    tasks = [(i, cfg, scheme, size, b) for i, (scheme, cfg, size) in enumerate(runs)
+             for b in range(-(-n_frames // size))]
+    work = functools.partial(_coverage_worker, seed, sinr_rule, np.geterr(), n_frames)
+    sums = [FrameSums()] * len(points)
+    workers = min(n_workers, len(tasks))
+    if workers > 1:  # a pool starts all its processes at the first task
+        workers = min(workers, _usable_cpus())
+    if workers <= 1:
+        for i, part in map(work, tasks):
+            sums[i] += part
+    else:
+        # about four tasks per worker: a task per block costs its round trip
+        chunk = math.ceil(len(tasks) / (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
+            for i, part in pool_exec.map(work, tasks, chunksize=chunk):
+                sums[i] += part
+    return [total.estimate(cfg.frame.n_slots) for total, (_, cfg, _) in zip(sums, runs)]
+
+
 def estimate_coverage(
     cfg: SystemConfig,
     scheme: Scheme,
@@ -491,38 +553,7 @@ def estimate_coverage(
     n_workers: int = 1,
     sinr_rule: str = "conservative",
 ) -> CoverageEstimate:
-    """Empirical coverage over independent frames.
-
-    ``check_frame_budget`` resolves the scheme's slot rule into the run's
-    config, whose ``frame.n_slots`` the draws and the reported ``n_slots``
-    read, and gives the block size B, before anything is drawn.  The
-    frames are split once, into blocks of B, the last one partial; block
-    b draws from its own generator, ``default_rng(SeedSequence(seed,
-    spawn_key=(b,)))``, and returns the exact ``FrameSums`` of its
-    frames.  The result, ``FrameSums.estimate`` of their sum, is thus
-    identical for any worker count or chunking of the blocks; B depends
-    on the config alone, so a run shorter than two blocks uses one
-    worker.  At most as many workers start as this process may use CPUs,
-    and as there are blocks.  A seed that is not an integer raises
-    ``TypeError``, a negative one ``ValueError``, before any draw.
-    """
-    seed = operator.index(seed)
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    _check_sinr_rule(sinr_rule)
-    cfg, size = check_frame_budget(cfg, scheme)
-
-    blocks = range(-(-n_frames // size))
-    work = functools.partial(
-        _coverage_worker, cfg, scheme, seed, sinr_rule, np.geterr(), size, n_frames)
-    workers = min(n_workers, len(blocks))
-    if workers > 1:  # a pool starts all its processes at the first task
-        workers = min(workers, _usable_cpus())
-    if workers <= 1:
-        parts = map(work, blocks)
-    else:
-        # about four tasks per worker: a task per block costs its round trip
-        chunk = math.ceil(len(blocks) / (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool_exec:
-            parts = list(pool_exec.map(work, blocks, chunksize=chunk))
-    return sum(parts, FrameSums()).estimate(cfg.frame.n_slots)
+    """Empirical coverage over independent frames: the one-point case of
+    :func:`estimate_coverages`, with its checks and errors.  A run shorter
+    than two blocks uses one worker."""
+    return estimate_coverages([(cfg, scheme)], n_frames, seed, n_workers, sinr_rule)[0]

@@ -469,13 +469,42 @@ def test_validate_refuses_a_later_point_before_any_draw(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error: one frame draws n_active")
 
 
+def test_compare_runs_its_points_in_one_pool(tmp_path, monkeypatch):
+    # 3 lambdas x 3 schemes are one job: each point is checked once, each
+    # PROPOSED point validated once on its way to its slot count, and every
+    # block of the nine points shares one pool, whose bytes are one process's
+    assert not hasattr(cli, "check_frame_budget")
+    made, checks, validations = [], [], []
+    pool, check, validate = (simulator.ProcessPoolExecutor, simulator.check_frame_budget,
+                             optimizer.validate_config)
+
+    def recording_pool(max_workers):
+        made.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(simulator, "check_frame_budget",
+                        lambda *args: checks.append(1) or check(*args))
+    monkeypatch.setattr(optimizer, "validate_config",
+                        lambda cfg: validations.append(1) or validate(cfg))
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    argv = ["compare", "--lambdas", "2:4:1", "--trials", "600", "--out"]
+    monkeypatch.setenv("MUSALINK_WORKERS", "2")
+    assert main(argv + [str(tmp_path / "w2.csv")]) == 0
+    assert made == [2] and len(checks) == 9 and len(validations) == 3
+    monkeypatch.setenv("MUSALINK_WORKERS", "1")
+    assert main(argv + [str(tmp_path / "w1.csv")]) == 0
+    assert made == [2]
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+
 def test_validate_grid_above_the_cap_usage_error(monkeypatch, capsys):
     # each list holds at most 100 000 values, and so does their product:
     # 400 x 251 cells are refused before any config, estimate or analytic
     def no_run(*args, **kwargs):
         raise AssertionError("a grid point was run")
 
-    monkeypatch.setattr(cli, "estimate_coverage", no_run)
+    monkeypatch.setattr(cli, "estimate_coverages", no_run)
     monkeypatch.setattr(cli, "frame_coverage_probs", no_run)
     monkeypatch.setattr(cli, "with_values", no_run)
     with pytest.raises(SystemExit) as info:
@@ -512,7 +541,7 @@ def test_validate_refuses_an_analytic_point_before_it_simulates(tmp_path, monkey
     assert main(["analytic", "--config", str(point)]) == EXIT_CONFIG
     refusal = capsys.readouterr().err
     assert " rank weights, above the 268435456 a point may hold" in refusal
-    monkeypatch.setattr(cli, "estimate_coverage", no_run)
+    monkeypatch.setattr(cli, "estimate_coverages", no_run)
     assert main(["validate", "--config", str(budget), "--n-active", "40000", "--lambdas", "2",
                  "--trials", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err == refusal
@@ -550,7 +579,7 @@ def test_optimize_non_emergency_names_scenario(tmp_path, capsys):
 @pytest.mark.parametrize("argv, flag, count", [
     (["analytic", "--sweep", "lambda=2:4:1"], "--sweep", 3),
     (["compare", "--lambdas", "2,3", "--trials", "2"], "--lambdas", 2),
-    (["compare", "--trials", "2"], "--lambdas", 9),  # the default 2:10:1
+    (["compare", "--lambdas", "2:10:1", "--trials", "2"], "--lambdas", 9),  # the default, given
     (["validate", "--n-active", "10", "--lambdas", "2:3:1", "--trials", "2"], "--lambdas", 2),
 ])
 def test_lambda_list_outside_emergency_usage_error(tmp_path, capsys, argv, flag, count):
@@ -576,13 +605,20 @@ def test_lambda_list_outside_emergency_usage_error(tmp_path, capsys, argv, flag,
     ["analytic", "--sweep", "n_slots=10:20:10"],
     ["compare", "--lambdas", "2", "--trials", "2"],
     ["validate", "--n-active", "5,10", "--lambdas", "2", "--trials", "2"],
+    # an omitted --lambdas is the config's one lambda, as analytic's omitted --sweep
+    ["compare", "--trials", "2"],
+    ["validate", "--trials", "2"],
 ])
 def test_one_lambda_outside_emergency_runs(tmp_path, argv):
     cfg_path = tmp_path / "quiet.cfg"
-    cfg_path.write_text("traffic.scenario = non_emergency\n")
+    cfg_path.write_text("traffic.scenario = non_emergency\ntraffic.lambda = 5\n")
     out = tmp_path / "out.csv"
     assert main(argv[:1] + ["--config", str(cfg_path), "--out", str(out)] + argv[1:]) == 0
-    assert read_csv(out)[1]
+    header, rows = read_csv(out)
+    assert rows
+    if argv[0] in ("compare", "validate"):
+        given = argv[argv.index("--lambdas") + 1] if "--lambdas" in argv else "5"
+        assert {row[header.index("lambda")] for row in rows} == {given}
 
 
 def test_repeated_main_calls_start_from_defaults(tmp_path, cfg_file):

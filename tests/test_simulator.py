@@ -24,6 +24,7 @@ from musalink.simulator import (
     _draw_block,
     code_pool,
     estimate_coverage,
+    estimate_coverages,
 )
 
 from conftest import reference_config
@@ -478,8 +479,9 @@ def test_estimate_coverage_worker_invariance(monkeypatch):
 
 
 def recording_pool(made, sent=None):
-    """A pool that records its worker count in ``made``, and each task's
-    frame range in ``sent`` when given, and maps in-process."""
+    """A pool that records its worker count in ``made``, and each task it
+    maps, a (point, config, scheme, block size, block) tuple, in ``sent``
+    when given, and maps in-process."""
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -512,13 +514,13 @@ def test_estimate_coverage_splits_frames_once_into_blocks(monkeypatch):
     worker = simulator._coverage_worker
 
     def recording(*args):
-        part = worker(*args)
+        i, part = worker(*args)
         frames.append(part.frames)
-        return part
+        return i, part
 
     monkeypatch.setattr(simulator, "_coverage_worker", recording)
     parallel = estimate_coverage(cfg, Scheme.BASELINE, 2 * size + 7, seed=9, n_workers=2)
-    assert made == [2] and list(sent) == [0, 1, 2]
+    assert made == [2] and [(i, b) for i, *_, b in sent] == [(0, 0), (0, 1), (0, 2)]
     assert frames == [size, size, 7]
     serial = estimate_coverage(cfg, Scheme.BASELINE, 2 * size + 7, seed=9)
     assert made == [2] and frames[3:] == [size, size, 7]
@@ -1029,6 +1031,22 @@ def test_tpds_and_nas_blocks_share_every_draw_but_the_powers():
         assert same == (field != "powers"), field
 
 
+class ReversedPool:
+    """A pool that maps in-process and hands back the blocks' sums last to first."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return list(map(fn, tasks))[::-1]
+
+
 def test_estimate_coverage_invariant_to_workers_and_chunking(monkeypatch):
     # B is part of the stream definition: a smaller block budget is another
     # run, the same for any worker count and any split of its blocks into
@@ -1037,25 +1055,23 @@ def test_estimate_coverage_invariant_to_workers_and_chunking(monkeypatch):
     cfg = reference_config(n_active=10, lam=4.0)
     budgeted = estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12)
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: 3)
+    # one job of three points, PROPOSED at two rates and BASELINE, each in
+    # blocks of its own size, gives each point's estimate run alone: its
+    # blocks share one task list with the others' (6 tasks of 140 frames)
+    points = [(cfg, Scheme.PROPOSED), (reference_config(n_active=10, lam=10.0), Scheme.PROPOSED),
+              (cfg, Scheme.BASELINE)]
+    assert len({simulator.check_frame_budget(c, s)[1] for c, s in points}) == 3
+    alone = [estimate_coverage(c, s, 140, seed=12) for c, s in points]
+    for workers in (1, 2, 3):
+        assert estimate_coverages(points, 140, seed=12, n_workers=workers) == alone
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "ProcessPoolExecutor", ReversedPool)
+        assert estimate_coverages(points, 140, seed=12, n_workers=2) == alone
     monkeypatch.setattr(simulator, "_BLOCK_FRAMES", 1)
     reference = estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12)
     assert reference != budgeted
     for workers in (2, 3):
         assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=workers) == reference
-
-    class ReversedPool:  # hands back the blocks' sums last to first
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return list(map(fn, tasks))[::-1]
-
     monkeypatch.setattr(simulator, "ProcessPoolExecutor", ReversedPool)
     assert estimate_coverage(cfg, Scheme.PROPOSED, 45, seed=12, n_workers=2) == reference
     # a budget just short of two frames' cost forces one-frame blocks
@@ -1087,10 +1103,10 @@ def test_complete_blocks_do_not_depend_on_the_run_length(monkeypatch):
     worker = simulator._coverage_worker
 
     def recording(*args):
-        part = worker(*args)
-        n_frames, b = args[-2:]
+        i, part = worker(*args)
+        n_frames, (*_, b) = args[-2:]
         sums.setdefault(n_frames, []).append((b, part))
-        return part
+        return i, part
 
     monkeypatch.setattr(simulator, "_coverage_worker", recording)
     for n_frames in (size, 2 * size, partial):
