@@ -10,7 +10,7 @@ No integral is evaluated adaptively.  The coverage kernel
 interference Laplace transforms, each the exponential of a Campbell
 exponent, vectorised over distances.  Each exponent is an integral in
 ln v by a fixed Gauss-Legendre rule (:func:`_campbell_integrals`),
-whose size each point takes from its own pathloss exponent and
+whose size the geometry sets from the pathloss exponent and
 ln(u_edge/h^2) by the Bernstein-ellipse bound
 (:func:`_campbell_rule_size`), and whose lower end is cut near v = 0,
 where the integrand is 1 to rounding, so h -> 0 stays finite.  The
@@ -33,18 +33,20 @@ the package, in ``tests/simpson.py``.  A point of more than
 any rule is built.
 
 A sweep is evaluated in batches (:func:`frame_coverage_probs`; a single
-point is the one-point batch, :func:`frame_coverage_prob`).  A batch is
-a run of consecutive points that share a pathloss exponent and hold at
-most ``_RANK_WEIGHTS`` rank weights, the budget that also cuts a lone
-point's ranks into blocks, so no array grows with the sweep's length.
-The slot statistics and the report run per point; the interpolation of
-the rules, the coverage kernel, the rank weights and their sums run once
-over all the batch's nodes.  Every point keeps its own rules, each
-interpolated from its own exponent alone, and each rule's sums reduce
-its own nodes only, so its report is the same bits whatever batch it is
-evaluated in.  The kernel groups a batch's nodes by their
-points' Gauss-Legendre sizes and holds at most ``_RANK_WEIGHTS``
-(node, rule node) entries at once.
+point is the one-point batch, :func:`frame_coverage_prob`).  A batch
+shares one geometry, the pathloss exponent, cell radius, altitude and
+SINR threshold (:func:`_geometry`), all the Campbell integrals read, and
+holds at most ``_RANK_WEIGHTS`` rank weights, the budget that also cuts
+a lone point's ranks into blocks, so no array grows with the sweep's
+length.  The points are grouped by geometry in first-seen order, so the
+batches do not depend on how the list interleaves its geometries.  The
+slot statistics and the report run per point; the interpolation of the
+rules, the coverage kernel with its one Gauss-Legendre rule, the rank
+weights and their sums run once over all the batch's nodes.  Every point
+keeps its own Gauss-Jacobi rules, each interpolated from its own
+exponent alone, and each rule's sums reduce its own nodes only, so its
+report is the same bits whatever batch it is evaluated in.  The kernel
+holds at most ``_RANK_WEIGHTS`` (node, rule node) entries at once.
 
 The Gauss-Legendre rules, once per size and process, and the
 Gauss-Jacobi tables, once per degree and process, are built with numpy
@@ -236,10 +238,10 @@ def _rule_sum(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _campbell_integrals(a: float, u_edge, h2):
-    """Return ``f(u, q, point) -> (singleton, collided)``: the two Campbell
-    integrals of a device at ``u`` with parameter ``q`` in point ``point``,
-    elementwise over 1-d ``u`` and ``q``.
+def _campbell_integrals(a: float, u_edge: float, h2: float, u: np.ndarray, q: np.ndarray):
+    """The two Campbell integrals ``(singleton, collided)`` of devices at
+    ``u`` with parameters ``q``, elementwise over 1-d ``u`` and ``q``, in
+    one geometry: the exponent ``a``, the cell edge ``u_edge`` and ``h2``.
 
     The Campbell exponent of a Rayleigh-faded Poisson field of intensity
     omega, ``2*pi*omega * int x/(1+x) r dr`` with ``x = q * (r^2 +
@@ -250,9 +252,9 @@ def _campbell_integrals(a: float, u_edge, h2):
     integrals end at the cell edge ``u_edge`` = R^2 + h^2: the singleton
     integral starts at u, the collided one at h^2.
 
-    Each is evaluated as ``int q v/(q + v^a) d(ln v)`` by a fixed
+    Each is evaluated as ``int q v/(q + v^a) d(ln v)`` by one fixed
     Gauss-Legendre rule in ln v (:func:`_legendre_rule`), of
-    :func:`_campbell_rule_size` nodes for the point's span
+    :func:`_campbell_rule_size` nodes for the collided span
     L = ln(u_edge/h^2), which bounds the singleton span too.  Below
     ``cut = _CAMPBELL_TOL * u_edge`` the integrand q/(q + v^a) in v is at
     most 1 and the integral over [0, cut] at most ``cut``, so the lower
@@ -260,75 +262,54 @@ def _campbell_integrals(a: float, u_edge, h2):
     error is at most ``_CAMPBELL_TOL * u_edge``, the order of the rounding
     of u_edge, and L stays finite as h -> 0.  Written about the edge,
     w = ln(v/u_edge) <= 0, the integrand is u_edge e^w/(1 + r e^(a w))
-    with ``r = u_edge^a/q`` per device.  The collided nodes depend on the
-    point only, so their exponentials are taken once per point and rule
-    node.
+    with ``r = u_edge^a/q`` per device.  The collided nodes are the same
+    for every device, so their exponentials are taken once per rule node.
 
-    ``u_edge`` and ``h2`` are per point; ``a`` is one exponent.  Each
-    device's sums run over its own point's rule nodes, in rule-node order
+    Each device's sums run over the rule nodes in rule-node order
     (:func:`_rule_sum`), in arrays of at most ``_RANK_WEIGHTS`` entries, so
-    its values do not depend on the other points or devices of a call.
+    its values do not depend on the other devices of a call.
     """
-    u_edge = np.asarray(u_edge, dtype=float)
-    cuts = _CAMPBELL_TOL * u_edge
-    lo_c = np.maximum(h2, cuts)
-    spans = np.log(u_edge / lo_c)  # the collided span, the longest of the point's
-    sizes = [_campbell_rule_size(a, s) for s in spans.tolist()]
-    # per point: u_edge, u_edge^a, the cut, the collided span and the collided
-    # piece below the cut (0 unless h^2 < cut); scalar powers: numpy's
-    # vectorised power may differ from them in the last bit
-    table = np.array([u_edge, [edge**a for edge in u_edge.tolist()], cuts, spans, lo_c - h2])
-    # per rule size: the rule's negated nodes and its weights as (n, 1)
-    # columns, then its points' collided numerators w_k e^(w_k) and
-    # e^(a w_k) at w_k = -c_k L, one column per point
-    rules = {}
-    for n in sorted(set(sizes)):
-        c, w = _legendre_rule(n)
-        c, w = -c[:, None], w[:, None]
-        pts = np.flatnonzero(np.equal(sizes, n))
-        column = np.zeros(len(sizes), dtype=np.int64)
-        column[pts] = np.arange(pts.size)
-        log_v = c * spans[pts]
-        rules[n] = (c, w, column, w * np.exp(log_v), np.exp(a * log_v))
-    sizes = np.array(sizes)
-
-    def f(u, q, point):
-        point = np.broadcast_to(point, u.shape)
-        edge, edge_a, cut, span, piece = np.take(table, point, axis=1)
-        lo_s = np.maximum(u, cut)
-        span_s = np.log(edge / lo_s)
-        ratio = edge_a / q  # r = u_edge^a / q
-        singleton, collided = np.empty(u.size), np.empty(u.size)
-        for n, (c, w, column, num_c, exp_c) in rules.items():
-            sel = np.flatnonzero(sizes[point] == n)
-            # (n, nodes) arrays of at most _RANK_WEIGHTS entries
-            step = max(1, _RANK_WEIGHTS // n)
-            for lo in range(0, sel.size, step):
-                i = sel[lo: lo + step]
-                r = ratio[i]
-                log_v = c * span_s[i]
-                terms = w * np.exp(log_v)
-                log_v *= a
-                den = np.exp(log_v, out=log_v)
-                den *= r
-                den += 1.0
-                terms /= den
-                singleton[i] = _rule_sum(terms)
-                k = column[point[i]]
-                den = np.take(exp_c, k, axis=1)
-                den *= r
-                den += 1.0
-                terms = np.take(num_c, k, axis=1)
-                terms /= den
-                collided[i] = _rule_sum(terms)
-        return edge * (span_s * singleton) + (lo_s - u), edge * (span * collided) + piece
-
-    return f
+    cut = _CAMPBELL_TOL * u_edge
+    lo_c = max(h2, cut)
+    span = np.log(u_edge / lo_c)  # the collided span, the longest
+    c, w = _legendre_rule(_campbell_rule_size(a, span))
+    c, w = -c[:, None], w[:, None]
+    # the collided numerators w_k e^(w_k) and e^(a w_k) at w_k = -c_k L
+    log_v = c * span
+    num_c, exp_c = w * np.exp(log_v), np.exp(a * log_v)
+    lo_s = np.maximum(u, cut)
+    span_s = np.log(u_edge / lo_s)
+    # r = u_edge^a / q; a scalar power: numpy's vectorised power may differ
+    # from it in the last bit
+    ratio = u_edge**a / q
+    singleton, collided = np.empty(u.size), np.empty(u.size)
+    step = max(1, _RANK_WEIGHTS // c.size)  # (n, devices) arrays
+    for lo in range(0, u.size, step):
+        i = slice(lo, lo + step)
+        r = ratio[i]
+        log_v = c * span_s[i]
+        terms = w * np.exp(log_v)
+        log_v *= a
+        den = np.exp(log_v, out=log_v)
+        den *= r
+        den += 1.0
+        terms /= den
+        singleton[i] = _rule_sum(terms)
+        den = exp_c * r
+        den += 1.0
+        collided[i] = _rule_sum(num_c / den)
+    return u_edge * (span_s * singleton) + (lo_s - u), u_edge * (span * collided) + (lo_c - h2)
 
 
 # ----------------------------------------------------------------------------
 #  Conditional and frame coverage
 # ----------------------------------------------------------------------------
+
+def _geometry(cfg: SystemConfig) -> tuple:
+    """The figures of ``cfg`` a batch shares: all the Campbell integrals read."""
+    return (cfg.channel.pathloss_exp, cfg.geometry.cell_radius,
+            cfg.geometry.uav_altitude, cfg.reliability.sinr_threshold)
+
 
 def _coverage_kernels(cfgs: Sequence[SystemConfig], stats: Sequence[SlotStatistics]):
     """Return g(t, point): coverage probability of a device of ``cfgs[point]``
@@ -341,34 +322,29 @@ def _coverage_kernels(cfgs: Sequence[SystemConfig], stats: Sequence[SlotStatisti
     transform argument is ``s = theta * u^(alpha/2) / (p_bar * beta)``, so
     the Campbell parameter ``q = s * p_bar * beta`` is ``theta *
     u^(alpha/2)``, and :func:`_campbell_integrals` gives both transforms'
-    exponents over pi*omega, by a Gauss-Legendre rule of each point's own
-    size.  The configurations share one pathloss exponent: numpy's power
-    at a scalar exponent (with its fast paths at 1/2, 1 and 2) can differ
-    in the last bit from the same power at an array of exponents.
+    exponents over pi*omega, by one Gauss-Legendre rule.  The
+    configurations share one geometry (:func:`_geometry`), read once; each
+    keeps its own noise factor and intensities.
     """
-    alpha = cfgs[0].channel.pathloss_exp
+    key = _geometry(cfgs[0])
+    if any(_geometry(cfg) != key for cfg in cfgs):
+        raise ValueError("a batch of coverage kernels needs one geometry")
+    alpha, radius, altitude, theta = key
     a = 0.5 * alpha
-    rows = []
-    for cfg, st in zip(cfgs, stats, strict=True):
-        if cfg.channel.pathloss_exp != alpha:
-            raise ValueError("a batch of coverage kernels needs one pathloss exponent")
-        radius2 = cfg.geometry.cell_radius**2
-        h2 = cfg.geometry.uav_altitude**2
-        noise_per_q = cfg.channel.noise_power / (
-            cfg.mean_packet_power() * cfg.channel.pathloss_coeff
-        )
-        rows.append((radius2, h2, cfg.reliability.sinr_threshold, noise_per_q,
-                     math.pi * st.omega_s, math.pi * st.omega_c))
-    params = np.array(rows).T
-    campbell = _campbell_integrals(a, params[0] + params[1], params[1])
+    radius2, h2 = float(radius**2), float(altitude**2)  # doubles, should a config hold ints
+    params = np.array([
+        (cfg.channel.noise_power / (cfg.mean_packet_power() * cfg.channel.pathloss_coeff),
+         math.pi * st.omega_s, math.pi * st.omega_c)
+        for cfg, st in zip(cfgs, stats, strict=True)
+    ]).T
 
     def g(t, point):
-        radius2, h2, theta, noise_per_q, pi_omega_s, pi_omega_c = np.take(params, point, axis=1)
+        noise_per_q, pi_omega_s, pi_omega_c = np.take(params, point, axis=1)
         u = radius2 * t + h2
         q = theta * u**a
         # the Campbell integrals of the weaker singletons, from u to the
         # edge, and of the collided devices, over the whole disk
-        singleton, collided = campbell(u, q, point)
+        singleton, collided = _campbell_integrals(a, radius2 + h2, h2, u, q)
         exponent = q * noise_per_q + pi_omega_s * singleton + pi_omega_c * collided
         return np.exp(-exponent)
 
@@ -661,23 +637,26 @@ def _ranks_coverages(n_singletons, kernel) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def _batches(points: list[int], cfgs: list[SystemConfig], stats: list[SlotStatistics]):
-    """Split ``points``, indices into ``cfgs``, into the runs evaluated together.
+    """Split ``points``, indices into ``cfgs``, into the batches evaluated together.
 
-    A run shares one pathloss exponent and holds at most ``_RANK_WEIGHTS``
-    rank weights, its largest rank count times its nodes; a point with more
-    forms a run of its own.
+    Every point's budget is checked first (:func:`_rule_size`), before any
+    batch.  The points are grouped by geometry (:func:`_geometry`), in
+    first-seen order, and each group is cut, in list order, into runs of at
+    most ``_RANK_WEIGHTS`` rank weights, their largest rank count times
+    their nodes; a point with more forms a run of its own.
     """
     n_ranks, n = _rule_size(np.array([stats[i].n_singleton for i in points]))
-    batch, ranks, nodes = [], 0, 0
+    groups = {}
     for i, k, m in zip(points, n_ranks.tolist(), (3 * n).tolist()):
-        alpha = cfgs[i].channel.pathloss_exp
-        if batch and (max(ranks, k) * (nodes + m) > _RANK_WEIGHTS
-                      or alpha != cfgs[batch[0]].channel.pathloss_exp):
-            yield batch
-            batch, ranks, nodes = [], 0, 0
-        batch.append(i)
-        ranks, nodes = max(ranks, k), nodes + m
-    if batch:
+        groups.setdefault(_geometry(cfgs[i]), []).append((i, k, m))
+    for group in groups.values():
+        batch, ranks, nodes = [], 0, 0
+        for i, k, m in group:
+            if batch and max(ranks, k) * (nodes + m) > _RANK_WEIGHTS:
+                yield batch
+                batch, ranks, nodes = [], 0, 0
+            batch.append(i)
+            ranks, nodes = max(ranks, k), nodes + m
         yield batch
 
 
@@ -685,11 +664,13 @@ def frame_coverage_probs(cfgs: Iterable[SystemConfig]) -> list[CoverageReport]:
     """Frame coverage of every configuration, evaluated together.
 
     Entry i equals ``frame_coverage_prob(cfgs[i])`` bit for bit, whatever
-    the other configurations are.  Consecutive configurations that share a
-    pathloss exponent are evaluated as one batch of at most
-    ``_RANK_WEIGHTS`` rank weights; a point with more is a batch of its
-    own.  The slot statistics and the report run per point; every step of
-    :func:`_ranks_coverages` runs once per batch.
+    the other configurations are and in whatever order.  Every point's
+    budget is checked before any rule is built.  Configurations that share
+    a geometry (:func:`_geometry`), wherever they stand in the list, are
+    evaluated in batches of at most ``_RANK_WEIGHTS`` rank weights; a
+    point with more is a batch of its own.  The slot statistics and the
+    report run per point; every step of :func:`_ranks_coverages` runs once
+    per batch.
     """
     cfgs = list(cfgs)
     stats = [slot_statistics(cfg) for cfg in cfgs]

@@ -18,7 +18,7 @@ from musalink.cli import main
 from musalink.config import Scenario, Scheme, TrafficParams, default_config, serialize_config
 from musalink.optimizer import adaptive_slots, brute_force_slots, solve_n_epsilon
 from musalink.shortpacket import error_prob_ln_form, max_snr_proxy
-from musalink.simulator import estimate_coverage
+from musalink.simulator import check_frame_budget, estimate_coverage
 
 from conftest import reference_config
 from oracles import (
@@ -330,9 +330,11 @@ def test_criterion_7_determinism(tmp_path):
         outs.append(out.read_bytes())
     bytes_ok = outs[0] == outs[1]
 
+    # more frames than one block holds, so the two workers share the run
     cfg = reference_config(n_active=10, lam=4.0)
-    serial = estimate_coverage(cfg, Scheme.BASELINE, 60, seed=42, n_workers=1)
-    parallel = estimate_coverage(cfg, Scheme.BASELINE, 60, seed=42, n_workers=2)
+    assert check_frame_budget(cfg, Scheme.BASELINE)[1] < 300
+    serial = estimate_coverage(cfg, Scheme.BASELINE, 300, seed=42, n_workers=1)
+    parallel = estimate_coverage(cfg, Scheme.BASELINE, 300, seed=42, n_workers=2)
     worker_ok = serial == parallel
     ok = bytes_ok and worker_ok
     _report(7, ok, f"csv bytes identical={bytes_ok}, worker-count invariant={worker_ok}")

@@ -18,7 +18,7 @@ from musalink.analytic import (
     frame_coverage_probs,
     slot_statistics,
 )
-from musalink.config import ConfigError, Scenario, TrafficParams, default_config
+from musalink.config import ConfigError, Scenario, TrafficParams, default_config, with_values
 
 from conftest import reference_config
 from oracles import (
@@ -596,7 +596,7 @@ def test_campbell_integrals_match_closed_form_and_quadrature(alpha):
         u_edge = radius * radius + h2
         u = radius * radius * t + h2
         q = theta * u**a
-        singleton, collided = analytic._campbell_integrals(a, [u_edge], [h2])(u, q, 0)
+        singleton, collided = analytic._campbell_integrals(a, u_edge, h2, u, q)
         f_edge = _antiderivative(u_edge, u_edge**a, q, a)
         np.testing.assert_allclose(singleton, f_edge - _antiderivative(u, u**a, q, a),
                                    rtol=0, atol=1e-13 * u_edge, err_msg=str((h, radius, theta)))
@@ -1023,11 +1023,14 @@ def test_batched_reports_equal_single_point_reports(monkeypatch, budget):
     assert frame_coverage_probs([]) == []
     for order in (slice(None), slice(None, None, -1), slice(3, 9)):
         assert frame_coverage_probs(cfgs[order]) == singles[order]
-    # a second pathloss exponent starts a batch of its own
-    steep = [replace(cfg, channel=replace(cfg.channel, pathloss_exp=4.0)) for cfg in cfgs[:2]]
-    mixed = [cfgs[0], steep[0], cfgs[1], steep[1]]
-    assert frame_coverage_probs(mixed) == [singles[0], frame_coverage_prob(steep[0]),
-                                           singles[1], frame_coverage_prob(steep[1])]
+    # a second pathloss exponent, altitude, cell radius or threshold is a
+    # second geometry, interleaved A, B, A, B: each report is its own
+    for key, value in (("channel.pathloss_exp", 4.0), ("geometry.uav_altitude", 60.0),
+                       ("geometry.cell_radius", 80.0), ("reliability.sinr_threshold", 3.0)):
+        other = [with_values(cfg, {key: value}) for cfg in cfgs[:2]]
+        mixed = [cfgs[0], other[0], cfgs[1], other[1]]
+        assert frame_coverage_probs(mixed) == [singles[0], frame_coverage_prob(other[0]),
+                                               singles[1], frame_coverage_prob(other[1])], key
 
 
 @pytest.mark.parametrize("rank_weights", [1, 2000])
@@ -1084,7 +1087,9 @@ def test_point_above_the_weight_cap_is_refused(monkeypatch):
     monkeypatch.setattr(analytic, "_gauss_jacobi", no_rule)
     stated = (f"n_singleton = {reference.n_singleton:.6g} needs K \\* 3n = {weights} rank"
               f" weights, above the {weights - 1} a point may hold")
-    for points in ([cfgs[6]], cfgs[:7]):
+    # earlier points of another geometry are refused with it, in any order
+    higher = [with_values(cfg, {"geometry.uav_altitude": 60.0}) for cfg in cfgs[:6]]
+    for points in ([cfgs[6]], cfgs[:7], higher + [cfgs[6]], [cfgs[6]] + higher):
         with pytest.raises(ConfigError, match=stated):
             frame_coverage_probs(points)
 
@@ -1120,9 +1125,15 @@ def test_one_kernel_call_and_rule_pair_per_point_of_a_batch(monkeypatch):
     monkeypatch.setattr(analytic, "_gauss_jacobi", count_rule_pairs(calls))
     cfgs = mixed_batch()
     reports = frame_coverage_probs(cfgs)
+    # one kernel call per geometry, the low-altitude point's and the rest's;
     # the zero-rate point needs no rule
-    assert calls == {"kernel": 1, "rule_pairs": len(cfgs) - 1}
+    assert calls == {"kernel": 2, "rule_pairs": len(cfgs) - 1}
     assert sum(r.conditional_terms == () for r in reports) == 1
+    # a geometry's points form one batch wherever they stand in the list
+    low = [with_values(cfg, {"geometry.uav_altitude": 2.0}) for cfg in cfgs[:2]]
+    calls.update(kernel=0, rule_pairs=0)
+    frame_coverage_probs([cfgs[0], low[0], cfgs[1], low[1]])
+    assert calls == {"kernel": 2, "rule_pairs": 4}
 
 
 def test_non_finite_rank_in_a_batch_named_in_quadrature_error():

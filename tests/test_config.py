@@ -374,8 +374,7 @@ def test_import_and_coverage_kernel_leave_numpy_polynomial_unloaded():
         "from musalink import analytic, config\n"
         "cfgs = [config.default_config(), config.with_values(config.default_config(),"
         " {'geometry.uav_altitude': 1e-300})]\n"
-        "g = analytic._coverage_kernels(cfgs, [analytic.slot_statistics(c) for c in cfgs])\n"
-        "g(numpy.linspace(0.01, 1.0, 10), numpy.arange(10) % 2)\n"
+        "analytic.frame_coverage_probs(cfgs)\n"
         "print(before, 'numpy.polynomial' in sys.modules)\n"
     )
     # numpy 1 loads it with numpy itself: "True" four times
