@@ -7,10 +7,8 @@ Subcommands
     compare    proposed vs benchmark schemes across traffic rates -> CSV
     validate   analytic vs simulated coverage on an (n_active, lambda) grid
 
-Each command builds its rows as mappings keyed by column name, and one
-writer renders them: a column named like a result field (of
-``CoverageEstimate``, ``CoverageReport`` or ``OptimizerOutput``) holds that
-field.  Floats are printed at 17 significant digits, everything else by
+Each command takes its result cells from one table, ``_CELLS``, and one
+writer renders the rows: floats at 17 significant digits, others by
 ``str``, so identical invocations produce identical bytes.  An output
 file is written in place, never unlinked or renamed, and a symlink is
 followed; a regular file is then cut to the new text's length, while a
@@ -80,14 +78,20 @@ _SWEEP_AXES = {
     "n_slots": "frame.n_slots",
 }
 
-# the analytic columns after the axis, each a CoverageReport field
-_ANALYTIC_FIELDS = ("p_succ", "p_lambda", "p_cf", "n_singleton")
-
-# the simulate row's fields also written to its manifest
-_MANIFEST_FIELDS = (
-    "p_hat", "ci_halfwidth", "collision_failures", "threshold_failures", "blocked_failures",
-    "n_slots",
-)
+# output -> its result cells in column order, each column -> the field it holds of
+# a CoverageReport (analytic, validate.analytic) or a CoverageEstimate (the rest);
+# compare writes its cells once per scheme, prefixed with the scheme's name
+_CELLS = {
+    "analytic": {f: f for f in ("p_succ", "p_lambda", "p_cf", "n_singleton")},
+    "simulate": {f: f for f in ("p_hat", "ci_halfwidth", "packets_generated", "packets_decoded",
+                                "packets_dropped", "collision_failures", "threshold_failures",
+                                "blocked_failures", "n_slots")},
+    "simulate.manifest": {f: f for f in ("p_hat", "ci_halfwidth", "collision_failures",
+                                         "threshold_failures", "blocked_failures", "n_slots")},
+    "compare": {"p_hat": "p_hat", "ci": "ci_halfwidth"},
+    "validate.analytic": {"p_succ_analytic": "p_succ"},
+    "validate.simulated": {"p_hat_simulated": "p_hat", "ci_halfwidth": "ci_halfwidth"},
+}
 
 # the most values a numeric list on the command line, or validate's grid, may hold
 _MAX_RANGE_POINTS = 100_000
@@ -244,6 +248,11 @@ def _table(columns, rows) -> list[str]:
     return [",".join(columns)] + [",".join(_cell(row[c]) for c in columns) for row in rows]
 
 
+def _cells(output: str, record, prefix: str = "") -> dict:
+    """The cells ``_CELLS[output]`` takes from ``record``, each column name after ``prefix``."""
+    return {prefix + column: getattr(record, field) for column, field in _CELLS[output].items()}
+
+
 def _report(fields: dict) -> list[str]:
     return [f"{key} = {_cell(value)}" for key, value in fields.items()]
 
@@ -319,8 +328,8 @@ def cmd_analytic(args) -> int:
     key = _SWEEP_AXES[axis]
     _check_read(cfg, key, "--sweep", values)
     reports = frame_coverage_probs([with_values(cfg, {key: value}) for value in values])
-    rows = [{axis: value, **vars(report)} for value, report in zip(values, reports)]
-    _write_lines(args.out, _table((axis, *_ANALYTIC_FIELDS), rows))
+    rows = [{axis: value, **_cells("analytic", report)} for value, report in zip(values, reports)]
+    _write_lines(args.out, _table(list(rows[0]), rows))
     return EXIT_OK
 
 
@@ -334,7 +343,7 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     est = estimate_coverage(cfg, scheme, args.trials, args.seed, n_workers=_workers())
     elapsed = time.perf_counter() - t0
-    row = {"scheme": scheme.value, "trials": args.trials, "seed": args.seed, **vars(est)}
+    row = dict(scheme=scheme.value, trials=args.trials, seed=args.seed, **_cells("simulate", est))
     _warn_high_snr([cfg], [scheme])
     _write_lines(args.out, _table(list(row), [row]))
     # a manifest is implied beside the regular file written, not a device or pipe
@@ -353,7 +362,7 @@ def cmd_simulate(args) -> int:
             f"config.{line}".split(" = ", 1)
             for line in serialized.splitlines() if not line.startswith("#")
         )
-        manifest.update((f"point.0.{key}", row[key]) for key in _MANIFEST_FIELDS)
+        manifest.update(_cells("simulate.manifest", est, "point.0."))
         manifest["point.0.wall_clock_s"] = elapsed
         _write_lines(manifest_path, _report(manifest))
     return EXIT_OK
@@ -388,14 +397,10 @@ def cmd_compare(args) -> int:
     cfgs = [with_values(cfg, {"traffic.lambda": lam}) for lam in lambdas]
     ests = iter(estimate_coverages([(c, scheme) for c in cfgs for scheme in schemes],
                                    args.trials, args.seed, n_workers=workers))
-    rows = []
-    for lam in lambdas:
-        row = {"lambda": lam}
+    rows = [{"lambda": lam} for lam in lambdas]
+    for row in rows:
         for scheme in schemes:
-            est = next(ests)
-            row[f"{scheme.value}_p_hat"] = est.p_hat
-            row[f"{scheme.value}_ci"] = est.ci_halfwidth
-        rows.append(row)
+            row.update(_cells("compare", next(ests), f"{scheme.value}_"))
     _warn_high_snr(cfgs, schemes)
     _write_lines(args.out, _table(list(rows[0]), rows))
     return EXIT_OK
@@ -421,16 +426,11 @@ def cmd_validate(args) -> int:
     check_point_budget(cfgs)
     ests = estimate_coverages([(c, Scheme.BASELINE) for c in cfgs],
                               args.trials, args.seed, n_workers=workers)
-    rows = []
-    for (na, lam), est, report in zip(grid, ests, frame_coverage_probs(cfgs)):
-        rows.append({
-            "n_active": na,
-            "lambda": lam,
-            "p_succ_analytic": report.p_succ,
-            "p_hat_simulated": est.p_hat,
-            "ci_halfwidth": est.ci_halfwidth,
-            "gap": abs(report.p_succ - est.p_hat),
-        })
+    rows = [{"n_active": na, "lambda": lam, **_cells("validate.analytic", report),
+             **_cells("validate.simulated", est)}
+            for (na, lam), est, report in zip(grid, ests, frame_coverage_probs(cfgs))]
+    for row in rows:
+        row["gap"] = abs(row["p_succ_analytic"] - row["p_hat_simulated"])
     _warn_high_snr(cfgs, [Scheme.BASELINE])
     comment = _report({"config_sha256": _sha256(serialize_config(cfg))})
     _write_lines(args.out, [f"# {line}" for line in comment] + _table(list(rows[0]), rows))

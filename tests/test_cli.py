@@ -141,8 +141,8 @@ def test_simulate_manifest_beside_stdout_csv(tmp_path, cfg_file, capsys):
     assert lines["manifest.trials"] == row["trials"] == "25"
     points = {key[len("point.0."):]: value
               for key, value in lines.items() if key.startswith("point.0.")}
-    assert points.keys() == {*cli._MANIFEST_FIELDS, "wall_clock_s"}
-    assert all(points[key] == row[key] for key in cli._MANIFEST_FIELDS)
+    assert points.keys() == {*cli._CELLS["simulate.manifest"], "wall_clock_s"}
+    assert all(points[key] == row[key] for key in cli._CELLS["simulate.manifest"])
 
 
 def test_simulate_csv_failure_columns(tmp_path, cfg_file):
@@ -683,6 +683,16 @@ def documented_columns():
 
 def test_csv_headers_match_readme(tmp_path, cfg_file):
     documented = documented_columns()
+    # each header as the cells table gives it, after the columns the command writes
+    cells = cli._CELLS
+    tabled = {
+        "analytic": ["axis", *cells["analytic"]],
+        "simulate": ["scheme", "trials", "seed", *cells["simulate"]],
+        "compare": ["lambda", *(f"{scheme}_{column}" for scheme in ("proposed", "tpds", "nas")
+                                for column in cells["compare"])],
+        "validate": ["n_active", "lambda", *cells["validate.analytic"],
+                     *cells["validate.simulated"], "gap"],
+    }
     runs = {
         "analytic": ["--sweep", "n_slots=5:6:1"],
         "simulate": ["--trials", "3"],
@@ -694,6 +704,7 @@ def test_csv_headers_match_readme(tmp_path, cfg_file):
         assert main([command, "--config", cfg_file, "--out", str(out)] + args) == 0
         header, _ = read_csv(out)
         expected = documented[command][0].split(",")
+        assert expected == tabled[command], command
         if command == "analytic":  # the first column is named after the swept axis
             assert expected[0] == "axis"
             expected[0] = "n_slots"
@@ -731,6 +742,51 @@ def test_compare_schema(tmp_path, cfg_file):
         "nas_p_hat", "nas_ci",
     ]
     assert len(rows) == 2
+
+
+def test_result_cells_hold_library_values(tmp_path, cfg_file, capsys):
+    """Each Monte Carlo command's result cell holds the library's value of
+    its own point, scheme and field, printed by the CSV rule."""
+    cfg = default_config()
+    cmp_out = tmp_path / "cmp.csv"
+    assert main(["compare", "--config", cfg_file, "--lambdas", "2,5",
+                 "--trials", "40", "--seed", "3", "--out", str(cmp_out)]) == 0
+    header, rows = read_csv(cmp_out)
+    for row in rows:
+        row = dict(zip(header, row))
+        point = with_values(cfg, {"traffic.lambda": float(row["lambda"])})
+        for scheme in (Scheme.PROPOSED, Scheme.TPDS, Scheme.NAS):
+            est = estimate_coverage(point, scheme, 40, 3)
+            assert row[f"{scheme.value}_p_hat"] == cli._cell(est.p_hat), (row, scheme)
+            assert row[f"{scheme.value}_ci"] == cli._cell(est.ci_halfwidth), (row, scheme)
+
+    val_out = tmp_path / "val.csv"
+    assert main(["validate", "--config", cfg_file, "--n-active", "5,12", "--lambdas", "2,6",
+                 "--trials", "40", "--seed", "3", "--out", str(val_out)]) == 0
+    header, rows = read_csv(val_out)
+    assert len(rows) == 4
+    for row in rows:
+        row = dict(zip(header, row))
+        point = with_values(cfg, {"traffic.n_active": int(row["n_active"]),
+                                  "traffic.lambda": float(row["lambda"])})
+        p_succ = frame_coverage_prob(point).p_succ
+        est = estimate_coverage(point, Scheme.BASELINE, 40, 3)
+        assert row["p_succ_analytic"] == cli._cell(p_succ), row
+        assert row["p_hat_simulated"] == cli._cell(est.p_hat), row
+        assert row["ci_halfwidth"] == cli._cell(est.ci_halfwidth), row
+        assert row["gap"] == cli._cell(abs(p_succ - est.p_hat)), row
+
+    manifest = tmp_path / "run.manifest"
+    assert main(["simulate", "--config", cfg_file, "--scheme", "tpds", "--trials", "40",
+                 "--seed", "3", "--manifest", str(manifest)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(","), row.split(",")))
+    points = {key[len("point.0."):]: value
+              for key, value in (line.split(" = ", 1) for line in manifest.read_text().splitlines())
+              if key.startswith("point.0.") and key != "point.0.wall_clock_s"}
+    assert points.keys() == {"p_hat", "ci_halfwidth", "collision_failures",
+                             "threshold_failures", "blocked_failures", "n_slots"}
+    assert points == {key: row[key] for key in points}
 
 
 def test_compare_empty_range_usage_error(cfg_file):
